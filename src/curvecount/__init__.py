@@ -7,7 +7,7 @@ smaller ones down to a single seed.  All arithmetic is exact.
 
 from .blowup import BlowupClass, blowup_pair_product
 from .cache import CacheConflict, InvalidCacheFile, MemoStore
-from .engine import Engine, trace
+from .engine import Engine, InexactCount, trace
 from .problems import (
     InvalidProblem,
     Problem,
@@ -35,6 +35,7 @@ __all__ = [
     "CacheConflict",
     "Engine",
     "blowup_pair_product",
+    "InexactCount",
     "InvalidCacheFile",
     "InvalidProblem",
     "MemoStore",

@@ -3,7 +3,8 @@
 Subcommands: ``count`` for rational and elliptic counts, ``zcount`` for
 divisor-class counts, ``table`` to recompute a reference table, and
 ``trace`` to emit the derivation tree of a count as text, JSON or DOT.
-Exit codes: 0 success, 2 invalid input, 3 unsupported problem.
+Exit codes: 0 success, 1 table run with failing rows, 2 invalid input,
+3 unsupported problem, 4 internal exactness failure (InexactCount).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import sys
 
 from .cache import CacheConflict, InvalidCacheFile, MemoStore
-from .engine import Engine, trace as build_trace
+from .engine import Engine, InexactCount, trace as build_trace
 from .problems import (
     InvalidProblem,
     Problem,
@@ -80,7 +81,7 @@ def _save_store(store: MemoStore, path) -> None:
 
 def _check_all_orders(problem, reference: int, divisor_axiom: bool) -> None:
     """Recompute under every degeneration order and first-slot choice
-    with fresh memo stores; any disagreement is a hard error."""
+    with fresh memo stores; any disagreement raises InexactCount."""
     if isinstance(problem, ZProblem):
         slots = [None]
     else:
@@ -93,7 +94,7 @@ def _check_all_orders(problem, reference: int, divisor_axiom: bool) -> None:
                 eng.force_first_slot(e)
             value = eng.count(problem)
             if value != reference:
-                raise AssertionError(
+                raise InexactCount(
                     f"order {order} with first slot {e} gives {value}, expected {reference}"
                 )
 
@@ -111,7 +112,7 @@ def cmd_count(args) -> int:
     if args.unmarked:
         factor = unmarked_factor(problem)
         if value % factor:
-            raise AssertionError(f"marking factor {factor} does not divide {value}")
+            raise InexactCount(f"marking factor {factor} does not divide {value}")
         value //= factor
     print(value)
     return 0
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
     except (InvalidProblem, InvalidCacheFile, CacheConflict, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InexactCount as exc:
+        print(f"error: internal exactness check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The engine owns the memo store and the evaluation options; the
 recursion rules live in genus0, genus1 and fibration.  All arithmetic
 is exact: weights are fractions.Fraction, counts are ints, and every
-division the theory promises to be exact is asserted to be so.
+division the theory promises to be exact is checked, raising
+InexactCount when it is not.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ from .problems import (
     validate_z,
 )
 from .trace import TraceNode, Tracer
+
+
+class InexactCount(ArithmeticError):
+    """A quantity the theory promises to be an exact integer (or an
+    exact nonnegative count) came out otherwise.  This is a fault of the
+    engine, never of the input, and is raised rather than truncated."""
+
+
+def exact_int(value, what: str) -> int:
+    """``value`` (an int or Fraction) as an int; InexactCount with the
+    message ``what`` if it is not integral."""
+    if value.denominator != 1:
+        raise InexactCount(f"{what}: got {value}")
+    return int(value)
 
 
 class Engine:
@@ -143,10 +158,9 @@ class Engine:
             return None
         children = []
         for rule, weight, value, groups in terms:
-            term_total = weight * value
+            term_total = exact_int(weight * value, f"non-integral {rule} term for {problem}")
             if term_total == 0:
                 continue
-            assert term_total.denominator == 1
             merged: dict[str, list] = {}
             for coeff, factors in groups:
                 r = len(factors)
@@ -163,7 +177,7 @@ class Engine:
             term_children = []
             for fkey, (wsum, fproblem) in merged.items():
                 term_children.append((wsum, self.tracer.nodes[fkey]))
-            node = TraceNode(problem, dim, int(term_total), rule, term_children)
+            node = TraceNode(problem, dim, term_total, rule, term_children)
             children.append((Fraction(1), node))
         rule = children[0][1].rule if children else default_rule
         return TraceNode(problem, dim, total, rule, children)
@@ -171,14 +185,11 @@ class Engine:
 
 def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
     """Sum the term contributions exactly and build the trace node."""
-    total = Fraction(0)
-    for _, weight, value, _ in terms:
-        contribution = weight * value
-        assert contribution.denominator == 1, f"non-integral term for {p}"
-        total += contribution
-    assert total.denominator == 1
-    total = int(total)
-    assert total >= 0, f"negative count {total} for {p}"
+    total = 0
+    for rule, weight, value, _ in terms:
+        total += exact_int(weight * value, f"non-integral {rule} term for {p}")
+    if total < 0:
+        raise InexactCount(f"negative count {total} for {p}")
     return total, eng.terms_node(p, dim, total, terms, default_rule)
 
 

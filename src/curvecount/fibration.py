@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Engine
-from .partitions import subvectors
+from .engine import Engine, InexactCount, exact_int
+from .partitions import bump, subvectors_weighted
 from .problems import Problem, ZProblem, base_z_text, dim_z
 
 
@@ -32,44 +32,39 @@ def _memo(eng: Engine, key: str, compute):
     return value
 
 
-def _bump(vec: dict, key, delta=1) -> dict:
-    out = dict(vec)
-    out[key] = out.get(key, 0) + delta
-    assert out[key] >= 0, f"pool underflow at {key}"
-    if out[key] == 0:
-        del out[key]
-    return out
-
-
 def _uniform(n: int, d: int) -> dict:
     return {(1, n - 1): d}
 
 
-def _exact(frac: Fraction) -> Fraction:
-    assert frac.denominator == 1, "free-contact relabelings must divide the count"
-    return frac
+def _exact(frac: Fraction) -> int:
+    return exact_int(frac, "free-contact relabelings must divide the count")
 
 
-def _splits(eng: Engine, z: ZProblem, pool: dict, markers_to_base: tuple, extra_base: int):
+def _splits(eng: Engine, z: ZProblem, pool: dict, d0_min: int, rational):
     """Sum the broken-fiber contributions shared by all four pairings.
 
-    The fiber degenerates into a rational curve of degree d0 keeping the
-    listed markers (as incidence conditions) and an elliptic curve of
-    degree d1 taking any sub-vector of the remaining pool; extra_base
-    scales the term by d0**extra_base for the choices the hyperplane
-    class makes on the rational side.  Over P^2 the two components meet
-    in d0*d1 points and each meeting point gives a distinct fiber.
+    The fiber degenerates into a rational curve of degree d0 and an
+    elliptic curve of degree d1 = d - d0 taking a sub-vector i1 of the
+    pool.  ``rational(d0, i0)`` returns the rational side's problem for
+    the rest i0 of the pool and its scale: the inverse relabelings of
+    its free contacts times the choices the divisor makes on it.  Over
+    P^2 the two components meet in d0*d1 points and each meeting point
+    gives a distinct fiber.
+
+    The elliptic side has dimension (n+1)*d1 - sum((n-1-e) * c) and
+    counts nothing unless that is zero, so only those sub-vectors are
+    enumerated.
     """
     n, d = z.n, z.d
     total = Fraction(0)
     pool_items = tuple(sorted(pool.items()))
-    for d0 in range(1, d):
+    weight_of = lambda e: n - 1 - e
+    for d0 in range(d0_min, d):
         d1 = d - d0
-        for i1, ways in subvectors(pool_items):
+        rigid = (n + 1) * d1
+        for i1, ways in subvectors_weighted(pool_items, weight_of, rigid, rigid):
             i0 = {k: c - i1.get(k, 0) for k, c in pool.items() if c - i1.get(k, 0)}
-            for e in markers_to_base:
-                i0 = _bump(i0, e)
-            x = Problem.make(0, n, d0, _uniform(n, d0), i0)
+            x, scale = rational(d0, i0)
             vx = eng.count_x(x)
             if vx == 0:
                 continue
@@ -77,16 +72,25 @@ def _splits(eng: Engine, z: ZProblem, pool: dict, markers_to_base: tuple, extra_
             vw = eng.count_w(w)
             if vw == 0:
                 continue
-            term = (
-                Fraction(vx, math.factorial(d0))
-                * Fraction(vw, math.factorial(d1))
-                * ways
-                * d0**extra_base
-            )
+            term = scale * vx * Fraction(vw, math.factorial(d1)) * ways
             if n == 2:
                 term *= d0 * d1
             total += term
     return total
+
+
+def _free_rational(z: ZProblem, markers_to_base: tuple, extra_base: int):
+    """Rational side keeping the listed markers, with all its contacts
+    free; extra_base scales the term by d0**extra_base for the choices
+    the hyperplane class makes on it."""
+
+    def rational(d0, i0):
+        for e in markers_to_base:
+            i0 = bump(i0, e)
+        x = Problem.make(0, z.n, d0, _uniform(z.n, d0), i0)
+        return x, Fraction(d0**extra_base, math.factorial(d0))
+
+    return rational
 
 
 def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int) -> int:
@@ -96,13 +100,13 @@ def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int) -> int:
 
     def compute():
         n, d = z.n, z.d
-        pool = _bump(_bump(z.i_map(), e1, -1), e2, -1)
+        pool = bump(bump(z.i_map(), e1, -1), e2, -1)
         total = Fraction(0)
         if e1 + e2 >= n:
-            w = Problem.make(1, n, d, _uniform(n, d), _bump(pool, e1 + e2 - n))
+            w = Problem.make(1, n, d, _uniform(n, d), bump(pool, e1 + e2 - n))
             total += Fraction(eng.count_w(w), math.factorial(d))
-        total += _splits(eng, z, pool, (e1, e2), 0)
-        return int(_exact(total))
+        total += _splits(eng, z, pool, 1, _free_rational(z, (e1, e2), 0))
+        return _exact(total)
 
     return _memo(eng, key, compute)
 
@@ -113,13 +117,13 @@ def sec_hyp(eng: Engine, z: ZProblem, e: int) -> int:
 
     def compute():
         n, d = z.n, z.d
-        pool = _bump(z.i_map(), e, -1)
+        pool = bump(z.i_map(), e, -1)
         total = Fraction(0)
         if e >= 1:
-            w = Problem.make(1, n, d, _uniform(n, d), _bump(pool, e - 1))
+            w = Problem.make(1, n, d, _uniform(n, d), bump(pool, e - 1))
             total += Fraction(eng.count_w(w), math.factorial(d))
-        total += _splits(eng, z, pool, (e,), 1)
-        return int(_exact(total))
+        total += _splits(eng, z, pool, 1, _free_rational(z, (e,), 1))
+        return _exact(total)
 
     return _memo(eng, key, compute)
 
@@ -131,10 +135,10 @@ def hyp_self(eng: Engine, z: ZProblem) -> int:
     def compute():
         n, d = z.n, z.d
         pool = z.i_map()
-        w = Problem.make(1, n, d, _uniform(n, d), _bump(pool, n - 2))
+        w = Problem.make(1, n, d, _uniform(n, d), bump(pool, n - 2))
         total = Fraction(eng.count_w(w), math.factorial(d))
-        total += _splits(eng, z, pool, (), 2)
-        return int(_exact(total))
+        total += _splits(eng, z, pool, 1, _free_rational(z, (), 2))
+        return _exact(total)
 
     return _memo(eng, key, compute)
 
@@ -150,35 +154,20 @@ def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
 
     def compute():
         n, d = z.n, z.d
-        pool = _bump(z.i_map(), e, -1)
+        pool = bump(z.i_map(), e, -1)
         total = Fraction(0)
         if d >= 2:
-            h = _bump({(2, e): 1}, (1, n - 1), d - 2)
+            h = bump({(2, e): 1}, (1, n - 1), d - 2)
             w = Problem.make(1, n, d, h, pool)
             total += Fraction(eng.count_w(w), math.factorial(d - 2))
-        pool_items = tuple(sorted(pool.items()))
-        for d0 in range(2, d):
-            d1 = d - d0
-            for i1, ways in subvectors(pool_items):
-                i0 = {k: c - i1.get(k, 0) for k, c in pool.items() if c - i1.get(k, 0)}
-                x = Problem.make(0, n, d0, _bump(_uniform(n, d0 - 1), (1, e)), i0)
-                vx = eng.count_x(x)
-                if vx == 0:
-                    continue
-                w = Problem.make(1, n, d1, _uniform(n, d1), i1)
-                vw = eng.count_w(w)
-                if vw == 0:
-                    continue
-                term = (
-                    Fraction(vx, math.factorial(d0 - 1))
-                    * Fraction(vw, math.factorial(d1))
-                    * ways
-                    * (d0 - 1)
-                )
-                if n == 2:
-                    term *= d0 * d1
-                total += term
-        return int(_exact(total))
+
+        def rational(d0, i0):
+            # the marker stays a contact point of the rational side
+            x = Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0)
+            return x, Fraction(d0 - 1, math.factorial(d0 - 1))
+
+        total += _splits(eng, z, pool, 2, rational)
+        return _exact(total)
 
     return _memo(eng, key, compute)
 
@@ -189,10 +178,11 @@ def sec_self(eng: Engine, z: ZProblem) -> int:
 
     def compute():
         slots = [e for e, c in z.i if c > 0 and e <= z.n - 1]
-        assert slots, "a one-parameter family needs a marker below the top slot"
+        if not slots:
+            raise AssertionError(f"a one-parameter family needs a marker below the top slot: {z}")
         values = [sec_hyp(eng, z, e) - hyp_minus_sec(eng, z, e) for e in slots]
-        if eng.check_all_orders:
-            assert len(set(values)) == 1, f"section self-intersection differs by slot: {values}"
+        if eng.check_all_orders and len(set(values)) != 1:
+            raise InexactCount(f"section self-intersection differs by slot: {values}")
         return values[0]
 
     return _memo(eng, key, compute)
@@ -213,6 +203,7 @@ def expand_z(eng: Engine, z: ZProblem):
             cs, es = markers[s]
             ct, et = markers[t]
             d2 += 2 * cs * ct * sec_pair(eng, z, es, et)
-    assert d2 % 2 == 0, "divisor self-intersection must be even"
+    if d2 % 2:
+        raise InexactCount(f"divisor self-intersection {d2} must be even for {z}")
     value = s2 - d2 // 2
     return value, eng.leaf_node(z, 0, value, "z-evaluation")

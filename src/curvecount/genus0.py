@@ -14,21 +14,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Engine, finish_terms
-from .partitions import type2_partitions
+from .engine import Engine, exact_int, finish_terms
+from .partitions import bump, type2_partitions
 from .problems import Problem, dim_x
-
-
-def _bump(vec: dict, key, delta=1) -> dict:
-    out = dict(vec)
-    c = out.get(key, 0) + delta
-    if c < 0:
-        raise AssertionError(f"negative count for {key}")
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
-    return out
 
 
 def rational_tail_window(n: int):
@@ -62,7 +50,7 @@ def tail_problem(n: int, dk: int, hk: dict, ik: dict):
     delta = base - sum((n - 1 - e) * c for e, c in ik.items())
     if not 0 <= delta <= n - 1:
         return None
-    return Problem.make(0, n, dk, _bump(hk, (mk, n - 1 - delta)), ik), delta
+    return Problem.make(0, n, dk, bump(hk, (mk, n - 1 - delta)), ik), delta
 
 
 def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
@@ -109,8 +97,8 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     value = coeff * v0
     for _, v in factors:
         value *= v
-    assert value.denominator == 1, "hyperplane-component relabelings must divide the count"
-    return int(value), [(coeff, [(child0, v0)] + factors)]
+    value = exact_int(value, "hyperplane-component relabelings must divide the count")
+    return value, [(coeff, [(child0, v0)] + factors)]
 
 
 def expand_x(eng: Engine, p: Problem):
@@ -134,7 +122,7 @@ def expand_x(eng: Engine, p: Problem):
 
     e_star = eng.pick_slot(p)
     e_lift = e_star + 1
-    i_base = _bump(imap, e_star, -1)
+    i_base = bump(imap, e_star, -1)
     h_pool = p.h_map()
 
     terms = []
@@ -142,7 +130,7 @@ def expand_x(eng: Engine, p: Problem):
         e_new = e0 + e_lift - n
         if e_new < 0:
             continue
-        h2 = _bump(_bump(h_pool, (m, e0), -1), (m, e_new))
+        h2 = bump(bump(h_pool, (m, e0), -1), (m, e_new))
         child = Problem.make(0, n, d, h2, i_base)
         v = eng.count_x(child)
         terms.append(("type-I", Fraction(m * c), v, [(Fraction(1), [(child, v)])]))
@@ -155,11 +143,11 @@ def expand_x(eng: Engine, p: Problem):
         ram = 1
         for dk, h_items, i_items in parts:
             for key, c in h_items:
-                h0 = _bump(h0, key, -c)
+                h0 = bump(h0, key, -c)
             for key, c in i_items:
-                i0 = _bump(i0, key, -c)
+                i0 = bump(i0, key, -c)
             ram *= dk - sum(m * c for (m, _), c in h_items)
-        i0 = _bump(i0, e_lift)
+        i0 = bump(i0, e_lift)
         value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:
             terms.append(("type-IIplain", comb * ram, value, groups))

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Engine, finish_terms
-from .genus0 import _bump, count_y, rational_tail_window, tail_problem
-from .partitions import subvectors, subvectors_weighted, type2_partitions
+from .engine import Engine, InexactCount, exact_int, finish_terms
+from .genus0 import count_y, rational_tail_window, tail_problem
+from .partitions import bump, points_fit, subvectors, subvectors_weighted, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem, dim_w
 
 
@@ -38,6 +38,8 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_wind
     labeled marker routings divided by the tail automorphisms, h0/i0 are
     the hyperplane component's markers including the specialized one,
     and ram is the product of the tail attachment multiplicities.
+    As in type2_partitions, the distinguished component and the tails
+    take every point marker between them.
     """
     h_items = tuple(sorted(h_pool.items()))
     i_items = tuple(sorted(i_base.items()))
@@ -49,8 +51,10 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_wind
                 continue
             lo, hi = part_window(d1, h1, m1)
             for i1, i1_ways in subvectors_weighted(i_items, weight_of, lo, hi):
-                h_rem = {k: c - h1.get(k, 0) for k, c in h_pool.items() if c - h1.get(k, 0)}
                 i_rem = {k: c - i1.get(k, 0) for k, c in i_base.items() if c - i1.get(k, 0)}
+                if not points_fit(n, d - 1 - d1, i_rem.get(0, 0)):
+                    continue
+                h_rem = {k: c - h1.get(k, 0) for k, c in h_pool.items() if c - h1.get(k, 0)}
                 for tails, comb in type2_partitions(d - 1 - d1, h_rem, i_rem, n, tails_window):
                     d0 = d - d1 - sum(t[0] for t in tails)
                     h0 = dict(h_rem)
@@ -58,11 +62,11 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_wind
                     ram = 1
                     for dk, h_items_k, i_items_k in tails:
                         for key, c in h_items_k:
-                            h0 = _bump(h0, key, -c)
+                            h0 = bump(h0, key, -c)
                         for key, c in i_items_k:
-                            i0 = _bump(i0, key, -c)
+                            i0 = bump(i0, key, -c)
                         ram *= _ram(dk, dict(h_items_k))
-                    i0 = _bump(i0, e_lift)
+                    i0 = bump(i0, e_lift)
                     ways = Fraction(h1_ways * i1_ways) * comb
                     yield d1, h1, i1, m1, tails, ways, d0, h0, i0, ram
 
@@ -82,7 +86,7 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     delta1 = base - sum((n - 1 - e) * c for e, c in i1.items())
     if not 0 <= delta1 <= n - 1:
         return 0, []
-    ell = Problem.make(1, n, d1, _bump(h1, (m1, n - 1 - delta1)), i1)
+    ell = Problem.make(1, n, d1, bump(h1, (m1, n - 1 - delta1)), i1)
     v1 = eng.count_w(ell)
     if v1 == 0:
         return 0, []
@@ -115,8 +119,8 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     value = coeff * v0
     for _, v in factors:
         value *= v
-    assert value.denominator == 1, "hyperplane-component relabelings must divide the count"
-    return int(value), [(coeff, [(child0, v0)] + factors)]
+    value = exact_int(value, "hyperplane-component relabelings must divide the count")
+    return value, [(coeff, [(child0, v0)] + factors)]
 
 
 def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
@@ -133,7 +137,7 @@ def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
         return 0, []
     if any(e == 1 for (_, e) in h0):
         return 0, []
-    mid = Problem.make(0, 2, db, _bump(_bump(hb, (m11, 1)), (m12, 1)), ib)
+    mid = Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m12, 1)), ib)
     vmid = eng.count_x(mid)
     if vmid == 0:
         return 0, []
@@ -141,7 +145,7 @@ def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
     value = vmid
     for dk, h_items, i_items in tails:
         mk = _ram(dk, dict(h_items))
-        child = Problem.make(0, 2, dk, _bump(dict(h_items), (mk, 1)), dict(i_items))
+        child = Problem.make(0, 2, dk, bump(dict(h_items), (mk, 1)), dict(i_items))
         v = eng.count_x(child)
         if v == 0:
             return 0, []
@@ -169,25 +173,25 @@ def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
         - sum((2 - e) * c for e, c in ib.items())
     )
     if delta == 0:
-        mid = Problem.make(0, 3, db, _bump(_bump(hb, (m11, 2)), (m12, 2)), ib)
+        mid = Problem.make(0, 3, db, bump(bump(hb, (m11, 2)), (m12, 2)), ib)
         vmid = eng.count_x(mid)
         if vmid == 0:
             return 0, []
-        h0p = _bump(_bump(h0, (1, 0)), (1, 0))
+        h0p = bump(bump(h0, (1, 0)), (1, 0))
         yval, ygroups = count_y(eng, 3, d0, h0p, i0, tails)
         if yval == 0:
             return 0, []
         groups = [(coeff, [(mid, vmid)] + fac) for coeff, fac in ygroups]
         return vmid * yval, groups
     if delta == 1:
-        xa = Problem.make(0, 3, db, _bump(_bump(hb, (m11, 1)), (m12, 2)), ib)
-        xb = Problem.make(0, 3, db, _bump(_bump(hb, (m12, 1)), (m11, 2)), ib)
-        xc = Problem.make(0, 3, db, _bump(hb, (m1, 2)), ib)
+        xa = Problem.make(0, 3, db, bump(bump(hb, (m11, 1)), (m12, 2)), ib)
+        xb = Problem.make(0, 3, db, bump(bump(hb, (m12, 1)), (m11, 2)), ib)
+        xc = Problem.make(0, 3, db, bump(hb, (m1, 2)), ib)
         va = eng.count_x(xa)
         vb = eng.count_x(xb)
         vc = eng.count_x(xc)
         bracket = d0 * (va + vb) - vc
-        yval, ygroups = count_y(eng, 3, d0, _bump(h0, (1, 0)), i0, tails)
+        yval, ygroups = count_y(eng, 3, d0, bump(h0, (1, 0)), i0, tails)
         if bracket == 0 or yval == 0:
             return 0, []
         groups = []
@@ -200,8 +204,8 @@ def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
                 groups.append((coeff * -1, [(xc, vc)] + fac))
         return bracket * yval, groups
     if delta == 2:
-        xa = Problem.make(0, 3, db, _bump(_bump(hb, (m11, 1)), (m12, 1)), ib)
-        xb = Problem.make(0, 3, db, _bump(hb, (m1, 1)), ib)
+        xa = Problem.make(0, 3, db, bump(bump(hb, (m11, 1)), (m12, 1)), ib)
+        xb = Problem.make(0, 3, db, bump(hb, (m1, 1)), ib)
         va = eng.count_x(xa)
         vb = eng.count_x(xb)
         bracket = d0 * (d0 * va - vb)
@@ -290,7 +294,9 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
         for mk in att_marks:
             idx += 1
             divisor.append((-mk, e, idx))
-    assert sum(c for c, _, _ in divisor) == d0, "divisor degree must match the component"
+    degree = sum(c for c, _, _ in divisor)
+    if degree != d0:
+        raise InexactCount(f"divisor degree {degree} must match the component degree {d0}")
     z = ZProblem.make(n - 1, d0, i0p, divisor)
     vz = eng.count_z(z)
     if vz == 0:
@@ -321,7 +327,7 @@ def expand_w(eng: Engine, p: Problem):
 
     e_star = eng.pick_slot(p)
     e_lift = e_star + 1
-    i_base = _bump(imap, e_star, -1)
+    i_base = bump(imap, e_star, -1)
     h_pool = p.h_map()
 
     terms = []
@@ -329,7 +335,7 @@ def expand_w(eng: Engine, p: Problem):
         e_new = e0 + e_lift - n
         if e_new < 0:
             continue
-        h2 = _bump(_bump(h_pool, (m, e0), -1), (m, e_new))
+        h2 = bump(bump(h_pool, (m, e0), -1), (m, e_new))
         child = Problem.make(1, n, d, h2, i_base)
         v = eng.count_w(child)
         terms.append(("type-I", Fraction(m * c), v, [(Fraction(1), [(child, v)])]))
@@ -386,11 +392,11 @@ def expand_w(eng: Engine, p: Problem):
             ram = 1
             for dk, h_items, i_items in parts:
                 for key, c in h_items:
-                    h0 = _bump(h0, key, -c)
+                    h0 = bump(h0, key, -c)
                 for key, c in i_items:
-                    i0 = _bump(i0, key, -c)
+                    i0 = bump(i0, key, -c)
                 ram *= _ram(dk, dict(h_items))
-            i0 = _bump(i0, e_lift)
+            i0 = bump(i0, e_lift)
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
                 terms.append(("type-IIc", comb * ram, value, groups))

@@ -23,6 +23,21 @@ def vector_multinomial(pool: dict, picks) -> int:
     return out
 
 
+def bump(vec: dict, key, delta=1) -> dict:
+    """Copy of a marker pool with ``delta`` added to the count of
+    ``key``; zero counts are dropped.  Overdrawing a pool is a fault in
+    the caller and raises, also under ``python -O``."""
+    out = dict(vec)
+    c = out.get(key, 0) + delta
+    if c < 0:
+        raise AssertionError(f"pool underflow at {key}")
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+    return out
+
+
 def automorphism_order(items) -> int:
     """Order of the symmetry group permuting equal entries."""
     counts: dict = {}
@@ -91,6 +106,13 @@ def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds, m_mi
     rule the shape out; windows come from the requirement that the
     component be rigid once its attachment point is constrained.
 
+    Two rules drop shapes that count nothing.  A multiset must take
+    every point marker (e = 0) of ``i_pool``: the hyperplane component
+    lies in H, so a general point left on it makes the term vanish.  A
+    component may not take more points than a rational curve of its
+    degree passes through (see ``points_on_curve``).  Branches whose
+    remaining degree cannot take the points left are cut early.
+
     Yields (parts, comb): parts is a nondecreasing tuple of
     (dk, h_items, i_items) with the vectors as sorted item tuples, and
     comb is a Fraction: the multinomial routing of labeled markers into
@@ -100,8 +122,13 @@ def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds, m_mi
     weight_of = lambda e: n - 1 - e
 
     def rec(d_rem, h_items, i_items, min_key):
-        yield (), 1
+        points = dict(i_items).get(0, 0)
+        if not points_fit(n, d_rem, points):
+            return
+        if not points:
+            yield (), 1
         for dk in range(1, d_rem + 1):
+            max_points = points_on_curve(n, dk)
             for h_sub, h_ways in subvectors(h_items):
                 mk = dk - sum(m * c for (m, _), c in h_sub.items())
                 if mk < m_min:
@@ -111,6 +138,8 @@ def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds, m_mi
                     continue
                 lo, hi = bounds
                 for i_sub, i_ways in subvectors_weighted(i_items, weight_of, lo, hi):
+                    if i_sub.get(0, 0) > max_points:
+                        continue
                     key = (
                         dk,
                         tuple(sorted(h_sub.items())),
@@ -131,3 +160,21 @@ def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds, m_mi
     i_items = tuple(sorted(i_pool.items()))
     for parts, ways in rec(d_avail, h_items, i_items, _MIN_PART_KEY):
         yield parts, Fraction(ways, automorphism_order(parts))
+
+
+def points_on_curve(n: int, d: int) -> int:
+    """Most general points of P^n that a rational curve of degree d
+    passes through: the curves move in a family of dimension
+    (n+1)*d + n - 3 and each point costs n - 1.  Free markers (e = n)
+    do not move the curve, so they never raise the bound."""
+    return ((n + 1) * d + n - 3) // (n - 1)
+
+
+def points_fit(n: int, d_rem: int, points: int) -> bool:
+    """Whether rational components of total degree at most d_rem can
+    take ``points`` general points between them.  Each component of
+    degree dk takes at most points_on_curve(n, dk), which is 3*dk - 1
+    for n = 2 and at most 2*dk for n >= 3."""
+    if not points:
+        return True
+    return points <= (2 * d_rem if n >= 3 else 3 * d_rem - 1)

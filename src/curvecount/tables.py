@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import Engine
+from .engine import Engine, InexactCount
 from .problems import Problem, ZProblem, parse_divisor, unmarked_factor
 
 
@@ -206,7 +206,8 @@ def esc_problem(t1: int, t2: int, t3: int, t4: int) -> Problem:
 def _unmarked(eng: Engine, p: Problem) -> int:
     marked = eng.count(p)
     factor = unmarked_factor(p)
-    assert marked % factor == 0, f"marking factor {factor} must divide {marked}"
+    if marked % factor:
+        raise InexactCount(f"marking factor {factor} must divide {marked} for {p}")
     return marked // factor
 
 

@@ -67,7 +67,12 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
     each drawing a labeled sub-multiset of the remaining marker pools,
     with the same degree, attachment and incidence-window constraints as
     the engine's enumerator.  The worth of a configuration is the
-    product of value_of(dk, h_items, i_items) over its parts.
+    product of value_of(dk, h_items, i_items) over its parts.  Two
+    configurations are worth nothing: one that leaves a point marker
+    (e = 0) untaken, since that point would lie on the hyperplane
+    component, and one with a part through more general points than a
+    rational curve of its degree passes through, (n-1) * points >
+    (n+1) * dk + n - 3.
     """
 
     def sub_multisets(items):
@@ -84,7 +89,8 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
         return sum((n - 1 - e) * c for e, c in i_items)
 
     def rec_ordered(d_rem, h_items, i_items):
-        yield (), 1
+        if not dict(i_items).get(0, 0):
+            yield (), 1
         for dk in range(1, d_rem + 1):
             for h_sub, h_ways in sub_multisets(h_items):
                 mk = dk - sum(m * c for (m, _), c in h_sub)
@@ -96,6 +102,8 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
                 lo, hi = bounds
                 for i_sub, i_ways in sub_multisets(i_items):
                     if not lo <= weight(i_sub) <= hi:
+                        continue
+                    if (n - 1) * dict(i_sub).get(0, 0) > (n + 1) * dk + n - 3:
                         continue
                     h_next = tuple(
                         (k, c - dict(h_sub).get(k, 0))

@@ -219,3 +219,16 @@ def test_installed_script(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "1\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(curvecount.__file__).resolve().parent.parent)
+    res = subprocess.run(
+        [sys.executable, "-m", "curvecount", "count", "-n", "1", "-d", "1", "--points", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "1\n"

@@ -1,0 +1,132 @@
+"""Exactness checks are ordinary raises: they hold under ``python -O``
+and end a CLI run with exit code 4, not with a truncated count."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import curvecount
+from curvecount import Engine, InexactCount, Problem, ZProblem, parse_divisor
+from curvecount import fibration, genus0
+from curvecount.cli import main
+from curvecount.partitions import bump
+
+SRC = str(Path(curvecount.__file__).resolve().parent.parent)
+
+SAMPLE = [
+    "Problem.make(0, 3, 3, {(1, 2): 3}, {1: 12})",
+    "Problem.make(0, 3, 2, {(2, 2): 1}, {1: 7})",
+    "Problem.make(0, 2, 4, {(1, 1): 4}, {0: 11})",
+    "Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12})",
+    "Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12})",
+    "Problem.make(1, 3, 4, {(1, 2): 2, (1, 1): 1, (1, 0): 1}, {1: 6, 0: 2})",
+    "ZProblem.make(2, 4, {0: 11}, parse_divisor('p1+p2+p3+p4'))",
+    "ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor('3*l1'))",
+]
+
+
+def _optimized(*args):
+    """Run the interpreter with -O (assert statements stripped) on the
+    package from this source tree."""
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": ""},
+        timeout=300,
+    )
+
+
+def test_counts_under_python_O_match_plain_runs():
+    code = "import sys\n"
+    code += "from curvecount import Engine, Problem, ZProblem, parse_divisor\n"
+    code += "print(sys.flags.optimize)\n"
+    code += "eng = Engine()\n"
+    code += "".join(f"print(eng.count({expr}))\n" for expr in SAMPLE)
+    res = _optimized("-c", code)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.split()
+    assert lines[0] == "1"
+    eng = Engine()
+    plain = [str(eng.count(eval(expr))) for expr in SAMPLE]
+    assert lines[1:] == plain
+    assert (plain[0], plain[1], plain[6]) == ("480960", "116", "62")
+
+
+def test_check_all_orders_zcount_under_python_O():
+    res = _optimized(
+        "-m", "curvecount", "zcount", "-n", "2", "-d", "3", "--points", "8", "--lines", "1",
+        "--divisor", "p1+p2+l1", "--check-all-orders",
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "patch, argv",
+    [
+        # a non-integral type II term
+        (
+            "genus0.count_y = lambda *args: (Fraction(1, 1000003), [])",
+            ["count", "-n", "3", "-d", "2", "--lines", "8"],
+        ),
+        # section self-intersections that depend on the slot
+        (
+            "real = fibration.hyp_minus_sec\n"
+            "fibration.hyp_minus_sec = lambda eng, z, e: real(eng, z, e) + e",
+            ["zcount", "-n", "2", "-d", "3", "--points", "8", "--lines", "1",
+             "--divisor", "p1+p2+l1", "--check-all-orders"],
+        ),
+    ],
+)
+def test_exactness_failure_exits_4_under_python_O(patch, argv):
+    code = "import sys\n"
+    code += "from fractions import Fraction\n"
+    code += "from curvecount import fibration, genus0\n"
+    code += "from curvecount.cli import main\n"
+    code += patch + "\n"
+    code += f"sys.exit(main({argv!r}))\n"
+    res = _optimized("-c", code)
+    assert res.returncode == 4, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: internal exactness check failed:")
+    assert "Traceback" not in res.stderr
+
+
+def test_non_integral_term_raises(monkeypatch):
+    monkeypatch.setattr(genus0, "count_y", lambda *args: (Fraction(1, 1000003), []))
+    with pytest.raises(InexactCount, match="non-integral type-IIplain term"):
+        Engine().count(Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8}))
+
+
+def test_cli_maps_inexact_count_to_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr(genus0, "count_y", lambda *args: (Fraction(1, 1000003), []))
+    assert main(["count", "-n", "3", "-d", "2", "--lines", "8"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal exactness check failed:")
+
+
+def test_odd_divisor_self_intersection_raises(monkeypatch):
+    real = fibration.hyp_self
+    monkeypatch.setattr(fibration, "hyp_self", lambda eng, z: real(eng, z) + 1)
+    with pytest.raises(InexactCount, match="must be even"):
+        Engine().count(ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")))
+
+
+def test_slot_dependent_self_intersection_raises_when_checked(monkeypatch):
+    real = fibration.hyp_minus_sec
+    monkeypatch.setattr(fibration, "hyp_minus_sec", lambda eng, z, e: real(eng, z, e) + e)
+    z = ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("p1+p2+l1"))
+    Engine().count(z)
+    with pytest.raises(InexactCount, match="differs by slot"):
+        Engine(check_all_orders=True).count(z)
+
+
+def test_overdrawn_pool_is_an_internal_fault():
+    assert bump({1: 2}, 1, -2) == {}
+    assert bump({}, (1, 2), 3) == {(1, 2): 3}
+    with pytest.raises(AssertionError, match="pool underflow"):
+        bump({1: 1}, 1, -2)

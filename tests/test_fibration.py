@@ -4,10 +4,12 @@ The published worked chain pins every intersection-number primitive,
 and the two documented misprints are re-derived here from the printed
 values of their sibling rows alone."""
 
+import math
 from fractions import Fraction
 
-from curvecount import Engine, ZProblem, parse_divisor, table_rows
+from curvecount import Engine, Problem, ZProblem, parse_divisor, table_rows
 from curvecount.fibration import hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
+from curvecount.partitions import bump, subvectors
 
 
 def _quartic_base():
@@ -160,3 +162,92 @@ def test_memo_keys_cover_primitives():
     eng.count(_quartic_base())
     prefixes = {key.split("|")[0] for key, _ in eng.store.items()}
     assert {"Z", "QQ", "HQ", "HH", "HMQ", "SS", "X", "W"} <= prefixes
+
+
+def _reference_splits(eng, z, pool, d0_min, rational_of):
+    """Broken-fiber sum over every sub-vector of the pool, whether or
+    not the elliptic side is zero-dimensional."""
+    n, d = z.n, z.d
+    total = Fraction(0)
+    for d0 in range(d0_min, d):
+        d1 = d - d0
+        for i1, ways in subvectors(tuple(sorted(pool.items()))):
+            i0 = {k: c - i1.get(k, 0) for k, c in pool.items() if c - i1.get(k, 0)}
+            x, scale = rational_of(d0, i0)
+            w = Problem.make(1, n, d1, {(1, n - 1): d1}, i1)
+            term = scale * eng.count_x(x) * Fraction(eng.count_w(w), math.factorial(d1)) * ways
+            total += term * (d0 * d1 if n == 2 else 1)
+    return total
+
+
+def _reference_pairings(eng, z):
+    """The four pairing families of fibration, written out with the
+    plain enumeration; returns {name: value} over every slot."""
+    n, d = z.n, z.d
+    slots = sorted(e for e, c in z.i if c)
+
+    def free(keep, extra):
+        def rational_of(d0, i0):
+            for e in keep:
+                i0 = bump(i0, e)
+            x = Problem.make(0, n, d0, {(1, n - 1): d0}, i0)
+            return x, Fraction(d0**extra, math.factorial(d0))
+
+        return rational_of
+
+    def w_term(h, i, relabel):
+        return Fraction(eng.count_w(Problem.make(1, n, d, h, i)), math.factorial(relabel))
+
+    out = {}
+    full = z.i_map()
+    for e1 in slots:
+        for e2 in slots:
+            if e2 < e1 or (e1 == e2 and full[e1] < 2):
+                continue
+            pool = bump(bump(full, e1, -1), e2, -1)
+            total = _reference_splits(eng, z, pool, 1, free((e1, e2), 0))
+            if e1 + e2 >= n:
+                total += w_term({(1, n - 1): d}, bump(pool, e1 + e2 - n), d)
+            out[f"QQ {e1},{e2}"] = total
+    for e in slots:
+        pool = bump(full, e, -1)
+        total = _reference_splits(eng, z, pool, 1, free((e,), 1))
+        if e >= 1:
+            total += w_term({(1, n - 1): d}, bump(pool, e - 1), d)
+        out[f"HQ {e}"] = total
+
+        def pinned(d0, i0, e=e):
+            x = Problem.make(0, n, d0, bump({(1, n - 1): d0 - 1}, (1, e)), i0)
+            return x, Fraction(d0 - 1, math.factorial(d0 - 1))
+
+        total = _reference_splits(eng, z, pool, 2, pinned)
+        if d >= 2:
+            total += w_term(bump({(2, e): 1}, (1, n - 1), d - 2), pool, d - 2)
+        out[f"HMQ {e}"] = total
+    out["HH"] = _reference_splits(eng, z, full, 1, free((), 2)) + w_term(
+        {(1, n - 1): d}, bump(full, n - 2), d
+    )
+    return out
+
+
+def test_pairings_match_plain_enumeration():
+    # the pairings enumerate only splits whose elliptic side is
+    # zero-dimensional; every other split must contribute nothing
+    eng = Engine()
+    cases = [
+        ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("p1+p2+l1")),
+        ZProblem.make(2, 3, {0: 8, 1: 3}, parse_divisor("l1+l2+l3")),
+        ZProblem.make(2, 3, {0: 8, 1: 5}, parse_divisor("l1+l2+l3+l4-l5")),
+        ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")),
+        ZProblem.make(2, 4, {0: 11, 1: 2}, parse_divisor("p1+p2+l1+l2")),
+    ]
+    for z in cases:
+        reference = _reference_pairings(eng, z)
+        computed = {}
+        for name in reference:
+            family, _, slots = name.partition(" ")
+            args = [int(e) for e in slots.split(",")] if slots else []
+            fn = {"QQ": sec_pair, "HQ": sec_hyp, "HMQ": hyp_minus_sec, "HH": hyp_self}[family]
+            computed[name] = fn(eng, z, *args)
+        assert computed == reference, z
+        assert len(reference) >= 4

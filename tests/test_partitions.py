@@ -169,3 +169,69 @@ def test_weights_scale_with_automorphisms():
     }
     twin = ((1, (), ()), (1, (), ()))
     assert entries[twin] == Fraction(1, 2)
+
+
+def _aggregate(d_avail, h_pool, i_pool, n, bounds):
+    total = Fraction(0)
+    for parts, comb in type2_partitions(d_avail, h_pool, i_pool, n, bounds):
+        worth = comb
+        for part in parts:
+            worth *= _value_of(*part)
+        total += worth
+    return total
+
+
+def test_type2_partitions_take_every_point_marker():
+    # a point left over would lie on the hyperplane component
+    cases = [
+        (3, {(1, 2): 2}, {1: 5, 0: 1}, 3),
+        (4, {}, {1: 6, 0: 2}, 3),
+        (3, {(1, 1): 2}, {0: 6}, 2),
+        (4, {(1, 3): 1}, {0: 3, 2: 4}, 4),
+    ]
+    for d_avail, h_pool, i_pool, n in cases:
+        shapes = list(type2_partitions(d_avail, h_pool, i_pool, n, _window(n)))
+        assert shapes
+        for parts, _ in shapes:
+            taken = sum(dict(i_items).get(0, 0) for _, _, i_items in parts)
+            assert taken == i_pool[0]
+
+
+def test_type2_partitions_yield_nothing_past_the_point_capacity():
+    # tails of degree dk carry at most 2*dk points in P^n, n >= 3, and
+    # 3*dk - 1 in P^2; one point more and no shape survives
+    for d_avail, i_pool, n in [
+        (2, {0: 5, 1: 3}, 3),
+        (3, {0: 7}, 4),
+        (1, {0: 3, 1: 2}, 2),
+        (2, {0: 6}, 2),
+    ]:
+        bounds = _window(n)
+        h_pool = {(1, n - 1): 1}
+        assert list(type2_partitions(d_avail, h_pool, i_pool, n, bounds)) == []
+        assert ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of) == 0
+    # at the capacity itself shapes remain, and agree with the oracle
+    for d_avail, i_pool, n in [(2, {0: 4, 1: 3}, 3), (1, {0: 2, 1: 2}, 2), (2, {0: 5}, 2)]:
+        bounds = _window(n)
+        h_pool = {(1, n - 1): 1}
+        total = _aggregate(d_avail, h_pool, i_pool, n, bounds)
+        assert total != 0
+        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of)
+
+
+def test_free_markers_do_not_raise_the_point_capacity():
+    # free markers (e = n) have negative incidence weight, so the window
+    # admits a line of P^2 through 4 points and 2 free markers; no line
+    # passes through 4 general points, so no such part is enumerated
+    assert list(type2_partitions(1, {(1, 0): 2}, {0: 4, 2: 2}, 2, _window(2))) == []
+    for d_avail, h_pool, i_pool, n, some in [
+        (1, {(1, 0): 2}, {0: 4, 2: 2}, 2, False),
+        (2, {(1, 0): 2}, {0: 4, 2: 2}, 2, True),
+        (2, {(1, 1): 1}, {0: 5, 2: 2}, 2, True),
+        (3, {(1, 1): 2}, {0: 6, 2: 3}, 2, True),
+        (2, {(1, 2): 1}, {0: 4, 1: 2, 3: 2}, 3, True),
+    ]:
+        bounds = _window(n)
+        total = _aggregate(d_avail, h_pool, i_pool, n, bounds)
+        assert (total != 0) == some
+        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of)
