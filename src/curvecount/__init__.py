@@ -5,7 +5,6 @@ time into a fixed hyperplane, which expresses every count through
 smaller ones down to a single seed.  All arithmetic is exact.
 """
 
-from .blowup import BlowupClass, blowup_pair_product
 from .cache import CacheConflict, InvalidCacheFile, MemoStore
 from .engine import Engine, InexactCount, trace
 from .problems import (
@@ -31,10 +30,8 @@ from .trace import TraceNode, check_invariant, render_dot, render_json, render_t
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupClass",
     "CacheConflict",
     "Engine",
-    "blowup_pair_product",
     "InexactCount",
     "InvalidCacheFile",
     "InvalidProblem",

@@ -15,16 +15,8 @@ import re
 import sys
 
 from .cache import CacheConflict, InvalidCacheFile, MemoStore
-from .engine import Engine, InexactCount, trace as build_trace
-from .problems import (
-    InvalidProblem,
-    Problem,
-    UnsupportedProblem,
-    ZProblem,
-    parse_divisor,
-    unmarked_factor,
-    validate,
-)
+from .engine import Engine, InexactCount, check_all_orders, unmarked, trace as build_trace
+from .problems import InvalidProblem, Problem, UnsupportedProblem, ZProblem, parse_divisor
 from .tables import table_rows
 from .trace import render_dot, render_json, render_text
 
@@ -79,56 +71,25 @@ def _save_store(store: MemoStore, path) -> None:
         store.save(path)
 
 
-def _check_all_orders(problem, reference: int, divisor_axiom: bool) -> None:
-    """Recompute under every degeneration order and first-slot choice
-    with fresh memo stores; any disagreement raises InexactCount."""
-    if isinstance(problem, ZProblem):
-        slots = [None]
-    else:
-        p = validate(problem)
-        slots = [e for e, _ in p.i if e <= p.n - 2] or [None]
-    for order in ("max-e", "min-e"):
-        for e in slots:
-            eng = Engine(divisor_axiom=divisor_axiom, order=order, check_all_orders=True)
-            if e is not None:
-                eng.force_first_slot(e)
-            value = eng.count(problem)
-            if value != reference:
-                raise InexactCount(
-                    f"order {order} with first slot {e} gives {value}, expected {reference}"
-                )
+def _problem(args):
+    """The problem the flags describe: a divisor-class problem when a
+    divisor is given, a rational or elliptic one otherwise."""
+    if args.divisor is None:
+        h = _gather_tangency(args.tangency, args.n, args.d)
+        return Problem.make(args.genus, args.n, args.d, h, _gather_incidence(args))
+    i = _gather_incidence(args)
+    return ZProblem.make(args.n, args.d, i, parse_divisor(args.divisor))
 
 
 def cmd_count(args) -> int:
-    h = _gather_tangency(args.tangency, args.n, args.d)
-    i = _gather_incidence(args)
-    problem = Problem.make(args.genus, args.n, args.d, h, i)
+    problem = _problem(args)
     store = _load_store(args.cache)
     eng = Engine(store, divisor_axiom=not args.no_divisor_axiom, order=args.degeneration_order)
     value = eng.count(problem)
     if args.check_all_orders:
-        _check_all_orders(problem, value, not args.no_divisor_axiom)
+        check_all_orders(problem, value, not args.no_divisor_axiom)
     _save_store(store, args.cache)
-    if args.unmarked:
-        factor = unmarked_factor(problem)
-        if value % factor:
-            raise InexactCount(f"marking factor {factor} does not divide {value}")
-        value //= factor
-    print(value)
-    return 0
-
-
-def cmd_zcount(args) -> int:
-    i = _gather_incidence(args)
-    divisor = parse_divisor(args.divisor)
-    problem = ZProblem.make(args.n, args.d, i, divisor)
-    store = _load_store(args.cache)
-    eng = Engine(store, divisor_axiom=not args.no_divisor_axiom, order=args.degeneration_order)
-    value = eng.count(problem)
-    if args.check_all_orders:
-        _check_all_orders(problem, value, not args.no_divisor_axiom)
-    _save_store(store, args.cache)
-    print(value)
+    print(unmarked(value, problem) if args.unmarked else value)
     return 0
 
 
@@ -155,13 +116,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.divisor is not None:
-        i = _gather_incidence(args)
-        problem = ZProblem.make(args.n, args.d, i, parse_divisor(args.divisor))
-    else:
-        h = _gather_tangency(args.tangency, args.n, args.d)
-        i = _gather_incidence(args)
-        problem = Problem.make(args.genus, args.n, args.d, h, i)
+    problem = _problem(args)
     store = _load_store(args.cache)
     root = build_trace(
         problem,
@@ -224,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--unmarked", action="store_true", help="divide by the relabelings of identical markings")
     p_count.add_argument("--check-all-orders", action="store_true", help="assert all degeneration orders agree")
     _add_engine_flags(p_count)
-    p_count.set_defaults(func=cmd_count, incidence=None)
+    p_count.set_defaults(func=cmd_count, incidence=None, divisor=None)
 
     p_z = subs.add_parser("zcount", help="count elliptic curves with a fixed hyperplane divisor class")
     _add_problem_flags(p_z, genus=False)
     p_z.add_argument("--divisor", required=True, metavar="EXPR", help="e.g. p1+p2+2*l1-p3")
     p_z.add_argument("--check-all-orders", action="store_true", help="assert all degeneration orders agree")
     _add_engine_flags(p_z)
-    p_z.set_defaults(func=cmd_zcount, incidence=None)
+    p_z.set_defaults(func=cmd_count, incidence=None, unmarked=False)
 
     p_table = subs.add_parser("table", help="recompute a reference table")
     p_table.add_argument("name", help="ez3, ez4, eqesc-nums, eqesc-full, p3-rational or p3-elliptic-cubics")

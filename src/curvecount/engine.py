@@ -15,9 +15,7 @@ from .cache import MemoStore
 from .problems import (
     Problem,
     ZProblem,
-    dim_w,
-    dim_x,
-    dim_z,
+    unmarked_factor,
     validate,
     validate_z,
 )
@@ -38,6 +36,31 @@ def exact_int(value, what: str) -> int:
     return int(value)
 
 
+def unmarked(marked: int, p: Problem) -> int:
+    """The count of unmarked curves: ``marked`` divided by the
+    relabelings of p's free contacts, which must divide it."""
+    factor = unmarked_factor(p)
+    if marked % factor:
+        raise InexactCount(f"marking factor {factor} must divide {marked} for {p}")
+    return marked // factor
+
+
+def memo_key(problem) -> str:
+    """Memo and trace key of a problem: its canonical text behind its
+    count family, X (rational), W (elliptic) or Z (divisor class)."""
+    if isinstance(problem, ZProblem):
+        return "Z|" + problem.key()
+    return ("W|" if problem.genus == 1 else "X|") + problem.key()
+
+
+def memo(store: MemoStore, key: str, compute) -> int:
+    """The value stored under ``key``, computed and stored on a miss."""
+    hit = store.lookup(key)
+    if hit is not None:
+        return hit
+    return store.store(key, compute())
+
+
 class Engine:
     """Evaluator for counting problems.
 
@@ -48,7 +71,7 @@ class Engine:
         "max-e" (largest plane dimension) or "min-e".
       tracer: a trace.Tracer recording a derivation node per problem.
       check_all_orders: also evaluate order-dependent internal choices
-        every admissible way and assert agreement.
+        every admissible way and require agreement.
     """
 
     def __init__(
@@ -67,66 +90,58 @@ class Engine:
         self.order = order
         self.tracer = tracer
         self.check_all_orders = check_all_orders
-        self._forced_first_slot: int | None = None
 
-    def count(self, problem) -> int:
-        """Validate and count; the public entry point."""
+    def count(self, problem, first_slot: int | None = None) -> int:
+        """Validate and count; the public entry point.  A rational or
+        elliptic problem specializes its first incidence plane on
+        ``first_slot`` if given, which must be admissible; every later
+        choice follows ``order``."""
         if isinstance(problem, ZProblem):
             return self.count_z(validate_z(problem))
         p = validate(problem)
-        return self.count_w(p) if p.genus == 1 else self.count_x(p)
+        return self.count_w(p, first_slot) if p.genus == 1 else self.count_x(p, first_slot)
 
-    def count_x(self, p: Problem) -> int:
+    def count_x(self, p: Problem, first_slot: int | None = None) -> int:
         from . import genus0
 
-        return self._counted("X|" + p.key(), lambda: genus0.expand_x(self, p))
+        return self._counted(p, lambda: genus0.expand_x(self, p, first_slot))
 
-    def count_w(self, p: Problem) -> int:
+    def count_w(self, p: Problem, first_slot: int | None = None) -> int:
         from . import genus1
 
-        return self._counted("W|" + p.key(), lambda: genus1.expand_w(self, p))
+        return self._counted(p, lambda: genus1.expand_w(self, p, first_slot))
 
     def count_z(self, z: ZProblem) -> int:
         from . import fibration
 
-        return self._counted("Z|" + z.key(), lambda: fibration.expand_z(self, z))
+        return self._counted(z, lambda: fibration.expand_z(self, z))
 
-    def _counted(self, key: str, expander) -> int:
-        if self.tracer is not None:
-            node = self.tracer.nodes.get(key)
-            if node is not None:
-                return node.count
-            value, node = expander()
-            self.tracer.nodes[key] = node
-            self.store.store(key, value)
-            return value
-        hit = self.store.lookup(key)
-        if hit is not None:
-            return hit
-        value, _ = expander()
-        self.store.store(key, value)
-        return value
+    def _counted(self, problem, expander) -> int:
+        key = memo_key(problem)
+        if self.tracer is None:
+            return memo(self.store, key, lambda: expander()[0])
+        node = self.tracer.nodes.get(key)
+        if node is not None:
+            return node.count
+        value, node = expander()
+        self.tracer.nodes[key] = node
+        return self.store.store(key, value)
 
     # Slot selection.
 
-    def admissible_slots(self, p: Problem) -> list[int]:
+    @staticmethod
+    def admissible_slots(p: Problem) -> list[int]:
         return [e for e, _ in p.i if e <= p.n - 2]
 
-    def pick_slot(self, p: Problem) -> int:
+    def pick_slot(self, p: Problem, first_slot: int | None = None) -> int:
         slots = self.admissible_slots(p)
         if not slots:
             raise AssertionError(f"no incidence slot to degenerate in {p}")
-        if self._forced_first_slot is not None:
-            forced = self._forced_first_slot
-            self._forced_first_slot = None
-            if forced not in slots:
-                raise AssertionError(f"forced slot {forced} not admissible for {p}")
-            return forced
-        return max(slots) if self.order == "max-e" else min(slots)
-
-    def force_first_slot(self, e: int) -> None:
-        """Make the next slot decision use e (for order checking)."""
-        self._forced_first_slot = e
+        if first_slot is None:
+            return max(slots) if self.order == "max-e" else min(slots)
+        if first_slot not in slots:
+            raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
+        return first_slot
 
     # Trace node assembly.  Every helper returns None when not tracing.
 
@@ -138,13 +153,8 @@ class Engine:
     def axiom_node(self, problem, dim: int, count: int, weight: int, child: Problem):
         if self.tracer is None:
             return None
-        child_node = self.tracer.nodes["X|" + child.key() if child.genus == 0 else "W|" + child.key()]
+        child_node = self.tracer.nodes[memo_key(child)]
         return TraceNode(problem, dim, count, "divisor-axiom", [(Fraction(weight), child_node)])
-
-    def _factor_key(self, factor) -> str:
-        if isinstance(factor, ZProblem):
-            return "Z|" + factor.key()
-        return ("W|" if factor.genus == 1 else "X|") + factor.key()
 
     def terms_node(self, problem, dim: int, total: int, terms, default_rule: str):
         """Build the node for an expanded problem.
@@ -171,7 +181,7 @@ class Engine:
                     continue
                 for fproblem, c in factors:
                     marginal = weight * coeff * Fraction(prod_all, c) / r
-                    fkey = self._factor_key(fproblem)
+                    fkey = memo_key(fproblem)
                     slot = merged.setdefault(fkey, [Fraction(0), fproblem])
                     slot[0] += marginal
             term_children = []
@@ -193,17 +203,27 @@ def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
     return total, eng.terms_node(p, dim, total, terms, default_rule)
 
 
+def check_all_orders(problem, reference: int, divisor_axiom: bool = True) -> None:
+    """Recount ``problem`` under both degeneration orders and every
+    admissible first slot, each with a fresh memo store; a value other
+    than ``reference`` raises InexactCount."""
+    slots = [None]
+    if not isinstance(problem, ZProblem):
+        slots = Engine.admissible_slots(validate(problem)) or slots
+    for order in ("max-e", "min-e"):
+        for e in slots:
+            eng = Engine(divisor_axiom=divisor_axiom, order=order, check_all_orders=True)
+            value = eng.count(problem, e)
+            if value != reference:
+                raise InexactCount(
+                    f"order {order} with first slot {e} gives {value}, expected {reference}"
+                )
+
+
 def trace(problem, *, divisor_axiom: bool = True, order: str = "max-e", store=None) -> TraceNode:
     """Count a problem and return the root of its derivation tree."""
     tracer = Tracer()
-    eng = Engine(store, divisor_axiom=divisor_axiom, order=order, tracer=tracer)
-    if isinstance(problem, ZProblem):
-        z = validate_z(problem)
-        eng.count_z(z)
-        return tracer.nodes["Z|" + z.key()]
-    p = validate(problem)
-    if p.genus == 1:
-        eng.count_w(p)
-        return tracer.nodes["W|" + p.key()]
-    eng.count_x(p)
-    return tracer.nodes["X|" + p.key()]
+    Engine(store, divisor_axiom=divisor_axiom, order=order, tracer=tracer).count(problem)
+    # The tracer is fresh, so the root, recorded after everything it
+    # depends on, is its newest node.
+    return next(reversed(tracer.nodes.values()))

@@ -18,18 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Engine, InexactCount, exact_int
+from .engine import Engine, InexactCount, exact_int, memo
 from .partitions import bump, subvectors_weighted
 from .problems import Problem, ZProblem, base_z_text, dim_z
-
-
-def _memo(eng: Engine, key: str, compute):
-    hit = eng.store.lookup(key)
-    if hit is not None:
-        return hit
-    value = compute()
-    eng.store.store(key, value)
-    return value
 
 
 def _uniform(n: int, d: int) -> dict:
@@ -108,7 +99,7 @@ def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int) -> int:
         total += _splits(eng, z, pool, 1, _free_rational(z, (e1, e2), 0))
         return _exact(total)
 
-    return _memo(eng, key, compute)
+    return memo(eng.store, key, compute)
 
 
 def sec_hyp(eng: Engine, z: ZProblem, e: int) -> int:
@@ -125,7 +116,7 @@ def sec_hyp(eng: Engine, z: ZProblem, e: int) -> int:
         total += _splits(eng, z, pool, 1, _free_rational(z, (e,), 1))
         return _exact(total)
 
-    return _memo(eng, key, compute)
+    return memo(eng.store, key, compute)
 
 
 def hyp_self(eng: Engine, z: ZProblem) -> int:
@@ -140,7 +131,7 @@ def hyp_self(eng: Engine, z: ZProblem) -> int:
         total += _splits(eng, z, pool, 1, _free_rational(z, (), 2))
         return _exact(total)
 
-    return _memo(eng, key, compute)
+    return memo(eng.store, key, compute)
 
 
 def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
@@ -169,7 +160,7 @@ def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
         total += _splits(eng, z, pool, 2, rational)
         return _exact(total)
 
-    return _memo(eng, key, compute)
+    return memo(eng.store, key, compute)
 
 
 def sec_self(eng: Engine, z: ZProblem) -> int:
@@ -185,7 +176,7 @@ def sec_self(eng: Engine, z: ZProblem) -> int:
             raise InexactCount(f"section self-intersection differs by slot: {values}")
         return values[0]
 
-    return _memo(eng, key, compute)
+    return memo(eng.store, key, compute)
 
 
 def expand_z(eng: Engine, z: ZProblem):

@@ -17,14 +17,27 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Engine, InexactCount, exact_int, finish_terms
-from .genus0 import count_y, rational_tail_window, tail_problem
-from .partitions import bump, points_fit, subvectors, subvectors_weighted, type2_partitions
-from .problems import Problem, UnsupportedProblem, ZProblem, dim_w
-
-
-def _ram(dk: int, h_sub: dict) -> int:
-    return dk - sum(m * c for (m, _), c in h_sub.items())
+from .engine import Engine, InexactCount, finish_terms
+from .genus0 import (
+    count_y,
+    free_dim,
+    hyperplane_term,
+    pin_parts,
+    settle,
+    specialize,
+    tail_problem,
+    tail_window,
+)
+from .partitions import (
+    attach_mult,
+    bump,
+    points_fit,
+    subvectors,
+    subvectors_weighted,
+    take_parts,
+    type2_partitions,
+)
+from .problems import Problem, UnsupportedProblem, ZProblem
 
 
 def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_window):
@@ -35,18 +48,17 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_wind
     incidence weight); the remaining pools split into rational tails and
     the hyperplane component.  Yields
     (d1, h1, i1, m1, tails, ways, d0, h0, i0, ram) where ways counts the
-    labeled marker routings divided by the tail automorphisms, h0/i0 are
-    the hyperplane component's markers including the specialized one,
-    and ram is the product of the tail attachment multiplicities.
-    As in type2_partitions, the distinguished component and the tails
-    take every point marker between them.
+    labeled marker routings divided by the tail automorphisms, and
+    d0, h0, i0, ram are as partitions.take_parts returns them for the
+    tails.  As in type2_partitions, the distinguished component and the
+    tails take every point marker between them.
     """
     h_items = tuple(sorted(h_pool.items()))
     i_items = tuple(sorted(i_base.items()))
     weight_of = lambda e: n - 1 - e
     for d1 in range(1, d):
         for h1, h1_ways in subvectors(h_items):
-            m1 = _ram(d1, h1)
+            m1 = attach_mult(d1, h1.items())
             if m1 < m_min:
                 continue
             lo, hi = part_window(d1, h1, m1)
@@ -56,17 +68,7 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_wind
                     continue
                 h_rem = {k: c - h1.get(k, 0) for k, c in h_pool.items() if c - h1.get(k, 0)}
                 for tails, comb in type2_partitions(d - 1 - d1, h_rem, i_rem, n, tails_window):
-                    d0 = d - d1 - sum(t[0] for t in tails)
-                    h0 = dict(h_rem)
-                    i0 = dict(i_rem)
-                    ram = 1
-                    for dk, h_items_k, i_items_k in tails:
-                        for key, c in h_items_k:
-                            h0 = bump(h0, key, -c)
-                        for key, c in i_items_k:
-                            i0 = bump(i0, key, -c)
-                        ram *= _ram(dk, dict(h_items_k))
-                    i0 = bump(i0, e_lift)
+                    d0, h0, i0, ram = take_parts(d - d1, h_rem, i_rem, e_lift, tails)
                     ways = Fraction(h1_ways * i1_ways) * comb
                     yield d1, h1, i1, m1, tails, ways, d0, h0, i0, ram
 
@@ -77,50 +79,18 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     the same way as in the rational recursion."""
     if i0.get(0, 0):
         return 0, []
-    d1, h1, i1, m1 = part1
-    base = (
-        (n + 1) * d1
-        - sum((n + m - e - 2) * c for (m, e), c in h1.items())
-        - (m1 - 1)
-    )
-    delta1 = base - sum((n - 1 - e) * c for e, c in i1.items())
-    if not 0 <= delta1 <= n - 1:
+    d1, h1, i1, _ = part1
+    got = tail_problem(n, d1, h1, i1, genus=1)
+    if got is None:
         return 0, []
-    ell = Problem.make(1, n, d1, bump(h1, (m1, n - 1 - delta1)), i1)
+    ell, delta1 = got
     v1 = eng.count_w(ell)
     if v1 == 0:
         return 0, []
-    factors = [(ell, v1)]
-    deltas = [delta1]
-    for dk, h_items, i_items in tails:
-        pinned = tail_problem(n, dk, dict(h_items), dict(i_items))
-        if pinned is None:
-            return 0, []
-        child, delta = pinned
-        v = eng.count_x(child)
-        if v == 0:
-            return 0, []
-        factors.append((child, v))
-        deltas.append(delta)
-    i0p = {}
-    for e in range(n):
-        c = (
-            i0.get(e + 1, 0)
-            + sum(1 for dlt in deltas if dlt == e)
-            + sum(c0 for (_, e0), c0 in h0.items() if e0 == e)
-        )
-        if c:
-            i0p[e] = c
-    child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
-    v0 = eng.count_x(child0)
-    if v0 == 0:
+    pinned = pin_parts(eng, n, tails)
+    if pinned is None:
         return 0, []
-    coeff = Fraction(1, math.factorial(d0))
-    value = coeff * v0
-    for _, v in factors:
-        value *= v
-    value = exact_int(value, "hyperplane-component relabelings must divide the count")
-    return value, [(coeff, [(child0, v0)] + factors)]
+    return hyperplane_term(eng, n, d0, h0, i0, [(ell, v1, delta1)] + pinned)
 
 
 def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
@@ -141,17 +111,13 @@ def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
     vmid = eng.count_x(mid)
     if vmid == 0:
         return 0, []
-    factors = [(mid, vmid)]
-    value = vmid
-    for dk, h_items, i_items in tails:
-        mk = _ram(dk, dict(h_items))
-        child = Problem.make(0, 2, dk, bump(dict(h_items), (mk, 1)), dict(i_items))
-        v = eng.count_x(child)
-        if v == 0:
-            return 0, []
-        factors.append((child, v))
-        value *= v
-    return value, [(Fraction(1), factors)]
+    # The tails' window makes each of them rigid with its attachment
+    # free on H, so pinning puts every attachment at a free point.
+    pinned = pin_parts(eng, 2, tails)
+    if pinned is None:
+        return 0, []
+    factors = [(mid, vmid)] + [(child, v) for child, v, _ in pinned]
+    return math.prod(v for _, v in factors), [(Fraction(1), factors)]
 
 
 def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
@@ -166,12 +132,7 @@ def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
     component contributes a factor of its degree d0.
     """
     m1 = m11 + m12
-    delta = (
-        4 * db
-        - sum((1 + m - e) * c for (m, e), c in hb.items())
-        - (m1 - 2)
-        - sum((2 - e) * c for e, c in ib.items())
-    )
+    delta = free_dim(3, 0, db, hb, m1) + 1 - sum((2 - e) * c for e, c in ib.items())
     if delta == 0:
         mid = Problem.make(0, 3, db, bump(bump(hb, (m11, 2)), (m12, 2)), ib)
         vmid = eng.count_x(mid)
@@ -264,25 +225,15 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     with minus theirs."""
     if i0.get(0, 0):
         return 0, []
-    factors = []
-    deltas = []
-    rams = []
-    for dk, h_items, i_items in tails:
-        pinned = tail_problem(n, dk, dict(h_items), dict(i_items))
-        if pinned is None:
-            return 0, []
-        child, delta = pinned
-        v = eng.count_x(child)
-        if v == 0:
-            return 0, []
-        factors.append((child, v))
-        deltas.append(delta)
-        rams.append(_ram(dk, dict(h_items)))
+    pinned = pin_parts(eng, n, tails)
+    if pinned is None:
+        return 0, []
+    rams = [attach_mult(dk, h_items) for dk, h_items, _ in tails]
     i0p = {}
     divisor = []
     for e in range(n):
         h_marks = sorted(m for (m, e0), c in h0.items() if e0 == e for _ in range(c))
-        att_marks = sorted(mk for mk, dlt in zip(rams, deltas) if dlt == e)
+        att_marks = sorted(mk for mk, (_, _, dlt) in zip(rams, pinned) if dlt == e)
         inherited = i0.get(e + 1, 0)
         total = inherited + len(h_marks) + len(att_marks)
         if total:
@@ -301,82 +252,42 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     vz = eng.count_z(z)
     if vz == 0:
         return 0, []
-    value = vz
-    for _, v in factors:
-        value *= v
-    return value, [(Fraction(1), [(z, vz)] + factors)]
+    factors = [(z, vz)] + [(child, v) for child, v, _ in pinned]
+    return math.prod(v for _, v in factors), [(Fraction(1), factors)]
 
 
-def expand_w(eng: Engine, p: Problem):
+def expand_w(eng: Engine, p: Problem, first_slot=None):
     n, d = p.n, p.d
     if n >= 4:
         raise UnsupportedProblem(
             f"elliptic counts are implemented over P^2 and P^3 only, not P^{n}"
         )
-    dim = dim_w(p)
-    if dim != 0:
-        return 0, eng.leaf_node(p, dim, 0, "zero-dim")
-
-    imap = p.i_map()
-    if eng.divisor_axiom and imap.get(n - 1, 0):
-        free = imap.pop(n - 1)
-        child = Problem.make(1, n, d, p.h_map(), imap)
-        weight = d**free
-        value = weight * eng.count_w(child)
-        return value, eng.axiom_node(p, 0, value, weight, child)
-
-    e_star = eng.pick_slot(p)
-    e_lift = e_star + 1
-    i_base = bump(imap, e_star, -1)
-    h_pool = p.h_map()
-
-    terms = []
-    for m, e0, c in p.h:
-        e_new = e0 + e_lift - n
-        if e_new < 0:
-            continue
-        h2 = bump(bump(h_pool, (m, e0), -1), (m, e_new))
-        child = Problem.make(1, n, d, h2, i_base)
-        v = eng.count_w(child)
-        terms.append(("type-I", Fraction(m * c), v, [(Fraction(1), [(child, v)])]))
-
-    tail_window = rational_tail_window(n)
-
-    def ell_window(d1, h1, m1):
-        base = (
-            (n + 1) * d1
-            - sum((n + m - e - 2) * c for (m, e), c in h1.items())
-            - (m1 - 1)
-        )
-        return base - (n - 1), base
+    done = settle(eng, p, first_slot)
+    if done is not None:
+        return done
+    e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
+    rational = tail_window(n, 0)
 
     for d1, h1, i1, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, ell_window, 1, tail_window
+        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, rational
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1), tails)
         if value:
             terms.append(("type-IIa", ways * m1 * ram, value, groups))
 
-    if n == 2:
+    def yb_window(db, hb, m1):
+        # Both contacts free: over P^2 the component must be rigid, over
+        # P^3 it may keep up to two degrees of freedom (see _yb_tilde3).
+        base = free_dim(n, 0, db, hb, m1) + 1
+        return base - 2 * (n - 2), base
 
-        def yb_window(db, hb, m1):
-            base = 3 * db - 1 - sum((m - e) * c for (m, e), c in hb.items()) - (m1 - 2)
-            return base, base
-
-        def yb_tail_window(dk, h_sub, mk):
-            base = 3 * dk - 1 - sum((m - e) * c for (m, e), c in h_sub.items()) - (mk - 1)
-            return base, base
-
-    else:
-
-        def yb_window(db, hb, m1):
-            base = 4 * db - sum((1 + m - e) * c for (m, e), c in hb.items()) - (m1 - 2)
-            return base - 2, base
-
-        yb_tail_window = tail_window
+    def rigid_tail(dk, h_sub, mk):
+        # Over P^2 the tails attach at free points of H, so are rigid.
+        base = free_dim(2, 0, dk, h_sub, mk)
+        return base, base
 
     for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, yb_window, 2, yb_tail_window
+        n, d, h_pool, i_base, e_lift, yb_window, 2, rigid_tail if n == 2 else rational
     ):
         if n == 2 and d0 != 1:
             continue
@@ -385,18 +296,8 @@ def expand_w(eng: Engine, p: Problem):
             terms.append(("type-IIb", ways * ram, value, groups))
 
     if n == 3:
-        for parts, comb in type2_partitions(d - 1, h_pool, i_base, n, tail_window):
-            d0 = d - sum(part[0] for part in parts)
-            h0 = dict(h_pool)
-            i0 = dict(i_base)
-            ram = 1
-            for dk, h_items, i_items in parts:
-                for key, c in h_items:
-                    h0 = bump(h0, key, -c)
-                for key, c in i_items:
-                    i0 = bump(i0, key, -c)
-                ram *= _ram(dk, dict(h_items))
-            i0 = bump(i0, e_lift)
+        for parts, comb in type2_partitions(d - 1, h_pool, i_base, n, rational):
+            d0, h0, i0, ram = take_parts(d, h_pool, i_base, e_lift, parts)
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
                 terms.append(("type-IIc", comb * ram, value, groups))

@@ -38,6 +38,30 @@ def bump(vec: dict, key, delta=1) -> dict:
     return out
 
 
+def attach_mult(dk: int, h_items) -> int:
+    """Contact multiplicity of a component of degree dk at its
+    attachment point: the intersections with H that its tangency
+    markers ``h_items`` (((m, e), count) pairs) do not account for."""
+    return dk - sum(m * c for (m, _), c in h_items)
+
+
+def take_parts(d: int, h_pool: dict, i_pool: dict, e_lift: int, parts):
+    """What the hyperplane component keeps once ``parts`` split off a
+    curve of degree d.  Returns (d0, h0, i0, ram): its degree, the
+    markers left in the pools (i0 with the specialized marker added on
+    slot e_lift) and the product of the parts' attachment
+    multiplicities."""
+    h0, i0, ram = dict(h_pool), dict(i_pool), 1
+    for dk, h_items, i_items in parts:
+        for key, c in h_items:
+            h0 = bump(h0, key, -c)
+        for key, c in i_items:
+            i0 = bump(i0, key, -c)
+        ram *= attach_mult(dk, h_items)
+        d -= dk
+    return d, h0, bump(i0, e_lift), ram
+
+
 def automorphism_order(items) -> int:
     """Order of the symmetry group permuting equal entries."""
     counts: dict = {}
@@ -130,7 +154,7 @@ def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds, m_mi
         for dk in range(1, d_rem + 1):
             max_points = points_on_curve(n, dk)
             for h_sub, h_ways in subvectors(h_items):
-                mk = dk - sum(m * c for (m, _), c in h_sub.items())
+                mk = attach_mult(dk, h_sub.items())
                 if mk < m_min:
                     continue
                 bounds = i_bounds(dk, h_sub, mk)

@@ -10,11 +10,10 @@ recomputed value with a DISCREPANCY mark instead of PASS/FAIL there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .engine import Engine, InexactCount
-from .problems import Problem, ZProblem, parse_divisor, unmarked_factor
+from .engine import Engine, unmarked
+from .problems import Problem, ZProblem, parse_divisor
 
 
 @dataclass
@@ -203,14 +202,6 @@ def esc_problem(t1: int, t2: int, t3: int, t4: int) -> Problem:
     return Problem.make(1, 3, 4, h, {1: t1, 0: t2})
 
 
-def _unmarked(eng: Engine, p: Problem) -> int:
-    marked = eng.count(p)
-    factor = unmarked_factor(p)
-    if marked % factor:
-        raise InexactCount(f"marking factor {factor} must divide {marked} for {p}")
-    return marked // factor
-
-
 def _z_rows(eng: Engine, data, i0: int, d: int, consistent=()):
     rows = []
     for i1, text, printed in data:
@@ -243,7 +234,7 @@ def run_esc_nums(eng: Engine):
     rows = []
     for j, printed in enumerate(ESC_NUMS):
         p = Problem.make(1, 3, 4, {(1, 2): 4}, {0: j, 1: 16 - 2 * j})
-        computed = _unmarked(eng, p)
+        computed = unmarked(eng.count(p), p)
         if j == 1:
             if computed == ESC_NUMS_CONSISTENT_J1:
                 status = "DISCREPANCY"
@@ -262,7 +253,7 @@ def run_esc_full(eng: Engine):
     rows = []
     for (t1, t2, t3, t4), printed in ESC_ROWS:
         p = esc_problem(t1, t2, t3, t4)
-        computed = _unmarked(eng, p)
+        computed = unmarked(eng.count(p), p)
         note = ""
         if computed == printed:
             status = "PASS"
@@ -281,7 +272,7 @@ def run_p3_rational(eng: Engine):
     rows = []
     for d, lines, printed in P3_RATIONAL_ROWS:
         p = Problem.make(0, 3, d, {(1, 2): d}, {1: lines})
-        computed = _unmarked(eng, p)
+        computed = unmarked(eng.count(p), p)
         status = "PASS" if computed == printed else "FAIL"
         rows.append(Row(f"d={d} lines={lines}", printed, computed, status))
     return rows
@@ -295,7 +286,7 @@ def run_p3_elliptic(eng: Engine):
             if j:
                 i[0] = j
             p = Problem.make(1, 3, 3, h, i)
-            computed = _unmarked(eng, p)
+            computed = unmarked(eng.count(p), p)
             status = "PASS" if computed == printed else "FAIL"
             rows.append(Row(f"{name} points={j} lines={lines0 - 2 * j}", printed, computed, status))
     return rows

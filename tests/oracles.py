@@ -125,3 +125,126 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
     ):
         total += Fraction(worth, math.factorial(len(parts)))
     return total
+
+
+# Exact intersection ring of the pair space obtained by blowing up
+# H x H along the diagonal, H a projective plane.
+#
+# The doubly-attached analysis follows a curve family through the pair
+# of points where a component meets H, and those two points may
+# collide.  Their natural home is the blowup of H x H along the
+# diagonal.  Its rational equivalence classes form a free Z-module of
+# rank twelve on monomials in the two hyperplane pullbacks h1, h2 and
+# the exceptional class e, and every product reduces back to that
+# basis.  The tests pair classes here against the engine's type IIb
+# counts.
+
+# Basis monomials h1^a h2^b e^k encoded as (a, b, k).
+BASIS = (
+    (0, 0, 0),
+    (1, 0, 0),
+    (0, 1, 0),
+    (0, 0, 1),
+    (2, 0, 0),
+    (1, 1, 0),
+    (0, 2, 0),
+    (1, 0, 1),
+    (2, 1, 0),
+    (1, 2, 0),
+    (2, 0, 1),
+    (2, 2, 0),
+)
+
+_TOP = (2, 2, 0)
+
+
+def _reduce(a: int, b: int, k: int, coeff: int, out: dict) -> None:
+    """Rewrite coeff * h1^a h2^b e^k into basis monomials, added into out."""
+    if a >= 3 or b >= 3:
+        return
+    if k >= 2:
+        # e^2 = 3 h1 e - h1^2 - h1 h2 - h2^2
+        _reduce(a + 1, b, k - 1, 3 * coeff, out)
+        _reduce(a + 2, b, k - 2, -coeff, out)
+        _reduce(a + 1, b + 1, k - 2, -coeff, out)
+        _reduce(a, b + 2, k - 2, -coeff, out)
+        return
+    if k == 1:
+        # h1 e = h2 e and h1^2 e = h1 h2 e = h2^2 e; a third hyperplane
+        # factor then forces h1^2 h2 e = h2^3 e = 0.
+        if a + b >= 3:
+            return
+        a, b = a + b, 0
+    out[a, b, k] = out.get((a, b, k), 0) + coeff
+
+
+class BlowupClass:
+    """Integer linear combination of the twelve basis monomials."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
+
+    def coefficient(self, monomial: tuple) -> int:
+        return self.coeffs.get(monomial, 0)
+
+    def __add__(self, other: "BlowupClass") -> "BlowupClass":
+        total = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            total[m] = total.get(m, 0) + c
+        return BlowupClass(total)
+
+    def __sub__(self, other: "BlowupClass") -> "BlowupClass":
+        return self + (-1) * other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return BlowupClass({m: c * other for m, c in self.coeffs.items()})
+        total: dict = {}
+        for (a1, b1, k1), c1 in self.coeffs.items():
+            for (a2, b2, k2), c2 in other.coeffs.items():
+                _reduce(a1 + a2, b1 + b2, k1 + k2, c1 * c2, total)
+        return BlowupClass(total)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BlowupClass) and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "BlowupClass(0)"
+        parts = []
+        for (a, b, k) in BASIS:
+            c = self.coeffs.get((a, b, k), 0)
+            if not c:
+                continue
+            bits = []
+            if a:
+                bits.append("h1" if a == 1 else f"h1^{a}")
+            if b:
+                bits.append("h2" if b == 1 else f"h2^{b}")
+            if k:
+                bits.append("e")
+            parts.append(f"{c}*{'*'.join(bits) or '1'}")
+        return "BlowupClass(" + " + ".join(parts) + ")"
+
+
+ONE = BlowupClass({(0, 0, 0): 1})
+H1 = BlowupClass({(1, 0, 0): 1})
+H2 = BlowupClass({(0, 1, 0): 1})
+E = BlowupClass({(0, 0, 1): 1})
+
+
+def blowup_pair_product(a: BlowupClass, b: BlowupClass) -> int:
+    """Intersection number of two classes whose product is a point class.
+
+    Raises ValueError when the product has components outside the top
+    graded piece, since such a product has no well-defined degree.
+    """
+    product = a * b
+    stray = {m: c for m, c in product.coeffs.items() if m != _TOP}
+    if stray:
+        raise ValueError(f"product is not top-dimensional: {stray}")
+    return product.coefficient(_TOP)

@@ -16,19 +16,17 @@ from curvecount import (
     Engine,
     Problem,
     ZProblem,
-    blowup_pair_product,
     parse_divisor,
     table_rows,
     trace,
 )
-from curvecount.blowup import E, H1, H2
 from curvecount.cache import MemoStore
 from curvecount.fibration import hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
 from curvecount.genus1 import count_yb, count_yb_tilde
 from curvecount.problems import dimension, parse_problem, unmarked_factor
 from curvecount.tables import ESC_ROWS
 from curvecount.trace import check_invariant
-from oracles import kontsevich_numbers
+from oracles import E, H1, H2, blowup_pair_product, kontsevich_numbers
 
 SHARED = MemoStore()
 

@@ -1,0 +1,42 @@
+"""The per-layer harness in bench/ patches public functions of the
+package by name and reads their results by position.  This guards the
+names and the result shapes it relies on: a traced run counts the same,
+restores every patch, and sees every type II rule contribute."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from curvecount import Engine, Problem
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+PROBLEMS = [
+    Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12}),
+    Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12}),
+]
+
+
+@pytest.fixture
+def spans():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_counts_match_and_every_rule_contributes(spans):
+    plain = [Engine().count(p) for p in PROBLEMS]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = [Engine().count(p) for p in PROBLEMS]
+    finally:
+        tracer.restore()
+    assert traced == plain == [5400, 9000]
+    assert spans.patched_names() == []
+    for rule in ("genus0.count_y", "genus1.count_ya", "genus1.count_yb", "genus1.count_yc"):
+        assert tracer.counters.get(f"{rule}.nonzero", 0) > 0, rule

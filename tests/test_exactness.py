@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import curvecount
-from curvecount import Engine, InexactCount, Problem, ZProblem, parse_divisor
+from curvecount import Engine, InexactCount, Problem, ZProblem, parse_divisor, parse_problem
 from curvecount import fibration, genus0
 from curvecount.cli import main
+from curvecount.engine import check_all_orders, memo_key, unmarked
 from curvecount.partitions import bump
+from curvecount.trace import Tracer
 
 SRC = str(Path(curvecount.__file__).resolve().parent.parent)
 
@@ -130,3 +132,34 @@ def test_overdrawn_pool_is_an_internal_fault():
     assert bump({}, (1, 2), 3) == {(1, 2): 3}
     with pytest.raises(AssertionError, match="pool underflow"):
         bump({1: 1}, 1, -2)
+
+
+def test_every_order_and_first_slot_agree():
+    p = parse_problem("g=1 n=3 d=3 h=1,2:3 i=0:1;1:10")
+    assert Engine.admissible_slots(p) == [0, 1]
+    first_terms = set()
+    for order in ("max-e", "min-e"):
+        for slot in (0, 1):
+            tracer = Tracer()
+            assert Engine(order=order, tracer=tracer).count(p, slot) == 900
+            root = tracer.nodes[memo_key(p)]
+            first_terms.add(tuple(str(node.problem) for _, term in root.children for _, node in term.children))
+    # the first slot, not the order, decides the first specialization
+    assert len(first_terms) == 2
+    check_all_orders(p, 900)
+    with pytest.raises(InexactCount, match="gives 900, expected 901"):
+        check_all_orders(p, 901)
+
+
+def test_first_slot_must_be_admissible():
+    p = parse_problem("g=1 n=3 d=3 h=1,2:3 i=0:1;1:10")
+    for slot in (2, 3, -1):
+        with pytest.raises(ValueError, match="not admissible"):
+            Engine().count(p, slot)
+
+
+def test_unmarked_division_must_be_exact():
+    p = Problem.make(0, 3, 3, {(1, 2): 3}, {1: 12})
+    assert unmarked(480960, p) == 80160
+    with pytest.raises(InexactCount, match="marking factor 6 must divide 480961"):
+        unmarked(480961, p)

@@ -6,16 +6,10 @@ import math
 
 import pytest
 
-from curvecount import (
-    BlowupClass,
-    Engine,
-    Problem,
-    UnsupportedProblem,
-    blowup_pair_product,
-)
-from curvecount.blowup import E, H1, H2
+from curvecount import Engine, Problem, UnsupportedProblem
 from curvecount.genus0 import count_y
 from curvecount.genus1 import count_yb, count_yb_tilde
+from oracles import E, H1, H2, BlowupClass, blowup_pair_product
 
 
 def _unmarked(eng, p):

@@ -1,7 +1,10 @@
 """Derivation traces: invariant, schema, renderers."""
 
+import hashlib
 import json
 import re
+
+import pytest
 
 from curvecount import Engine, Problem, ZProblem, parse_divisor, trace
 from curvecount.trace import (
@@ -135,3 +138,93 @@ def test_shared_subproblems_share_nodes():
         for _, child in parent.children:
             if id(child) not in registry:
                 assert str(child.problem) == str(parent.problem)
+
+
+# sha256 of render_text, render_json and render_dot, pinned from the
+# engine before the degeneration step was shared between the genera.  A
+# change to any of these is a change to how counts are assembled or
+# shown, and re-pins them on purpose.
+GOLDEN = [
+    (
+        "elliptic P^2 d=4 through 12 points: IIa, IIb",
+        Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12}),
+        {},
+        (
+            "d4be8b073eb45b148c8914831716996904e1183d6cb0e9065f713b817203c8b1",
+            "fb13c1fd1e843fcea57a6f8960210ca3d12a1f78ed7cf6a216cb0d1605d29adf",
+            "7ebd29d2b36c7373a0f1391bc8d626ce07a392774989278e93ecf0abb10cfeea",
+        ),
+    ),
+    (
+        "elliptic P^3 d=3 through 12 lines: IIb, IIc, z-evaluation, divisor axiom",
+        Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12}),
+        {},
+        (
+            "6036d3df4cb1529f5621e8f0026dff0136ab77a197bd7a098b2b0c7ea69e8b20",
+            "c5d1f693cbab068d79f19d28fae754049ece11e9ea30d6daa37dc0f5f138a130",
+            "768f1b21e4e05391af1740529a625e73d3231626da0d097b1c90e708199240c7",
+        ),
+    ),
+    (
+        "conics through 5 points and a line",
+        Problem.make(0, 2, 2, {(1, 1): 2}, {0: 5, 1: 1}),
+        {},
+        (
+            "4a53432a6489d27dba0349c66c4bfb49a46bba726af23c590fd534b1c0158798",
+            "e8c8ce24bdfd047fb91c28b16216f225f78c1a0c8ff2708b41d60c9acd9630d6",
+            "76e3b0afe2e710604acd8069503f80f18f790dee9e1b41bd77c2d0e143828b00",
+        ),
+    ),
+    (
+        "conics through 5 points and a line, no divisor axiom",
+        Problem.make(0, 2, 2, {(1, 1): 2}, {0: 5, 1: 1}),
+        {"divisor_axiom": False},
+        (
+            "f45ed813fcb33cb851674bd58377d77095bcf36dfea7f483925abf8e9d73b15d",
+            "2c0e056e6590885f938ff240941d092415fba49220e57aa6205970cf6b898514",
+            "b23c7b85a3fd2c3ae1304baf6a36a77d7026ac6009c7b9c4f646728611834b92",
+        ),
+    ),
+    (
+        "conics through 8 lines of P^3, min-e",
+        Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8}),
+        {"order": "min-e"},
+        (
+            "30dbb8a61d6ee9ac2ba15ba42a978e47d94253251cbb52afa0d6eeb1e5ca4a10",
+            "c065ad5bedd4f0a1db73b49f3503830add38de49e75064643c69a1bdd5196777",
+            "b964ebe998b65dc2456dd08c1ab7253b7168eb1e909be14ab33fe0ccbcd25ee9",
+        ),
+    ),
+    (
+        "quartics through 11 points, D=p1+p2+p3+p4",
+        ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")),
+        {},
+        (
+            "37f9fbbc2d9fbfa203ec1bca116b3bd87022884c486688b3904aa25ce1a565ce",
+            "4d68f36edabc9decb4f3fdef28a82b4a10013a8cd5722effe5a93999728d51c4",
+            "6289f29b04bd769ae1e77492f2ff4554d7ae2d56a966e6f6a72efa84d0ecf285",
+        ),
+    ),
+    (
+        "positive-dimensional leaf",
+        Problem.make(0, 2, 2, {(1, 1): 2}, {0: 4}),
+        {},
+        (
+            "de43da424f6718a03ec9134223181a52fd351715900ad4befa1562f361f11b31",
+            "3458b42204d8d6ca4a416afeada34cd7f84d9a1ec6ad95e498e32e17f2fc1c50",
+            "bac9172b3159a23ad261c97896a6c583106204932b6700f4db14d16df5a7c520",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("label, problem, options, digests", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_rendered_traces_are_pinned(label, problem, options, digests):
+    root = trace(problem, **options)
+    rendered = [render(root).encode("utf-8") for render in (render_text, render_json, render_dot)]
+    assert tuple(hashlib.sha256(text).hexdigest() for text in rendered) == digests
+
+
+def test_golden_traces_reach_every_rule_but_base_n1():
+    reached = {node.rule for _, p, options, _ in GOLDEN for node in iter_nodes(trace(p, **options))}
+    assert reached == set(RULES) - {"base-n1"}
