@@ -70,8 +70,6 @@ class Engine:
       order: which admissible incidence slot to degenerate first,
         "max-e" (largest plane dimension) or "min-e".
       tracer: a trace.Tracer recording a derivation node per problem.
-      check_all_orders: also evaluate order-dependent internal choices
-        every admissible way and require agreement.
     """
 
     def __init__(
@@ -81,7 +79,6 @@ class Engine:
         divisor_axiom: bool = True,
         order: str = "max-e",
         tracer: Tracer | None = None,
-        check_all_orders: bool = False,
     ):
         if order not in ("max-e", "min-e"):
             raise ValueError(f"order must be 'max-e' or 'min-e', got {order!r}")
@@ -89,7 +86,6 @@ class Engine:
         self.divisor_axiom = divisor_axiom
         self.order = order
         self.tracer = tracer
-        self.check_all_orders = check_all_orders
 
     def count(self, problem, first_slot: int | None = None) -> int:
         """Validate and count; the public entry point.  A rational or
@@ -193,6 +189,17 @@ class Engine:
         return TraceNode(problem, dim, total, rule, children)
 
 
+def group_sum(groups) -> Fraction:
+    """The value of a broken-curve term from its factor groups:
+    sum(coeff * prod(counts)) over the (coeff, factors) pairs."""
+    total = Fraction(0)
+    for coeff, factors in groups:
+        for _, c in factors:
+            coeff *= c
+        total += coeff
+    return total
+
+
 def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
     """Sum the term contributions exactly and build the trace node."""
     total = 0
@@ -212,8 +219,7 @@ def check_all_orders(problem, reference: int, divisor_axiom: bool = True) -> Non
         slots = Engine.admissible_slots(validate(problem)) or slots
     for order in ("max-e", "min-e"):
         for e in slots:
-            eng = Engine(divisor_axiom=divisor_axiom, order=order, check_all_orders=True)
-            value = eng.count(problem, e)
+            value = Engine(divisor_axiom=divisor_axiom, order=order).count(problem, e)
             if value != reference:
                 raise InexactCount(
                     f"order {order} with first slot {e} gives {value}, expected {reference}"

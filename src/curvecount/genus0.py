@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Engine, exact_int, finish_terms
+from .engine import Engine, exact_int, finish_terms, group_sum
 from .partitions import attach_mult, bump, take_parts, type2_partitions
 from .problems import Problem, dim_x, dimension
 
@@ -48,25 +48,22 @@ def tail_window(n: int, genus: int):
 
 def tail_problem(n: int, dk: int, hk: dict, ik: dict, genus: int = 0):
     """Pin a component's attachment point: returns (problem, delta) with
-    the attachment contact on a general (n-1-delta)-plane of H, or None
-    if no plane dimension makes the component rigid."""
+    the attachment contact on a general (n-1-delta)-plane of H.  Every
+    caller's window (see tail_window) makes some plane dimension rigid,
+    so a component outside it is a fault of the caller and raises."""
     mk = attach_mult(dk, hk.items())
     delta = free_dim(n, genus, dk, hk, mk) - sum((n - 1 - e) * c for e, c in ik.items())
     if not 0 <= delta <= n - 1:
-        return None
+        raise AssertionError(f"component of freedom {delta} cannot be pinned in P^{n}")
     return Problem.make(genus, n, dk, bump(hk, (mk, n - 1 - delta)), ik), delta
 
 
 def pin_parts(eng: Engine, n: int, parts):
     """Pin and count each rational tail in ``parts``.  Returns a list of
-    (problem, count, delta), or None at the first tail that cannot be
-    pinned or counts 0."""
+    (problem, count, delta), or None at the first tail that counts 0."""
     pinned = []
     for dk, h_items, i_items in parts:
-        got = tail_problem(n, dk, dict(h_items), dict(i_items))
-        if got is None:
-            return None
-        child, delta = got
+        child, delta = tail_problem(n, dk, dict(h_items), dict(i_items))
         v = eng.count_x(child)
         if v == 0:
             return None
@@ -93,12 +90,10 @@ def hyperplane_term(eng: Engine, n: int, d0: int, h0: dict, i0: dict, pinned):
     v0 = eng.count_x(child0)
     if v0 == 0:
         return 0, []
-    coeff = Fraction(1, math.factorial(d0))
-    value = coeff * v0
-    for _, v, _ in pinned:
-        value *= v
-    value = exact_int(value, "hyperplane-component relabelings must divide the count")
-    return value, [(coeff, [(child0, v0)] + [(child, v) for child, v, _ in pinned])]
+    factors = [(child0, v0)] + [(child, v) for child, v, _ in pinned]
+    groups = [(Fraction(1, math.factorial(d0)), factors)]
+    value = exact_int(group_sum(groups), "hyperplane-component relabelings must divide the count")
+    return value, groups
 
 
 def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):

@@ -14,10 +14,10 @@ unsupported rather than guessed at.
 
 from __future__ import annotations
 
-import math
+import itertools
 from fractions import Fraction
 
-from .engine import Engine, InexactCount, finish_terms
+from .engine import Engine, InexactCount, finish_terms, group_sum
 from .genus0 import (
     count_y,
     free_dim,
@@ -80,10 +80,7 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     if i0.get(0, 0):
         return 0, []
     d1, h1, i1, _ = part1
-    got = tail_problem(n, d1, h1, i1, genus=1)
-    if got is None:
-        return 0, []
-    ell, delta1 = got
+    ell, delta1 = tail_problem(n, d1, h1, i1, genus=1)
     v1 = eng.count_w(ell)
     if v1 == 0:
         return 0, []
@@ -116,71 +113,50 @@ def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
     pinned = pin_parts(eng, 2, tails)
     if pinned is None:
         return 0, []
-    factors = [(mid, vmid)] + [(child, v) for child, v, _ in pinned]
-    return math.prod(v for _, v in factors), [(Fraction(1), factors)]
+    groups = [(Fraction(1), [(mid, vmid)] + [(child, v) for child, v, _ in pinned])]
+    return group_sum(groups), groups
 
 
 def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
     """Ordered doubly-attached configurations over P^3.
 
-    The shape splits on the freedom delta of the doubly-attached
-    component once both contact points are free on H: rigid (its two
-    contact points become point conditions on the hyperplane
-    component), one degree of freedom (one contact point does, with a
-    colliding-contact correction), or two (neither does, with the
-    correction on H).  Each choice of a contact point on the hyperplane
-    component contributes a factor of its degree d0.
+    With both contact points free on H the doubly-attached component
+    keeps a freedom delta in 0..2 (the window in expand_w).  Putting
+    delta of its two contacts on a line of H, which meets the
+    hyperplane component in d0 points, makes it rigid; the other
+    contacts become point conditions on the hyperplane component.
+    Every such choice counts with a factor d0 per contact on a line,
+    and for delta >= 1 the configurations where the two contacts
+    collide are subtracted once: the merged contact on a general
+    (3 - delta)-plane of H, weighted d0**(delta - 1).
     """
     m1 = m11 + m12
     delta = free_dim(3, 0, db, hb, m1) + 1 - sum((2 - e) * c for e, c in ib.items())
-    if delta == 0:
-        mid = Problem.make(0, 3, db, bump(bump(hb, (m11, 2)), (m12, 2)), ib)
+    if not 0 <= delta <= 2:
+        raise AssertionError(f"doubly-attached component of freedom {delta} in P^3")
+    choices = []
+    for on_line in itertools.combinations((0, 1), delta):
+        h = hb
+        for k, m in enumerate((m11, m12)):
+            h = bump(h, (m, 1 if k in on_line else 2))
+        choices.append((d0**delta, h))
+    if delta:
+        choices.append((-(d0 ** (delta - 1)), bump(hb, (m1, 3 - delta))))
+    mids = []
+    for coeff, h in choices:
+        mid = Problem.make(0, 3, db, h, ib)
         vmid = eng.count_x(mid)
-        if vmid == 0:
-            return 0, []
-        h0p = bump(bump(h0, (1, 0)), (1, 0))
-        yval, ygroups = count_y(eng, 3, d0, h0p, i0, tails)
-        if yval == 0:
-            return 0, []
-        groups = [(coeff, [(mid, vmid)] + fac) for coeff, fac in ygroups]
-        return vmid * yval, groups
-    if delta == 1:
-        xa = Problem.make(0, 3, db, bump(bump(hb, (m11, 1)), (m12, 2)), ib)
-        xb = Problem.make(0, 3, db, bump(bump(hb, (m12, 1)), (m11, 2)), ib)
-        xc = Problem.make(0, 3, db, bump(hb, (m1, 2)), ib)
-        va = eng.count_x(xa)
-        vb = eng.count_x(xb)
-        vc = eng.count_x(xc)
-        bracket = d0 * (va + vb) - vc
-        yval, ygroups = count_y(eng, 3, d0, bump(h0, (1, 0)), i0, tails)
-        if bracket == 0 or yval == 0:
-            return 0, []
-        groups = []
-        for coeff, fac in ygroups:
-            if va:
-                groups.append((coeff * d0, [(xa, va)] + fac))
-            if vb:
-                groups.append((coeff * d0, [(xb, vb)] + fac))
-            if vc:
-                groups.append((coeff * -1, [(xc, vc)] + fac))
-        return bracket * yval, groups
-    if delta == 2:
-        xa = Problem.make(0, 3, db, bump(bump(hb, (m11, 1)), (m12, 1)), ib)
-        xb = Problem.make(0, 3, db, bump(hb, (m1, 1)), ib)
-        va = eng.count_x(xa)
-        vb = eng.count_x(xb)
-        bracket = d0 * (d0 * va - vb)
-        yval, ygroups = count_y(eng, 3, d0, h0, i0, tails)
-        if bracket == 0 or yval == 0:
-            return 0, []
-        groups = []
-        for coeff, fac in ygroups:
-            if va:
-                groups.append((coeff * d0 * d0, [(xa, va)] + fac))
-            if vb:
-                groups.append((coeff * -d0, [(xb, vb)] + fac))
-        return bracket * yval, groups
-    return 0, []
+        if vmid:
+            mids.append((coeff, mid, vmid))
+    if not mids:
+        return 0, []
+    _, ygroups = count_y(eng, 3, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
+    groups = [
+        (ycoeff * coeff, [(mid, vmid)] + factors)
+        for ycoeff, factors in ygroups
+        for coeff, mid, vmid in mids
+    ]
+    return group_sum(groups), groups
 
 
 def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -190,17 +166,14 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     cancels the swap of the two attachment points."""
     db, hb, ib, m1 = part1
     tilde = _yb_tilde2 if n == 2 else _yb_tilde3
-    value = Fraction(0)
     groups = []
     for m11 in range(1, m1):
         m12 = m1 - m11
         coeff = Fraction(m11 * m12, 2)
         tval, tgroups = tilde(eng, d0, h0, i0, db, hb, ib, m11, m12, tails)
-        if tval == 0:
-            continue
-        value += coeff * tval
-        groups.extend((coeff * gc, fac) for gc, fac in tgroups)
-    return value, groups
+        if tval:
+            groups.extend((coeff * gc, fac) for gc, fac in tgroups)
+    return group_sum(groups), groups
 
 
 def count_yb_tilde(eng: Engine, n, d0, h0, i0, part1, tails, m11):
@@ -252,8 +225,8 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     vz = eng.count_z(z)
     if vz == 0:
         return 0, []
-    factors = [(z, vz)] + [(child, v) for child, v, _ in pinned]
-    return math.prod(v for _, v in factors), [(Fraction(1), factors)]
+    groups = [(Fraction(1), [(z, vz)] + [(child, v) for child, v, _ in pinned])]
+    return group_sum(groups), groups
 
 
 def expand_w(eng: Engine, p: Problem, first_slot=None):
@@ -289,8 +262,6 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, yb_window, 2, rigid_tail if n == 2 else rational
     ):
-        if n == 2 and d0 != 1:
-            continue
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1), tails)
         if value:
             terms.append(("type-IIb", ways * ram, value, groups))

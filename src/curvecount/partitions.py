@@ -7,22 +7,6 @@ import math
 from fractions import Fraction
 
 
-def vector_multinomial(pool: dict, picks) -> int:
-    """Ways to route labeled markers: each entry of ``pool`` is a supply
-    of interchangeable-slot markers, each dict in ``picks`` draws from
-    what the previous picks left over.  Returns 0 on overdraw."""
-    rem = dict(pool)
-    out = 1
-    for pick in picks:
-        for key, c in pick.items():
-            have = rem.get(key, 0)
-            if c > have:
-                return 0
-            out *= math.comb(have, c)
-            rem[key] = have - c
-    return out
-
-
 def bump(vec: dict, key, delta=1) -> dict:
     """Copy of a marker pool with ``delta`` added to the count of
     ``key``; zero counts are dropped.  Overdrawing a pool is a fault in
@@ -116,19 +100,19 @@ def subvectors_weighted(pool_items, weight_of, lo, hi):
 _MIN_PART_KEY = (0, (), ())
 
 
-def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds, m_min: int = 1):
+def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds):
     """Enumerate the unordered multisets of curve components split off
     the hyperplane component in a degeneration term.
 
     Each component takes a positive degree dk (total at most d_avail),
     a sub-vector of the tangency pool and a sub-vector of the incidence
     pool, and meets the hyperplane at its attachment point with
-    multiplicity mk = dk - sum(m * h) >= m_min.
+    multiplicity mk = dk - sum(m * h) >= 1.
 
     ``i_bounds(dk, h_sub, mk)`` returns the admissible window (lo, hi)
-    for the component's incidence weight sum((n-1-e) * c), or None to
-    rule the shape out; windows come from the requirement that the
-    component be rigid once its attachment point is constrained.
+    for the component's incidence weight sum((n-1-e) * c); windows come
+    from the requirement that the component be rigid once its
+    attachment point is constrained.
 
     Two rules drop shapes that count nothing.  A multiset must take
     every point marker (e = 0) of ``i_pool``: the hyperplane component
@@ -155,12 +139,9 @@ def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds, m_mi
             max_points = points_on_curve(n, dk)
             for h_sub, h_ways in subvectors(h_items):
                 mk = attach_mult(dk, h_sub.items())
-                if mk < m_min:
+                if mk < 1:
                     continue
-                bounds = i_bounds(dk, h_sub, mk)
-                if bounds is None:
-                    continue
-                lo, hi = bounds
+                lo, hi = i_bounds(dk, h_sub, mk)
                 for i_sub, i_ways in subvectors_weighted(i_items, weight_of, lo, hi):
                     if i_sub.get(0, 0) > max_points:
                         continue

@@ -284,8 +284,7 @@ def test_criterion_9_property_sweep(tmp_path):
                 }
                 assert len(diffs) == 1
                 assert sec_self(eng, z) in diffs
-        checked = Engine(check_all_orders=True)
-        assert checked.count(ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("3*l1"))) == 12
+        assert Engine().count(ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("3*l1"))) == 12
 
         # cold and warmed stores serialize byte-identically
         cold_path = tmp_path / "cold.egc"

@@ -1,11 +1,20 @@
 """Persistent memo store: file format, merging, determinism."""
 
+import hashlib
 import os
 
 import pytest
 
 from curvecount import Engine, Problem
 from curvecount.cache import MAGIC, CacheConflict, InvalidCacheFile, MemoStore
+from curvecount.cli import main
+
+# sha256 of the cache file that a cold `curvecount table
+# p3-elliptic-cubics --cache F` writes: 1,144 records across the X, W,
+# Z, QQ, HQ, HH, HMQ and SS families.  It pins every subproblem the
+# table stores and its value; a change that stores different
+# subproblems re-pins it on purpose.
+ELLIPTIC_CUBICS_CACHE_SHA256 = "c0af0e8d9228ea2ae8041c59af679abebcf8187c0dbafef5afa3bda077fdc675"
 
 
 def test_round_trip(tmp_path):
@@ -130,3 +139,12 @@ def test_independent_cold_runs_serialize_identically(tmp_path):
         assert eng.count(cubics) == 480960
         eng.store.save(tmp_path / name)
     assert (tmp_path / "one.egc").read_bytes() == (tmp_path / "two.egc").read_bytes()
+
+
+def test_cold_table_cache_file_is_pinned(tmp_path, capsys):
+    path = tmp_path / "cubics.egc"
+    assert main(["table", "p3-elliptic-cubics", "--cache", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert data.count(b"\n") == 1 + 1144
+    assert hashlib.sha256(data).hexdigest() == ELLIPTIC_CUBICS_CACHE_SHA256

@@ -94,6 +94,53 @@ def test_table_failure_exit_code(monkeypatch, capsys):
     assert out.splitlines()[-1] == "1 rows: 1 FAIL"
 
 
+def test_table_runner_marks_a_wrong_printed_value(monkeypatch, capsys):
+    from curvecount import tables
+
+    monkeypatch.setattr(tables, "P3_RATIONAL_ROWS", ((1, 4, 2), (2, 8, 93), (3, 12, 80160)))
+    code, out, _ = run(capsys, "table", "p3-rational")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].split() == ["d=2", "lines=8", "printed", "93", "computed", "92", "FAIL"]
+    assert lines[-1] == "3 rows: 2 PASS, 1 FAIL"
+
+
+class _ConstantEngine:
+    """Stands in for the engine: every problem has 7 unmarked curves."""
+
+    def count(self, problem):
+        if isinstance(problem, curvecount.ZProblem):
+            return 7
+        return 7 * curvecount.unmarked_factor(problem)
+
+
+def test_every_table_runner_fails_rows_it_cannot_confirm():
+    from curvecount import tables
+
+    for name in tables.TABLES:
+        rows = tables.table_rows(name, _ConstantEngine())
+        assert rows, name
+        for row in rows:
+            assert row.computed == 7
+            assert row.status == ("PASS" if row.printed == 7 else "FAIL"), (name, row)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tangency", "2,x:1"], "bad --tangency '2,x:1'"),
+        (["--incidence", "1-3"], "bad --incidence '1-3'"),
+    ],
+)
+def test_malformed_condition_flags_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, "count", "-n", "3", "-d", "2", "--lines", "8", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_table(capsys):
     code, _, err = run(capsys, "table", "nope")
     assert code == 2

@@ -13,6 +13,8 @@ from curvecount import Engine, InexactCount, Problem, ZProblem, parse_divisor, p
 from curvecount import fibration, genus0
 from curvecount.cli import main
 from curvecount.engine import check_all_orders, memo_key, unmarked
+from curvecount.genus0 import tail_problem
+from curvecount.genus1 import count_yb_tilde
 from curvecount.partitions import bump
 from curvecount.trace import Tracer
 
@@ -122,9 +124,24 @@ def test_slot_dependent_self_intersection_raises_when_checked(monkeypatch):
     real = fibration.hyp_minus_sec
     monkeypatch.setattr(fibration, "hyp_minus_sec", lambda eng, z, e: real(eng, z, e) + e)
     z = ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("p1+p2+l1"))
-    Engine().count(z)
     with pytest.raises(InexactCount, match="differs by slot"):
-        Engine(check_all_orders=True).count(z)
+        Engine().count(z)
+
+
+def test_unpinnable_component_is_an_internal_fault():
+    # A line of P^3 with its attachment free on H moves in 4 dimensions:
+    # 4 lines make it rigid with the attachment anywhere on H (delta 0),
+    # while 5 lines or none leave no plane of H that makes it rigid.
+    child, delta = tail_problem(3, 1, {}, {1: 4})
+    assert delta == 0
+    assert child == Problem.make(0, 3, 1, {(1, 2): 1}, {1: 4})
+    for lines in ({1: 5}, {}):
+        with pytest.raises(AssertionError, match="cannot be pinned"):
+            tail_problem(3, 1, {}, lines)
+    # the doubly-attached component of a IIb term likewise: a conic with
+    # both contacts free on H and no incidence keeps 8 degrees of freedom
+    with pytest.raises(AssertionError, match="doubly-attached component of freedom 8"):
+        count_yb_tilde(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, (2, {}, {}, 2), (), 1)
 
 
 def test_overdrawn_pool_is_an_internal_fault():

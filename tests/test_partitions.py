@@ -1,7 +1,5 @@
 """Marker-routing combinatorics against plain slow enumerations."""
 
-import itertools
-import math
 from fractions import Fraction
 
 from curvecount.partitions import (
@@ -9,7 +7,6 @@ from curvecount.partitions import (
     subvectors,
     subvectors_weighted,
     type2_partitions,
-    vector_multinomial,
 )
 from oracles import ordered_type2_aggregate
 
@@ -23,24 +20,6 @@ def _value_of(dk, h_items, i_items):
     for e, c in i_items:
         x = x * 37 + e * 5 + c
     return x % 101 + 1
-
-
-def test_vector_multinomial_against_labeled_enumeration():
-    pool = {"a": 3, "b": 2}
-    picks = [{"a": 1, "b": 1}, {"a": 2}]
-    # route labeled markers a1 a2 a3 b1 b2 by hand
-    labels = ["a1", "a2", "a3", "b1", "b2"]
-    count = 0
-    for group1 in itertools.combinations(labels, 2):
-        rest = [x for x in labels if x not in group1]
-        for group2 in itertools.combinations(rest, 2):
-            if sorted(x[0] for x in group1) == ["a", "b"] and all(
-                x[0] == "a" for x in group2
-            ):
-                count += 1
-    assert vector_multinomial(pool, picks) == count
-    assert vector_multinomial(pool, [{"a": 4}]) == 0
-    assert vector_multinomial(pool, []) == 1
 
 
 def test_automorphism_order():
@@ -127,22 +106,6 @@ def test_type2_partitions_match_ordered_enumeration():
         assert total == oracle
 
 
-def test_type2_partitions_respect_bounds_none():
-    def bounds(dk, h_sub, mk):
-        return None if dk == 2 else _window(3)(dk, h_sub, mk)
-
-    for parts, _ in type2_partitions(4, {}, {1: 6}, 3, bounds):
-        assert all(part[0] != 2 for part in parts)
-    oracle = ordered_type2_aggregate(4, {}, {1: 6}, 3, bounds, _value_of)
-    total = Fraction(0)
-    for parts, comb in type2_partitions(4, {}, {1: 6}, 3, bounds):
-        worth = comb
-        for part in parts:
-            worth *= _value_of(*part)
-        total += worth
-    assert total == oracle
-
-
 def test_type2_partitions_yield_canonical_multisets():
     seen = set()
     for parts, comb in type2_partitions(4, {(1, 2): 1}, {1: 5}, 3, _window(3)):
@@ -152,13 +115,6 @@ def test_type2_partitions_yield_canonical_multisets():
         assert sum(p[0] for p in parts) <= 4
         assert comb > 0
     assert () in seen
-
-
-def test_type2_minimum_attachment_multiplicity():
-    # with m_min = 2 every part keeps contact order at least 2
-    for parts, _ in type2_partitions(4, {(1, 2): 2}, {1: 5}, 3, _window(3), m_min=2):
-        for dk, h_items, _i in parts:
-            assert dk - sum(m * c for (m, _), c in h_items) >= 2
 
 
 def test_weights_scale_with_automorphisms():

@@ -68,6 +68,25 @@ def test_validate_rejects_bad_ranges():
         validate(Problem.make(0, 2, 1, {(0, 1): 1}, {}))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("g=0 n=2 d=1 h=1,1:1 i=- 3", "expected key=value"),
+        ("g=0 g=0 n=2 d=1 h=1,1:1 i=-", "duplicate field 'g'"),
+        ("g=0 n=2 d=1 h=1,1:1", "missing fields: i"),
+        ("g=0 n=2 d=1 h=1,1:1 i=- x=1", "unknown fields: x"),
+        ("g=0 n=two d=1 h=1,1:1 i=-", "non-integer numeric field"),
+        ("g=0 n=2 d=1 h=1:1 i=-", "bad tangency entry '1:1'"),
+        ("g=0 n=2 d=1 h=1,1:1 i=0-1", "bad incidence entry '0-1'"),
+        ("g=0 n=2 d=2 h=1,1:2 i=0:-1", "negative incidence count"),
+        ("g=0 n=2 d=1 h=1,1:2;1,0:-1 i=-", "negative tangency count"),
+    ],
+)
+def test_parse_problem_rejects_malformed_text(text, message):
+    with pytest.raises(InvalidProblem, match=message):
+        parse_problem(text)
+
+
 def test_dimension_formulas():
     # lines in P^3: dim 4, each line condition costs 1
     p = Problem.make(0, 3, 1, {(1, 2): 1}, {1: 4})
