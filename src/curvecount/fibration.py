@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .engine import Engine, InexactCount, exact_int, memo
-from .partitions import bump, subvectors_weighted
+from .partitions import bump, minus, subvectors_weighted
 from .problems import Problem, ZProblem, base_z_text, dim_z
 
 
@@ -54,8 +54,7 @@ def _splits(eng: Engine, z: ZProblem, pool: dict, d0_min: int, rational):
         d1 = d - d0
         rigid = (n + 1) * d1
         for i1, ways in subvectors_weighted(pool_items, weight_of, rigid, rigid):
-            i0 = {k: c - i1.get(k, 0) for k, c in pool.items() if c - i1.get(k, 0)}
-            x, scale = rational(d0, i0)
+            x, scale = rational(d0, dict(minus(pool_items, i1)))
             vx = eng.count_x(x)
             if vx == 0:
                 continue

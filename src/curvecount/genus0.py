@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .engine import Engine, exact_int, finish_terms, group_sum
-from .partitions import attach_mult, bump, take_parts, type2_partitions
+from .partitions import attach_mult, bump, type2_partitions
 from .problems import Problem, dim_x, dimension
 
 
@@ -166,8 +166,7 @@ def expand_x(eng: Engine, p: Problem, first_slot=None):
     if done is not None:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
-    for parts, comb in type2_partitions(d - 1, h_pool, i_base, n, tail_window(n, 0)):
-        d0, h0, i0, ram = take_parts(d, h_pool, i_base, e_lift, parts)
+    for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, tail_window(n, 0), e_lift):
         value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:
             terms.append(("type-IIplain", comb * ram, value, groups))

@@ -28,49 +28,35 @@ from .genus0 import (
     tail_problem,
     tail_window,
 )
-from .partitions import (
-    attach_mult,
-    bump,
-    points_fit,
-    subvectors,
-    subvectors_weighted,
-    take_parts,
-    type2_partitions,
-)
+from .partitions import attach_mult, bump, components, points_fit, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
 def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_window):
     """Enumerate type II shapes with one distinguished component.
 
-    The distinguished component takes degree d1, tangency sub-vector h1
-    and incidence sub-vector i1 (restricted by part_window on its
-    incidence weight); the remaining pools split into rational tails and
-    the hyperplane component.  Yields
+    The distinguished component is one of partitions.components (its
+    incidence weight restricted by part_window, its attachment
+    multiplicity at least m_min); the remaining pools split into
+    rational tails and the hyperplane component.  Yields
     (d1, h1, i1, m1, tails, ways, d0, h0, i0, ram) where ways counts the
     labeled marker routings divided by the tail automorphisms, and
-    d0, h0, i0, ram are as partitions.take_parts returns them for the
-    tails.  As in type2_partitions, the distinguished component and the
-    tails take every point marker between them.
+    tails, d0, h0, i0, ram are as type2_partitions yields them.  As
+    there, the distinguished component and the tails take every point
+    marker between them.
     """
     h_items = tuple(sorted(h_pool.items()))
     i_items = tuple(sorted(i_base.items()))
-    weight_of = lambda e: n - 1 - e
-    for d1 in range(1, d):
-        for h1, h1_ways in subvectors(h_items):
-            m1 = attach_mult(d1, h1.items())
-            if m1 < m_min:
-                continue
-            lo, hi = part_window(d1, h1, m1)
-            for i1, i1_ways in subvectors_weighted(i_items, weight_of, lo, hi):
-                i_rem = {k: c - i1.get(k, 0) for k, c in i_base.items() if c - i1.get(k, 0)}
-                if not points_fit(n, d - 1 - d1, i_rem.get(0, 0)):
-                    continue
-                h_rem = {k: c - h1.get(k, 0) for k, c in h_pool.items() if c - h1.get(k, 0)}
-                for tails, comb in type2_partitions(d - 1 - d1, h_rem, i_rem, n, tails_window):
-                    d0, h0, i0, ram = take_parts(d - d1, h_rem, i_rem, e_lift, tails)
-                    ways = Fraction(h1_ways * i1_ways) * comb
-                    yield d1, h1, i1, m1, tails, ways, d0, h0, i0, ram
+    for d1, h1, i1, m1, ways, h_rest, i_rest in components(
+        n, d - 1, h_items, i_items, part_window, m_min
+    ):
+        i_rest = dict(i_rest)
+        if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
+            continue
+        for tails, comb, d0, h0, i0, ram in type2_partitions(
+            d - d1, dict(h_rest), i_rest, n, tails_window, e_lift
+        ):
+            yield d1, h1, i1, m1, tails, ways * comb, d0, h0, i0, ram
 
 
 def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -176,19 +162,6 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     return group_sum(groups), groups
 
 
-def count_yb_tilde(eng: Engine, n, d0, h0, i0, part1, tails, m11):
-    """One ordered split of the double contact: multiplicity m11 at the
-    first attachment point and the rest at the second."""
-    db, hb, ib, m1 = part1
-    if n not in (2, 3):
-        raise ValueError(f"doubly-attached counts need n in {{2, 3}}, not {n}")
-    if not 1 <= m11 <= m1 - 1:
-        raise ValueError(f"split point {m11} outside 1..{m1 - 1}")
-    tilde = _yb_tilde2 if n == 2 else _yb_tilde3
-    value, _ = tilde(eng, d0, h0, i0, db, hb, ib, m11, m1 - m11, tails)
-    return value
-
-
 def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
     lies in H, so its count is a divisor-class problem there.  The old
@@ -267,8 +240,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
             terms.append(("type-IIb", ways * ram, value, groups))
 
     if n == 3:
-        for parts, comb in type2_partitions(d - 1, h_pool, i_base, n, rational):
-            d0, h0, i0, ram = take_parts(d, h_pool, i_base, e_lift, parts)
+        for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, rational, e_lift):
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
                 terms.append(("type-IIc", comb * ram, value, groups))

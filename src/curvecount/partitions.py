@@ -29,21 +29,10 @@ def attach_mult(dk: int, h_items) -> int:
     return dk - sum(m * c for (m, _), c in h_items)
 
 
-def take_parts(d: int, h_pool: dict, i_pool: dict, e_lift: int, parts):
-    """What the hyperplane component keeps once ``parts`` split off a
-    curve of degree d.  Returns (d0, h0, i0, ram): its degree, the
-    markers left in the pools (i0 with the specialized marker added on
-    slot e_lift) and the product of the parts' attachment
-    multiplicities."""
-    h0, i0, ram = dict(h_pool), dict(i_pool), 1
-    for dk, h_items, i_items in parts:
-        for key, c in h_items:
-            h0 = bump(h0, key, -c)
-        for key, c in i_items:
-            i0 = bump(i0, key, -c)
-        ram *= attach_mult(dk, h_items)
-        d -= dk
-    return d, h0, bump(i0, e_lift), ram
+def minus(pool_items, sub: dict) -> tuple:
+    """The pool ``pool_items`` ((key, count) pairs) less the sub-vector
+    ``sub`` drawn from it, as pairs in the same order."""
+    return tuple((key, c - sub.get(key, 0)) for key, c in pool_items if c - sub.get(key, 0))
 
 
 def automorphism_order(items) -> int:
@@ -97,74 +86,85 @@ def subvectors_weighted(pool_items, weight_of, lo, hi):
     yield from rec(0, 0, 1)
 
 
+def components(n: int, d_max: int, h_items, i_items, i_bounds, m_min=1):
+    """Enumerate the single components that can split off a curve
+    falling into H, drawing on the marker pools ``h_items`` and
+    ``i_items`` (sorted (key, count) pairs).
+
+    A component takes a degree dk in 1..d_max, a sub-vector h_sub of
+    the tangency pool and a sub-vector i_sub of the incidence pool, and
+    meets the hyperplane at its attachment point with multiplicity
+    mk = dk - sum(m * h) >= m_min.  ``i_bounds(dk, h_sub, mk)`` returns
+    the admissible window (lo, hi) for its incidence weight
+    sum((n-1-e) * c).
+
+    Yields (dk, h_sub, i_sub, mk, ways, h_rest, i_rest): ways is the
+    number of labeled marker choices realizing the sub-vectors, and
+    h_rest, i_rest are the pools the component leaves, as pairs.
+    """
+    weight_of = lambda e: n - 1 - e
+    for dk in range(1, d_max + 1):
+        for h_sub, h_ways in subvectors(h_items):
+            mk = attach_mult(dk, h_sub.items())
+            if mk < m_min:
+                continue
+            h_rest = minus(h_items, h_sub)
+            lo, hi = i_bounds(dk, h_sub, mk)
+            for i_sub, i_ways in subvectors_weighted(i_items, weight_of, lo, hi):
+                yield dk, h_sub, i_sub, mk, h_ways * i_ways, h_rest, minus(i_items, i_sub)
+
+
 _MIN_PART_KEY = (0, (), ())
 
 
-def type2_partitions(d_avail, h_pool: dict, i_pool: dict, n: int, i_bounds):
-    """Enumerate the unordered multisets of curve components split off
-    the hyperplane component in a degeneration term.
+def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, i_bounds, e_lift: int):
+    """Enumerate the ways a curve of degree d falling into H breaks into
+    a hyperplane component and an unordered multiset of rational tails.
 
-    Each component takes a positive degree dk (total at most d_avail),
-    a sub-vector of the tangency pool and a sub-vector of the incidence
-    pool, and meets the hyperplane at its attachment point with
-    multiplicity mk = dk - sum(m * h) >= 1.
-
-    ``i_bounds(dk, h_sub, mk)`` returns the admissible window (lo, hi)
-    for the component's incidence weight sum((n-1-e) * c); windows come
-    from the requirement that the component be rigid once its
-    attachment point is constrained.
+    Each tail is a component as ``components`` yields them, and the
+    tails take a total degree of at most d - 1.  ``i_bounds`` comes from
+    the requirement that a tail be rigid once its attachment point is
+    constrained.
 
     Two rules drop shapes that count nothing.  A multiset must take
     every point marker (e = 0) of ``i_pool``: the hyperplane component
     lies in H, so a general point left on it makes the term vanish.  A
-    component may not take more points than a rational curve of its
-    degree passes through (see ``points_on_curve``).  Branches whose
-    remaining degree cannot take the points left are cut early.
+    tail may not take more points than a rational curve of its degree
+    passes through (see ``points_on_curve``).  Branches whose remaining
+    degree cannot take the points left are cut early.
 
-    Yields (parts, comb): parts is a nondecreasing tuple of
-    (dk, h_items, i_items) with the vectors as sorted item tuples, and
-    comb is a Fraction: the multinomial routing of labeled markers into
-    the ordered components divided by the automorphism order of the
-    multiset.
+    Yields (parts, comb, d0, h0, i0, ram).  parts is a nondecreasing
+    tuple of (dk, h_items, i_items) with the vectors as sorted item
+    tuples, and comb is a Fraction: the multinomial routing of labeled
+    markers into the ordered tails divided by the automorphism order of
+    the multiset.  d0, h0 and i0 are what the hyperplane component
+    keeps: its degree and the markers left in the pools, i0 with the
+    specialized marker added on slot e_lift.  ram is the product of the
+    tails' attachment multiplicities.
     """
-    weight_of = lambda e: n - 1 - e
 
     def rec(d_rem, h_items, i_items, min_key):
         points = dict(i_items).get(0, 0)
         if not points_fit(n, d_rem, points):
             return
         if not points:
-            yield (), 1
-        for dk in range(1, d_rem + 1):
-            max_points = points_on_curve(n, dk)
-            for h_sub, h_ways in subvectors(h_items):
-                mk = attach_mult(dk, h_sub.items())
-                if mk < 1:
-                    continue
-                lo, hi = i_bounds(dk, h_sub, mk)
-                for i_sub, i_ways in subvectors_weighted(i_items, weight_of, lo, hi):
-                    if i_sub.get(0, 0) > max_points:
-                        continue
-                    key = (
-                        dk,
-                        tuple(sorted(h_sub.items())),
-                        tuple(sorted(i_sub.items())),
-                    )
-                    if key < min_key:
-                        continue
-                    h_next = tuple(
-                        (kk, c - h_sub.get(kk, 0)) for kk, c in h_items if c - h_sub.get(kk, 0)
-                    )
-                    i_next = tuple(
-                        (kk, c - i_sub.get(kk, 0)) for kk, c in i_items if c - i_sub.get(kk, 0)
-                    )
-                    for rest, rest_ways in rec(d_rem - dk, h_next, i_next, key):
-                        yield (key,) + rest, h_ways * i_ways * rest_ways
+            yield (), 1, 1, d_rem, h_items, i_items
+        for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(
+            n, d_rem, h_items, i_items, i_bounds
+        ):
+            if i_sub.get(0, 0) > points_on_curve(n, dk):
+                continue
+            key = (dk, tuple(sorted(h_sub.items())), tuple(sorted(i_sub.items())))
+            if key < min_key:
+                continue
+            for rest, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, key):
+                yield (key,) + rest, ways * rest_ways, mk * ram, d_left, h_left, i_left
 
     h_items = tuple(sorted(h_pool.items()))
     i_items = tuple(sorted(i_pool.items()))
-    for parts, ways in rec(d_avail, h_items, i_items, _MIN_PART_KEY):
-        yield parts, Fraction(ways, automorphism_order(parts))
+    for parts, ways, ram, d_left, h0, i0 in rec(d - 1, h_items, i_items, _MIN_PART_KEY):
+        comb = Fraction(ways, automorphism_order(parts))
+        yield parts, comb, d_left + 1, dict(h0), bump(dict(i0), e_lift), ram
 
 
 def points_on_curve(n: int, d: int) -> int:

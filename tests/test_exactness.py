@@ -1,6 +1,7 @@
 """Exactness checks are ordinary raises: they hold under ``python -O``
 and end a CLI run with exit code 4, not with a truncated count."""
 
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from curvecount import fibration, genus0
 from curvecount.cli import main
 from curvecount.engine import check_all_orders, memo_key, unmarked
 from curvecount.genus0 import tail_problem
-from curvecount.genus1 import count_yb_tilde
+from curvecount.genus1 import _yb_tilde3
 from curvecount.partitions import bump
 from curvecount.trace import Tracer
 
@@ -30,6 +31,18 @@ SAMPLE = [
     "ZProblem.make(2, 4, {0: 11}, parse_divisor('p1+p2+p3+p4'))",
     "ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor('3*l1'))",
 ]
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so a check written as one
+    # would silently stop guarding the counts
+    paths = sorted(Path(SRC, "curvecount").glob("*.py"))
+    assert len(paths) >= 12
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _optimized(*args):
@@ -141,7 +154,7 @@ def test_unpinnable_component_is_an_internal_fault():
     # the doubly-attached component of a IIb term likewise: a conic with
     # both contacts free on H and no incidence keeps 8 degrees of freedom
     with pytest.raises(AssertionError, match="doubly-attached component of freedom 8"):
-        count_yb_tilde(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, (2, {}, {}, 2), (), 1)
+        _yb_tilde3(Engine(), 1, {(1, 2): 1}, {1: 1}, 2, {}, {}, 1, 1, ())
 
 
 def test_overdrawn_pool_is_an_internal_fault():

@@ -8,7 +8,7 @@ import pytest
 
 from curvecount import Engine, Problem, UnsupportedProblem
 from curvecount.genus0 import count_y
-from curvecount.genus1 import count_yb, count_yb_tilde
+from curvecount.genus1 import _yb_tilde3, count_yb
 from oracles import E, H1, H2, BlowupClass, blowup_pair_product
 
 
@@ -112,7 +112,7 @@ WORKED_PART1 = (2, {}, {1: 7}, 2)
 
 def test_doubly_attached_worked_example():
     eng = Engine()
-    tilde = count_yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, (), 1)
+    tilde, _ = _yb_tilde3(eng, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())
     assert tilde == 68
     value, groups = count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())
     assert value == 34
@@ -141,14 +141,14 @@ def test_worked_example_chow_kernel():
     family = va * (H1 * H1 * H2) + va * (H1 * H2 * H2) - vc * (E * H1 * H2)
     paired = blowup_pair_product(kernel, family)
     assert paired == 68
-    assert paired == count_yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, (), 1)
+    assert paired == _yb_tilde3(eng, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())[0]
 
 
 def test_rigid_case_gives_marked_conics():
     # when the conic is fully pinned the two contact points are free on
     # H and the tilde count is the plain marked conic count
     eng = Engine()
-    rigid = count_yb_tilde(eng, 3, 1, {(1, 1): 3}, {2: 1}, (2, {}, {1: 8}, 2), (), 1)
+    rigid, _ = _yb_tilde3(eng, 1, {(1, 1): 3}, {2: 1}, 2, {}, {1: 8}, 1, 1, ())
     assert rigid == 184
 
 
@@ -161,28 +161,17 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
     vb = eng.count_x(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
     yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, ())
     assert (va, vb, yval) == (1, 1, 1)
-    tilde = count_yb_tilde(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, {}, {0: 3}, 2), (), 1)
+    tilde, _ = _yb_tilde3(eng, 2, {(1, 0): 4}, {1: 1}, 2, {}, {0: 3}, 1, 1, ())
     assert tilde == 2 * (2 * va - vb) * yval == 2
     assert tilde != (2 * va - vb) * yval
 
 
 def test_split_point_symmetry():
     eng = Engine()
-    part1 = (3, {}, {1: 11}, 3)
     h0 = {(1, 1): 3}
-    one = count_yb_tilde(eng, 3, 1, h0, {2: 1}, part1, (), 1)
-    two = count_yb_tilde(eng, 3, 1, h0, {2: 1}, part1, (), 2)
+    one, _ = _yb_tilde3(eng, 1, h0, {2: 1}, 3, {}, {1: 11}, 1, 2, ())
+    two, _ = _yb_tilde3(eng, 1, h0, {2: 1}, 3, {}, {1: 11}, 2, 1, ())
     assert one == two == 134400
-
-
-def test_split_point_range_is_checked():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        count_yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, (), 0)
-    with pytest.raises(ValueError):
-        count_yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, (), 2)
-    with pytest.raises(ValueError):
-        count_yb_tilde(eng, 4, 1, WORKED_H0, WORKED_I0, WORKED_PART1, (), 1)
 
 
 def test_blowup_ring_relations():

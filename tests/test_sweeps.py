@@ -1,0 +1,125 @@
+"""Exhaustive sweeps over small problem spaces.
+
+Two facts checked cell by cell: there are no elliptic curves of degree
+1 or 2, so every zero-dimensional elliptic problem (W) and divisor
+problem (Z) of those degrees counts 0; and every incidence-only
+rational count agrees with the WDVV recursion of bench/oracle.py, which
+never calls the engine.
+"""
+
+import importlib
+import itertools
+import sys
+from pathlib import Path
+
+import pytest
+
+from curvecount import Engine, Problem, ZProblem
+from curvecount.engine import unmarked
+from curvecount.problems import dim_w, dim_x, dim_z, validate, validate_z
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _tangency_vectors(n, d):
+    """Every tangency vector of P^n whose contacts add up to d."""
+    keys = [(m, e) for m in range(1, d + 1) for e in range(n)]
+
+    def rec(j, left):
+        if left == 0:
+            yield {}
+        elif j < len(keys):
+            m, e = keys[j]
+            for c in range(left // m + 1):
+                for rest in rec(j + 1, left - m * c):
+                    yield {(m, e): c, **rest} if c else rest
+
+    yield from rec(0, d)
+
+
+def _incidence_vectors(n, weight):
+    """Every incidence vector on slots 0..n-2 of total weight
+    sum((n-1-e) * c) = weight."""
+
+    def rec(e, left):
+        if e == n - 1:
+            if left == 0:
+                yield {}
+            return
+        w = n - 1 - e
+        for c in range(left // w + 1):
+            for rest in rec(e + 1, left - w * c):
+                yield {e: c, **rest} if c else rest
+
+    if weight >= 0:
+        yield from rec(0, weight)
+
+
+def _w_cells():
+    """Zero-dimensional elliptic problems of degree 1-2 over P^2 and
+    P^3: every tangency vector, at most one hyperplane marker (e = n-1)
+    and at most two free markers (e = n), the rest on slots 0..n-2."""
+    for n, d in itertools.product((2, 3), (1, 2)):
+        for h in _tangency_vectors(n, d):
+            for hyps, free in itertools.product((0, 1), (0, 1, 2)):
+                weight = (n + 1) * d - sum((n + m - e - 2) * c for (m, e), c in h.items()) + free
+                for i in _incidence_vectors(n, weight):
+                    p = validate(Problem.make(1, n, d, h, {**i, n - 1: hyps, n: free}))
+                    assert dim_w(p) == 0
+                    yield p
+
+
+def _z_cells():
+    """Zero-dimensional divisor problems of degree 1-2 over P^2 and P^3
+    with at most one hyperplane marker, the divisor putting a
+    coefficient in -1..d on each of the first four markers."""
+    cells = set()
+    for n, d in itertools.product((2, 3), (1, 2)):
+        for hyps in (0, 1):
+            for i in _incidence_vectors(n, (n + 1) * d - 1):
+                i = {**i, n - 1: hyps}
+                markers = [(e, k) for e in sorted(i) for k in range(1, i[e] + 1)][:4]
+                for coeffs in itertools.product(range(-1, d + 1), repeat=len(markers)):
+                    if sum(coeffs) == d:
+                        divisor = [(c, e, k) for c, (e, k) in zip(coeffs, markers)]
+                        z = validate_z(ZProblem.make(n, d, i, divisor))
+                        assert dim_z(z) == 0
+                        cells.add(z)
+    return sorted(cells, key=str)
+
+
+def test_no_elliptic_curves_of_degree_below_three():
+    eng = Engine()
+    cells = list(_w_cells())
+    assert len(cells) == 322
+    assert [p for p in cells if eng.count(p)] == []
+
+
+def test_no_divisor_class_counts_of_degree_below_three():
+    eng = Engine()
+    cells = _z_cells()
+    assert len(cells) == 478
+    assert [z for z in cells if eng.count(z)] == []
+
+
+@pytest.fixture
+def oracle():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("oracle")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_incidence_only_rational_counts_match_wdvv(oracle):
+    eng = Engine()
+    cells = 0
+    for n, d_max in ((2, 6), (3, 4), (4, 2)):
+        for d, hyps in itertools.product(range(1, d_max + 1), (0, 1)):
+            for i in _incidence_vectors(n, (n + 1) * d + n - 3):
+                p = Problem.make(0, n, d, {(1, n - 1): d}, {**i, n - 1: hyps})
+                assert dim_x(p) == 0
+                expected = oracle.gw_invariant(n, d, oracle.incidence_codims(p))
+                assert unmarked(eng.count(p), p) == expected, p
+                cells += 1
+    assert cells == 106
