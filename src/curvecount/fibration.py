@@ -44,13 +44,14 @@ def _splits(eng: Engine, z: ZProblem, pool: dict, d0_min: int, rational):
 
     The elliptic side has dimension (n+1)*d1 - sum((n-1-e) * c) and
     counts nothing unless that is zero, so only those sub-vectors are
-    enumerated.
+    enumerated; nor unless d1 >= 3, as there are no elliptic curves of
+    degree 1 or 2.
     """
     n, d = z.n, z.d
     total = Fraction(0)
     pool_items = tuple(sorted(pool.items()))
     weight_of = lambda e: n - 1 - e
-    for d0 in range(d0_min, d):
+    for d0 in range(d0_min, d - 2):
         d1 = d - d0
         rigid = (n + 1) * d1
         for i1, ways in subvectors_weighted(pool_items, weight_of, rigid, rigid):

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .engine import Engine, exact_int, finish_terms, group_sum
-from .partitions import attach_mult, bump, type2_partitions
+from .partitions import attach_mult, bump, points_on_curve, type2_partitions
 from .problems import Problem, dim_x, dimension
 
 
@@ -46,13 +46,20 @@ def tail_window(n: int, genus: int):
     return bounds
 
 
+def tail_delta(n: int, dk: int, hk: dict, ik: dict, genus: int = 0) -> int:
+    """The freedom delta of a component with its attachment contact free
+    on H: pinning puts that contact on a general (n-1-delta)-plane of H."""
+    mk = attach_mult(dk, hk.items())
+    return free_dim(n, genus, dk, hk, mk) - sum((n - 1 - e) * c for e, c in ik.items())
+
+
 def tail_problem(n: int, dk: int, hk: dict, ik: dict, genus: int = 0):
     """Pin a component's attachment point: returns (problem, delta) with
     the attachment contact on a general (n-1-delta)-plane of H.  Every
     caller's window (see tail_window) makes some plane dimension rigid,
     so a component outside it is a fault of the caller and raises."""
     mk = attach_mult(dk, hk.items())
-    delta = free_dim(n, genus, dk, hk, mk) - sum((n - 1 - e) * c for e, c in ik.items())
+    delta = tail_delta(n, dk, hk, ik, genus)
     if not 0 <= delta <= n - 1:
         raise AssertionError(f"component of freedom {delta} cannot be pinned in P^{n}")
     return Problem.make(genus, n, dk, bump(hk, (mk, n - 1 - delta)), ik), delta
@@ -69,6 +76,22 @@ def pin_parts(eng: Engine, n: int, parts):
             return None
         pinned.append((child, v, delta))
     return pinned
+
+
+def hyperplane_fits(n: int, d0: int, h0: dict, i0: dict, tails, elliptic_delta: int | None = None) -> bool:
+    """Whether the hyperplane component of degree d0 can pass through
+    the points of H it is asked to: the line markers left in i0, the
+    tangency markers of h0 at fixed points, and the attachments pinned
+    at delta = 0 (see tail_delta), of the rational ``tails`` and of an
+    elliptic component of freedom ``elliptic_delta``.  These are the
+    point markers of the problem hyperplane_term builds, so a False
+    here means that problem counts 0.  Over P^2 the component is the
+    line H itself and nothing is cut."""
+    if n < 3:
+        return True
+    deltas = [tail_delta(n, dk, dict(h), dict(i)) for dk, h, i in tails] + [elliptic_delta]
+    points = i0.get(1, 0) + sum(c for (_, e), c in h0.items() if e == 0) + deltas.count(0)
+    return points <= points_on_curve(n - 1, d0)
 
 
 def hyperplane_term(eng: Engine, n: int, d0: int, h0: dict, i0: dict, pinned):
@@ -107,6 +130,8 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     Returns (value, groups) with groups as engine.terms_node expects.
     """
     if i0.get(0, 0):
+        return 0, []
+    if not hyperplane_fits(n, d0, h0, i0, parts):
         return 0, []
     pinned = pin_parts(eng, n, parts)
     if pinned is None:

@@ -21,10 +21,12 @@ from .engine import Engine, InexactCount, finish_terms, group_sum
 from .genus0 import (
     count_y,
     free_dim,
+    hyperplane_fits,
     hyperplane_term,
     pin_parts,
     settle,
     specialize,
+    tail_delta,
     tail_problem,
     tail_window,
 )
@@ -32,13 +34,14 @@ from .partitions import attach_mult, bump, components, points_fit, type2_partiti
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
-def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_window):
+def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, tails_window):
     """Enumerate type II shapes with one distinguished component.
 
     The distinguished component is one of partitions.components (its
     incidence weight restricted by part_window, its attachment
-    multiplicity at least m_min); the remaining pools split into
-    rational tails and the hyperplane component.  Yields
+    multiplicity at least m_min, its degree at least d1_min); the
+    remaining pools split into rational tails and the hyperplane
+    component.  Yields
     (d1, h1, i1, m1, tails, ways, d0, h0, i0, ram) where ways counts the
     labeled marker routings divided by the tail automorphisms, and
     tails, d0, h0, i0, ram are as type2_partitions yields them.  As
@@ -48,7 +51,7 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, tails_wind
     h_items = tuple(sorted(h_pool.items()))
     i_items = tuple(sorted(i_base.items()))
     for d1, h1, i1, m1, ways, h_rest, i_rest in components(
-        n, d - 1, h_items, i_items, part_window, m_min
+        n, d - 1, h_items, i_items, part_window, m_min, d1_min
     ):
         i_rest = dict(i_rest)
         if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
@@ -66,6 +69,8 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     if i0.get(0, 0):
         return 0, []
     d1, h1, i1, _ = part1
+    if not hyperplane_fits(n, d0, h0, i0, tails, tail_delta(n, d1, h1, i1, genus=1)):
+        return 0, []
     ell, delta1 = tail_problem(n, d1, h1, i1, genus=1)
     v1 = eng.count_w(ell)
     if v1 == 0:
@@ -215,7 +220,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     rational = tail_window(n, 0)
 
     for d1, h1, i1, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, rational
+        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1), tails)
         if value:
@@ -233,14 +238,14 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
         return base, base
 
     for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, yb_window, 2, rigid_tail if n == 2 else rational
+        n, d, h_pool, i_base, e_lift, yb_window, 2, 1, rigid_tail if n == 2 else rational
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1), tails)
         if value:
             terms.append(("type-IIb", ways * ram, value, groups))
 
     if n == 3:
-        for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, rational, e_lift):
+        for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, rational, e_lift, 3):
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
                 terms.append(("type-IIc", comb * ram, value, groups))

@@ -86,24 +86,25 @@ def subvectors_weighted(pool_items, weight_of, lo, hi):
     yield from rec(0, 0, 1)
 
 
-def components(n: int, d_max: int, h_items, i_items, i_bounds, m_min=1):
+def components(n: int, d_max: int, h_items, i_items, i_bounds, m_min=1, d_min=1):
     """Enumerate the single components that can split off a curve
     falling into H, drawing on the marker pools ``h_items`` and
     ``i_items`` (sorted (key, count) pairs).
 
-    A component takes a degree dk in 1..d_max, a sub-vector h_sub of
-    the tangency pool and a sub-vector i_sub of the incidence pool, and
-    meets the hyperplane at its attachment point with multiplicity
+    A component takes a degree dk in d_min..d_max, a sub-vector h_sub
+    of the tangency pool and a sub-vector i_sub of the incidence pool,
+    and meets the hyperplane at its attachment point with multiplicity
     mk = dk - sum(m * h) >= m_min.  ``i_bounds(dk, h_sub, mk)`` returns
     the admissible window (lo, hi) for its incidence weight
-    sum((n-1-e) * c).
+    sum((n-1-e) * c).  An elliptic component takes d_min = 3: there are
+    no elliptic curves of degree 1 or 2, so a smaller one counts 0.
 
     Yields (dk, h_sub, i_sub, mk, ways, h_rest, i_rest): ways is the
     number of labeled marker choices realizing the sub-vectors, and
     h_rest, i_rest are the pools the component leaves, as pairs.
     """
     weight_of = lambda e: n - 1 - e
-    for dk in range(1, d_max + 1):
+    for dk in range(d_min, d_max + 1):
         for h_sub, h_ways in subvectors(h_items):
             mk = attach_mult(dk, h_sub.items())
             if mk < m_min:
@@ -117,14 +118,17 @@ def components(n: int, d_max: int, h_items, i_items, i_bounds, m_min=1):
 _MIN_PART_KEY = (0, (), ())
 
 
-def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, i_bounds, e_lift: int):
+def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, i_bounds, e_lift: int, d0_min=1):
     """Enumerate the ways a curve of degree d falling into H breaks into
-    a hyperplane component and an unordered multiset of rational tails.
+    a hyperplane component of degree at least d0_min and an unordered
+    multiset of rational tails.
 
     Each tail is a component as ``components`` yields them, and the
-    tails take a total degree of at most d - 1.  ``i_bounds`` comes from
-    the requirement that a tail be rigid once its attachment point is
-    constrained.
+    tails take a total degree of at most d - d0_min.  d0_min is 1 for a
+    rational hyperplane component and 3 for an elliptic one (type IIc),
+    since elliptic curves of degree 1 or 2 do not exist.  ``i_bounds``
+    comes from the requirement that a tail be rigid once its attachment
+    point is constrained.
 
     Two rules drop shapes that count nothing.  A multiset must take
     every point marker (e = 0) of ``i_pool``: the hyperplane component
@@ -162,16 +166,20 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, i_bounds, e_lift: in
 
     h_items = tuple(sorted(h_pool.items()))
     i_items = tuple(sorted(i_pool.items()))
-    for parts, ways, ram, d_left, h0, i0 in rec(d - 1, h_items, i_items, _MIN_PART_KEY):
+    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_items, i_items, _MIN_PART_KEY):
         comb = Fraction(ways, automorphism_order(parts))
-        yield parts, comb, d_left + 1, dict(h0), bump(dict(i0), e_lift), ram
+        yield parts, comb, d_left + d0_min, dict(h0), bump(dict(i0), e_lift), ram
 
 
 def points_on_curve(n: int, d: int) -> int:
     """Most general points of P^n that a rational curve of degree d
     passes through: the curves move in a family of dimension
     (n+1)*d + n - 3 and each point costs n - 1.  Free markers (e = n)
-    do not move the curve, so they never raise the bound."""
+    do not move the curve, so they never raise the bound.  It caps the
+    points a tail takes (type2_partitions) and the points of H a
+    hyperplane component passes through (genus0.hyperplane_fits, with
+    n - 1 >= 2).  n must be at least 2: in P^1 a point is a hyperplane
+    and costs nothing."""
     return ((n + 1) * d + n - 3) // (n - 1)
 
 

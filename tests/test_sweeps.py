@@ -1,10 +1,16 @@
 """Exhaustive sweeps over small problem spaces.
 
-Two facts checked cell by cell: there are no elliptic curves of degree
-1 or 2, so every zero-dimensional elliptic problem (W) and divisor
-problem (Z) of those degrees counts 0; and every incidence-only
+Three facts checked cell by cell: there are no elliptic curves of
+degree 1 or 2, so every zero-dimensional elliptic problem (W) and
+divisor problem (Z) of those degrees counts 0; a rational curve of
+degree d passes through at most points_on_curve(n, d) general points,
+so every problem asking for more counts 0; and every incidence-only
 rational count agrees with the WDVV recursion of bench/oracle.py, which
 never calls the engine.
+
+The engine cuts degeneration shapes on the first two facts before
+counting them, so the memo store of a count holds no such problem;
+test_dead_shapes_are_cut_before_counting reads that off the store.
 """
 
 import importlib
@@ -14,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from curvecount import Engine, Problem, ZProblem
+from curvecount import Engine, Problem, ZProblem, parse_problem
 from curvecount.engine import unmarked
+from curvecount.partitions import points_on_curve
 from curvecount.problems import dim_w, dim_x, dim_z, validate, validate_z
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -102,6 +109,63 @@ def test_no_divisor_class_counts_of_degree_below_three():
     assert [z for z in cells if eng.count(z)] == []
 
 
+def _over_capacity_cells():
+    """Zero-dimensional rational problems of degree 1-4 over P^2, P^3
+    and P^4 through one or two points more than points_on_curve allows:
+    every tangency vector, 0-2 line markers (n >= 3), at most one
+    hyperplane marker, and the free markers (e = n) that make the
+    problem zero-dimensional."""
+    for n, d in itertools.product((2, 3, 4), range(1, 5)):
+        cap = points_on_curve(n, d)
+        for h in _tangency_vectors(n, d):
+            for extra, lines, hyps in itertools.product((1, 2), range(3 if n >= 3 else 1), (0, 1)):
+                i = {0: cap + extra, n - 1: hyps}
+                if n >= 3:
+                    i[1] = lines
+                free = -dim_x(Problem.make(0, n, d, h, i))
+                if free >= 0:
+                    p = validate(Problem.make(0, n, d, h, {**i, n: free}))
+                    assert dim_x(p) == 0
+                    yield p
+
+
+def test_no_rational_curves_through_more_points_than_their_capacity():
+    eng = Engine()
+    cells = list(_over_capacity_cells())
+    assert len(cells) == 3124
+    assert [p for p in cells if eng.count(p)] == []
+
+
+def _degree(key):
+    return int(key.split(" d=", 1)[1].split(None, 1)[0])
+
+
+def _over_capacity_records(store):
+    """X records in P^2 and beyond whose problem has more point markers
+    than a rational curve of its degree passes through."""
+    over = []
+    for key, _ in store.items():
+        if key.startswith("X|"):
+            p = parse_problem(key[2:])
+            if p.n >= 2 and p.i_map().get(0, 0) > points_on_curve(p.n, p.d):
+                over.append(key)
+    return over
+
+
+def test_dead_shapes_are_cut_before_counting():
+    eng = Engine()
+    assert eng.count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) == 52832040 * 24
+    low = [k for k, _ in eng.store.items() if k[:2] in ("W|", "Z|") and _degree(k) <= 2]
+    assert low == []
+    for p, value in (
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120),
+        (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24),
+    ):
+        eng = Engine()
+        assert eng.count(p) == value
+        assert _over_capacity_records(eng.store) == [], p
+
+
 @pytest.fixture
 def oracle():
     sys.path.insert(0, str(BENCH))
@@ -114,7 +178,7 @@ def oracle():
 def test_incidence_only_rational_counts_match_wdvv(oracle):
     eng = Engine()
     cells = 0
-    for n, d_max in ((2, 6), (3, 4), (4, 2)):
+    for n, d_max in ((2, 7), (3, 4), (4, 3)):
         for d, hyps in itertools.product(range(1, d_max + 1), (0, 1)):
             for i in _incidence_vectors(n, (n + 1) * d + n - 3):
                 p = Problem.make(0, n, d, {(1, n - 1): d}, {**i, n - 1: hyps})
@@ -122,4 +186,4 @@ def test_incidence_only_rational_counts_match_wdvv(oracle):
                 expected = oracle.gw_invariant(n, d, oracle.incidence_codims(p))
                 assert unmarked(eng.count(p), p) == expected, p
                 cells += 1
-    assert cells == 106
+    assert cells == 168
