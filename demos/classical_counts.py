@@ -4,14 +4,10 @@ Everything here comes out of one seed, the line in P^1 through two
 points. Run it and compare with the numbers you know."""
 
 from curvecount import Engine, Problem, trace
-from curvecount.problems import unmarked_factor
+from curvecount.engine import unmarked
 from curvecount.trace import render_text
 
 eng = Engine()
-
-
-def unmarked(p):
-    return eng.count(p) // unmarked_factor(p)
 
 
 print("The seed: one line in P^1 through two points.")
@@ -32,7 +28,7 @@ print()
 print("Conics in P^3 through 8 general lines:")
 conics = Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8})
 print(f"  marked   {eng.count(conics)}   (the two contacts with H are labeled)")
-print(f"  unmarked {unmarked(conics)}")
+print(f"  unmarked {unmarked(eng.count(conics), conics)}")
 
 print()
 print("Make one of those contacts a tangency instead, drop a line:")
@@ -43,13 +39,13 @@ print()
 print("Twisted cubics through 12 general lines:")
 cubics = Problem.make(0, 3, 3, {(1, 2): 3}, {1: 12})
 print(f"  marked   {eng.count(cubics)}")
-print(f"  unmarked {unmarked(cubics)}")
+print(f"  unmarked {unmarked(eng.count(cubics), cubics)}")
 
 print()
 print("Rational plane curves of degree d through 3d-1 general points:")
 for d in range(1, 7):
     p = Problem.make(0, 2, d, {(1, 1): d}, {0: 3 * d - 1})
-    print(f"  d={d}  {unmarked(p):>10}")
+    print(f"  d={d}  {unmarked(eng.count(p), p):>10}")
 
 print()
 print("How the line count in P^2 reduces to the seed:")

@@ -7,24 +7,20 @@ assembles the weighted sum exactly as in genus 0, plus the three
 broken-fiber variants specific to genus 1."""
 
 from curvecount import Engine, Problem, UnsupportedProblem
-from curvecount.problems import unmarked_factor
+from curvecount.engine import unmarked
 
 eng = Engine()
-
-
-def unmarked(p):
-    return eng.count(p) // unmarked_factor(p)
 
 
 print("Plane cubics through 9 general points (the pencil has one member")
 print("through a ninth point):")
 p = Problem.make(1, 2, 3, {(1, 1): 3}, {0: 9})
-print(f"  {p}  ->  {unmarked(p)}")
+print(f"  {p}  ->  {unmarked(eng.count(p), p)}")
 
 print()
 print("Plane quartics of genus 1 through 12 general points:")
 p = Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12})
-print(f"  {p}  ->  {unmarked(p)}")
+print(f"  {p}  ->  {unmarked(eng.count(p), p)}")
 
 print()
 print("Elliptic cubics in P^3 through j points and 12-2j lines,")
@@ -40,14 +36,15 @@ for name, h, lines0 in series:
         i = {1: lines0 - 2 * j}
         if j:
             i[0] = j
-        row.append(unmarked(Problem.make(1, 3, 3, h, i)))
+        p = Problem.make(1, 3, 3, h, i)
+        row.append(unmarked(eng.count(p), p))
     print(f"  {name}{row}")
 
 print()
 print("Elliptic quartics in P^3 through j points and 16-2j lines:")
 for j in range(9):
     p = Problem.make(1, 3, 4, {(1, 2): 4}, {0: j, 1: 16 - 2 * j})
-    print(f"  j={j}  {unmarked(p):>10}")
+    print(f"  j={j}  {unmarked(eng.count(p), p):>10}")
 
 print()
 print("Ambient spaces beyond P^3 are declined, not mis-counted:")

@@ -4,14 +4,17 @@ Keys are the canonical problem texts prefixed by the count family
 (X, W, Z and the fibration primitives QQ, HQ, HH, HMQ, SS).  The file
 format is one header line ``EGC-CACHE v1`` followed by one
 ``key<TAB>value`` record per line, UTF-8, LF line endings, keys sorted,
-so saves are byte-identical for equal contents.
+so saves are byte-identical for equal contents.  Values are decimal
+integers exactly as ``str(int)`` writes them.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 MAGIC = "EGC-CACHE v1"
+_VALUE_RE = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
 class CacheConflict(RuntimeError):
@@ -48,8 +51,11 @@ class MemoStore:
     def load(self, path) -> int:
         """Merge records from a cache file; conflicting values are fatal.
         Returns the number of records read."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidCacheFile(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
         lines = text.split("\n")
         if not lines or lines[0] != MAGIC:
             raise InvalidCacheFile(f"{path}: missing {MAGIC!r} header")
@@ -60,10 +66,9 @@ class MemoStore:
             key, sep, value = line.partition("\t")
             if not sep:
                 raise InvalidCacheFile(f"{path}:{lineno}: expected key<TAB>value")
-            try:
-                self.store(key, int(value))
-            except ValueError:
-                raise InvalidCacheFile(f"{path}:{lineno}: bad integer {value!r}") from None
+            if not _VALUE_RE.fullmatch(value):
+                raise InvalidCacheFile(f"{path}:{lineno}: bad integer {value!r}")
+            self.store(key, int(value))
             count += 1
         return count
 

@@ -17,7 +17,7 @@ import sys
 from .cache import CacheConflict, InvalidCacheFile, MemoStore
 from .engine import Engine, InexactCount, check_all_orders, unmarked, trace as build_trace
 from .problems import InvalidProblem, Problem, UnsupportedProblem, ZProblem, parse_divisor
-from .tables import table_rows
+from .tables import TABLES, table_rows
 from .trace import render_dot, render_json, render_text
 
 _TANGENCY_RE = re.compile(r"(\d+),(\d+):(\d+)\Z")
@@ -94,13 +94,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    store = _load_store(args.cache)
-    eng = Engine(store)
-    try:
-        rows = table_rows(args.name, eng)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    if args.name not in TABLES:
+        known = ", ".join(sorted(TABLES))
+        print(f"error: unknown table {args.name!r}; known tables: {known}", file=sys.stderr)
         return 2
+    store = _load_store(args.cache)
+    rows = table_rows(args.name, Engine(store))
     _save_store(store, args.cache)
     width = max(len(row.label) for row in rows)
     counts = {"PASS": 0, "FAIL": 0, "DISCREPANCY": 0}

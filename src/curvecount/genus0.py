@@ -78,37 +78,40 @@ def pin_parts(eng: Engine, n: int, parts):
     return pinned
 
 
-def hyperplane_fits(n: int, d0: int, h0: dict, i0: dict, tails, elliptic_delta: int | None = None) -> bool:
+def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
+    """Incidence markers, in H, of the component lying in H: its
+    incidence markers one slot down (an (e+1)-plane meets H in an
+    e-plane), its tangency markers on their planes of H, and for each
+    attached component of freedom delta one marker on a general
+    delta-plane of H, dual to the plane tail_problem pins it to."""
+    markers = {e - 1: c for e, c in i0.items() if e}
+    for (_, e), c in h0.items():
+        markers[e] = markers.get(e, 0) + c
+    for delta in deltas:
+        markers[delta] = markers.get(delta, 0) + 1
+    return markers
+
+
+def hyperplane_fits(n: int, d0: int, h0: dict, i0: dict, tails, *deltas: int) -> bool:
     """Whether the hyperplane component of degree d0 can pass through
-    the points of H it is asked to: the line markers left in i0, the
-    tangency markers of h0 at fixed points, and the attachments pinned
-    at delta = 0 (see tail_delta), of the rational ``tails`` and of an
-    elliptic component of freedom ``elliptic_delta``.  These are the
-    point markers of the problem hyperplane_term builds, so a False
-    here means that problem counts 0.  Over P^2 the component is the
+    the points of H it is asked to (slot 0 of hyperplane_markers), with
+    attachments from the rational ``tails`` and from components of the
+    given further ``deltas``.  A False here means the problem
+    hyperplane_term builds counts 0.  Over P^2 the component is the
     line H itself and nothing is cut."""
     if n < 3:
         return True
-    deltas = [tail_delta(n, dk, dict(h), dict(i)) for dk, h, i in tails] + [elliptic_delta]
-    points = i0.get(1, 0) + sum(c for (_, e), c in h0.items() if e == 0) + deltas.count(0)
-    return points <= points_on_curve(n - 1, d0)
+    deltas = [tail_delta(n, dk, dict(h), dict(i)) for dk, h, i in tails] + list(deltas)
+    return hyperplane_markers(h0, i0, deltas).get(0, 0) <= points_on_curve(n - 1, d0)
 
 
 def hyperplane_term(eng: Engine, n: int, d0: int, h0: dict, i0: dict, pinned):
     """A broken curve's count from its pinned components: the
     hyperplane component becomes a rational curve problem in H itself,
-    with the old H-markers and the pinned attachment points turned into
-    incidence conditions and the d0 intersections with a hyperplane of
-    H as fresh free contacts.  Returns (value, groups) as count_y."""
-    i0p = {}
-    for e in range(n):
-        c = (
-            i0.get(e + 1, 0)
-            + sum(1 for _, _, dlt in pinned if dlt == e)
-            + sum(c0 for (_, e0), c0 in h0.items() if e0 == e)
-        )
-        if c:
-            i0p[e] = c
+    with the markers of hyperplane_markers and the d0 intersections
+    with a hyperplane of H as fresh free contacts.  Returns
+    (value, groups) as count_y."""
+    i0p = hyperplane_markers(h0, i0, [dlt for _, _, dlt in pinned])
     child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
     v0 = eng.count_x(child0)
     if v0 == 0:

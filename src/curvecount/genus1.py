@@ -22,6 +22,7 @@ from .genus0 import (
     count_y,
     free_dim,
     hyperplane_fits,
+    hyperplane_markers,
     hyperplane_term,
     pin_parts,
     settle,
@@ -122,7 +123,7 @@ def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
     (3 - delta)-plane of H, weighted d0**(delta - 1).
     """
     m1 = m11 + m12
-    delta = free_dim(3, 0, db, hb, m1) + 1 - sum((2 - e) * c for e, c in ib.items())
+    delta = tail_delta(3, db, hb, ib) + 1
     if not 0 <= delta <= 2:
         raise AssertionError(f"doubly-attached component of freedom {delta} in P^3")
     choices = []
@@ -170,36 +171,29 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
 def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
     lies in H, so its count is a divisor-class problem there.  The old
-    H-markers and the tail attachments become its incidence conditions,
-    and the divisor records the hyperplane class of the original curve:
-    tangency markers enter with their contact multiplicity, attachments
-    with minus theirs."""
+    H-markers and the tail attachments become its incidence conditions
+    (hyperplane_markers), and the divisor records the hyperplane class
+    of the original curve: tangency markers enter with their contact
+    multiplicity, attachments with minus theirs."""
     if i0.get(0, 0):
         return 0, []
     pinned = pin_parts(eng, n, tails)
     if pinned is None:
         return 0, []
     rams = [attach_mult(dk, h_items) for dk, h_items, _ in tails]
-    i0p = {}
+    deltas = [dlt for _, _, dlt in pinned]
     divisor = []
     for e in range(n):
+        # Slot e numbers its inherited markers first, then the
+        # tangency markers, then the attachments.
         h_marks = sorted(m for (m, e0), c in h0.items() if e0 == e for _ in range(c))
-        att_marks = sorted(mk for mk, (_, _, dlt) in zip(rams, pinned) if dlt == e)
-        inherited = i0.get(e + 1, 0)
-        total = inherited + len(h_marks) + len(att_marks)
-        if total:
-            i0p[e] = total
-        idx = inherited
-        for m in h_marks:
-            idx += 1
-            divisor.append((m, e, idx))
-        for mk in att_marks:
-            idx += 1
-            divisor.append((-mk, e, idx))
+        att_marks = sorted(mk for mk, dlt in zip(rams, deltas) if dlt == e)
+        coeffs = h_marks + [-mk for mk in att_marks]
+        divisor.extend((c, e, idx) for idx, c in enumerate(coeffs, i0.get(e + 1, 0) + 1))
     degree = sum(c for c, _, _ in divisor)
     if degree != d0:
         raise InexactCount(f"divisor degree {degree} must match the component degree {d0}")
-    z = ZProblem.make(n - 1, d0, i0p, divisor)
+    z = ZProblem.make(n - 1, d0, hyperplane_markers(h0, i0, deltas), divisor)
     vz = eng.count_z(z)
     if vz == 0:
         return 0, []

@@ -2,10 +2,10 @@
 
 Each table pairs published reference counts with the problems they
 answer; the runners recompute every cell from scratch and report PASS
-or FAIL per row.  One cell of the quartic space-curve series is printed
-inconsistently in its source (4,436,208 in the summary table, 4,436,268
-in all four matching rows of the full table); the runner reports the
-recomputed value with a DISCREPANCY mark instead of PASS/FAIL there.
+or FAIL per row.  Three cells are known misprints: their sources print
+a value that the other cells of the same table rule out.  Each table
+maps such a cell's label to the value the other cells force, and the
+row reports DISCREPANCY when the recomputed value is that one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class Row:
 # p1+2*l1 and p1+p2+p3+p4-l1 on the same base family force 12 through
 # the section-intersection identities; 14 is unreachable by any
 # assignment of the six intersection numbers involved.
-EZ3_CONSISTENT_3L1 = 12
+EZ3_MISPRINTS = {"i1=1 D=3*l1": 12}
 EZ3_ROWS = (
     (0, "p1+p2+p3", 0),
     (1, "p1+p2+l1", 1),
@@ -66,9 +66,10 @@ EZ4_ROWS = (
 )
 
 # Quartic elliptic space curves through j general points and 16-2j
-# general lines.  The j=1 cell is the documented misprint.
+# general lines.  The j=1 cell prints 4,436,208; all four matching
+# cells of the full grid below print 4,436,268.
 ESC_NUMS = (52832040, 4436208, 385656, 34674, 3220, 310, 32, 4, 1)
-ESC_NUMS_CONSISTENT_J1 = 4436268
+ESC_NUMS_MISPRINTS = {"j=1": 4436268}
 
 # Quartic elliptic space curves, full condition grid: the curve meets
 # t1 general lines and t2 general points, and crosses a fixed plane H
@@ -78,7 +79,7 @@ ESC_NUMS_CONSISTENT_J1 = 4436268
 # point-degeneration main term (the (8,1,2,2) cell) with the degenerate
 # correction terms left off; both the point and the line degeneration
 # routes force 31,300 through neighbouring cells that do match.
-ESC_FULL_CONSISTENT = {(8, 2, 2, 1): 31300}
+ESC_FULL_MISPRINTS = {"lines=8 points=2 H-lines=2 H-points=1": 31300}
 ESC_ROWS = (
     ((16, 0, 0, 0), 52832040),
     ((14, 1, 0, 0), 4436268),
@@ -202,94 +203,71 @@ def esc_problem(t1: int, t2: int, t3: int, t4: int) -> Problem:
     return Problem.make(1, 3, 4, h, {1: t1, 0: t2})
 
 
-def _z_rows(eng: Engine, data, i0: int, d: int, consistent=()):
+def _rows(eng: Engine, cells, misprints=None, why=""):
+    """The row of each (label, problem, printed) cell: PASS when the
+    recomputed count is the printed one, DISCREPANCY when the label is
+    a known misprint in ``misprints`` and the count is the value it
+    maps to (``why`` says what forces it), FAIL otherwise."""
     rows = []
-    for i1, text, printed in data:
-        i = {0: i0}
-        if i1:
-            i[1] = i1
-        z = ZProblem.make(2, d, i, parse_divisor(text))
-        computed = eng.count(z)
-        note = ""
+    for label, p, printed in cells:
+        computed = eng.count(p) if isinstance(p, ZProblem) else unmarked(eng.count(p), p)
+        status, note = "FAIL", ""
         if computed == printed:
             status = "PASS"
-        elif (text, computed) in consistent:
-            status = "DISCREPANCY"
-            note = f"printed {printed}; sibling rows of the table force {computed}"
-        else:
-            status = "FAIL"
-        rows.append(Row(f"i1={i1} D={text}", printed, computed, status, note))
+        elif computed == (misprints or {}).get(label):
+            status, note = "DISCREPANCY", f"printed {printed}; " + why.format(computed)
+        rows.append(Row(label, printed, computed, status, note))
     return rows
+
+
+def _z_cells(data, i0: int, d: int):
+    for i1, text, printed in data:
+        yield f"i1={i1} D={text}", ZProblem.make(2, d, {0: i0, 1: i1}, parse_divisor(text)), printed
 
 
 def run_ez3(eng: Engine):
-    return _z_rows(eng, EZ3_ROWS, 8, 3, consistent=(("3*l1", EZ3_CONSISTENT_3L1),))
+    return _rows(eng, _z_cells(EZ3_ROWS, 8, 3), EZ3_MISPRINTS, "sibling rows of the table force {}")
 
 
 def run_ez4(eng: Engine):
-    return _z_rows(eng, EZ4_ROWS, 11, 4)
+    return _rows(eng, _z_cells(EZ4_ROWS, 11, 4))
 
 
 def run_esc_nums(eng: Engine):
-    rows = []
-    for j, printed in enumerate(ESC_NUMS):
-        p = Problem.make(1, 3, 4, {(1, 2): 4}, {0: j, 1: 16 - 2 * j})
-        computed = unmarked(eng.count(p), p)
-        if j == 1:
-            if computed == ESC_NUMS_CONSISTENT_J1:
-                status = "DISCREPANCY"
-                note = f"printed {printed}; the full grid prints {computed} in all matching rows"
-            else:
-                status = "PASS" if computed == printed else "FAIL"
-                note = ""
-        else:
-            status = "PASS" if computed == printed else "FAIL"
-            note = ""
-        rows.append(Row(f"j={j}", printed, computed, status, note))
-    return rows
+    cells = (
+        (f"j={j}", Problem.make(1, 3, 4, {(1, 2): 4}, {0: j, 1: 16 - 2 * j}), printed)
+        for j, printed in enumerate(ESC_NUMS)
+    )
+    return _rows(eng, cells, ESC_NUMS_MISPRINTS, "the full grid prints {} in all matching rows")
 
 
 def run_esc_full(eng: Engine):
-    rows = []
-    for (t1, t2, t3, t4), printed in ESC_ROWS:
-        p = esc_problem(t1, t2, t3, t4)
-        computed = unmarked(eng.count(p), p)
-        note = ""
-        if computed == printed:
-            status = "PASS"
-        elif ESC_FULL_CONSISTENT.get((t1, t2, t3, t4)) == computed:
-            status = "DISCREPANCY"
-            note = f"printed {printed}; both degeneration routes force {computed}"
-        else:
-            status = "FAIL"
-        rows.append(
-            Row(f"lines={t1} points={t2} H-lines={t3} H-points={t4}", printed, computed, status, note)
-        )
-    return rows
+    cells = (
+        (f"lines={t1} points={t2} H-lines={t3} H-points={t4}", esc_problem(t1, t2, t3, t4), printed)
+        for (t1, t2, t3, t4), printed in ESC_ROWS
+    )
+    return _rows(eng, cells, ESC_FULL_MISPRINTS, "both degeneration routes force {}")
 
 
 def run_p3_rational(eng: Engine):
-    rows = []
-    for d, lines, printed in P3_RATIONAL_ROWS:
-        p = Problem.make(0, 3, d, {(1, 2): d}, {1: lines})
-        computed = unmarked(eng.count(p), p)
-        status = "PASS" if computed == printed else "FAIL"
-        rows.append(Row(f"d={d} lines={lines}", printed, computed, status))
-    return rows
+    cells = (
+        (f"d={d} lines={lines}", Problem.make(0, 3, d, {(1, 2): d}, {1: lines}), printed)
+        for d, lines, printed in P3_RATIONAL_ROWS
+    )
+    return _rows(eng, cells)
 
 
 def run_p3_elliptic(eng: Engine):
-    rows = []
-    for name, h, lines0, printeds in P3_ELLIPTIC_SERIES:
-        for j, printed in enumerate(printeds):
-            i = {1: lines0 - 2 * j}
-            if j:
-                i[0] = j
-            p = Problem.make(1, 3, 3, h, i)
-            computed = unmarked(eng.count(p), p)
-            status = "PASS" if computed == printed else "FAIL"
-            rows.append(Row(f"{name} points={j} lines={lines0 - 2 * j}", printed, computed, status))
-    return rows
+    cells = (
+        (
+            f"{name} points={j} lines={lines0 - 2 * j}",
+            Problem.make(1, 3, 3, h, {0: j, 1: lines0 - 2 * j}),
+            printed,
+        )
+        for name, h, lines0, printeds in P3_ELLIPTIC_SERIES
+        for j, printed in enumerate(printeds)
+    )
+    return _rows(eng, cells)
 
 
 TABLES = {
@@ -303,7 +281,4 @@ TABLES = {
 
 
 def table_rows(name: str, engine: Engine | None = None):
-    if name not in TABLES:
-        known = ", ".join(sorted(TABLES))
-        raise KeyError(f"unknown table {name!r}; known tables: {known}")
     return TABLES[name](engine or Engine())

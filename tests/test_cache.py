@@ -58,6 +58,27 @@ def test_rejects_malformed_records(tmp_path):
         MemoStore().load(path)
 
 
+def test_rejects_integers_save_does_not_write(tmp_path):
+    path = tmp_path / "c.egc"
+    for value in ("1_0", " 12", "12 ", "+3", "007", "", "１２"):
+        path.write_text(f"{MAGIC}\nkey\t{value}\n", encoding="utf-8")
+        with pytest.raises(InvalidCacheFile, match="bad integer"):
+            MemoStore().load(path)
+    path.write_text(f"{MAGIC}\na\t0\nb\t-120\n", encoding="utf-8")
+    store = MemoStore()
+    assert store.load(path) == 2
+    assert dict(store.items()) == {"a": 0, "b": -120}
+
+
+def test_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "c.egc"
+    path.write_bytes(MAGIC.encode() + b"\nkey\xff\t1\n")
+    with pytest.raises(InvalidCacheFile, match="not UTF-8"):
+        MemoStore().load(path)
+    assert main(["count", "-n", "2", "-d", "1", "--points", "2", "--cache", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_store_conflict():
     store = MemoStore()
     store.store("k", 1)

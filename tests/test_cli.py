@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -83,6 +84,26 @@ def test_table_discrepancy_is_not_failure(capsys):
     assert out.splitlines()[-1] == "20 rows: 19 PASS, 1 DISCREPANCY"
 
 
+# sha256 of the cold stdout of `curvecount table NAME`, whose exit code
+# is 0 for each.  The output carries every row's label, printed and
+# computed value, verdict and DISCREPANCY note, and the summary line; a
+# change to any of them re-pins the digest on purpose.
+TABLE_STDOUT_SHA256 = {
+    "ez3": "43b5dd5964e39e8df067e0ef319c4065c56f10ffe62674bd36701ca4c4c73eed",
+    "ez4": "27f01a6a0bc561cde00568d34672538fea84aefab3e58816116b59a241393121",
+    "eqesc-nums": "bba1e5bdb8279c527aba7edcad5c4f2bf7ba8a55aab98724d58366e7ed6f955f",
+    "eqesc-full": "c403fa787213df00d7b03a90b66bccf48ea476be489f1cb961d34d374dae06be",
+    "p3-rational": "f541ac9c5dad45e255decb56800ad6445cc7195eb8ecb97855ed75dcf0234677",
+    "p3-elliptic-cubics": "0e3a776bf2cad96ad4370a9e57aa21fbfc0759aef9fd698c8efb6a52734dca9b",
+}
+
+
+@pytest.mark.parametrize("name", TABLE_STDOUT_SHA256)
+def test_table_output_is_pinned(capsys, name):
+    code, out, _ = run(capsys, "table", name)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, TABLE_STDOUT_SHA256[name])
+
+
 def test_table_failure_exit_code(monkeypatch, capsys):
     from curvecount import tables
 
@@ -142,9 +163,26 @@ def test_malformed_condition_flags_exit_2(capsys, flags, message):
 
 
 def test_unknown_table(capsys):
-    code, _, err = run(capsys, "table", "nope")
+    code, out, err = run(capsys, "table", "nope")
     assert code == 2
-    assert "known tables:" in err
+    assert out == ""
+    assert err == (
+        "error: unknown table 'nope'; known tables: eqesc-full, eqesc-nums, ez3, ez4, "
+        "p3-elliptic-cubics, p3-rational\n"
+    )
+
+
+def test_internal_key_error_in_a_table_run_is_not_invalid_input(monkeypatch):
+    # Only an unknown table name is invalid input (exit 2); a KeyError
+    # raised while a known table runs is a fault and propagates.
+    from curvecount import genus1
+
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(genus1, "count_yc", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["table", "p3-elliptic-cubics"])
 
 
 def test_unsupported_ambient_space(capsys):
