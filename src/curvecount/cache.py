@@ -14,7 +14,7 @@ import os
 import re
 
 MAGIC = "EGC-CACHE v1"
-_VALUE_RE = re.compile(r"-?(0|[1-9][0-9]*)")
+_VALUE_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class CacheConflict(RuntimeError):

@@ -60,7 +60,7 @@ def test_rejects_malformed_records(tmp_path):
 
 def test_rejects_integers_save_does_not_write(tmp_path):
     path = tmp_path / "c.egc"
-    for value in ("1_0", " 12", "12 ", "+3", "007", "", "１２"):
+    for value in ("1_0", " 12", "12 ", "+3", "007", "-0", "", "１２"):
         path.write_text(f"{MAGIC}\nkey\t{value}\n", encoding="utf-8")
         with pytest.raises(InvalidCacheFile, match="bad integer"):
             MemoStore().load(path)
