@@ -74,9 +74,13 @@ def _save_store(store: MemoStore, path) -> None:
 def _problem(args):
     """The problem the flags describe: a divisor-class problem when a
     divisor is given, a rational or elliptic one otherwise."""
+    if args.genus not in (0, 1):
+        raise InvalidProblem(f"genus must be 0 or 1, got {args.genus}")
     if args.divisor is None:
         h = _gather_tangency(args.tangency, args.n, args.d)
         return Problem.make(args.genus, args.n, args.d, h, _gather_incidence(args))
+    if args.tangency:
+        raise InvalidProblem("--tangency does not apply to a divisor problem")
     i = _gather_incidence(args)
     return ZProblem.make(args.n, args.d, i, parse_divisor(args.divisor))
 
@@ -134,8 +138,17 @@ def cmd_trace(args) -> int:
 
 
 def _add_problem_flags(sub, genus=True):
+    """The flags that describe a problem; genus=False leaves out -g and
+    --tangency, as a divisor problem is elliptic with free contacts."""
     if genus:
         sub.add_argument("-g", "--genus", type=int, default=0, help="0 rational, 1 elliptic")
+        sub.add_argument(
+            "--tangency",
+            action="append",
+            metavar="m,e:count",
+            help="contacts of order m with H at points on general e-planes of H (repeatable); "
+            "unlisted hyperplane intersections become free transverse contacts",
+        )
     sub.add_argument("-n", type=int, required=True, help="ambient projective space dimension")
     sub.add_argument("-d", type=int, required=True, help="curve degree")
     sub.add_argument(
@@ -168,24 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = subs.add_parser("count", help="count curves meeting tangency and incidence conditions")
     _add_problem_flags(p_count)
-    p_count.add_argument(
-        "--tangency",
-        action="append",
-        metavar="m,e:count",
-        help="contacts of order m with H at points on general e-planes of H (repeatable); "
-        "unlisted hyperplane intersections become free transverse contacts",
-    )
     p_count.add_argument("--unmarked", action="store_true", help="divide by the relabelings of identical markings")
-    p_count.add_argument("--check-all-orders", action="store_true", help="assert all degeneration orders agree")
-    _add_engine_flags(p_count)
-    p_count.set_defaults(func=cmd_count, incidence=None, divisor=None)
+    p_count.set_defaults(func=cmd_count, divisor=None)
 
     p_z = subs.add_parser("zcount", help="count elliptic curves with a fixed hyperplane divisor class")
     _add_problem_flags(p_z, genus=False)
     p_z.add_argument("--divisor", required=True, metavar="EXPR", help="e.g. p1+p2+2*l1-p3")
-    p_z.add_argument("--check-all-orders", action="store_true", help="assert all degeneration orders agree")
-    _add_engine_flags(p_z)
-    p_z.set_defaults(func=cmd_count, incidence=None, unmarked=False)
+    p_z.set_defaults(func=cmd_count, unmarked=False, genus=1, tangency=None)
+
+    for sub in (p_count, p_z):
+        sub.add_argument("--check-all-orders", action="store_true", help="assert all degeneration orders agree")
+        _add_engine_flags(sub)
 
     p_table = subs.add_parser("table", help="recompute a reference table")
     p_table.add_argument("name", help="ez3, ez4, eqesc-nums, eqesc-full, p3-rational or p3-elliptic-cubics")
@@ -194,16 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = subs.add_parser("trace", help="emit the derivation tree of a count")
     _add_problem_flags(p_trace)
-    p_trace.add_argument(
-        "--tangency",
-        action="append",
-        metavar="m,e:count",
-        help="as in count",
-    )
     p_trace.add_argument("--divisor", metavar="EXPR", help="trace a divisor-class problem instead")
     p_trace.add_argument("--format", choices=("text", "json", "dot"), default="text")
     _add_engine_flags(p_trace)
-    p_trace.set_defaults(func=cmd_trace, incidence=None)
+    p_trace.set_defaults(func=cmd_trace)
 
     return parser
 

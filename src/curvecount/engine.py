@@ -9,6 +9,7 @@ InexactCount when it is not.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cache import MemoStore
@@ -90,11 +91,17 @@ class Engine:
     def count(self, problem, first_slot: int | None = None) -> int:
         """Validate and count; the public entry point.  A rational or
         elliptic problem specializes its first incidence plane on
-        ``first_slot`` if given, which must be admissible; every later
-        choice follows ``order``."""
+        ``first_slot`` if given; every later choice follows ``order``.
+        A slot that is not admissible (any slot, for a divisor problem)
+        raises ValueError, also when the count is already stored."""
         if isinstance(problem, ZProblem):
+            if first_slot is not None:
+                raise ValueError("a divisor problem has no first slot to choose")
             return self.count_z(validate_z(problem))
         p = validate(problem)
+        slots = self.admissible_slots(p)
+        if first_slot is not None and first_slot not in slots:
+            raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
         return self.count_w(p, first_slot) if p.genus == 1 else self.count_x(p, first_slot)
 
     def count_x(self, p: Problem, first_slot: int | None = None) -> int:
@@ -130,14 +137,13 @@ class Engine:
         return [e for e, _ in p.i if e <= p.n - 2]
 
     def pick_slot(self, p: Problem, first_slot: int | None = None) -> int:
+        """``first_slot`` if given (count checked it), else the slot ``order`` picks."""
+        if first_slot is not None:
+            return first_slot
         slots = self.admissible_slots(p)
         if not slots:
             raise AssertionError(f"no incidence slot to degenerate in {p}")
-        if first_slot is None:
-            return max(slots) if self.order == "max-e" else min(slots)
-        if first_slot not in slots:
-            raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
-        return first_slot
+        return max(slots) if self.order == "max-e" else min(slots)
 
     # Trace node assembly.  Every helper returns None when not tracing.
 
@@ -152,39 +158,31 @@ class Engine:
         child_node = self.tracer.nodes[memo_key(child)]
         return TraceNode(problem, dim, count, "divisor-axiom", [(Fraction(weight), child_node)])
 
-    def terms_node(self, problem, dim: int, total: int, terms, default_rule: str):
+    def terms_node(self, problem, dim: int, total: int, terms, term_totals, default_rule: str):
         """Build the node for an expanded problem.
 
         terms: list of (rule, weight, value, groups) where groups is a
         list of (coeff, factors) and factors a list of (problem, count);
-        the term contributes weight * value and
-        value == sum(coeff * prod(counts)).
+        the term contributes weight * value, given as an int in
+        term_totals, and value == sum(coeff * prod(counts)).
         """
         if self.tracer is None:
             return None
         children = []
-        for rule, weight, value, groups in terms:
-            term_total = exact_int(weight * value, f"non-integral {rule} term for {problem}")
+        for (rule, weight, _, groups), term_total in zip(terms, term_totals):
             if term_total == 0:
                 continue
-            merged: dict[str, list] = {}
+            merged: dict[str, Fraction] = {}
             for coeff, factors in groups:
                 r = len(factors)
-                prod_all = 1
-                for _, c in factors:
-                    prod_all *= c
+                prod_all = math.prod(c for _, c in factors)
                 if prod_all == 0 or coeff == 0:
                     continue
                 for fproblem, c in factors:
-                    marginal = weight * coeff * Fraction(prod_all, c) / r
                     fkey = memo_key(fproblem)
-                    slot = merged.setdefault(fkey, [Fraction(0), fproblem])
-                    slot[0] += marginal
-            term_children = []
-            for fkey, (wsum, fproblem) in merged.items():
-                term_children.append((wsum, self.tracer.nodes[fkey]))
-            node = TraceNode(problem, dim, term_total, rule, term_children)
-            children.append((Fraction(1), node))
+                    merged[fkey] = merged.get(fkey, 0) + weight * coeff * Fraction(prod_all, c) / r
+            term_children = [(wsum, self.tracer.nodes[fkey]) for fkey, wsum in merged.items()]
+            children.append((Fraction(1), TraceNode(problem, dim, term_total, rule, term_children)))
         rule = children[0][1].rule if children else default_rule
         return TraceNode(problem, dim, total, rule, children)
 
@@ -202,12 +200,13 @@ def group_sum(groups) -> Fraction:
 
 def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
     """Sum the term contributions exactly and build the trace node."""
-    total = 0
-    for rule, weight, value, _ in terms:
-        total += exact_int(weight * value, f"non-integral {rule} term for {p}")
+    term_totals = [
+        exact_int(weight * value, f"non-integral {rule} term for {p}") for rule, weight, value, _ in terms
+    ]
+    total = sum(term_totals)
     if total < 0:
         raise InexactCount(f"negative count {total} for {p}")
-    return total, eng.terms_node(p, dim, total, terms, default_rule)
+    return total, eng.terms_node(p, dim, total, terms, term_totals, default_rule)
 
 
 def check_all_orders(problem, reference: int, divisor_axiom: bool = True) -> None:

@@ -7,19 +7,23 @@ fibration, and the hyperplane class gives a further divisor on the
 total space.  Counting the members whose hyperplane class equals a
 fixed combination D of the marker sections reduces to intersection
 numbers on the surface: the count is Q^2 - D'^2/2 where Q is any
-section, D' = H - sum(c_s Q_s), and the pairings H^2, H.Q, Q.Q of
-distinct sections and Q^2 itself are evaluated by degenerating the
-family.  Every degeneration term is a product of rational and elliptic
-counts of lower degree, divided by the relabelings of free contacts.
+section, D' = H - sum(c_s Q_s).  The pairings H^2, H.Q, Q.Q of
+distinct sections and (H-Q).Q, whence Q^2 = H.Q - (H-Q).Q, are each
+evaluated by degenerating the family in one body, ``_pairing``: a
+whole-fiber term plus a sum over fibers broken into a rational and an
+elliptic curve (partitions.components).  Every term is a product of
+rational and elliptic counts of lower degree, divided by the
+relabelings of free contacts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .engine import Engine, InexactCount, exact_int, memo
-from .partitions import bump, minus, subvectors_weighted
+from .partitions import bump, components
 from .problems import Problem, ZProblem, base_z_text, dim_z
 
 
@@ -27,47 +31,46 @@ def _uniform(n: int, d: int) -> dict:
     return {(1, n - 1): d}
 
 
-def _exact(frac: Fraction) -> int:
-    return exact_int(frac, "free-contact relabelings must divide the count")
+def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: int, rational) -> int:
+    """A pairing of two divisors on the family, memoized under ``key``.
 
-
-def _splits(eng: Engine, z: ZProblem, pool: dict, d0_min: int, rational):
-    """Sum the broken-fiber contributions shared by all four pairings.
-
-    The fiber degenerates into a rational curve of degree d0 and an
+    The sections of the markers on slots ``markers`` leave the fiber's
+    incidence pool; ``whole(pool)`` is the whole-fiber term on the rest.
+    A broken fiber is a rational curve of degree d0 >= d0_min and an
     elliptic curve of degree d1 = d - d0 taking a sub-vector i1 of the
     pool.  ``rational(d0, i0)`` returns the rational side's problem for
-    the rest i0 of the pool and its scale: the inverse relabelings of
-    its free contacts times the choices the divisor makes on it.  Over
-    P^2 the two components meet in d0*d1 points and each meeting point
-    gives a distinct fiber.
-
-    The elliptic side has dimension (n+1)*d1 - sum((n-1-e) * c) and
-    counts nothing unless that is zero, so only those sub-vectors are
-    enumerated; nor unless d1 >= 3, as there are no elliptic curves of
-    degree 1 or 2.
+    the rest i0 and its scale: the inverse relabelings of its free
+    contacts times the choices the divisor makes on it.  Over P^2 the
+    two components meet in d0*d1 points, each giving a distinct fiber.
+    The elliptic side, one of partitions.components, counts nothing
+    unless its incidence weight is its whole dimension (n+1)*d1, nor
+    unless d1 >= 3, as there are no elliptic curves of degree 1 or 2.
     """
-    n, d = z.n, z.d
-    total = Fraction(0)
-    pool_items = tuple(sorted(pool.items()))
-    weight_of = lambda e: n - 1 - e
-    for d0 in range(d0_min, d - 2):
-        d1 = d - d0
-        rigid = (n + 1) * d1
-        for i1, ways in subvectors_weighted(pool_items, weight_of, rigid, rigid):
-            x, scale = rational(d0, dict(minus(pool_items, i1)))
+
+    def compute():
+        n, d = z.n, z.d
+        pool = z.i_map()
+        for e in markers:
+            pool = bump(pool, e, -1)
+        total = whole(pool)
+        rigid = lambda d1, h1, m1: ((n + 1) * d1, (n + 1) * d1)
+        pool_items = tuple(sorted(pool.items()))
+        for d1, _, i1, _, ways, _, i0 in components(n, d - d0_min, (), pool_items, rigid, 1, 3):
+            d0 = d - d1
+            x, scale = rational(d0, dict(i0))
             vx = eng.count_x(x)
             if vx == 0:
                 continue
-            w = Problem.make(1, n, d1, _uniform(n, d1), i1)
-            vw = eng.count_w(w)
+            vw = eng.count_w(Problem.make(1, n, d1, _uniform(n, d1), i1))
             if vw == 0:
                 continue
             term = scale * vx * Fraction(vw, math.factorial(d1)) * ways
             if n == 2:
                 term *= d0 * d1
             total += term
-    return total
+        return exact_int(total, "free-contact relabelings must divide the count")
+
+    return memo(eng.store, key, compute)
 
 
 def _divisor_pair(eng: Engine, z: ZProblem, key: str, markers: tuple, hyps: int) -> int:
@@ -81,28 +84,22 @@ def _divisor_pair(eng: Engine, z: ZProblem, key: str, markers: tuple, hyps: int)
     broken fiber the markers stay on the rational side, and each
     hyperplane divisor chooses one of its d0 points on H.
     """
+    n, d = z.n, z.d
 
-    def compute():
-        n, d = z.n, z.d
-        pool = z.i_map()
-        for e in markers:
-            pool = bump(pool, e, -1)
-        total = Fraction(0)
+    def whole(pool):
         slot = sum(markers) + hyps * (n - 1) - n
-        if slot >= 0:
-            w = Problem.make(1, n, d, _uniform(n, d), bump(pool, slot))
-            total += Fraction(eng.count_w(w), math.factorial(d))
+        if slot < 0:
+            return Fraction(0)
+        w = Problem.make(1, n, d, _uniform(n, d), bump(pool, slot))
+        return Fraction(eng.count_w(w), math.factorial(d))
 
-        def rational(d0, i0):
-            for e in markers:
-                i0 = bump(i0, e)
-            x = Problem.make(0, n, d0, _uniform(n, d0), i0)
-            return x, Fraction(d0**hyps, math.factorial(d0))
+    def rational(d0, i0):
+        for e in markers:
+            i0 = bump(i0, e)
+        x = Problem.make(0, n, d0, _uniform(n, d0), i0)
+        return x, Fraction(d0**hyps, math.factorial(d0))
 
-        total += _splits(eng, z, pool, 1, rational)
-        return _exact(total)
-
-    return memo(eng.store, key, compute)
+    return _pairing(eng, z, key, markers, whole, 1, rational)
 
 
 def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int) -> int:
@@ -127,26 +124,19 @@ def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
     a doubled contact; the broken fibers keep the marker as a contact
     point of the rational component instead of a free one.
     """
-    key = f"HMQ|{base_z_text(z)} e={e}"
+    n, d = z.n, z.d
 
-    def compute():
-        n, d = z.n, z.d
-        pool = bump(z.i_map(), e, -1)
-        total = Fraction(0)
-        if d >= 2:
-            h = bump({(2, e): 1}, (1, n - 1), d - 2)
-            w = Problem.make(1, n, d, h, pool)
-            total += Fraction(eng.count_w(w), math.factorial(d - 2))
+    def whole(pool):
+        if d < 2:
+            return Fraction(0)
+        w = Problem.make(1, n, d, bump({(2, e): 1}, (1, n - 1), d - 2), pool)
+        return Fraction(eng.count_w(w), math.factorial(d - 2))
 
-        def rational(d0, i0):
-            # the marker stays a contact point of the rational side
-            x = Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0)
-            return x, Fraction(d0 - 1, math.factorial(d0 - 1))
+    def rational(d0, i0):
+        x = Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0)
+        return x, Fraction(d0 - 1, math.factorial(d0 - 1))
 
-        total += _splits(eng, z, pool, 2, rational)
-        return _exact(total)
-
-    return memo(eng.store, key, compute)
+    return _pairing(eng, z, f"HMQ|{base_z_text(z)} e={e}", (e,), whole, 2, rational)
 
 
 def sec_self(eng: Engine, z: ZProblem) -> int:
@@ -175,11 +165,8 @@ def expand_z(eng: Engine, z: ZProblem):
     for coeff, e in markers:
         d2 -= 2 * coeff * sec_hyp(eng, z, e)
         d2 += coeff * coeff * s2
-    for s in range(len(markers)):
-        for t in range(s + 1, len(markers)):
-            cs, es = markers[s]
-            ct, et = markers[t]
-            d2 += 2 * cs * ct * sec_pair(eng, z, es, et)
+    for (cs, es), (ct, et) in itertools.combinations(markers, 2):
+        d2 += 2 * cs * ct * sec_pair(eng, z, es, et)
     if d2 % 2:
         raise InexactCount(f"divisor self-intersection {d2} must be even for {z}")
     value = s2 - d2 // 2

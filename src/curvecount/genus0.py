@@ -19,29 +19,19 @@ from fractions import Fraction
 
 from .engine import Engine, exact_int, finish_terms, group_sum
 from .partitions import attach_mult, bump, points_on_curve, type2_partitions
-from .problems import Problem, dim_x, dimension
+from .problems import Problem, dim_x, dimension, free_dim, incidence_weight
 
 
-def free_dim(n: int, genus: int, dk: int, h_sub: dict, mk: int) -> int:
-    """Dimension of a component of degree dk and the given genus with
-    tangency markers h_sub whose attachment contact, of multiplicity
-    mk, is free on H."""
-    return (
-        (n + 1) * dk
-        + (n - 3 if genus == 0 else 0)
-        - sum((n + m - e - 2) * c for (m, e), c in h_sub.items())
-        - (mk - 1)
-    )
-
-
-def tail_window(n: int, genus: int):
+def tail_window(n: int, genus: int, lo: int = 0, hi: int | None = None):
     """Window for a component's incidence weight: with its attachment
-    contact free on H it must have dimension within 0..n-1, so that
-    constraining the attachment point to a plane of H pins it."""
+    contact free on H its freedom delta must lie within lo..hi (by
+    default 0..n-1, so that constraining the attachment point to a
+    plane of H pins it)."""
+    hi = n - 1 if hi is None else hi
 
     def bounds(dk, h_sub, mk):
         base = free_dim(n, genus, dk, h_sub, mk)
-        return base - (n - 1), base
+        return base - hi, base - lo
 
     return bounds
 
@@ -50,7 +40,7 @@ def tail_delta(n: int, dk: int, hk: dict, ik: dict, genus: int = 0) -> int:
     """The freedom delta of a component with its attachment contact free
     on H: pinning puts that contact on a general (n-1-delta)-plane of H."""
     mk = attach_mult(dk, hk.items())
-    return free_dim(n, genus, dk, hk, mk) - sum((n - 1 - e) * c for e, c in ik.items())
+    return free_dim(n, genus, dk, hk, mk) - incidence_weight(n, ik.items())
 
 
 def tail_problem(n: int, dk: int, hk: dict, ik: dict, genus: int = 0):
@@ -58,11 +48,10 @@ def tail_problem(n: int, dk: int, hk: dict, ik: dict, genus: int = 0):
     the attachment contact on a general (n-1-delta)-plane of H.  Every
     caller's window (see tail_window) makes some plane dimension rigid,
     so a component outside it is a fault of the caller and raises."""
-    mk = attach_mult(dk, hk.items())
     delta = tail_delta(n, dk, hk, ik, genus)
     if not 0 <= delta <= n - 1:
         raise AssertionError(f"component of freedom {delta} cannot be pinned in P^{n}")
-    return Problem.make(genus, n, dk, bump(hk, (mk, n - 1 - delta)), ik), delta
+    return Problem.make(genus, n, dk, bump(hk, (attach_mult(dk, hk.items()), n - 1 - delta)), ik), delta
 
 
 def pin_parts(eng: Engine, n: int, parts):

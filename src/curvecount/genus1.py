@@ -20,7 +20,6 @@ from fractions import Fraction
 from .engine import Engine, InexactCount, finish_terms, group_sum
 from .genus0 import (
     count_y,
-    free_dim,
     hyperplane_fits,
     hyperplane_markers,
     hyperplane_term,
@@ -220,19 +219,12 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
         if value:
             terms.append(("type-IIa", ways * m1 * ram, value, groups))
 
-    def yb_window(db, hb, m1):
-        # Both contacts free: over P^2 the component must be rigid, over
-        # P^3 it may keep up to two degrees of freedom (see _yb_tilde3).
-        base = free_dim(n, 0, db, hb, m1) + 1
-        return base - 2 * (n - 2), base
-
-    def rigid_tail(dk, h_sub, mk):
-        # Over P^2 the tails attach at free points of H, so are rigid.
-        base = free_dim(2, 0, dk, h_sub, mk)
-        return base, base
-
+    # With its two contacts taken as one free on H, the doubly-attached
+    # component has freedom -1 over P^2 and -1..1 over P^3 (see
+    # _yb_tilde3); over P^2 the tails attach at free points, so are rigid.
     for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, yb_window, 2, 1, rigid_tail if n == 2 else rational
+        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1,
+        tail_window(2, 0, 0, 0) if n == 2 else rational,
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1), tails)
         if value:

@@ -51,7 +51,7 @@ def _norm_h(h) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _norm_i(i) -> tuple[tuple[int, int], ...]:
+def _norm_i(i, n: int) -> tuple[tuple[int, int], ...]:
     if not i:
         return ()
     items = i.items() if isinstance(i, dict) else i
@@ -62,6 +62,8 @@ def _norm_i(i) -> tuple[tuple[int, int], ...]:
     for e, c in sorted(merged.items()):
         if c < 0:
             raise InvalidProblem(f"negative incidence count for e={e}")
+        if c and not 0 <= e <= n:
+            raise InvalidProblem(f"incidence plane dimension e={e} out of range 0..{n}")
         if c:
             out.append((e, c))
     return tuple(out)
@@ -93,15 +95,12 @@ class Problem:
         if d < 1:
             raise InvalidProblem(f"degree must be at least 1, got {d}")
         ht = _norm_h(h)
-        it = _norm_i(i)
+        it = _norm_i(i, n)
         for m, e, _ in ht:
             if m < 1:
                 raise InvalidProblem(f"contact multiplicity must be positive, got m={m}")
             if not 0 <= e <= n - 1:
                 raise InvalidProblem(f"tangency plane dimension e={e} out of range 0..{n - 1}")
-        for e, _ in it:
-            if not 0 <= e <= n:
-                raise InvalidProblem(f"incidence plane dimension e={e} out of range 0..{n}")
         return cls(genus, n, d, ht, it)
 
     def h_map(self) -> dict[tuple[int, int], int]:
@@ -141,23 +140,32 @@ def validate(problem: Problem) -> Problem:
     return p
 
 
+def incidence_weight(n: int, i_items) -> int:
+    """Dimensions the incidence markers ``i_items`` ((e, count) pairs)
+    cut: a marker on an e-plane of P^n costs n - 1 - e."""
+    return sum((n - 1 - e) * c for e, c in i_items)
+
+
+def free_dim(n: int, genus: int, dk: int, h: dict, mk: int = 1) -> int:
+    """Dimension of the curves of degree dk and the given genus with
+    tangency markers h ({(m, e): count}) and no incidence markers, plus
+    one further contact of multiplicity mk free on H."""
+    return (
+        (n + 1) * dk
+        + (n - 3 if genus == 0 else 0)
+        - sum((n + m - e - 2) * c for (m, e), c in h.items())
+        - (mk - 1)
+    )
+
+
 def dim_x(p: Problem) -> int:
     """Expected dimension of the space of marked rational curves."""
-    return (
-        (p.n + 1) * p.d
-        + (p.n - 3)
-        - sum((p.n + m - e - 2) * c for m, e, c in p.h)
-        - sum((p.n - 1 - e) * c for e, c in p.i)
-    )
+    return free_dim(p.n, 0, p.d, p.h_map()) - incidence_weight(p.n, p.i)
 
 
 def dim_w(p: Problem) -> int:
     """Expected dimension of the space of marked elliptic curves."""
-    return (
-        (p.n + 1) * p.d
-        - sum((p.n + m - e - 2) * c for m, e, c in p.h)
-        - sum((p.n - 1 - e) * c for e, c in p.i)
-    )
+    return free_dim(p.n, 1, p.d, p.h_map()) - incidence_weight(p.n, p.i)
 
 
 def dimension(p: Problem) -> int:
@@ -256,10 +264,7 @@ class ZProblem:
             raise InvalidProblem(f"divisor problems need ambient dimension at least 2, got {n}")
         if d < 1:
             raise InvalidProblem(f"degree must be at least 1, got {d}")
-        it = _norm_i(i)
-        for e, _ in it:
-            if not 0 <= e <= n:
-                raise InvalidProblem(f"incidence plane dimension e={e} out of range 0..{n}")
+        it = _norm_i(i, n)
         merged: dict[tuple[int, int], int] = {}
         for coeff, e, k in divisor:
             merged[(int(e), int(k))] = merged.get((int(e), int(k)), 0) + int(coeff)
@@ -302,7 +307,7 @@ def validate_z(z: ZProblem) -> ZProblem:
 def dim_z(z: ZProblem) -> int:
     """Expected dimension of the divisor problem: the family of elliptic
     curves through the incidence conditions must be a curve."""
-    return (z.n + 1) * z.d - sum((z.n - 1 - e) * c for e, c in z.i) - 1
+    return free_dim(z.n, 1, z.d, {}) - incidence_weight(z.n, z.i) - 1
 
 
 def _marker_name(e: int, k: int) -> str:

@@ -40,3 +40,6 @@ def test_traced_counts_match_and_every_rule_contributes(spans):
     assert spans.patched_names() == []
     for rule in ("genus0.count_y", "genus1.count_ya", "genus1.count_yb", "genus1.count_yc"):
         assert tracer.counters.get(f"{rule}.nonzero", 0) > 0, rule
+    # the elliptic P^3 problem reaches the divisor-class layer (type IIc)
+    recorded = {spans.SPANS[kind] for kind in tracer.kind}
+    assert {"fibration.pairings", "fibration.expand_z"} <= recorded

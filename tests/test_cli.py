@@ -16,6 +16,9 @@ from curvecount.cache import MAGIC
 from curvecount.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+# Quartic plane elliptic curves through 11 points with D = p1+p2+p3+p4: 62.
+Z62 = ["-n", "2", "-d", "4", "--points", "11", "--divisor", "p1+p2+p3+p4"]
+ENGINE_FLAGS = [["--cache", "CACHE"], ["--no-divisor-axiom"], ["--degeneration-order", "min-e"]]
 
 
 def run(capsys, *argv):
@@ -162,6 +165,19 @@ def test_malformed_condition_flags_exit_2(capsys, flags, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trace", *Z62, "--tangency", "2,0:1"], "--tangency does not apply to a divisor problem"),
+        (["trace", *Z62, "-g", "5"], "genus must be 0 or 1, got 5"),
+        (["count", "-g", "5", "-n", "2", "-d", "3", "--points", "8"], "genus must be 0 or 1, got 5"),
+    ],
+)
+def test_flags_a_problem_cannot_use_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_table(capsys):
     code, out, err = run(capsys, "table", "nope")
     assert code == 2
@@ -235,6 +251,30 @@ def test_order_and_axiom_flags(capsys):
     ):
         code, out, _ = run(capsys, "count", "-n", "3", "-d", "3", "--incidence", "1:12", *extra)
         assert (code, out) == (0, "480960\n")
+
+
+@pytest.mark.parametrize(
+    "argv, root",
+    [
+        (["trace", "-n", "3", "-d", "2", "--tangency", "2,2:1", "--lines", "7"], 116),
+        *((["zcount", *Z62, *flags], 62) for flags in ENGINE_FLAGS),
+        *((["trace", *Z62, *flags], 62) for flags in ENGINE_FLAGS),
+        *(([command, "--help"], None) for command in ("count", "zcount", "table", "trace")),
+    ],
+)
+def test_each_subcommand_keeps_its_flags(tmp_path, capsys, argv, root):
+    cache = tmp_path / "counts.egc"
+    argv = [str(cache) if arg == "CACHE" else arg for arg in argv]
+    if root is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+        return
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert int(out.split()[0]) == root
+    assert cache.exists() == (str(cache) in argv)
 
 
 def test_trace_text(capsys):

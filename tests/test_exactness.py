@@ -188,6 +188,20 @@ def test_first_slot_must_be_admissible():
             Engine().count(p, slot)
 
 
+def test_first_slot_is_checked_before_the_memo():
+    # conics in P^3 through 8 lines have only slot 1 to specialize
+    p = Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8})
+    eng = Engine()
+    assert eng.count(p) == 184
+    with pytest.raises(ValueError, match="slot 2 is not admissible"):
+        eng.count(p, 2)
+    assert eng.count(p, 1) == 184
+    z = ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4"))
+    assert eng.count(z) == 62
+    with pytest.raises(ValueError, match="no first slot"):
+        eng.count(z, 0)
+
+
 def test_unmarked_division_must_be_exact():
     p = Problem.make(0, 3, 3, {(1, 2): 3}, {1: 12})
     assert unmarked(480960, p) == 80160
