@@ -200,9 +200,13 @@ def group_sum(groups) -> Fraction:
 
 def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
     """Sum the term contributions exactly and build the trace node."""
-    term_totals = [
-        exact_int(weight * value, f"non-integral {rule} term for {p}") for rule, weight, value, _ in terms
-    ]
+    term_totals = []
+    for rule, weight, value, _ in terms:
+        term = weight * value
+        if term.denominator != 1:
+            # the message formats the whole problem, so only on failure
+            raise InexactCount(f"non-integral {rule} term for {p}: got {term}")
+        term_totals.append(int(term))
     total = sum(term_totals)
     if total < 0:
         raise InexactCount(f"negative count {total} for {p}")

@@ -1,4 +1,4 @@
-"""Derivation trees recording how a count was assembled.
+"""Derivation DAGs recording how a count was assembled.
 
 Every node satisfies the exact invariant
 ``count == sum(weight * child.count)`` unless it is a leaf.  Problem
@@ -12,7 +12,15 @@ the term, weighted so the invariant holds factor by factor.  Divisor
 evaluations (``z-evaluation``) are leaves: their value is intersection
 arithmetic, not a weighted sum of problem counts.  Zero-count children
 are pruned.  Shared subproblems share one node, so the structure is a
-DAG; renderers expand it as a tree.
+DAG, and every renderer emits each node once.
+
+A node's id is its position in ``iter_nodes(root)``, so the root is
+``#0``; ``#17`` in text, ``"id": 17`` in JSON and ``n17`` in DOT name
+the same node.  Text is a depth-first walk: the first visit to a node
+prints ``count  problem  [rule] #id`` and its children below it, every
+later visit one back-reference line ``count  problem  = #id``.  JSON is
+the table ``{"version": 2, "count", "root", "nodes": [...]}`` with
+``nodes[k]["id"] == k`` and children given as ``{"weight", "node": id}``.
 """
 
 from __future__ import annotations
@@ -75,29 +83,42 @@ def check_invariant(root: TraceNode) -> None:
                 )
 
 
-def _node_obj(node: TraceNode) -> dict:
-    return {
-        "problem": str(node.problem),
-        "dim": node.dim,
-        "count": node.count,
-        "rule": node.rule,
-        "children": [
-            {"weight": str(w), "node": _node_obj(child)} for w, child in node.children
-        ],
-    }
+def _numbered(root: TraceNode) -> tuple[list[TraceNode], dict[int, int]]:
+    """The distinct nodes in id order, and each node's id keyed by ``id()``."""
+    order = list(iter_nodes(root))
+    return order, {id(node): k for k, node in enumerate(order)}
 
 
 def render_json(root: TraceNode) -> str:
-    return json.dumps(_node_obj(root), indent=2)
+    order, ids = _numbered(root)
+    nodes = [
+        {
+            "id": k,
+            "problem": str(node.problem),
+            "dim": node.dim,
+            "count": node.count,
+            "rule": node.rule,
+            "children": [{"weight": str(w), "node": ids[id(child)]} for w, child in node.children],
+        }
+        for k, node in enumerate(order)
+    ]
+    return json.dumps({"version": 2, "count": root.count, "root": 0, "nodes": nodes}, indent=2)
 
 
 def render_text(root: TraceNode) -> str:
+    _, ids = _numbered(root)
+    printed = set()
     lines = []
 
     def rec(node, weight, depth):
         pad = "  " * depth
         wtxt = "" if weight is None else f"{weight} x "
-        lines.append(f"{pad}{wtxt}{node.count}  {node.problem}  [{node.rule}]")
+        k = ids[id(node)]
+        if k in printed:
+            lines.append(f"{pad}{wtxt}{node.count}  {node.problem}  = #{k}")
+            return
+        printed.add(k)
+        lines.append(f"{pad}{wtxt}{node.count}  {node.problem}  [{node.rule}] #{k}")
         for w, child in node.children:
             rec(child, w, depth + 1)
 
@@ -106,17 +127,14 @@ def render_text(root: TraceNode) -> str:
 
 
 def render_dot(root: TraceNode) -> str:
-    ids: dict[int, str] = {}
+    order, ids = _numbered(root)
     lines = ["digraph trace {", "  node [shape=box, fontname=monospace];"]
-    order = list(iter_nodes(root))
-    for idx, node in enumerate(order):
-        ids[id(node)] = f"n{idx}"
-    for node in order:
+    for k, node in enumerate(order):
         label = f"{node.problem}\\ncount={node.count} rule={node.rule}"
         label = label.replace('"', '\\"')
-        lines.append(f'  {ids[id(node)]} [label="{label}"];')
-    for node in order:
+        lines.append(f'  n{k} [label="{label}"];')
+    for k, node in enumerate(order):
         for w, child in node.children:
-            lines.append(f'  {ids[id(node)]} -> {ids[id(child)]} [label="{w}"];')
+            lines.append(f'  n{k} -> n{ids[id(child)]} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -281,15 +281,18 @@ def test_trace_text(capsys):
     code, out, _ = run(capsys, "trace", "-n", "3", "-d", "1", "--incidence", "1:4")
     assert code == 0
     assert out.startswith("2  ")
-    assert out.count("[seed]") == 2
+    # one seed line; the second way to it is a back-reference to a node above it
+    assert out.count("[seed]") == 1
+    assert out.count("  = #") == 1
 
 
 def test_trace_json(capsys):
     code, out, _ = run(capsys, "trace", "-n", "3", "-d", "1", "--incidence", "1:4", "--format", "json")
     assert code == 0
     obj = json.loads(out)
+    assert obj["version"] == 2
     assert obj["count"] == 2
-    assert obj["rule"]
+    assert obj["nodes"][obj["root"]]["rule"]
 
 
 def test_trace_dot(capsys):

@@ -1,8 +1,13 @@
-"""Derivation traces: invariant, schema, renderers."""
+"""Derivation traces: invariant, schema, renderers.
+
+The text and JSON renderers emit each distinct node once.  ``unfold_text``
+and ``unfold_json`` expand them back into the tree renderings they
+replaced, so the pinned tree digests show that nothing was lost."""
 
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -19,9 +24,76 @@ from curvecount.trace import (
 
 WEIGHT_RE = re.compile(r"-?\d+(/\d+)?\Z")
 
+# one line of render_text: a first visit ``[rule] #id`` or a back-reference ``= #id``
+LINE_RE = re.compile(
+    r"(?P<pad>(?:  )*)(?:(?P<weight>-?\d+(?:/\d+)?) x )?(?P<body>-?\d+  .+?)"
+    r"  (?:\[(?P<rule>[\w-]+)\] #(?P<first>\d+)|= #(?P<ref>\d+))\Z"
+)
+
 
 def _tree_size(node):
     return 1 + sum(_tree_size(child) for _, child in node.children)
+
+
+def _parse_text(text):
+    """Each line of render_text as (depth, weight, body, rule, id, first)."""
+    entries = []
+    for line in text.split("\n"):
+        m = LINE_RE.match(line)
+        assert m, line
+        depth = len(m["pad"]) // 2
+        assert (m["weight"] is None) == (depth == 0), line
+        first = m["first"] is not None
+        entries.append((depth, m["weight"], m["body"], m["rule"], int(m["first"] or m["ref"]), first))
+    return entries
+
+
+def unfold_text(text):
+    """The tree rendering that render_text printed before it emitted each
+    node once: every back-reference expanded, ``[rule]`` without an id."""
+    entries = _parse_text(text)
+    defs = {}  # id -> (body, rule, [(weight, child id)])
+    stack = []  # the ids of the open first visits, one per depth
+    for depth, weight, body, rule, k, first in entries:
+        del stack[depth:]
+        if stack:
+            defs[stack[-1]][2].append((weight, k))
+        if first:
+            assert k not in defs
+            defs[k] = (body, rule, [])
+            stack.append(k)
+        else:
+            assert defs[k][0] == body
+            stack.append(None)
+    lines = []
+
+    def rec(k, weight, depth):
+        body, rule, children = defs[k]
+        wtxt = "" if weight is None else f"{weight} x "
+        lines.append(f"{'  ' * depth}{wtxt}{body}  [{rule}]")
+        for w, child in children:
+            rec(child, w, depth + 1)
+
+    rec(entries[0][4], None, 0)
+    return "\n".join(lines)
+
+
+def unfold_json(text):
+    """The nested tree that render_json printed before its node table."""
+    table = json.loads(text)
+    nodes = table["nodes"]
+
+    def obj(k):
+        node = nodes[k]
+        return {
+            "problem": node["problem"],
+            "dim": node["dim"],
+            "count": node["count"],
+            "rule": node["rule"],
+            "children": [{"weight": e["weight"], "node": obj(e["node"])} for e in node["children"]],
+        }
+
+    return json.dumps(obj(table["root"]), indent=2)
 
 
 def test_four_lines():
@@ -29,7 +101,10 @@ def test_four_lines():
     assert root.count == 2
     check_invariant(root)
     text = render_text(root)
-    assert text.count("[seed]") == 2
+    # the second way to the seed is one back-reference to a node above it
+    assert text.count("[seed]") == 1
+    assert text.count("  = #") == 1
+    assert unfold_text(text).count("[seed]") == 2
 
 
 def test_invariant_and_engine_agreement():
@@ -54,9 +129,13 @@ def test_rules_are_known():
 def test_json_schema():
     root = trace(Problem.make(0, 2, 3, {(1, 1): 3}, {0: 8}))
     obj = json.loads(render_json(root))
-
-    def walk(item):
-        assert set(item) == {"problem", "dim", "count", "rule", "children"}
+    assert set(obj) == {"version", "count", "root", "nodes"}
+    assert obj["version"] == 2
+    nodes = obj["nodes"]
+    assert len(nodes) == sum(1 for _ in iter_nodes(root))
+    for k, item in enumerate(nodes):
+        assert set(item) == {"id", "problem", "dim", "count", "rule", "children"}
+        assert item["id"] == k
         assert isinstance(item["problem"], str)
         assert isinstance(item["dim"], int)
         assert isinstance(item["count"], int)
@@ -64,16 +143,18 @@ def test_json_schema():
         for edge in item["children"]:
             assert set(edge) == {"weight", "node"}
             assert WEIGHT_RE.match(edge["weight"])
-            walk(edge["node"])
-
-    walk(obj)
+            assert 0 <= edge["node"] < len(nodes)
+        if item["children"]:
+            total = sum(Fraction(e["weight"]) * nodes[e["node"]]["count"] for e in item["children"])
+            assert total == item["count"]
+    assert obj["count"] == nodes[obj["root"]]["count"]
     # 12 cubics through the 8 points, times 3! labelings of the contacts
     assert obj["count"] == 72
 
 
 def test_text_has_one_line_per_tree_node():
     root = trace(Problem.make(0, 2, 3, {(1, 1): 3}, {0: 8}))
-    lines = render_text(root).splitlines()
+    lines = unfold_text(render_text(root)).splitlines()
     assert len(lines) == _tree_size(root)
     assert lines[0].startswith("72  ")
     for line in lines[1:]:
@@ -140,19 +221,26 @@ def test_shared_subproblems_share_nodes():
                 assert str(child.problem) == str(parent.problem)
 
 
-# sha256 of render_text, render_json and render_dot, pinned from the
-# engine before the degeneration step was shared between the genera.  A
-# change to any of these is a change to how counts are assembled or
-# shown, and re-pins them on purpose.
+# sha256 of render_text, render_json and render_dot, then of the text
+# and json unfolded into trees.  The dot and unfolded digests were pinned
+# from the engine before the degeneration step was shared between the
+# genera, when text and json were printed as trees; the text and json
+# digests since they emit each node once.  A change to any of these is a
+# change to how counts are assembled or shown, and re-pins them on
+# purpose.
 GOLDEN = [
     (
         "elliptic P^2 d=4 through 12 points: IIa, IIb",
         Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12}),
         {},
         (
+            "70c77160b73ea0ee953800aadc985236151c100567494cd79f4de8b6c837562f",
+            "eede80ca394bd371e3653384def99502202e8a0fbaf32b6a0a722ae6bfa36e11",
+            "7ebd29d2b36c7373a0f1391bc8d626ce07a392774989278e93ecf0abb10cfeea",
+        ),
+        (
             "d4be8b073eb45b148c8914831716996904e1183d6cb0e9065f713b817203c8b1",
             "fb13c1fd1e843fcea57a6f8960210ca3d12a1f78ed7cf6a216cb0d1605d29adf",
-            "7ebd29d2b36c7373a0f1391bc8d626ce07a392774989278e93ecf0abb10cfeea",
         ),
     ),
     (
@@ -160,9 +248,13 @@ GOLDEN = [
         Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12}),
         {},
         (
+            "5224dcbf39cab8a70ae6b3f5538c0b9327645859bf4fa13b358480609e940096",
+            "9d1a4f5093045e2f9d107378ced701c0a1da4ea9cf64bdb62ce515b60341ffe7",
+            "768f1b21e4e05391af1740529a625e73d3231626da0d097b1c90e708199240c7",
+        ),
+        (
             "6036d3df4cb1529f5621e8f0026dff0136ab77a197bd7a098b2b0c7ea69e8b20",
             "c5d1f693cbab068d79f19d28fae754049ece11e9ea30d6daa37dc0f5f138a130",
-            "768f1b21e4e05391af1740529a625e73d3231626da0d097b1c90e708199240c7",
         ),
     ),
     (
@@ -170,9 +262,13 @@ GOLDEN = [
         Problem.make(0, 2, 2, {(1, 1): 2}, {0: 5, 1: 1}),
         {},
         (
+            "bfbf3b6814529c1e400f233e9d3c2469539f997f5a788173e0315376f9fa0385",
+            "3dd3dc7629fcc4cfc641056ae79af8abfaf270bd7ae5511f97d2769f3cf6a925",
+            "76e3b0afe2e710604acd8069503f80f18f790dee9e1b41bd77c2d0e143828b00",
+        ),
+        (
             "4a53432a6489d27dba0349c66c4bfb49a46bba726af23c590fd534b1c0158798",
             "e8c8ce24bdfd047fb91c28b16216f225f78c1a0c8ff2708b41d60c9acd9630d6",
-            "76e3b0afe2e710604acd8069503f80f18f790dee9e1b41bd77c2d0e143828b00",
         ),
     ),
     (
@@ -180,9 +276,13 @@ GOLDEN = [
         Problem.make(0, 2, 2, {(1, 1): 2}, {0: 5, 1: 1}),
         {"divisor_axiom": False},
         (
+            "52ea8395a15cbeb55b6dd050f95272dc33b82e842d5c886ca45f5f0034d368a6",
+            "ad82b4577d37426f007d594040b1423139aa30db8488772975d3c2e450d56038",
+            "b23c7b85a3fd2c3ae1304baf6a36a77d7026ac6009c7b9c4f646728611834b92",
+        ),
+        (
             "f45ed813fcb33cb851674bd58377d77095bcf36dfea7f483925abf8e9d73b15d",
             "2c0e056e6590885f938ff240941d092415fba49220e57aa6205970cf6b898514",
-            "b23c7b85a3fd2c3ae1304baf6a36a77d7026ac6009c7b9c4f646728611834b92",
         ),
     ),
     (
@@ -190,9 +290,13 @@ GOLDEN = [
         Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8}),
         {"order": "min-e"},
         (
+            "80c5d080d238ffa48f23bdd5f0692395d7b2b0d007daaba010a6e97c6ed150ee",
+            "bf7a92e40163137644c09d2ff493240f91b5c6b649aec566f23125c788c23fe4",
+            "b964ebe998b65dc2456dd08c1ab7253b7168eb1e909be14ab33fe0ccbcd25ee9",
+        ),
+        (
             "30dbb8a61d6ee9ac2ba15ba42a978e47d94253251cbb52afa0d6eeb1e5ca4a10",
             "c065ad5bedd4f0a1db73b49f3503830add38de49e75064643c69a1bdd5196777",
-            "b964ebe998b65dc2456dd08c1ab7253b7168eb1e909be14ab33fe0ccbcd25ee9",
         ),
     ),
     (
@@ -200,9 +304,13 @@ GOLDEN = [
         ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")),
         {},
         (
+            "ef5685d68c10a3b61e764f54722824e799a674ce3aa4e004f2ea370df4b4fb9d",
+            "da25823955cfeab41ef2a1230c7eb5a64288c087dba9b3bcfa74d974b87a8a4d",
+            "6289f29b04bd769ae1e77492f2ff4554d7ae2d56a966e6f6a72efa84d0ecf285",
+        ),
+        (
             "37f9fbbc2d9fbfa203ec1bca116b3bd87022884c486688b3904aa25ce1a565ce",
             "4d68f36edabc9decb4f3fdef28a82b4a10013a8cd5722effe5a93999728d51c4",
-            "6289f29b04bd769ae1e77492f2ff4554d7ae2d56a966e6f6a72efa84d0ecf285",
         ),
     ),
     (
@@ -210,21 +318,59 @@ GOLDEN = [
         Problem.make(0, 2, 2, {(1, 1): 2}, {0: 4}),
         {},
         (
+            "8a88891a849254fd8d0beacede750ac3f2e0f140f086dc0a25bcaf55bf6fba08",
+            "a7474da5e1ed54b7df69719250da753854403ab4b32bdda117694c3bad4b0a26",
+            "bac9172b3159a23ad261c97896a6c583106204932b6700f4db14d16df5a7c520",
+        ),
+        (
             "de43da424f6718a03ec9134223181a52fd351715900ad4befa1562f361f11b31",
             "3458b42204d8d6ca4a416afeada34cd7f84d9a1ec6ad95e498e32e17f2fc1c50",
-            "bac9172b3159a23ad261c97896a6c583106204932b6700f4db14d16df5a7c520",
         ),
     ),
 ]
 
 
-@pytest.mark.parametrize("label, problem, options, digests", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_rendered_traces_are_pinned(label, problem, options, digests):
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("label, problem, options, digests, unfolded", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_rendered_traces_are_pinned(label, problem, options, digests, unfolded):
     root = trace(problem, **options)
-    rendered = [render(root).encode("utf-8") for render in (render_text, render_json, render_dot)]
-    assert tuple(hashlib.sha256(text).hexdigest() for text in rendered) == digests
+    text, obj, dot = render_text(root), render_json(root), render_dot(root)
+    assert (_sha256(text), _sha256(obj), _sha256(dot)) == digests
+    assert (_sha256(unfold_text(text)), _sha256(unfold_json(obj))) == unfolded
 
 
 def test_golden_traces_reach_every_rule_but_base_n1():
-    reached = {node.rule for _, p, options, _ in GOLDEN for node in iter_nodes(trace(p, **options))}
+    reached = {node.rule for _, p, options, _, _ in GOLDEN for node in iter_nodes(trace(p, **options))}
     assert reached == set(RULES) - {"base-n1"}
+
+
+DAG_CASES = [(label, problem, options) for label, problem, options, _, _ in GOLDEN] + [
+    ("rational P^3 d=3 through 12 lines", Problem.make(0, 3, 3, {(1, 2): 3}, {1: 12}), {}),
+]
+
+
+@pytest.mark.parametrize("label, problem, options", DAG_CASES, ids=[c[0] for c in DAG_CASES])
+def test_text_grows_with_the_dag(label, problem, options):
+    root = trace(problem, **options)
+    nodes = list(iter_nodes(root))
+    entries = _parse_text(render_text(root))
+    assert len(entries) == 1 + sum(len(node.children) for node in nodes)
+    firsts = [k for _, _, _, _, k, first in entries if first]
+    assert sorted(firsts) == list(range(len(nodes)))
+    printed = set()
+    for _, _, _, _, k, first in entries:
+        if first:
+            printed.add(k)
+        else:
+            assert k in printed
+
+
+def test_elliptic_quartic_traces_stay_small():
+    # curvecount trace -g 1 -n 3 -d 4 --lines 16: unfolded into a tree,
+    # its json reached about 4.2 GB resident
+    root = trace(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}))
+    for render in (render_text, render_json):
+        assert len(render(root).encode("utf-8")) < 1_000_000
