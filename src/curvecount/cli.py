@@ -4,7 +4,8 @@ Subcommands: ``count`` for rational and elliptic counts, ``zcount`` for
 divisor-class counts, ``table`` to recompute a reference table, and
 ``trace`` to emit the derivation tree of a count as text, JSON or DOT.
 Exit codes: 0 success, 1 table run with failing rows, 2 invalid input,
-3 unsupported problem, 4 internal exactness failure (InexactCount).
+3 unsupported problem, 4 internal exactness failure (InexactCount),
+141 standard output closed before the output was written.
 """
 
 from __future__ import annotations
@@ -212,7 +213,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone (``| head``).  End quietly, with
+        # the status a shell gives a filter that SIGPIPE ends (128 + 13),
+        # and point stdout at /dev/null so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UnsupportedProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

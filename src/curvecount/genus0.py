@@ -72,8 +72,13 @@ def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
     incidence markers one slot down (an (e+1)-plane meets H in an
     e-plane), its tangency markers on their planes of H, and for each
     attached component of freedom delta one marker on a general
-    delta-plane of H, dual to the plane tail_problem pins it to."""
-    markers = {e - 1: c for e, c in i0.items() if e}
+    delta-plane of H, dual to the plane tail_problem pins it to.  A
+    point marker (e = 0) cannot stay on it: type2_partitions and
+    genus1._split_off_part route every one into the other components,
+    so one here is a fault of the caller and raises."""
+    if i0.get(0):
+        raise AssertionError(f"point markers left on the component in H: {i0}")
+    markers = {e - 1: c for e, c in i0.items()}
     for (_, e), c in h0.items():
         markers[e] = markers.get(e, 0) + c
     for delta in deltas:
@@ -117,12 +122,11 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     The hyperplane component has degree d0, keeps the tangency markers
     h0 and incidence markers i0 (including the specialized one), and
     carries one attachment point per tail.  Each tail is rigid once its
-    attachment is pinned (see hyperplane_term).
+    attachment is pinned (see hyperplane_term).  i0 holds no point
+    marker (e = 0); see hyperplane_markers.
 
     Returns (value, groups) with groups as engine.terms_node expects.
     """
-    if i0.get(0, 0):
-        return 0, []
     if not hyperplane_fits(n, d0, h0, i0, parts):
         return 0, []
     pinned = pin_parts(eng, n, parts)

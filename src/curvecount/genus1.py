@@ -66,8 +66,6 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     """Broken-curve count for a type IIa term: hyperplane component plus
     an off-H elliptic component and rational tails, attachments pinned
     the same way as in the rational recursion."""
-    if i0.get(0, 0):
-        return 0, []
     d1, h1, i1, _ = part1
     if not hyperplane_fits(n, d0, h0, i0, tails, tail_delta(n, d1, h1, i1, genus=1)):
         return 0, []
@@ -91,7 +89,7 @@ def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
     """
     if d0 != 1:
         return 0, []
-    if i0.get(0, 0) or i0.get(2, 0):
+    if i0.get(2, 0):
         return 0, []
     if any(e == 1 for (_, e) in h0):
         return 0, []
@@ -133,15 +131,16 @@ def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
         choices.append((d0**delta, h))
     if delta:
         choices.append((-(d0 ** (delta - 1)), bump(hb, (m1, 3 - delta))))
+    # the hyperplane side is 0 far more often than the middle component
+    yval, ygroups = count_y(eng, 3, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
+    if yval == 0:
+        return 0, []
     mids = []
     for coeff, h in choices:
         mid = Problem.make(0, 3, db, h, ib)
         vmid = eng.count_x(mid)
         if vmid:
             mids.append((coeff, mid, vmid))
-    if not mids:
-        return 0, []
-    _, ygroups = count_y(eng, 3, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
     groups = [
         (ycoeff * coeff, [(mid, vmid)] + factors)
         for ycoeff, factors in ygroups
@@ -174,8 +173,6 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     (hyperplane_markers), and the divisor records the hyperplane class
     of the original curve: tangency markers enter with their contact
     multiplicity, attachments with minus theirs."""
-    if i0.get(0, 0):
-        return 0, []
     pinned = pin_parts(eng, n, tails)
     if pinned is None:
         return 0, []

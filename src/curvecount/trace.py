@@ -3,8 +3,11 @@
 Every node satisfies the exact invariant
 ``count == sum(weight * child.count)`` unless it is a leaf.  Problem
 nodes carry the rule that resolved them (``seed``, ``base-n1``,
-``zero-dim``, ``divisor-axiom``, ``z-evaluation``) or, when the problem
-was expanded by degeneration, the rule of its first term.  Expanded
+``zero-dim``, ``capacity``, ``divisor-axiom``, ``z-evaluation``) or,
+when the problem was expanded by degeneration, the rule of its first
+term.  A ``capacity`` leaf counts 0 without expansion: no curve of its
+genus and degree passes through that many general points
+(engine.beyond_capacity).  Expanded
 problems get one child per contributing term (rules ``type-I``,
 ``type-IIplain``, ``type-IIa``, ``type-IIb``, ``type-IIc``); a term node
 repeats the parent problem and its children are the factor problems of
@@ -33,6 +36,7 @@ RULES = (
     "seed",
     "base-n1",
     "zero-dim",
+    "capacity",
     "divisor-axiom",
     "type-I",
     "type-IIplain",

@@ -360,3 +360,26 @@ def test_python_dash_m_runs_the_cli():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "1\n"
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # curvecount trace ... | head -1: the json (about 150 kB) outgrows
+    # the pipe's buffer, so the write meets the reader's closed end
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(curvecount.__file__).resolve().parent.parent)
+    argv = ["trace", "-n", "3", "-d", "4", "--lines", "16", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "curvecount", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (141, b"")

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import curvecount
-from curvecount import Engine, InexactCount, Problem, ZProblem, parse_divisor, parse_problem
+from curvecount import (
+    Engine,
+    InexactCount,
+    Problem,
+    ZProblem,
+    parse_divisor,
+    parse_problem,
+    render_text,
+    trace,
+)
 from curvecount import fibration, genus0
 from curvecount.cli import main
 from curvecount.engine import check_all_orders, memo_key, unmarked
@@ -30,6 +39,9 @@ SAMPLE = [
     "Problem.make(1, 3, 4, {(1, 2): 2, (1, 1): 1, (1, 0): 1}, {1: 6, 0: 2})",
     "ZProblem.make(2, 4, {0: 11}, parse_divisor('p1+p2+p3+p4'))",
     "ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor('3*l1'))",
+    # roots that engine.beyond_capacity answers without expanding them
+    "Problem.make(1, 2, 2, {(1, 1): 2}, {0: 6})",
+    "Problem.make(0, 3, 2, {(1, 2): 2}, {0: 5, 3: 2})",
 ]
 
 
@@ -71,6 +83,14 @@ def test_counts_under_python_O_match_plain_runs():
     plain = [str(eng.count(eval(expr))) for expr in SAMPLE]
     assert lines[1:] == plain
     assert (plain[0], plain[1], plain[6]) == ("480960", "116", "62")
+
+
+def test_capacity_trace_under_python_O():
+    p = Problem.make(1, 2, 2, {(1, 1): 2}, {0: 6})
+    res = _optimized("-m", "curvecount", "trace", "-g", "1", "-n", "2", "-d", "2", "--points", "6")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == render_text(trace(p)) + "\n"
+    assert res.stdout.endswith("[capacity] #0\n")
 
 
 def test_check_all_orders_zcount_under_python_O():

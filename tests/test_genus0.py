@@ -5,8 +5,12 @@ engine."""
 
 import math
 
+import pytest
+
 from curvecount import Engine, Problem, UnsupportedProblem
-from curvecount.genus0 import count_y
+from curvecount.genus0 import count_y, tail_window
+from curvecount.genus1 import _split_off_part
+from curvecount.partitions import type2_partitions
 from oracles import kontsevich_numbers, lines_meeting
 
 # degree: curves through 3d-1 general plane points
@@ -116,11 +120,16 @@ def test_divisor_axiom_flag_equivalence():
 
 def test_part_zero_rejects_ambient_points():
     # a component inside the hyperplane cannot pass through a general
-    # ambient point
-    eng = Engine()
-    value, groups = count_y(eng, 3, 1, {}, {0: 1}, ())
-    assert value == 0
-    assert groups == []
+    # ambient point, so the type II enumerators hand every point marker
+    # to the components off H and count_y never sees one
+    h, i = {(1, 2): 4}, {0: 3, 1: 4}
+    window = tail_window(3, 0)
+    shapes = [i0 for *_, i0, _ in type2_partitions(4, h, i, 3, window, 2)]
+    shapes += [i0 for *_, i0, _ in _split_off_part(3, 4, h, i, 2, tail_window(3, 1), 1, 3, window)]
+    assert len(shapes) > 10
+    assert [i0 for i0 in shapes if i0.get(0, 0)] == []
+    with pytest.raises(AssertionError, match="point markers left"):
+        count_y(Engine(), 3, 1, {}, {0: 1}, ())
 
 
 def test_order_choice_does_not_change_counts():

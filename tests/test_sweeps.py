@@ -8,9 +8,17 @@ so every problem asking for more counts 0; and every incidence-only
 rational count agrees with the WDVV recursion of bench/oracle.py, which
 never calls the engine.
 
-The engine cuts degeneration shapes on the first two facts before
-counting them, so the memo store of a count holds no such problem;
-test_dead_shapes_are_cut_before_counting reads that off the store.
+The engine answers the first two facts without expanding a problem
+(engine.beyond_capacity), so the zero sweeps hand their cells to the
+expanders, genus0.expand_x, genus1.expand_w and fibration.expand_z:
+the recursion's own 0 is checked, and the rule only answers the
+smaller problems a cell reduces to.  The rule flags no problem with a
+nonzero count, checked against the WDVV cells, the reference tables
+and every record the frontier problems of the benchmark store when the
+rule is off.  The engine also cuts degeneration shapes on those facts
+before counting them, and the memo store of a count holds no problem
+the rule flags; test_dead_shapes_are_cut_before_counting reads that
+off the store.
 """
 
 import importlib
@@ -20,10 +28,14 @@ from pathlib import Path
 
 import pytest
 
-from curvecount import Engine, Problem, ZProblem, parse_problem
-from curvecount.engine import unmarked
+from curvecount import Engine, Problem, ZProblem, engine, parse_problem, table_rows
+from curvecount.engine import beyond_capacity, unmarked
+from curvecount.fibration import expand_z
+from curvecount.genus0 import expand_x
+from curvecount.genus1 import expand_w
 from curvecount.partitions import points_on_curve
 from curvecount.problems import dim_w, dim_x, dim_z, validate, validate_z
+from curvecount.tables import TABLES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -99,14 +111,16 @@ def test_no_elliptic_curves_of_degree_below_three():
     eng = Engine()
     cells = list(_w_cells())
     assert len(cells) == 322
-    assert [p for p in cells if eng.count(p)] == []
+    assert all(beyond_capacity(p) for p in cells)
+    assert [p for p in cells if expand_w(eng, p)[0]] == []
 
 
 def test_no_divisor_class_counts_of_degree_below_three():
     eng = Engine()
     cells = _z_cells()
     assert len(cells) == 478
-    assert [z for z in cells if eng.count(z)] == []
+    assert all(beyond_capacity(z) for z in cells)
+    assert [z for z in cells if expand_z(eng, z)[0]] == []
 
 
 def _over_capacity_cells():
@@ -133,37 +147,60 @@ def test_no_rational_curves_through_more_points_than_their_capacity():
     eng = Engine()
     cells = list(_over_capacity_cells())
     assert len(cells) == 3124
-    assert [p for p in cells if eng.count(p)] == []
+    assert all(beyond_capacity(p) for p in cells)
+    assert [p for p in cells if expand_x(eng, p)[0]] == []
 
 
-def _degree(key):
-    return int(key.split(" d=", 1)[1].split(None, 1)[0])
+def _record_problem(key):
+    """The problem a memo record counts.  A fibration pairing (QQ, HQ,
+    HH, HMQ, SS) gives its family's divisor problem without a divisor,
+    which is all beyond_capacity reads of it."""
+    family, _, text = key.partition("|")
+    if family in ("X", "W"):
+        return parse_problem(text)
+    fields = dict(field.split("=", 1) for field in text.split())
+    i = {} if fields["i"] == "-" else dict(map(int, e.split(":")) for e in fields["i"].split(";"))
+    return ZProblem.make(int(fields["n"]), int(fields["d"]), i)
 
 
-def _over_capacity_records(store):
-    """X records in P^2 and beyond whose problem has more point markers
-    than a rational curve of its degree passes through."""
-    over = []
-    for key, _ in store.items():
-        if key.startswith("X|"):
-            p = parse_problem(key[2:])
-            if p.n >= 2 and p.i_map().get(0, 0) > points_on_curve(p.n, p.d):
-                over.append(key)
-    return over
+# The frontier problems of the benchmark (bench/workloads.py).
+FRONTIER = [
+    Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}),
+    Problem.make(0, 2, 7, {(1, 1): 7}, {0: 20}),
+    Problem.make(0, 4, 3, {(1, 3): 3}, {1: 8}),
+    Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}),
+    Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}),
+    Problem.make(1, 2, 7, {(1, 1): 7}, {0: 21}),
+]
+
+
+def test_capacity_rule_flags_only_zero_counts(monkeypatch):
+    # with the rule off, every problem is expanded and stored
+    monkeypatch.setattr(engine, "beyond_capacity", lambda problem: False)
+    eng = Engine()
+    for p in FRONTIER:
+        assert eng.count(p)
+    # the problem of every table row is one of the records
+    rows = [row for name in TABLES for row in table_rows(name, eng)]
+    assert len(rows) == 151 and all(row.status != "FAIL" for row in rows)
+    records = dict(eng.store.items())
+    flagged = [key for key in records if beyond_capacity(_record_problem(key))]
+    assert len(flagged) > 1000  # 1,133, most of them from elliptic P^3 d=5
+    assert [key for key in flagged if records[key]] == []
 
 
 def test_dead_shapes_are_cut_before_counting():
-    eng = Engine()
-    assert eng.count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) == 52832040 * 24
-    low = [k for k, _ in eng.store.items() if k[:2] in ("W|", "Z|") and _degree(k) <= 2]
-    assert low == []
-    for p, value in (
-        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120),
-        (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24),
+    for p, value, size in (
+        # 2,327 records while the engine expanded and stored such problems
+        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 2583319387968 * 120, 1064),
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 189),
+        (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24, 215),
     ):
         eng = Engine()
         assert eng.count(p) == value
-        assert _over_capacity_records(eng.store) == [], p
+        records = [key for key, _ in eng.store.items()]
+        assert len(records) == size, p
+        assert [key for key in records if beyond_capacity(_record_problem(key))] == [], p
 
 
 @pytest.fixture
@@ -175,15 +212,29 @@ def oracle():
         sys.path.remove(str(BENCH))
 
 
-def test_incidence_only_rational_counts_match_wdvv(oracle):
-    eng = Engine()
-    cells = 0
+def _wdvv_cells():
+    """Zero-dimensional incidence-only rational problems: P^2 d <= 7,
+    P^3 d <= 4, P^4 d <= 3, with and without one hyperplane marker."""
     for n, d_max in ((2, 7), (3, 4), (4, 3)):
         for d, hyps in itertools.product(range(1, d_max + 1), (0, 1)):
             for i in _incidence_vectors(n, (n + 1) * d + n - 3):
                 p = Problem.make(0, n, d, {(1, n - 1): d}, {**i, n - 1: hyps})
                 assert dim_x(p) == 0
-                expected = oracle.gw_invariant(n, d, oracle.incidence_codims(p))
-                assert unmarked(eng.count(p), p) == expected, p
-                cells += 1
+                yield p
+
+
+def test_incidence_only_rational_counts_match_wdvv(oracle):
+    eng = Engine()
+    cells = 0
+    for p in _wdvv_cells():
+        expected = oracle.gw_invariant(p.n, p.d, oracle.incidence_codims(p))
+        assert unmarked(eng.count(p), p) == expected, p
+        cells += 1
     assert cells == 168
+
+
+def test_capacity_rule_flags_no_wdvv_cell_with_curves(oracle):
+    cells = list(_wdvv_cells())
+    counted = [p for p in cells if oracle.gw_invariant(p.n, p.d, oracle.incidence_codims(p))]
+    assert len(cells) == 168 and counted
+    assert [p for p in counted if beyond_capacity(p)] == []

@@ -203,6 +203,28 @@ def test_positive_dim_leaf():
     assert root.children == []
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        Problem.make(1, 2, 2, {(1, 1): 2}, {0: 6}),
+        ZProblem.make(2, 2, {0: 5}, parse_divisor("p1+p2")),
+        Problem.make(1, 3, 3, {(1, 2): 3}, {0: 7, 3: 2}),
+        Problem.make(0, 3, 2, {(1, 2): 2}, {0: 5, 3: 2}),
+    ],
+    ids=str,
+)
+def test_capacity_root_is_a_leaf(problem):
+    # no elliptic curve of degree 2; no elliptic cubic through 7 points
+    # of P^3; no conic through 5 general points of P^3
+    tracer = Tracer()
+    eng = Engine(tracer=tracer)
+    assert eng.count(problem) == 0
+    root = trace(problem)
+    assert (root.rule, root.count, root.dim, root.children) == ("capacity", 0, 0, [])
+    assert list(tracer.nodes.values()) == [root]
+    assert list(eng.store.items()) == []
+
+
 def test_shared_subproblems_share_nodes():
     tracer = Tracer()
     eng = Engine(tracer=tracer)
@@ -225,7 +247,8 @@ def test_shared_subproblems_share_nodes():
 # and json unfolded into trees.  The dot and unfolded digests were pinned
 # from the engine before the degeneration step was shared between the
 # genera, when text and json were printed as trees; the text and json
-# digests since they emit each node once.  A change to any of these is a
+# digests since they emit each node once.  The capacity case was pinned
+# whole when that rule was added.  A change to any of these is a
 # change to how counts are assembled or shown, and re-pins them on
 # purpose.
 GOLDEN = [
@@ -311,6 +334,20 @@ GOLDEN = [
         (
             "37f9fbbc2d9fbfa203ec1bca116b3bd87022884c486688b3904aa25ce1a565ce",
             "4d68f36edabc9decb4f3fdef28a82b4a10013a8cd5722effe5a93999728d51c4",
+        ),
+    ),
+    (
+        "elliptic conics through 6 points: capacity",
+        Problem.make(1, 2, 2, {(1, 1): 2}, {0: 6}),
+        {},
+        (
+            "33db652ee85f9eea9ec1cee42632131b3eab3850327e64f67b83cedfe38d1153",
+            "35479e2b2544779124f93f1628b7878809070c5b71336b0a64ce0e63a3fa8d47",
+            "f3196216c2ec9e9fa348841b401e33d5923c488e25a181a72cb9af4d22d449f3",
+        ),
+        (
+            "c39b46258b1c79da835cc6fdc8b498f47b0d0f7f3bf1844a27600d83a7a666cf",
+            "6c7fd9df1a98f6cb99204c706bbed55dca3767887f1c6b1a9ad6ce7473d7009c",
         ),
     ),
     (
