@@ -5,7 +5,8 @@ Keys are the canonical problem texts prefixed by the count family
 format is one header line ``EGC-CACHE v1`` followed by one
 ``key<TAB>value`` record per line, UTF-8, LF line endings, keys sorted,
 so saves are byte-identical for equal contents.  Values are decimal
-integers exactly as ``str(int)`` writes them.
+integers exactly as ``str(int)`` writes them.  A save merges the
+records already in the file (MemoStore.save).
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ class MemoStore:
         return count
 
     def save(self, path) -> None:
+        """Write the records to ``path`` after merging in those already
+        there (say, from another run that shares the file); a differing
+        value raises CacheConflict and writes nothing.  This is not a
+        lock: a run that saves between this read and replace is lost."""
+        if os.path.exists(path):
+            self.load(path)
         body = "".join(f"{key}\t{self._data[key]}\n" for key in sorted(self._data))
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

@@ -5,36 +5,27 @@ divisor-class counts, ``table`` to recompute a reference table, and
 ``trace`` to emit the derivation tree of a count as text, JSON or DOT.
 Exit codes: 0 success, 1 table run with failing rows, 2 invalid input,
 3 unsupported problem, 4 internal exactness failure (InexactCount),
+130 interrupted (Ctrl-C; the ``--cache`` file is saved first),
 141 standard output closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
-import re
 import sys
 
 from .cache import CacheConflict, InvalidCacheFile, MemoStore
 from .engine import Engine, InexactCount, check_all_orders, unmarked, trace as build_trace
-from .problems import InvalidProblem, Problem, UnsupportedProblem, ZProblem, parse_divisor
+from .problems import InvalidProblem, Problem, UnsupportedProblem, ZProblem, parse_divisor, parse_entries
 from .tables import TABLES, table_rows
 from .trace import render_dot, render_json, render_text
 
-_TANGENCY_RE = re.compile(r"(\d+),(\d+):(\d+)\Z")
-_INCIDENCE_RE = re.compile(r"(\d+):(\d+)\Z")
-
 
 def _gather_tangency(specs, n: int, d: int) -> dict:
-    h: dict = {}
-    total = 0
-    for spec in specs or ():
-        mt = _TANGENCY_RE.match(spec)
-        if not mt:
-            raise InvalidProblem(f"bad --tangency {spec!r}, expected m,e:count")
-        m, e, c = (int(g) for g in mt.groups())
-        h[(m, e)] = h.get((m, e), 0) + c
-        total += m * c
+    h = parse_entries(specs or (), True, "--tangency")
+    total = sum(m * c for (m, _), c in h.items())
     if total > d:
         raise InvalidProblem(
             f"tangency conditions account for {total} hyperplane intersections, more than the degree {d}"
@@ -46,13 +37,7 @@ def _gather_tangency(specs, n: int, d: int) -> dict:
 
 
 def _gather_incidence(args) -> dict:
-    i: dict = {}
-    for spec in args.incidence or ():
-        mt = _INCIDENCE_RE.match(spec)
-        if not mt:
-            raise InvalidProblem(f"bad --incidence {spec!r}, expected e:count")
-        e, c = (int(g) for g in mt.groups())
-        i[e] = i.get(e, 0) + c
+    i = parse_entries(args.incidence or (), False, "--incidence")
     if args.points:
         i[0] = i.get(0, 0) + args.points
     if args.lines:
@@ -60,14 +45,20 @@ def _gather_incidence(args) -> dict:
     return i
 
 
-def _load_store(path) -> MemoStore:
+@contextlib.contextmanager
+def _cached(path):
+    """The memo store of ``--cache PATH``: loaded from PATH when the file
+    exists, and saved there when the run ends or is interrupted
+    (KeyboardInterrupt), so an interrupted run keeps its work."""
     store = MemoStore()
     if path and os.path.exists(path):
         store.load(path)
-    return store
-
-
-def _save_store(store: MemoStore, path) -> None:
+    try:
+        yield store
+    except KeyboardInterrupt:
+        if path:
+            store.save(path)
+        raise
     if path:
         store.save(path)
 
@@ -88,12 +79,11 @@ def _problem(args):
 
 def cmd_count(args) -> int:
     problem = _problem(args)
-    store = _load_store(args.cache)
-    eng = Engine(store, divisor_axiom=not args.no_divisor_axiom, order=args.degeneration_order)
-    value = eng.count(problem)
-    if args.check_all_orders:
-        check_all_orders(problem, value, not args.no_divisor_axiom)
-    _save_store(store, args.cache)
+    with _cached(args.cache) as store:
+        eng = Engine(store, divisor_axiom=not args.no_divisor_axiom, order=args.degeneration_order)
+        value = eng.count(problem)
+        if args.check_all_orders:
+            check_all_orders(problem, value, not args.no_divisor_axiom)
     print(unmarked(value, problem) if args.unmarked else value)
     return 0
 
@@ -103,9 +93,8 @@ def cmd_table(args) -> int:
         known = ", ".join(sorted(TABLES))
         print(f"error: unknown table {args.name!r}; known tables: {known}", file=sys.stderr)
         return 2
-    store = _load_store(args.cache)
-    rows = table_rows(args.name, Engine(store))
-    _save_store(store, args.cache)
+    with _cached(args.cache) as store:
+        rows = table_rows(args.name, Engine(store))
     width = max(len(row.label) for row in rows)
     counts = {"PASS": 0, "FAIL": 0, "DISCREPANCY": 0}
     for row in rows:
@@ -121,14 +110,13 @@ def cmd_table(args) -> int:
 
 def cmd_trace(args) -> int:
     problem = _problem(args)
-    store = _load_store(args.cache)
-    root = build_trace(
-        problem,
-        divisor_axiom=not args.no_divisor_axiom,
-        order=args.degeneration_order,
-        store=store,
-    )
-    _save_store(store, args.cache)
+    with _cached(args.cache) as store:
+        root = build_trace(
+            problem,
+            divisor_axiom=not args.no_divisor_axiom,
+            order=args.degeneration_order,
+            store=store,
+        )
     if args.format == "json":
         print(render_json(root))
     elif args.format == "dot":
@@ -233,6 +221,10 @@ def main(argv=None) -> int:
     except InexactCount as exc:
         print(f"error: internal exactness check failed: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as a shell reports a command that Ctrl-C ends.
+        print("error: interrupted; the --cache file, if given, keeps the counts made so far", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

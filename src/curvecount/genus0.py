@@ -54,17 +54,10 @@ def tail_problem(n: int, dk: int, hk: dict, ik: dict, genus: int = 0):
     return Problem.make(genus, n, dk, bump(hk, (attach_mult(dk, hk.items()), n - 1 - delta)), ik), delta
 
 
-def pin_parts(eng: Engine, n: int, parts):
-    """Pin and count each rational tail in ``parts``.  Returns a list of
-    (problem, count, delta), or None at the first tail that counts 0."""
-    pinned = []
-    for dk, h_items, i_items in parts:
-        child, delta = tail_problem(n, dk, dict(h_items), dict(i_items))
-        v = eng.count_x(child)
-        if v == 0:
-            return None
-        pinned.append((child, v, delta))
-    return pinned
+def rational_parts(tails):
+    """The rational tails that type2_partitions yields, as
+    hyperplane_term components."""
+    return [(0, dk, dict(h), dict(i)) for dk, h, i in tails]
 
 
 def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
@@ -86,31 +79,32 @@ def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
     return markers
 
 
-def hyperplane_fits(n: int, d0: int, h0: dict, i0: dict, tails, *deltas: int) -> bool:
-    """Whether the hyperplane component of degree d0 can pass through
-    the points of H it is asked to (slot 0 of hyperplane_markers), with
-    attachments from the rational ``tails`` and from components of the
-    given further ``deltas``.  A False here means the problem
-    hyperplane_term builds counts 0.  Over P^2 the component is the
-    line H itself and nothing is cut."""
-    if n < 3:
-        return True
-    deltas = [tail_delta(n, dk, dict(h), dict(i)) for dk, h, i in tails] + list(deltas)
-    return hyperplane_markers(h0, i0, deltas).get(0, 0) <= points_on_curve(n - 1, d0)
-
-
-def hyperplane_term(eng: Engine, n: int, d0: int, h0: dict, i0: dict, pinned):
-    """A broken curve's count from its pinned components: the
-    hyperplane component becomes a rational curve problem in H itself,
-    with the markers of hyperplane_markers and the d0 intersections
-    with a hyperplane of H as fresh free contacts.  Returns
-    (value, groups) as count_y."""
-    i0p = hyperplane_markers(h0, i0, [dlt for _, _, dlt in pinned])
+def hyperplane_term(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
+    """A broken curve's count from its attached components ``parts``,
+    each (genus, dk, hk, ik) and pinned by tail_problem: the hyperplane
+    component becomes a rational curve problem in H itself, with the
+    markers of hyperplane_markers and the d0 intersections with a
+    hyperplane of H as fresh free contacts.  It counts 0, before any
+    component is pinned, when it would pass through more points of H
+    than a curve of degree d0 can; over P^2 a point of the line H costs
+    nothing and nothing is cut.  Returns (value, groups) as count_y."""
+    i0p = hyperplane_markers(h0, i0, [tail_delta(n, dk, hk, ik, g) for g, dk, hk, ik in parts])
+    if n >= 3 and i0p.get(0, 0) > points_on_curve(n - 1, d0):
+        return 0, []
+    # Counted here, not in a helper: a frame more on every level of the
+    # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
+    factors = []
+    for genus, dk, hk, ik in parts:
+        child, _ = tail_problem(n, dk, hk, ik, genus)
+        v = eng.count_w(child) if genus else eng.count_x(child)
+        if v == 0:
+            return 0, []
+        factors.append((child, v))
     child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
     v0 = eng.count_x(child0)
     if v0 == 0:
         return 0, []
-    factors = [(child0, v0)] + [(child, v) for child, v, _ in pinned]
+    factors = [(child0, v0)] + factors
     groups = [(Fraction(1, math.factorial(d0)), factors)]
     value = exact_int(group_sum(groups), "hyperplane-component relabelings must divide the count")
     return value, groups
@@ -127,12 +121,7 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
 
     Returns (value, groups) with groups as engine.terms_node expects.
     """
-    if not hyperplane_fits(n, d0, h0, i0, parts):
-        return 0, []
-    pinned = pin_parts(eng, n, parts)
-    if pinned is None:
-        return 0, []
-    return hyperplane_term(eng, n, d0, h0, i0, pinned)
+    return hyperplane_term(eng, n, d0, h0, i0, rational_parts(parts))
 
 
 def settle(eng: Engine, p: Problem, first_slot=None):

@@ -5,9 +5,10 @@ drives the recursion, but a broken curve now distributes the genus:
 either the elliptic component stays off H attached to the hyperplane
 component (type IIa), or a rational component meets the hyperplane
 component at two points and the resulting cycle carries the genus
-(type IIb), or the elliptic component itself falls into H, where its
-count becomes a divisor-class problem on the smaller space (type IIc,
-meaningful only over P^3).  Ambient spaces beyond P^3 would need
+(type IIb, one formula for P^2 and P^3 in _yb_tilde), or the elliptic
+component itself falls into H, where its count becomes a
+divisor-class problem on the smaller space (type IIc, meaningful only
+over P^3).  Ambient spaces beyond P^3 would need
 intersection theory on larger parameter spaces and are reported as
 unsupported rather than guessed at.
 """
@@ -20,10 +21,9 @@ from fractions import Fraction
 from .engine import Engine, InexactCount, finish_terms, group_sum
 from .genus0 import (
     count_y,
-    hyperplane_fits,
     hyperplane_markers,
     hyperplane_term,
-    pin_parts,
+    rational_parts,
     settle,
     specialize,
     tail_delta,
@@ -67,77 +67,45 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     an off-H elliptic component and rational tails, attachments pinned
     the same way as in the rational recursion."""
     d1, h1, i1, _ = part1
-    if not hyperplane_fits(n, d0, h0, i0, tails, tail_delta(n, d1, h1, i1, genus=1)):
-        return 0, []
-    ell, delta1 = tail_problem(n, d1, h1, i1, genus=1)
-    v1 = eng.count_w(ell)
-    if v1 == 0:
-        return 0, []
-    pinned = pin_parts(eng, n, tails)
-    if pinned is None:
-        return 0, []
-    return hyperplane_term(eng, n, d0, h0, i0, [(ell, v1, delta1)] + pinned)
+    return hyperplane_term(eng, n, d0, h0, i0, [(1, d1, h1, i1)] + rational_parts(tails))
 
 
-def _yb_tilde2(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
-    """Ordered doubly-attached configurations over P^2.
-
-    The hyperplane component must be the line H itself, so each of its
-    surviving conditions is met in exactly one way: tangency markers at
-    general points of H and incidence markers on general lines.  The
-    doubly-attached component and the tails attach at free points of H.
-    """
-    if d0 != 1:
-        return 0, []
-    if i0.get(2, 0):
-        return 0, []
-    if any(e == 1 for (_, e) in h0):
-        return 0, []
-    mid = Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m12, 1)), ib)
-    vmid = eng.count_x(mid)
-    if vmid == 0:
-        return 0, []
-    # The tails' window makes each of them rigid with its attachment
-    # free on H, so pinning puts every attachment at a free point.
-    pinned = pin_parts(eng, 2, tails)
-    if pinned is None:
-        return 0, []
-    groups = [(Fraction(1), [(mid, vmid)] + [(child, v) for child, v, _ in pinned])]
-    return group_sum(groups), groups
-
-
-def _yb_tilde3(eng: Engine, d0, h0, i0, db, hb, ib, m11, m12, tails):
-    """Ordered doubly-attached configurations over P^3.
+def _yb_tilde(eng: Engine, n, d0, h0, i0, db, hb, ib, m11, m12, tails):
+    """Ordered doubly-attached configurations over P^n.
 
     With both contact points free on H the doubly-attached component
-    keeps a freedom delta in 0..2 (the window in expand_w).  Putting
-    delta of its two contacts on a line of H, which meets the
+    keeps a freedom delta in 0..2n-4 (the window in expand_w).  Putting
+    delta of its two contacts on a hyperplane of H, which meets the
     hyperplane component in d0 points, makes it rigid; the other
     contacts become point conditions on the hyperplane component.
-    Every such choice counts with a factor d0 per contact on a line,
-    and for delta >= 1 the configurations where the two contacts
-    collide are subtracted once: the merged contact on a general
-    (3 - delta)-plane of H, weighted d0**(delta - 1).
+    Every such choice counts with a factor d0 per contact on a
+    hyperplane of H, and for delta >= 1 the configurations where the
+    two contacts collide are subtracted once: the merged contact on a
+    general (n - delta)-plane of H, weighted d0**(delta - 1).
+
+    Over P^2 delta is 0 and H is a line: the hyperplane component's
+    problem on H = P^1 is zero-dimensional, and counts 1, exactly when
+    d0 = 1 and every marker it carries lies on a point of H.
     """
     m1 = m11 + m12
-    delta = tail_delta(3, db, hb, ib) + 1
+    delta = tail_delta(n, db, hb, ib) + 1
     if not 0 <= delta <= 2:
-        raise AssertionError(f"doubly-attached component of freedom {delta} in P^3")
+        raise AssertionError(f"doubly-attached component of freedom {delta} in P^{n}")
     choices = []
-    for on_line in itertools.combinations((0, 1), delta):
+    for on_plane in itertools.combinations((0, 1), delta):
         h = hb
         for k, m in enumerate((m11, m12)):
-            h = bump(h, (m, 1 if k in on_line else 2))
+            h = bump(h, (m, n - 2 if k in on_plane else n - 1))
         choices.append((d0**delta, h))
     if delta:
-        choices.append((-(d0 ** (delta - 1)), bump(hb, (m1, 3 - delta))))
+        choices.append((-(d0 ** (delta - 1)), bump(hb, (m1, n - delta))))
     # the hyperplane side is 0 far more often than the middle component
-    yval, ygroups = count_y(eng, 3, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
+    yval, ygroups = count_y(eng, n, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
     if yval == 0:
         return 0, []
     mids = []
     for coeff, h in choices:
-        mid = Problem.make(0, 3, db, h, ib)
+        mid = Problem.make(0, n, db, h, ib)
         vmid = eng.count_x(mid)
         if vmid:
             mids.append((coeff, mid, vmid))
@@ -155,12 +123,11 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     ordered splits of its total contact multiplicity.  The half weight
     cancels the swap of the two attachment points."""
     db, hb, ib, m1 = part1
-    tilde = _yb_tilde2 if n == 2 else _yb_tilde3
     groups = []
     for m11 in range(1, m1):
         m12 = m1 - m11
         coeff = Fraction(m11 * m12, 2)
-        tval, tgroups = tilde(eng, d0, h0, i0, db, hb, ib, m11, m12, tails)
+        tval, tgroups = _yb_tilde(eng, n, d0, h0, i0, db, hb, ib, m11, m12, tails)
         if tval:
             groups.extend((coeff * gc, fac) for gc, fac in tgroups)
     return group_sum(groups), groups
@@ -173,11 +140,15 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     (hyperplane_markers), and the divisor records the hyperplane class
     of the original curve: tangency markers enter with their contact
     multiplicity, attachments with minus theirs."""
-    pinned = pin_parts(eng, n, tails)
-    if pinned is None:
-        return 0, []
+    deltas, factors = [], []
+    for dk, h_items, i_items in tails:
+        child, delta = tail_problem(n, dk, dict(h_items), dict(i_items))
+        v = eng.count_x(child)
+        if v == 0:
+            return 0, []
+        deltas.append(delta)
+        factors.append((child, v))
     rams = [attach_mult(dk, h_items) for dk, h_items, _ in tails]
-    deltas = [dlt for _, _, dlt in pinned]
     divisor = []
     for e in range(n):
         # Slot e numbers its inherited markers first, then the
@@ -193,7 +164,7 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     vz = eng.count_z(z)
     if vz == 0:
         return 0, []
-    groups = [(Fraction(1), [(z, vz)] + [(child, v) for child, v, _ in pinned])]
+    groups = [(Fraction(1), [(z, vz)] + factors)]
     return group_sum(groups), groups
 
 
@@ -217,11 +188,13 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
             terms.append(("type-IIa", ways * m1 * ram, value, groups))
 
     # With its two contacts taken as one free on H, the doubly-attached
-    # component has freedom -1 over P^2 and -1..1 over P^3 (see
-    # _yb_tilde3); over P^2 the tails attach at free points, so are rigid.
+    # component has freedom -1..2n-5 (see _yb_tilde).  Over P^2 the
+    # hyperplane component is the line H, so a tail of delta 1 leaves a
+    # marker free on it and counts 0: tails take 0..2n-4, which over
+    # P^3 is the rational window.
     for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1,
-        tail_window(2, 0, 0, 0) if n == 2 else rational,
+        tail_window(n, 0, 0, 2 * n - 4),
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1), tails)
         if value:

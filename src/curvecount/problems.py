@@ -185,8 +185,22 @@ def format_problem(p: Problem) -> str:
     return f"g={p.genus} n={p.n} d={p.d} h={h_txt} i={i_txt}"
 
 
-_H_ENTRY_RE = re.compile(r"^(\d+),(\d+):(-?\d+)$")
-_I_ENTRY_RE = re.compile(r"^(\d+):(-?\d+)$")
+_ENTRY_RE = re.compile(r"(?:(\d+),)?(\d+):(-?\d+)")
+
+
+def parse_entries(entries, tangency: bool, label: str) -> dict:
+    """The ``m,e:count`` (tangency) or ``e:count`` (incidence) entries
+    as one vector, {(m, e): count} or {e: count}, repeated keys summed.
+    A malformed entry raises InvalidProblem "bad <label> ..."; a
+    negative count is left to Problem.make."""
+    vec: dict = {}
+    for entry in entries:
+        mt = _ENTRY_RE.fullmatch(entry)
+        if not mt or (mt[1] is None) == tangency:
+            raise InvalidProblem(f"bad {label} {entry!r}, expected {'m,e' if tangency else 'e'}:count")
+        key = (int(mt[1]), int(mt[2])) if tangency else int(mt[2])
+        vec[key] = vec.get(key, 0) + int(mt[3])
+    return vec
 
 
 def parse_problem(text: str) -> Problem:
@@ -221,22 +235,8 @@ def parse_problem(text: str) -> Problem:
         d = int(fields["d"])
     except ValueError as exc:
         raise InvalidProblem(f"non-integer numeric field: {exc}") from None
-    h: dict[tuple[int, int], int] = {}
-    if fields["h"] != "-":
-        for entry in fields["h"].split(";"):
-            mt = _H_ENTRY_RE.match(entry)
-            if not mt:
-                raise InvalidProblem(f"bad tangency entry {entry!r}, expected m,e:count")
-            m, e, c = (int(g) for g in mt.groups())
-            h[(m, e)] = h.get((m, e), 0) + c
-    i: dict[int, int] = {}
-    if fields["i"] != "-":
-        for entry in fields["i"].split(";"):
-            mt = _I_ENTRY_RE.match(entry)
-            if not mt:
-                raise InvalidProblem(f"bad incidence entry {entry!r}, expected e:count")
-            e, c = (int(g) for g in mt.groups())
-            i[e] = i.get(e, 0) + c
+    h = {} if fields["h"] == "-" else parse_entries(fields["h"].split(";"), True, "tangency entry")
+    i = {} if fields["i"] == "-" else parse_entries(fields["i"].split(";"), False, "incidence entry")
     return validate(Problem.make(genus, n, d, h, i))
 
 

@@ -10,7 +10,7 @@ from curvecount.cache import MAGIC, CacheConflict, InvalidCacheFile, MemoStore
 from curvecount.cli import main
 
 # sha256 of the cache file that a cold `curvecount table
-# p3-elliptic-cubics --cache F` writes: 246 records across the X, W,
+# p3-elliptic-cubics --cache F` writes: 248 records across the X, W,
 # Z, QQ, HQ, HH, HMQ and SS families.  It pins every subproblem the
 # table stores and its value; a change that stores different
 # subproblems re-pins it on purpose.  (The file had 1,144 records
@@ -18,8 +18,9 @@ from curvecount.cli import main
 # over their point capacity were cut, and 315 before problems that
 # engine.beyond_capacity flags were no longer stored; the 69 records
 # dropped then were all 0, and each of the 246 kept records has the
-# value it had there.)
-ELLIPTIC_CUBICS_CACHE_SHA256 = "37e4727b6a861b116e133a6c70fa9501867d5321245280b0f88baeb284e3c23f"
+# value it had there.  The 2 records added when P^2 and P^3 type IIb
+# came to share one evaluator are P^1 lines through points, count 1.)
+ELLIPTIC_CUBICS_CACHE_SHA256 = "b6f5a803c86dea83f061adc1b93265deb602b22df41833844f4cdf2bcc6c0962"
 
 
 def test_round_trip(tmp_path):
@@ -115,6 +116,36 @@ def test_merge_disjoint(tmp_path):
     assert dict(merged.items()) == {"k1": 1, "k2": -7}
 
 
+def test_save_keeps_the_records_of_a_run_that_shares_the_file(tmp_path):
+    path = tmp_path / "shared.egc"
+    a = MemoStore()
+    a.store("k1", 1)
+    a.store("k", 5)
+    b = MemoStore()
+    b.store("k2", -7)
+    b.store("k", 5)
+    a.save(path)
+    b.save(path)
+    fresh = MemoStore()
+    assert fresh.load(path) == 3
+    assert dict(fresh.items()) == {"k": 5, "k1": 1, "k2": -7}
+
+
+def test_save_refuses_a_conflicting_record_and_writes_nothing(tmp_path):
+    path = tmp_path / "shared.egc"
+    a = MemoStore()
+    a.store("k", 1)
+    a.save(path)
+    before = path.read_bytes()
+    b = MemoStore()
+    b.store("k", 2)
+    b.store("k2", 3)
+    with pytest.raises(CacheConflict):
+        b.save(path)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["shared.egc"]
+
+
 def test_save_is_sorted_and_insertion_order_free(tmp_path):
     fwd = MemoStore()
     fwd.store("b", 2)
@@ -172,5 +203,5 @@ def test_cold_table_cache_file_is_pinned(tmp_path, capsys):
     assert main(["table", "p3-elliptic-cubics", "--cache", str(path)]) == 0
     capsys.readouterr()
     data = path.read_bytes()
-    assert data.count(b"\n") == 1 + 246
+    assert data.count(b"\n") == 1 + 248
     assert hashlib.sha256(data).hexdigest() == ELLIPTIC_CUBICS_CACHE_SHA256

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import curvecount
-from curvecount.cache import MAGIC
+from curvecount import Engine, Problem
+from curvecount.cache import MAGIC, MemoStore
 from curvecount.cli import main
+from curvecount.engine import memo_key
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 # Quartic plane elliptic curves through 11 points with D = p1+p2+p3+p4: 62.
@@ -231,6 +233,50 @@ def test_cache_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, "184\n")
     assert path.read_bytes() == first
+
+
+def test_cache_conflict_on_save_exits_2(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "c.egc"
+    real = Engine.count
+
+    def count_while_another_run_saves(self, problem, first_slot=None):
+        value = real(self, problem, first_slot)
+        other = MemoStore()
+        other.store(memo_key(problem), value + 1)
+        other.save(cache)
+        return value
+
+    monkeypatch.setattr(Engine, "count", count_while_another_run_saves)
+    code, out, err = run(capsys, "count", "-n", "2", "-d", "1", "--points", "2", "--cache", str(cache))
+    assert code == 2 and out == ""
+    assert err.startswith("error: key ") and "refusing to store" in err
+    assert cache.read_text(encoding="utf-8") == f"{MAGIC}\nX|g=0 n=2 d=1 h=1,1:1 i=0:2\t2\n"
+
+
+def test_interrupt_saves_the_cache_and_exits_130(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "c.egc"
+    argv = ["count", "-g", "1", "-n", "3", "-d", "3", "--incidence", "1:12", "--cache", str(cache)]
+    real = Engine._counted
+    calls = []
+
+    def interrupted(self, problem, expander):
+        calls.append(problem)
+        if len(calls) == 40:
+            raise KeyboardInterrupt
+        return real(self, problem, expander)
+
+    monkeypatch.setattr(Engine, "_counted", interrupted)
+    try:
+        code, out, err = run(capsys, *argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    monkeypatch.undo()
+    assert code == 130 and out == ""
+    assert err.startswith("error: interrupted") and err.count("\n") == 1
+    assert "Traceback" not in err
+    saved = MemoStore()
+    assert saved.load(cache) > 0
+    assert run(capsys, *argv)[:2] == (0, f"{Engine().count(Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12}))}\n")
 
 
 def test_cache_rejects_corrupt_file(tmp_path, capsys):

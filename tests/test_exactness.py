@@ -24,7 +24,7 @@ from curvecount import fibration, genus0
 from curvecount.cli import main
 from curvecount.engine import check_all_orders, memo_key, unmarked
 from curvecount.genus0 import tail_problem
-from curvecount.genus1 import _yb_tilde3
+from curvecount.genus1 import _yb_tilde
 from curvecount.partitions import bump
 from curvecount.trace import Tracer
 
@@ -174,7 +174,7 @@ def test_unpinnable_component_is_an_internal_fault():
     # the doubly-attached component of a IIb term likewise: a conic with
     # both contacts free on H and no incidence keeps 8 degrees of freedom
     with pytest.raises(AssertionError, match="doubly-attached component of freedom 8"):
-        _yb_tilde3(Engine(), 1, {(1, 2): 1}, {1: 1}, 2, {}, {}, 1, 1, ())
+        _yb_tilde(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, 2, {}, {}, 1, 1, ())
 
 
 def test_overdrawn_pool_is_an_internal_fault():

@@ -6,9 +6,11 @@ import math
 
 import pytest
 
-from curvecount import Engine, Problem, UnsupportedProblem
-from curvecount.genus0 import count_y
-from curvecount.genus1 import _yb_tilde3, count_yb
+from curvecount import Engine, Problem, UnsupportedProblem, ZProblem, genus1
+from curvecount.genus0 import count_y, tail_problem
+from curvecount.genus1 import _yb_tilde, count_yb
+from curvecount.partitions import bump
+from curvecount.problems import parse_divisor
 from oracles import E, H1, H2, BlowupClass, blowup_pair_product
 
 
@@ -112,7 +114,7 @@ WORKED_PART1 = (2, {}, {1: 7}, 2)
 
 def test_doubly_attached_worked_example():
     eng = Engine()
-    tilde, _ = _yb_tilde3(eng, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())
+    tilde, _ = _yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())
     assert tilde == 68
     value, groups = count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())
     assert value == 34
@@ -141,14 +143,14 @@ def test_worked_example_chow_kernel():
     family = va * (H1 * H1 * H2) + va * (H1 * H2 * H2) - vc * (E * H1 * H2)
     paired = blowup_pair_product(kernel, family)
     assert paired == 68
-    assert paired == _yb_tilde3(eng, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())[0]
+    assert paired == _yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())[0]
 
 
 def test_rigid_case_gives_marked_conics():
     # when the conic is fully pinned the two contact points are free on
     # H and the tilde count is the plain marked conic count
     eng = Engine()
-    rigid, _ = _yb_tilde3(eng, 1, {(1, 1): 3}, {2: 1}, 2, {}, {1: 8}, 1, 1, ())
+    rigid, _ = _yb_tilde(eng, 3, 1, {(1, 1): 3}, {2: 1}, 2, {}, {1: 8}, 1, 1, ())
     assert rigid == 184
 
 
@@ -161,7 +163,7 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
     vb = eng.count_x(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
     yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, ())
     assert (va, vb, yval) == (1, 1, 1)
-    tilde, _ = _yb_tilde3(eng, 2, {(1, 0): 4}, {1: 1}, 2, {}, {0: 3}, 1, 1, ())
+    tilde, _ = _yb_tilde(eng, 3, 2, {(1, 0): 4}, {1: 1}, 2, {}, {0: 3}, 1, 1, ())
     assert tilde == 2 * (2 * va - vb) * yval == 2
     assert tilde != (2 * va - vb) * yval
 
@@ -169,8 +171,8 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
 def test_split_point_symmetry():
     eng = Engine()
     h0 = {(1, 1): 3}
-    one, _ = _yb_tilde3(eng, 1, h0, {2: 1}, 3, {}, {1: 11}, 1, 2, ())
-    two, _ = _yb_tilde3(eng, 1, h0, {2: 1}, 3, {}, {1: 11}, 2, 1, ())
+    one, _ = _yb_tilde(eng, 3, 1, h0, {2: 1}, 3, {}, {1: 11}, 1, 2, ())
+    two, _ = _yb_tilde(eng, 3, 1, h0, {2: 1}, 3, {}, {1: 11}, 2, 1, ())
     assert one == two == 134400
 
 
@@ -190,3 +192,52 @@ def test_blowup_ring_relations():
 def test_blowup_product_must_be_top_dimensional():
     with pytest.raises(ValueError):
         blowup_pair_product(H1, H2)
+
+
+def _line_h_closed_form(eng, d0, h0, i0, db, hb, ib, m11, m12, tails):
+    """Ordered type IIb count over P^2 from the line H alone: the
+    hyperplane component must be H itself (d0 = 1), which carries no
+    marker free on it (i0 on slot 2) and no contact free on H (h0 on
+    slot 1); then both contacts attach at free points of H and the
+    count is the middle conic's times the pinned tails'."""
+    if d0 != 1:
+        return "d0", 0
+    if i0.get(2, 0) or any(e == 1 for _, e in h0):
+        return "free marker on H", 0
+    mid = eng.count_x(Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m12, 1)), ib))
+    tails_value = math.prod(eng.count_x(tail_problem(2, dk, dict(h), dict(i))[0]) for dk, h, i in tails)
+    return "line H", mid * tails_value
+
+
+def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
+    # Over P^2 the general IIb formula puts the hyperplane component on
+    # H = P^1; every term must equal the closed form of the line H.
+    reference = Engine()
+    seen = {}
+
+    def spy(eng, n, *args):
+        value, groups = real(eng, n, *args)
+        if n == 2:
+            case, expected = _line_h_closed_form(reference, *args)
+            assert value == expected, args
+            seen[case] = seen.get(case, 0) + 1
+        return value, groups
+
+    real = genus1._yb_tilde
+    monkeypatch.setattr(genus1, "_yb_tilde", spy)
+    eng = Engine()
+    for p in [
+        *(Problem.make(1, 2, d, {(1, 1): d}, {0: 3 * d}) for d in (3, 4, 5, 6)),
+        Problem.make(1, 2, 4, {(2, 0): 1, (1, 1): 2}, {0: 11}),
+        Problem.make(1, 2, 5, {(2, 1): 1, (1, 0): 1, (1, 1): 2}, {0: 13}),
+        Problem.make(1, 2, 3, {(1, 1): 3}, {0: 10, 2: 1}),
+        ZProblem.make(2, 3, {0: 8, 1: 2}, parse_divisor("p1+l1+l2")),
+    ]:
+        eng.count(p)
+    assert set(seen) == {"line H"}, seen
+    # The counts above send only line-H shapes to it; the other cases
+    # come from a conic through 5 points attached twice.
+    for d0, h0, i0 in [(2, {(1, 0): 2}, {1: 1}), (1, {(1, 0): 1}, {1: 1, 2: 1}), (1, {(1, 1): 1}, {1: 1})]:
+        assert genus1._yb_tilde(eng, 2, d0, h0, i0, 2, {}, {0: 5}, 1, 1, ())[0] == 0
+    assert genus1._yb_tilde(eng, 2, 1, {(1, 0): 1}, {1: 1}, 2, {}, {0: 5}, 1, 1, ())[0] == 2
+    assert set(seen) == {"d0", "free marker on H", "line H"}, seen

@@ -191,8 +191,9 @@ def test_capacity_rule_flags_only_zero_counts(monkeypatch):
 
 def test_dead_shapes_are_cut_before_counting():
     for p, value, size in (
-        # 2,327 records while the engine expanded and stored such problems
-        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 2583319387968 * 120, 1064),
+        # 2,327 records while the engine expanded and stored such problems,
+        # 1,064 before P^2 type IIb built its P^1 hyperplane problems
+        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 2583319387968 * 120, 1066),
         (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 189),
         (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24, 215),
     ):
