@@ -4,7 +4,8 @@ Subcommands: ``count`` for rational and elliptic counts, ``zcount`` for
 divisor-class counts, ``table`` to recompute a reference table, and
 ``trace`` to emit the derivation tree of a count as text, JSON or DOT.
 Exit codes: 0 success, 1 table run with failing rows, 2 invalid input,
-3 unsupported problem, 4 internal exactness failure (InexactCount),
+3 unsupported problem (including a degeneration deeper than the
+interpreter's recursion limit), 4 internal exactness failure (InexactCount),
 130 interrupted (Ctrl-C; the ``--cache`` file is saved first),
 141 standard output closed before the output was written.
 """

@@ -16,6 +16,7 @@ from .cache import MemoStore
 from .partitions import points_on_curve
 from .problems import (
     Problem,
+    UnsupportedProblem,
     ZProblem,
     dim_z,
     dimension,
@@ -114,7 +115,9 @@ class Engine:
         elliptic problem specializes its first incidence plane on
         ``first_slot`` if given; every later choice follows ``order``.
         A slot that is not admissible (any slot, for a divisor problem)
-        raises ValueError, also when the count is already stored."""
+        raises ValueError, also when the count is already stored.  A
+        degeneration deeper than Python's recursion limit (left as it
+        is: raising it risks overflowing the C stack) is unsupported."""
         if isinstance(problem, ZProblem):
             if first_slot is not None:
                 raise ValueError("a divisor problem has no first slot to choose")
@@ -123,7 +126,10 @@ class Engine:
         slots = self.admissible_slots(p)
         if first_slot is not None and first_slot not in slots:
             raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
-        return self.count_w(p, first_slot) if p.genus == 1 else self.count_x(p, first_slot)
+        try:
+            return self.count_w(p, first_slot) if p.genus == 1 else self.count_x(p, first_slot)
+        except RecursionError:
+            raise UnsupportedProblem(f"the degeneration of {p} is deeper than Python's recursion limit") from None
 
     def count_x(self, p: Problem, first_slot: int | None = None) -> int:
         from . import genus0

@@ -8,8 +8,9 @@ component inside H with rational tails attached to it at points of H
 (type II).  Both produce strictly smaller problems; the recursion
 bottoms out with the identity map of a line (n = 1).
 
-The specialization step and the pinning of attached components are
-shared with the elliptic recursion in genus1.
+The specialization step and count_y, the one evaluator of a component
+in H with the components pinned to it (every rational tail and the
+type IIa elliptic component), are shared with genus1.
 """
 
 from __future__ import annotations
@@ -30,34 +31,28 @@ def tail_window(n: int, genus: int, lo: int = 0, hi: int | None = None):
     hi = n - 1 if hi is None else hi
 
     def bounds(dk, h_sub, mk):
-        base = free_dim(n, genus, dk, h_sub, mk)
+        base = free_dim(n, genus, dk, h_sub.items(), mk)
         return base - hi, base - lo
 
     return bounds
 
 
-def tail_delta(n: int, dk: int, hk: dict, ik: dict, genus: int = 0) -> int:
+def tail_delta(n: int, dk: int, h_items, i_items, genus: int = 0) -> int:
     """The freedom delta of a component with its attachment contact free
     on H: pinning puts that contact on a general (n-1-delta)-plane of H."""
-    mk = attach_mult(dk, hk.items())
-    return free_dim(n, genus, dk, hk, mk) - incidence_weight(n, ik.items())
+    mk = attach_mult(dk, h_items)
+    return free_dim(n, genus, dk, h_items, mk) - incidence_weight(n, i_items)
 
 
-def tail_problem(n: int, dk: int, hk: dict, ik: dict, genus: int = 0):
+def tail_problem(n: int, dk: int, h_items, i_items, genus: int = 0):
     """Pin a component's attachment point: returns (problem, delta) with
     the attachment contact on a general (n-1-delta)-plane of H.  Every
     caller's window (see tail_window) makes some plane dimension rigid,
     so a component outside it is a fault of the caller and raises."""
-    delta = tail_delta(n, dk, hk, ik, genus)
+    delta = tail_delta(n, dk, h_items, i_items, genus)
     if not 0 <= delta <= n - 1:
         raise AssertionError(f"component of freedom {delta} cannot be pinned in P^{n}")
-    return Problem.make(genus, n, dk, bump(hk, (attach_mult(dk, hk.items()), n - 1 - delta)), ik), delta
-
-
-def rational_parts(tails):
-    """The rational tails that type2_partitions yields, as
-    hyperplane_term components."""
-    return [(0, dk, dict(h), dict(i)) for dk, h, i in tails]
+    return Problem.make(genus, n, dk, bump(h_items, (attach_mult(dk, h_items), n - 1 - delta)), i_items), delta
 
 
 def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
@@ -79,24 +74,32 @@ def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
     return markers
 
 
-def hyperplane_term(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
-    """A broken curve's count from its attached components ``parts``,
-    each (genus, dk, hk, ik) and pinned by tail_problem: the hyperplane
-    component becomes a rational curve problem in H itself, with the
-    markers of hyperplane_markers and the d0 intersections with a
-    hyperplane of H as fresh free contacts.  It counts 0, before any
-    component is pinned, when it would pass through more points of H
-    than a curve of degree d0 can; over P^2 a point of the line H costs
-    nothing and nothing is cut.  Returns (value, groups) as count_y."""
-    i0p = hyperplane_markers(h0, i0, [tail_delta(n, dk, hk, ik, g) for g, dk, hk, ik in parts])
+def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
+    """Count the broken-curve configurations of a type II term.
+
+    The hyperplane component has degree d0, keeps the tangency markers
+    h0 and incidence markers i0 (with the specialized one), and carries
+    one attachment point per component of ``parts``: a rational tail
+    (dk, h_items, i_items) as type2_partitions yields it, or first the
+    IIa elliptic component (dk, h_items, i_items, 1).  Each is rigid
+    once tail_problem pins it, and the hyperplane component becomes a
+    rational curve problem in H with the markers of hyperplane_markers
+    and its d0 intersections with a hyperplane of H as free contacts.
+    It counts 0, before anything is pinned, when it would pass through
+    more points of H than a curve of degree d0 can; over P^2 a point of
+    the line H costs nothing and nothing is cut.
+
+    Returns (value, groups) with groups as engine.terms_node expects.
+    """
+    i0p = hyperplane_markers(h0, i0, [tail_delta(n, *part) for part in parts])
     if n >= 3 and i0p.get(0, 0) > points_on_curve(n - 1, d0):
         return 0, []
     # Counted here, not in a helper: a frame more on every level of the
     # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
     factors = []
-    for genus, dk, hk, ik in parts:
-        child, _ = tail_problem(n, dk, hk, ik, genus)
-        v = eng.count_w(child) if genus else eng.count_x(child)
+    for part in parts:
+        child, _ = tail_problem(n, *part)
+        v = eng.count_w(child) if child.genus else eng.count_x(child)
         if v == 0:
             return 0, []
         factors.append((child, v))
@@ -108,20 +111,6 @@ def hyperplane_term(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     groups = [(Fraction(1, math.factorial(d0)), factors)]
     value = exact_int(group_sum(groups), "hyperplane-component relabelings must divide the count")
     return value, groups
-
-
-def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
-    """Count the broken-curve configurations of a type II term.
-
-    The hyperplane component has degree d0, keeps the tangency markers
-    h0 and incidence markers i0 (including the specialized one), and
-    carries one attachment point per tail.  Each tail is rigid once its
-    attachment is pinned (see hyperplane_term).  i0 holds no point
-    marker (e = 0); see hyperplane_markers.
-
-    Returns (value, groups) with groups as engine.terms_node expects.
-    """
-    return hyperplane_term(eng, n, d0, h0, i0, rational_parts(parts))
 
 
 def settle(eng: Engine, p: Problem, first_slot=None):

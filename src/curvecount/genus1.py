@@ -5,7 +5,7 @@ drives the recursion, but a broken curve now distributes the genus:
 either the elliptic component stays off H attached to the hyperplane
 component (type IIa), or a rational component meets the hyperplane
 component at two points and the resulting cycle carries the genus
-(type IIb, one formula for P^2 and P^3 in _yb_tilde), or the elliptic
+(type IIb, one formula for P^2 and P^3 in count_yb), or the elliptic
 component itself falls into H, where its count becomes a
 divisor-class problem on the smaller space (type IIc, meaningful only
 over P^3).  Ambient spaces beyond P^3 would need
@@ -22,8 +22,6 @@ from .engine import Engine, InexactCount, finish_terms, group_sum
 from .genus0 import (
     count_y,
     hyperplane_markers,
-    hyperplane_term,
-    rational_parts,
     settle,
     specialize,
     tail_delta,
@@ -67,69 +65,57 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     an off-H elliptic component and rational tails, attachments pinned
     the same way as in the rational recursion."""
     d1, h1, i1, _ = part1
-    return hyperplane_term(eng, n, d0, h0, i0, [(1, d1, h1, i1)] + rational_parts(tails))
-
-
-def _yb_tilde(eng: Engine, n, d0, h0, i0, db, hb, ib, m11, m12, tails):
-    """Ordered doubly-attached configurations over P^n.
-
-    With both contact points free on H the doubly-attached component
-    keeps a freedom delta in 0..2n-4 (the window in expand_w).  Putting
-    delta of its two contacts on a hyperplane of H, which meets the
-    hyperplane component in d0 points, makes it rigid; the other
-    contacts become point conditions on the hyperplane component.
-    Every such choice counts with a factor d0 per contact on a
-    hyperplane of H, and for delta >= 1 the configurations where the
-    two contacts collide are subtracted once: the merged contact on a
-    general (n - delta)-plane of H, weighted d0**(delta - 1).
-
-    Over P^2 delta is 0 and H is a line: the hyperplane component's
-    problem on H = P^1 is zero-dimensional, and counts 1, exactly when
-    d0 = 1 and every marker it carries lies on a point of H.
-    """
-    m1 = m11 + m12
-    delta = tail_delta(n, db, hb, ib) + 1
-    if not 0 <= delta <= 2:
-        raise AssertionError(f"doubly-attached component of freedom {delta} in P^{n}")
-    choices = []
-    for on_plane in itertools.combinations((0, 1), delta):
-        h = hb
-        for k, m in enumerate((m11, m12)):
-            h = bump(h, (m, n - 2 if k in on_plane else n - 1))
-        choices.append((d0**delta, h))
-    if delta:
-        choices.append((-(d0 ** (delta - 1)), bump(hb, (m1, n - delta))))
-    # the hyperplane side is 0 far more often than the middle component
-    yval, ygroups = count_y(eng, n, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
-    if yval == 0:
-        return 0, []
-    mids = []
-    for coeff, h in choices:
-        mid = Problem.make(0, n, db, h, ib)
-        vmid = eng.count_x(mid)
-        if vmid:
-            mids.append((coeff, mid, vmid))
-    groups = [
-        (ycoeff * coeff, [(mid, vmid)] + factors)
-        for ycoeff, factors in ygroups
-        for coeff, mid, vmid in mids
-    ]
-    return group_sum(groups), groups
+    return count_y(eng, n, d0, h0, i0, ((d1, h1.items(), i1.items(), 1),) + tails)
 
 
 def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     """Broken-curve count for a type IIb term: a rational component
     attached to the hyperplane component at two points, summed over the
-    ordered splits of its total contact multiplicity.  The half weight
-    cancels the swap of the two attachment points."""
+    ordered splits (m11, m12) of its total contact multiplicity m1.  The
+    half weight cancels the swap of the two attachment points.
+
+    With both contact points free on H the doubly-attached component
+    keeps a freedom delta in 0..2n-4 (the window in expand_w).  Putting
+    delta of its two contacts on a hyperplane of H, which meets the
+    hyperplane component in d0 points, makes it rigid; the other
+    contacts become point conditions on the hyperplane component, whose
+    count (count_y) does not depend on the split.  Every such choice
+    counts with a factor d0 per contact on a hyperplane of H, and for
+    delta >= 1 the configurations where the two contacts collide are
+    subtracted once: the merged contact on a general (n - delta)-plane
+    of H, weighted d0**(delta - 1).
+
+    Over P^2 delta is 0 and H is a line: the hyperplane component's
+    problem on H = P^1 is zero-dimensional, and counts 1, exactly when
+    d0 = 1 and every marker it carries lies on a point of H.
+    """
     db, hb, ib, m1 = part1
+    delta = tail_delta(n, db, hb.items(), ib.items()) + 1
+    if not 0 <= delta <= 2:
+        raise AssertionError(f"doubly-attached component of freedom {delta} in P^{n}")
+    # the hyperplane side is 0 far more often than the middle component
+    yval, ygroups = count_y(eng, n, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
+    if yval == 0:
+        return 0, []
+    [(ycoeff, yfactors)] = ygroups
     groups = []
     for m11 in range(1, m1):
-        m12 = m1 - m11
-        coeff = Fraction(m11 * m12, 2)
-        tval, tgroups = _yb_tilde(eng, n, d0, h0, i0, db, hb, ib, m11, m12, tails)
-        if tval:
-            groups.extend((coeff * gc, fac) for gc, fac in tgroups)
+        half = Fraction(m11 * (m1 - m11), 2)
+        choices = []
+        for on_plane in itertools.combinations((0, 1), delta):
+            contacts = [((m, n - 2 if k in on_plane else n - 1), 1) for k, m in enumerate((m11, m1 - m11))]
+            choices.append((half * d0**delta, contacts))
+        if delta:
+            choices.append((-half * d0 ** (delta - 1), [((m1, n - delta), 1)]))
+        mids = []
+        for coeff, contacts in choices:
+            mid = Problem.make(0, n, db, [*hb.items(), *contacts], ib)
+            vmid = eng.count_x(mid)
+            if vmid:
+                mids.append((coeff, mid, vmid))
+        # a split whose middle components cancel adds nothing to the trace
+        if sum(coeff * vmid for coeff, _, vmid in mids):
+            groups.extend((ycoeff * coeff, [(mid, vmid)] + yfactors) for coeff, mid, vmid in mids)
     return group_sum(groups), groups
 
 
@@ -142,7 +128,7 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     multiplicity, attachments with minus theirs."""
     deltas, factors = [], []
     for dk, h_items, i_items in tails:
-        child, delta = tail_problem(n, dk, dict(h_items), dict(i_items))
+        child, delta = tail_problem(n, dk, h_items, i_items)
         v = eng.count_x(child)
         if v == 0:
             return 0, []
@@ -188,7 +174,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
             terms.append(("type-IIa", ways * m1 * ram, value, groups))
 
     # With its two contacts taken as one free on H, the doubly-attached
-    # component has freedom -1..2n-5 (see _yb_tilde).  Over P^2 the
+    # component has freedom -1..2n-5 (see count_yb).  Over P^2 the
     # hyperplane component is the line H, so a tail of delta 1 leaves a
     # marker free on it and counts 0: tails take 0..2n-4, which over
     # P^3 is the rational window.

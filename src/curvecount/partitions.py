@@ -177,7 +177,7 @@ def points_on_curve(n: int, d: int) -> int:
     (n+1)*d + n - 3 and each point costs n - 1.  Free markers (e = n)
     do not move the curve, so they never raise the bound.  It caps the
     points a tail takes (type2_partitions) and the points of H a
-    hyperplane component passes through (genus0.hyperplane_term, with
+    hyperplane component passes through (genus0.count_y, with
     n - 1 >= 2).  n must be at least 2: in P^1 a point is a hyperplane
     and costs nothing."""
     return ((n + 1) * d + n - 3) // (n - 1)

@@ -146,26 +146,26 @@ def incidence_weight(n: int, i_items) -> int:
     return sum((n - 1 - e) * c for e, c in i_items)
 
 
-def free_dim(n: int, genus: int, dk: int, h: dict, mk: int = 1) -> int:
+def free_dim(n: int, genus: int, dk: int, h_items, mk: int = 1) -> int:
     """Dimension of the curves of degree dk and the given genus with
-    tangency markers h ({(m, e): count}) and no incidence markers, plus
-    one further contact of multiplicity mk free on H."""
+    tangency markers h_items (((m, e), count) pairs) and no incidence
+    markers, plus one further contact of multiplicity mk free on H."""
     return (
         (n + 1) * dk
         + (n - 3 if genus == 0 else 0)
-        - sum((n + m - e - 2) * c for (m, e), c in h.items())
+        - sum((n + m - e - 2) * c for (m, e), c in h_items)
         - (mk - 1)
     )
 
 
 def dim_x(p: Problem) -> int:
     """Expected dimension of the space of marked rational curves."""
-    return free_dim(p.n, 0, p.d, p.h_map()) - incidence_weight(p.n, p.i)
+    return free_dim(p.n, 0, p.d, p.h_map().items()) - incidence_weight(p.n, p.i)
 
 
 def dim_w(p: Problem) -> int:
     """Expected dimension of the space of marked elliptic curves."""
-    return free_dim(p.n, 1, p.d, p.h_map()) - incidence_weight(p.n, p.i)
+    return free_dim(p.n, 1, p.d, p.h_map().items()) - incidence_weight(p.n, p.i)
 
 
 def dimension(p: Problem) -> int:
@@ -307,7 +307,7 @@ def validate_z(z: ZProblem) -> ZProblem:
 def dim_z(z: ZProblem) -> int:
     """Expected dimension of the divisor problem: the family of elliptic
     curves through the incidence conditions must be a curve."""
-    return free_dim(z.n, 1, z.d, {}) - incidence_weight(z.n, z.i) - 1
+    return free_dim(z.n, 1, z.d, ()) - incidence_weight(z.n, z.i) - 1
 
 
 def _marker_name(e: int, k: int) -> str:

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import curvecount
-from curvecount import Engine, Problem
+from curvecount import Engine, Problem, UnsupportedProblem
 from curvecount.cache import MAGIC, MemoStore
 from curvecount.cli import main
 from curvecount.engine import memo_key
@@ -23,10 +24,40 @@ Z62 = ["-n", "2", "-d", "4", "--points", "11", "--divisor", "p1+p2+p3+p4"]
 ENGINE_FLAGS = [["--cache", "CACHE"], ["--no-divisor-axiom"], ["--degeneration-order", "min-e"]]
 
 
+README = PYPROJECT.parent / "README.md"
+
+
+def readme_examples():
+    """Each ``$ curvecount ...`` line in a fenced block of the README,
+    with the lines printed under it up to the next command or fence."""
+    examples, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+            current = None
+        elif fenced and line.startswith("$ curvecount "):
+            current = (line[len("$ curvecount "):], [])
+            examples.append(current)
+        elif fenced and current is not None:
+            current[1].append(line)
+    return examples
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_readme_examples_are_listed():
+    assert len(readme_examples()) == 9
+
+
+@pytest.mark.parametrize("command, printed", readme_examples())
+def test_readme_example_prints_what_the_readme_shows(capsys, command, printed):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert out == "".join(line + "\n" for line in printed)
 
 
 def test_count_twisted_cubics(capsys):
@@ -207,6 +238,18 @@ def test_unsupported_ambient_space(capsys):
     code, _, err = run(capsys, "count", "-g", "1", "-n", "5", "-d", "3", "--points", "9")
     assert code == 3
     assert "P^5" in err
+
+
+def test_degeneration_beyond_the_recursion_limit_is_unsupported(capsys):
+    # Lines of P^400 through 2 points count 1, but the degeneration
+    # recurses once per dimension, past the interpreter's limit.
+    code, out, err = run(capsys, "count", "-n", "400", "-d", "1", "--points", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion limit" in err and "Traceback" not in err
+    with pytest.raises(UnsupportedProblem, match="recursion limit"):
+        Engine().count(Problem.make(0, 400, 1, {(1, 399): 1}, {0: 2}))
 
 
 def test_invalid_divisor(capsys):

@@ -24,7 +24,7 @@ from curvecount import fibration, genus0
 from curvecount.cli import main
 from curvecount.engine import check_all_orders, memo_key, unmarked
 from curvecount.genus0 import tail_problem
-from curvecount.genus1 import _yb_tilde
+from curvecount.genus1 import count_yb
 from curvecount.partitions import bump
 from curvecount.trace import Tracer
 
@@ -165,16 +165,16 @@ def test_unpinnable_component_is_an_internal_fault():
     # A line of P^3 with its attachment free on H moves in 4 dimensions:
     # 4 lines make it rigid with the attachment anywhere on H (delta 0),
     # while 5 lines or none leave no plane of H that makes it rigid.
-    child, delta = tail_problem(3, 1, {}, {1: 4})
+    child, delta = tail_problem(3, 1, (), ((1, 4),))
     assert delta == 0
     assert child == Problem.make(0, 3, 1, {(1, 2): 1}, {1: 4})
-    for lines in ({1: 5}, {}):
+    for lines in (((1, 5),), ()):
         with pytest.raises(AssertionError, match="cannot be pinned"):
-            tail_problem(3, 1, {}, lines)
+            tail_problem(3, 1, (), lines)
     # the doubly-attached component of a IIb term likewise: a conic with
     # both contacts free on H and no incidence keeps 8 degrees of freedom
     with pytest.raises(AssertionError, match="doubly-attached component of freedom 8"):
-        _yb_tilde(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, 2, {}, {}, 1, 1, ())
+        count_yb(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, (2, {}, {}, 2), ())
 
 
 def test_overdrawn_pool_is_an_internal_fault():

@@ -3,12 +3,13 @@ example with its intersection-ring cross-check, and the genus
 distribution rules."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from curvecount import Engine, Problem, UnsupportedProblem, ZProblem, genus1
 from curvecount.genus0 import count_y, tail_problem
-from curvecount.genus1 import _yb_tilde, count_yb
+from curvecount.genus1 import count_yb
 from curvecount.partitions import bump
 from curvecount.problems import parse_divisor
 from oracles import E, H1, H2, BlowupClass, blowup_pair_product
@@ -106,7 +107,8 @@ def test_genus_one_order_independence():
 # The doubly-attached worked instance: inside the count of elliptic
 # space cubics through 12 lines, a conic meets the hyperplane component
 # (a line in H) at two points.  Splitting its double contact 1+1 gives
-# the ordered count 68 and the symmetrized count 34.
+# the ordered count 68 and the symmetrized count 34: count_yb gives
+# the latter, the half weight m11 * m12 / 2 of its one split.
 WORKED_H0 = {(1, 0): 1, (1, 1): 2}
 WORKED_I0 = {2: 1}
 WORKED_PART1 = (2, {}, {1: 7}, 2)
@@ -114,9 +116,8 @@ WORKED_PART1 = (2, {}, {1: 7}, 2)
 
 def test_doubly_attached_worked_example():
     eng = Engine()
-    tilde, _ = _yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())
-    assert tilde == 68
     value, groups = count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())
+    assert 2 * value == 68
     assert value == 34
     # the trace bookkeeping carries the same total
     assert sum(c * math.prod(v for _, v in fac) for c, fac in groups) == 34
@@ -143,15 +144,17 @@ def test_worked_example_chow_kernel():
     family = va * (H1 * H1 * H2) + va * (H1 * H2 * H2) - vc * (E * H1 * H2)
     paired = blowup_pair_product(kernel, family)
     assert paired == 68
-    assert paired == _yb_tilde(eng, 3, 1, WORKED_H0, WORKED_I0, 2, {}, {1: 7}, 1, 1, ())[0]
+    assert paired == 2 * count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())[0]
 
 
 def test_rigid_case_gives_marked_conics():
     # when the conic is fully pinned the two contact points are free on
-    # H and the tilde count is the plain marked conic count
+    # H and the ordered count is the plain marked conic count, halved
+    # by the one 1+1 split
     eng = Engine()
-    rigid, _ = _yb_tilde(eng, 3, 1, {(1, 1): 3}, {2: 1}, 2, {}, {1: 8}, 1, 1, ())
-    assert rigid == 184
+    rigid, _ = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (2, {}, {1: 8}, 2), ())
+    assert 2 * rigid == 184
+    assert rigid == 92
 
 
 def test_two_freedoms_case_keeps_the_base_degree_factor():
@@ -163,17 +166,21 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
     vb = eng.count_x(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
     yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, ())
     assert (va, vb, yval) == (1, 1, 1)
-    tilde, _ = _yb_tilde(eng, 3, 2, {(1, 0): 4}, {1: 1}, 2, {}, {0: 3}, 1, 1, ())
-    assert tilde == 2 * (2 * va - vb) * yval == 2
-    assert tilde != (2 * va - vb) * yval
+    value, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, {}, {0: 3}, 2), ())
+    assert value == 1
+    ordered = 2 * value
+    assert ordered == 2 * (2 * va - vb) * yval == 2
+    assert ordered != (2 * va - vb) * yval
 
 
 def test_split_point_symmetry():
+    # a cubic through 11 lines attached with contacts 1+2 and 2+1: both
+    # splits weigh 1 * 2 / 2 = 1 and count the same
     eng = Engine()
-    h0 = {(1, 1): 3}
-    one, _ = _yb_tilde(eng, 3, 1, h0, {2: 1}, 3, {}, {1: 11}, 1, 2, ())
-    two, _ = _yb_tilde(eng, 3, 1, h0, {2: 1}, 3, {}, {1: 11}, 2, 1, ())
+    value, groups = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (3, {}, {1: 11}, 3), ())
+    one, two = (c * math.prod(v for _, v in fac) for c, fac in groups)
     assert one == two == 134400
+    assert value == 268800
 
 
 def test_blowup_ring_relations():
@@ -194,19 +201,25 @@ def test_blowup_product_must_be_top_dimensional():
         blowup_pair_product(H1, H2)
 
 
-def _line_h_closed_form(eng, d0, h0, i0, db, hb, ib, m11, m12, tails):
-    """Ordered type IIb count over P^2 from the line H alone: the
-    hyperplane component must be H itself (d0 = 1), which carries no
-    marker free on it (i0 on slot 2) and no contact free on H (h0 on
-    slot 1); then both contacts attach at free points of H and the
-    count is the middle conic's times the pinned tails'."""
+def _line_h_closed_form(eng, d0, h0, i0, part1, tails):
+    """Type IIb count over P^2 from the line H alone: the hyperplane
+    component must be H itself (d0 = 1), which carries no marker free
+    on it (i0 on slot 2) and no contact free on H (h0 on slot 1); then
+    both contacts attach at free points of H, and each ordered split
+    (m11, m12) counts m11 * m12 / 2 times the middle component's count
+    times the pinned tails'."""
     if d0 != 1:
         return "d0", 0
     if i0.get(2, 0) or any(e == 1 for _, e in h0):
         return "free marker on H", 0
-    mid = eng.count_x(Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m12, 1)), ib))
-    tails_value = math.prod(eng.count_x(tail_problem(2, dk, dict(h), dict(i))[0]) for dk, h, i in tails)
-    return "line H", mid * tails_value
+    db, hb, ib, m1 = part1
+    mids = sum(
+        Fraction(m11 * (m1 - m11), 2)
+        * eng.count_x(Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m1 - m11, 1)), ib))
+        for m11 in range(1, m1)
+    )
+    tails_value = math.prod(eng.count_x(tail_problem(2, dk, h, i)[0]) for dk, h, i in tails)
+    return "line H", mids * tails_value
 
 
 def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
@@ -223,8 +236,8 @@ def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
             seen[case] = seen.get(case, 0) + 1
         return value, groups
 
-    real = genus1._yb_tilde
-    monkeypatch.setattr(genus1, "_yb_tilde", spy)
+    real = genus1.count_yb
+    monkeypatch.setattr(genus1, "count_yb", spy)
     eng = Engine()
     for p in [
         *(Problem.make(1, 2, d, {(1, 1): d}, {0: 3 * d}) for d in (3, 4, 5, 6)),
@@ -237,7 +250,34 @@ def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
     assert set(seen) == {"line H"}, seen
     # The counts above send only line-H shapes to it; the other cases
     # come from a conic through 5 points attached twice.
+    conic = (2, {}, {0: 5}, 2)
     for d0, h0, i0 in [(2, {(1, 0): 2}, {1: 1}), (1, {(1, 0): 1}, {1: 1, 2: 1}), (1, {(1, 1): 1}, {1: 1})]:
-        assert genus1._yb_tilde(eng, 2, d0, h0, i0, 2, {}, {0: 5}, 1, 1, ())[0] == 0
-    assert genus1._yb_tilde(eng, 2, 1, {(1, 0): 1}, {1: 1}, 2, {}, {0: 5}, 1, 1, ())[0] == 2
+        assert genus1.count_yb(eng, 2, d0, h0, i0, conic, ())[0] == 0
+    assert genus1.count_yb(eng, 2, 1, {(1, 0): 1}, {1: 1}, conic, ())[0] == 1
     assert set(seen) == {"d0", "free marker on H", "line H"}, seen
+
+
+def test_iib_counts_its_hyperplane_side_once_per_shape(monkeypatch):
+    # The hyperplane side of a IIb shape does not depend on how the
+    # double contact splits, so count_yb asks count_y for it once.
+    calls = {"count_yb": 0, "count_y": 0}
+    inside = []
+    real_y, real_yb = genus1.count_y, genus1.count_yb
+
+    def spy_y(*args):
+        if inside:
+            calls["count_y"] += 1
+        return real_y(*args)
+
+    def spy_yb(*args):
+        calls["count_yb"] += 1
+        inside.append(True)
+        try:
+            return real_yb(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(genus1, "count_y", spy_y)
+    monkeypatch.setattr(genus1, "count_yb", spy_yb)
+    assert Engine().count(Problem.make(1, 2, 5, {(1, 1): 5}, {0: 15})) > 0
+    assert calls == {"count_yb": 30, "count_y": 30}
