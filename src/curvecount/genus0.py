@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .engine import Engine, exact_int, finish_terms, group_sum
-from .partitions import attach_mult, bump, points_on_curve, type2_partitions
+from .partitions import attach_mult, bump, points_on_curve, tail_table, type2_partitions
 from .problems import Problem, dim_x, dimension, free_dim, incidence_weight
 
 
@@ -165,7 +165,8 @@ def expand_x(eng: Engine, p: Problem, first_slot=None):
     if done is not None:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
-    for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, tail_window(n, 0), e_lift):
+    table = tail_table(n, d - 1, h_pool, i_base, tail_window(n, 0))
+    for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, table, e_lift):
         value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:
             terms.append(("type-IIplain", comb * ram, value, groups))

@@ -28,17 +28,18 @@ from .genus0 import (
     tail_problem,
     tail_window,
 )
-from .partitions import attach_mult, bump, components, points_fit, type2_partitions
+from .partitions import attach_mult, bump, components, points_fit, tail_table, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
-def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, tails_window):
+def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, table):
     """Enumerate type II shapes with one distinguished component.
 
     The distinguished component is one of partitions.components (its
     incidence weight restricted by part_window, its attachment
     multiplicity at least m_min, its degree at least d1_min); the
-    remaining pools split into rational tails and the hyperplane
+    remaining pools split into rational tails, entries of ``table``
+    (partitions.tail_table on the whole pools), and the hyperplane
     component.  Yields
     (d1, h1, i1, m1, tails, ways, d0, h0, i0, ram) where ways counts the
     labeled marker routings divided by the tail automorphisms, and
@@ -55,7 +56,7 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
         if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
             continue
         for tails, comb, d0, h0, i0, ram in type2_partitions(
-            d - d1, dict(h_rest), i_rest, n, tails_window, e_lift
+            d - d1, dict(h_rest), i_rest, n, table, e_lift
         ):
             yield d1, h1, i1, m1, tails, ways * comb, d0, h0, i0, ram
 
@@ -98,21 +99,21 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     if yval == 0:
         return 0, []
     [(ycoeff, yfactors)] = ygroups
+    # the merged contact of a collision does not depend on the split
+    merged = Problem.make(0, n, db, [*hb.items(), ((m1, n - delta), 1)], ib) if delta else None
+    vmerged = eng.count_x(merged) if delta else 0
     groups = []
     for m11 in range(1, m1):
         half = Fraction(m11 * (m1 - m11), 2)
-        choices = []
+        mids = []
         for on_plane in itertools.combinations((0, 1), delta):
             contacts = [((m, n - 2 if k in on_plane else n - 1), 1) for k, m in enumerate((m11, m1 - m11))]
-            choices.append((half * d0**delta, contacts))
-        if delta:
-            choices.append((-half * d0 ** (delta - 1), [((m1, n - delta), 1)]))
-        mids = []
-        for coeff, contacts in choices:
             mid = Problem.make(0, n, db, [*hb.items(), *contacts], ib)
             vmid = eng.count_x(mid)
             if vmid:
-                mids.append((coeff, mid, vmid))
+                mids.append((half * d0**delta, mid, vmid))
+        if vmerged:
+            mids.append((-half * d0 ** (delta - 1), merged, vmerged))
         # a split whose middle components cancel adds nothing to the trace
         if sum(coeff * vmid for coeff, _, vmid in mids):
             groups.extend((ycoeff * coeff, [(mid, vmid)] + yfactors) for coeff, mid, vmid in mids)
@@ -164,7 +165,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     if done is not None:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
-    rational = tail_window(n, 0)
+    rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0))
 
     for d1, h1, i1, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational
@@ -180,7 +181,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     # P^3 is the rational window.
     for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1,
-        tail_window(n, 0, 0, 2 * n - 4),
+        tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0, 0, 2 * n - 4)),
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1), tails)
         if value:

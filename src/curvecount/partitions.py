@@ -115,27 +115,51 @@ def components(n: int, d_max: int, h_items, i_items, i_bounds, m_min=1, d_min=1)
                 yield dk, h_sub, i_sub, mk, h_ways * i_ways, h_rest, minus(i_items, i_sub)
 
 
+def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds) -> list:
+    """The rational tails of one degeneration, as (key, dk, h_items,
+    i_items, mk) with key = (dk, h_items, i_items): the ``components``
+    of the marker pools up to degree d_max, in the window ``i_bounds``
+    and through at most points_on_curve(n, dk) points, in the order
+    ``components`` yields them, so ascending in dk.  The window depends
+    on the tail alone, so the entries that fit a sub-pool are what
+    ``components`` yields on it, in the same order: one table serves
+    every pool the tails of type2_partitions and the distinguished part
+    of genus1._split_off_part leave.  genus0.expand_x takes d_max =
+    d - 1, genus1.expand_w d - 3 for its two tables (IIa and IIc keep
+    degree >= 3 for the elliptic part, IIb >= 2 for the doubly-attached
+    part and >= 1 for the hyperplane component)."""
+    table = []
+    for dk, h_sub, i_sub, mk, *_ in components(
+        n, d_max, tuple(sorted(h_pool.items())), tuple(sorted(i_pool.items())), i_bounds
+    ):
+        if i_sub.get(0, 0) <= points_on_curve(n, dk):
+            key = (dk, tuple(sorted(h_sub.items())), tuple(sorted(i_sub.items())))
+            table.append((key, *key, mk))
+    return table
+
+
 _MIN_PART_KEY = (0, (), ())
 
 
-def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, i_bounds, e_lift: int, d0_min=1):
+def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1):
     """Enumerate the ways a curve of degree d falling into H breaks into
     a hyperplane component of degree at least d0_min and an unordered
     multiset of rational tails.
 
-    Each tail is a component as ``components`` yields them, and the
-    tails take a total degree of at most d - d0_min.  d0_min is 1 for a
-    rational hyperplane component and 3 for an elliptic one (type IIc),
-    since elliptic curves of degree 1 or 2 do not exist.  ``i_bounds``
-    comes from the requirement that a tail be rigid once its attachment
-    point is constrained.
+    Each tail is an entry of ``table`` (see tail_table, built on these
+    pools or larger ones) whose marker vectors fit what the tails before
+    it leave, and the tails take a total degree of at most d - d0_min.
+    d0_min is 1 for a rational hyperplane component and 3 for an
+    elliptic one (type IIc), since elliptic curves of degree 1 or 2 do
+    not exist.  A multiset takes its tails in nondecreasing key order,
+    and the walk stops at the first entry of too high a degree.
 
     Two rules drop shapes that count nothing.  A multiset must take
     every point marker (e = 0) of ``i_pool``: the hyperplane component
     lies in H, so a general point left on it makes the term vanish.  A
     tail may not take more points than a rational curve of its degree
-    passes through (see ``points_on_curve``).  Branches whose remaining
-    degree cannot take the points left are cut early.
+    passes through (tail_table leaves such tails out).  Branches whose
+    remaining degree cannot take the points left are cut early.
 
     Yields (parts, comb, d0, h0, i0, ram).  parts is a nondecreasing
     tuple of (dk, h_items, i_items) with the vectors as sorted item
@@ -147,28 +171,40 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, i_bounds, e_lift: in
     tails' attachment multiplicities.
     """
 
-    def rec(d_rem, h_items, i_items, min_key):
-        points = dict(i_items).get(0, 0)
+    def rec(d_rem, h_rem, i_rem, min_key):
+        points = i_rem.get(0, 0)
         if not points_fit(n, d_rem, points):
             return
         if not points:
-            yield (), 1, 1, d_rem, h_items, i_items
-        for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(
-            n, d_rem, h_items, i_items, i_bounds
-        ):
-            if i_sub.get(0, 0) > points_on_curve(n, dk):
-                continue
-            key = (dk, tuple(sorted(h_sub.items())), tuple(sorted(i_sub.items())))
+            yield (), 1, 1, d_rem, h_rem, i_rem
+        for key, dk, h_items, i_items, mk in table:
+            if dk > d_rem:
+                break
             if key < min_key:
                 continue
-            for rest, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, key):
-                yield (key,) + rest, ways * rest_ways, mk * ram, d_left, h_left, i_left
+            # math.comb is 0 when a tail takes more than is left
+            ways = 1
+            for k, take in h_items:
+                ways *= math.comb(h_rem.get(k, 0), take)
+            for e, take in i_items:
+                ways *= math.comb(i_rem.get(e, 0), take)
+            if not ways:
+                continue
+            h_left, i_left = dict(h_rem), dict(i_rem)
+            for k, take in h_items:
+                h_left[k] -= take
+            for e, take in i_items:
+                i_left[e] -= take
+            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, key):
+                yield (key,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
 
-    h_items = tuple(sorted(h_pool.items()))
-    i_items = tuple(sorted(i_pool.items()))
-    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_items, i_items, _MIN_PART_KEY):
+    h_pool = dict(sorted(h_pool.items()))
+    i_pool = dict(sorted(i_pool.items()))
+    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, _MIN_PART_KEY):
         comb = Fraction(ways, automorphism_order(parts))
-        yield parts, comb, d_left + d0_min, dict(h0), bump(dict(i0), e_lift), ram
+        h0 = {k: c for k, c in h0.items() if c}
+        i0 = {e: c for e, c in i0.items() if c}
+        yield parts, comb, d_left + d0_min, h0, bump(i0, e_lift), ram
 
 
 def points_on_curve(n: int, d: int) -> int:

@@ -2,11 +2,15 @@
 
 Nothing in this module calls the engine.  Each oracle derives its
 numbers from a different piece of mathematics, so agreement with the
-engine is evidence rather than circularity.
+engine is evidence rather than circularity.  The one exception is
+per_level_type2_partitions, a slow reference that reuses the program's
+component enumerator.
 """
 
 import math
 from fractions import Fraction
+
+from curvecount.partitions import automorphism_order, bump, components, points_fit, points_on_curve
 
 
 def kontsevich_numbers(dmax):
@@ -126,6 +130,37 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
         total += Fraction(worth, math.factorial(len(parts)))
     return total
 
+
+def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1):
+    """The type II enumerator as it was before tail tables: it calls
+    ``partitions.components`` again on every pool the tails before
+    leave, and drops a tail through more points than points_on_curve.
+    It is the slow reference for ``type2_partitions`` over a
+    ``tail_table``: same shapes, same order, same weights.  Unlike the
+    oracles above it uses the program's own component enumerator."""
+
+    def rec(d_rem, h_items, i_items, min_key):
+        points = dict(i_items).get(0, 0)
+        if not points_fit(n, d_rem, points):
+            return
+        if not points:
+            yield (), 1, 1, d_rem, h_items, i_items
+        for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(
+            n, d_rem, h_items, i_items, i_bounds
+        ):
+            if i_sub.get(0, 0) > points_on_curve(n, dk):
+                continue
+            key = (dk, tuple(sorted(h_sub.items())), tuple(sorted(i_sub.items())))
+            if key < min_key:
+                continue
+            for rest, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, key):
+                yield (key,) + rest, ways * rest_ways, mk * ram, d_left, h_left, i_left
+
+    h_items = tuple(sorted(h_pool.items()))
+    i_items = tuple(sorted(i_pool.items()))
+    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_items, i_items, (0, (), ())):
+        comb = Fraction(ways, automorphism_order(parts))
+        yield parts, comb, d_left + d0_min, dict(h0), bump(dict(i0), e_lift), ram
 
 # Exact intersection ring of the pair space obtained by blowing up
 # H x H along the diagonal, H a projective plane.

@@ -3,12 +3,13 @@ example with its intersection-ring cross-check, and the genus
 distribution rules."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from curvecount import Engine, Problem, UnsupportedProblem, ZProblem, genus1
-from curvecount.genus0 import count_y, tail_problem
+from curvecount.genus0 import count_y, tail_delta, tail_problem
 from curvecount.genus1 import count_yb
 from curvecount.partitions import bump
 from curvecount.problems import parse_divisor
@@ -281,3 +282,36 @@ def test_iib_counts_its_hyperplane_side_once_per_shape(monkeypatch):
     monkeypatch.setattr(genus1, "count_yb", spy_yb)
     assert Engine().count(Problem.make(1, 2, 5, {(1, 1): 5}, {0: 15})) > 0
     assert calls == {"count_yb": 30, "count_y": 30}
+
+
+def test_iib_builds_its_collision_problem_once_per_shape(monkeypatch):
+    # The merged contact of a IIb collision does not depend on how the
+    # double contact splits, so count_yb builds and counts it once;
+    # each ordered split builds only its plane choices.
+    real_make, real_yb = Problem.make.__func__, genus1.count_yb
+    calls = []
+
+    def spy_make(cls, *args):
+        made = real_make(cls, *args)
+        if sys._getframe(1).f_code is real_yb.__code__:
+            calls[-1][1].append(made)
+        return made
+
+    def spy_yb(eng, n, d0, h0, i0, part1, tails):
+        calls.append(((n, part1), []))
+        return real_yb(eng, n, d0, h0, i0, part1, tails)
+
+    monkeypatch.setattr(Problem, "make", classmethod(spy_make))
+    monkeypatch.setattr(genus1, "count_yb", spy_yb)
+    assert Engine().count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) > 0
+    split = 0
+    for (n, (db, hb, ib, m1)), made in calls:
+        if not made:
+            continue  # the hyperplane side counts 0
+        delta = tail_delta(n, db, hb.items(), ib.items()) + 1
+        assert len(made) == (m1 - 1) * math.comb(2, delta) + (delta > 0)
+        if delta:
+            merged = real_make(Problem, 0, n, db, [*hb.items(), ((m1, n - delta), 1)], ib)
+            assert made.count(merged) == 1
+            split += m1 > 2
+    assert split > 0

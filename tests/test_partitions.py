@@ -3,20 +3,27 @@
 from collections import Counter
 from fractions import Fraction
 
+from curvecount import Engine, Problem, genus0, partitions
+from curvecount.genus0 import tail_window
+from curvecount.genus1 import _split_off_part
 from curvecount.partitions import (
     automorphism_order,
+    components,
+    points_on_curve,
     subvectors,
     subvectors_weighted,
+    tail_table,
     type2_partitions,
 )
-from oracles import ordered_type2_aggregate
+from oracles import ordered_type2_aggregate, per_level_type2_partitions
 
 
 def _shapes(d_avail, h_pool, i_pool, n, bounds):
     """(parts, comb) of every shape whose tails take at most d_avail,
     the hyperplane component keeping the rest of a degree d_avail + 1
     curve."""
-    for parts, comb, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, n, bounds, n - 1):
+    table = tail_table(n, d_avail, h_pool, i_pool, bounds)
+    for parts, comb, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, n, table, n - 1):
         yield parts, comb
 
 
@@ -96,14 +103,16 @@ def _window(n):
     return bounds
 
 
+_ORDERED_CASES = [
+    (3, {(1, 2): 2}, {1: 5, 0: 1}, 3),
+    (2, {(1, 1): 1, (2, 2): 1}, {1: 3}, 3),
+    (4, {}, {1: 6, 0: 2}, 3),
+    (3, {(1, 1): 2}, {0: 6}, 2),
+]
+
+
 def test_type2_partitions_match_ordered_enumeration():
-    cases = [
-        (3, {(1, 2): 2}, {1: 5, 0: 1}, 3),
-        (2, {(1, 1): 1, (2, 2): 1}, {1: 3}, 3),
-        (4, {}, {1: 6, 0: 2}, 3),
-        (3, {(1, 1): 2}, {0: 6}, 2),
-    ]
-    for d_avail, h_pool, i_pool, n in cases:
+    for d_avail, h_pool, i_pool, n in _ORDERED_CASES:
         bounds = _window(n)
         total = Fraction(0)
         for parts, comb in _shapes(d_avail, h_pool, i_pool, n, bounds):
@@ -239,7 +248,140 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
     for d_avail, h_pool, i_pool, n, bounds in cases:
         for e_lift in range(n):
             d = d_avail + 1
-            for parts, _, *kept in type2_partitions(d, h_pool, i_pool, n, bounds, e_lift):
+            table = tail_table(n, d - 1, h_pool, i_pool, bounds)
+            for parts, _, *kept in type2_partitions(d, h_pool, i_pool, n, table, e_lift):
                 assert tuple(kept) == _kept(d, h_pool, i_pool, e_lift, parts)
                 shapes += 1
     assert shapes > 100
+
+
+def _listed(shapes):
+    """Shapes with the kept pools as item tuples, so that the order of
+    their keys is compared too."""
+    return [(parts, comb, d0, tuple(h0.items()), tuple(i0.items()), ram) for parts, comb, d0, h0, i0, ram in shapes]
+
+
+def _walk_matches_per_level(d, h_pool, i_pool, n, bounds, e_lift, d0_min=1):
+    table = tail_table(n, d - d0_min, h_pool, i_pool, bounds)
+    walked = _listed(type2_partitions(d, h_pool, i_pool, n, table, e_lift, d0_min))
+    assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, bounds, e_lift, d0_min))
+    return len(walked)
+
+
+def test_table_walk_repeats_the_per_level_enumeration():
+    # same shapes in the same order with the same weights, for a
+    # rational and an elliptic (d0 >= 3) hyperplane component
+    shapes = 0
+    for d_avail, h_pool, i_pool, n in _ORDERED_CASES:
+        for e_lift in range(n):
+            for d0_min in (1, 3):
+                shapes += _walk_matches_per_level(d_avail + d0_min, h_pool, i_pool, n, _window(n), e_lift, d0_min)
+    assert shapes > 200
+
+
+def test_table_walk_repeats_the_per_level_enumeration_in_the_iib_window():
+    cases = [
+        (5, {(1, 1): 3, (2, 0): 1}, {0: 9, 2: 1}, 2),
+        (6, {(1, 1): 4, (1, 0): 2}, {0: 12}, 2),
+        (5, {(1, 2): 3, (2, 1): 1}, {0: 1, 1: 9, 2: 1}, 3),
+        (6, {(1, 2): 6}, {1: 20, 0: 1}, 3),
+    ]
+    for d, h_pool, i_pool, n in cases:
+        shapes = sum(
+            _walk_matches_per_level(d, h_pool, i_pool, n, tail_window(n, 0, 0, 2 * n - 4), e_lift)
+            for e_lift in range(n)
+        )
+        assert shapes > 10, (d, h_pool, i_pool, n)
+
+
+def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
+    # one table on the whole pools serves every pool the distinguished
+    # component leaves; the slow side enumerates each sub-pool afresh
+    for n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, window in [
+        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, 2, tail_window(3, 1), 1, 3, tail_window(3, 0)),
+        (3, 5, {(1, 2): 5}, {1: 19}, 2, tail_window(3, 0, -1, 1), 2, 1, tail_window(3, 0, 0, 2)),
+        (2, 6, {(1, 0): 6}, {0: 11}, 1, tail_window(2, 0, -1, -1), 2, 1, tail_window(2, 0, 0, 0)),
+    ]:
+        table = tail_table(n, d - 3, h_pool, i_pool, window)
+        walked = [
+            (d1, h1, i1, m1, tails, ways, d0, tuple(h0.items()), tuple(i0.items()), ram)
+            for d1, h1, i1, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
+                n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, table
+            )
+        ]
+        slow = []
+        for d1, h1, i1, m1, ways, h_rest, i_rest in components(
+            n, d - 1, tuple(sorted(h_pool.items())), tuple(sorted(i_pool.items())), part_window, m_min, d1_min
+        ):
+            for tails, comb, d0, h0, i0, ram in _listed(
+                per_level_type2_partitions(d - d1, dict(h_rest), dict(i_rest), n, window, e_lift)
+            ):
+                slow.append((d1, h1, i1, m1, tails, ways * comb, d0, h0, i0, ram))
+        assert len(walked) > 10
+        assert walked == slow
+
+
+def test_tail_table_keeps_each_tail_once_in_ascending_degree():
+    h_pool, i_pool = {(1, 2): 2, (2, 2): 1}, {0: 3, 1: 6}
+    table = tail_table(3, 4, h_pool, i_pool, _window(3))
+    keys = [key for key, *_ in table]
+    assert len(set(keys)) == len(keys) > 20
+    assert [dk for _, dk, *_ in table] == sorted(dk for _, dk, *_ in table)
+    for key, dk, h_items, i_items, mk in table:
+        assert key == (dk, h_items, i_items)
+        assert mk == dk - sum(m * c for (m, _), c in h_items)
+        assert dict(i_items).get(0, 0) <= points_on_curve(3, dk)
+
+
+def test_type2_walks_never_enumerate_components(monkeypatch):
+    # rational P^3 d=4 through 16 lines: every expansion that specializes
+    # builds one tail table, with the one components call of the count,
+    # and no type2_partitions generator calls components while it runs
+    real_expand, real_specialize, real_table = genus0.expand_x, genus0.specialize, genus0.tail_table
+    real_partitions, real_components = genus0.type2_partitions, partitions.components
+    expansions, stack, running, stray, enumerations = [], [], [0], [], [0]
+
+    def expand_x(eng, p, first_slot=None):
+        stack.append([0, 0])
+        try:
+            return real_expand(eng, p, first_slot)
+        finally:
+            expansions.append(tuple(stack.pop()))
+
+    def specialize(*args):
+        stack[-1][0] += 1
+        return real_specialize(*args)
+
+    def table(*args):
+        stack[-1][1] += 1
+        return real_table(*args)
+
+    def counted_components(*args):
+        enumerations[0] += 1
+        if running[0]:
+            stray.append(args)
+        return real_components(*args)
+
+    def walk(*args):
+        shapes = real_partitions(*args)
+        while True:
+            running[0] += 1
+            try:
+                shape = next(shapes, None)
+            finally:
+                running[0] -= 1
+            if shape is None:
+                return
+            yield shape
+
+    p = Problem.make(0, 3, 4, {(1, 2): 4}, {1: 16})
+    plain = Engine().count(p)
+    monkeypatch.setattr(genus0, "expand_x", expand_x)
+    monkeypatch.setattr(genus0, "specialize", specialize)
+    monkeypatch.setattr(genus0, "tail_table", table)
+    monkeypatch.setattr(genus0, "type2_partitions", walk)
+    monkeypatch.setattr(partitions, "components", counted_components)
+    assert Engine().count(p) == plain
+    assert stray == []
+    assert all(tables == specialized <= 1 for specialized, tables in expansions)
+    assert enumerations[0] == sum(tables for _, tables in expansions) > 10

@@ -6,7 +6,7 @@ divisor problem (Z) of those degrees counts 0; a rational curve of
 degree d passes through at most points_on_curve(n, d) general points,
 so every problem asking for more counts 0; and every incidence-only
 rational count agrees with the WDVV recursion of bench/oracle.py, which
-never calls the engine.
+never calls the engine (up to rational P^3 d=6 through 24 lines).
 
 The engine answers the first two facts without expanding a problem
 (engine.beyond_capacity), so the zero sweeps hand their cells to the
@@ -232,6 +232,15 @@ def test_incidence_only_rational_counts_match_wdvv(oracle):
         assert unmarked(eng.count(p), p) == expected, p
         cells += 1
     assert cells == 168
+
+
+def test_rational_space_frontier_counts_match_wdvv(oracle):
+    # rational quintics through 20 lines and sextics through 24 lines of
+    # P^3, the enumeration-bound end of the rational recursion
+    for d, expected in ((5, 6089786376960), (6, 244274488980962304)):
+        p = Problem.make(0, 3, d, {(1, 2): d}, {1: 4 * d})
+        assert oracle.gw_invariant(3, d, oracle.incidence_codims(p)) == expected
+        assert unmarked(Engine().count(p), p) == expected
 
 
 def test_capacity_rule_flags_no_wdvv_cell_with_curves(oracle):
