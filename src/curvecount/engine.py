@@ -118,18 +118,18 @@ class Engine:
         raises ValueError, also when the count is already stored.  A
         degeneration deeper than Python's recursion limit (left as it
         is: raising it risks overflowing the C stack) is unsupported."""
-        if isinstance(problem, ZProblem):
-            if first_slot is not None:
-                raise ValueError("a divisor problem has no first slot to choose")
-            return self.count_z(validate_z(problem))
-        p = validate(problem)
-        slots = self.admissible_slots(p)
-        if first_slot is not None and first_slot not in slots:
-            raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
         try:
+            if isinstance(problem, ZProblem):
+                if first_slot is not None:
+                    raise ValueError("a divisor problem has no first slot to choose")
+                return self.count_z(validate_z(problem))
+            p = validate(problem)
+            slots = self.admissible_slots(p)
+            if first_slot is not None and first_slot not in slots:
+                raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
             return self.count_w(p, first_slot) if p.genus == 1 else self.count_x(p, first_slot)
         except RecursionError:
-            raise UnsupportedProblem(f"the degeneration of {p} is deeper than Python's recursion limit") from None
+            raise UnsupportedProblem(f"the degeneration of {problem} is deeper than Python's recursion limit") from None
 
     def count_x(self, p: Problem, first_slot: int | None = None) -> int:
         from . import genus0

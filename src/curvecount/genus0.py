@@ -31,7 +31,7 @@ def tail_window(n: int, genus: int, lo: int = 0, hi: int | None = None):
     hi = n - 1 if hi is None else hi
 
     def bounds(dk, h_sub, mk):
-        base = free_dim(n, genus, dk, h_sub.items(), mk)
+        base = free_dim(n, genus, dk, h_sub, mk)
         return base - hi, base - lo
 
     return bounds

@@ -47,17 +47,12 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
     there, the distinguished component and the tails take every point
     marker between them.
     """
-    h_items = tuple(sorted(h_pool.items()))
-    i_items = tuple(sorted(i_base.items()))
     for d1, h1, i1, m1, ways, h_rest, i_rest in components(
-        n, d - 1, h_items, i_items, part_window, m_min, d1_min
+        n, d - 1, h_pool, i_base, part_window, m_min, d1_min
     ):
-        i_rest = dict(i_rest)
         if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
             continue
-        for tails, comb, d0, h0, i0, ram in type2_partitions(
-            d - d1, dict(h_rest), i_rest, n, table, e_lift
-        ):
+        for tails, comb, d0, h0, i0, ram in type2_partitions(d - d1, h_rest, i_rest, n, table, e_lift):
             yield d1, h1, i1, m1, tails, ways * comb, d0, h0, i0, ram
 
 
@@ -66,7 +61,7 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     an off-H elliptic component and rational tails, attachments pinned
     the same way as in the rational recursion."""
     d1, h1, i1, _ = part1
-    return count_y(eng, n, d0, h0, i0, ((d1, h1.items(), i1.items(), 1),) + tails)
+    return count_y(eng, n, d0, h0, i0, ((d1, h1, i1, 1),) + tails)
 
 
 def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -91,7 +86,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     d0 = 1 and every marker it carries lies on a point of H.
     """
     db, hb, ib, m1 = part1
-    delta = tail_delta(n, db, hb.items(), ib.items()) + 1
+    delta = tail_delta(n, db, hb, ib) + 1
     if not 0 <= delta <= 2:
         raise AssertionError(f"doubly-attached component of freedom {delta} in P^{n}")
     # the hyperplane side is 0 far more often than the middle component
@@ -100,7 +95,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
         return 0, []
     [(ycoeff, yfactors)] = ygroups
     # the merged contact of a collision does not depend on the split
-    merged = Problem.make(0, n, db, [*hb.items(), ((m1, n - delta), 1)], ib) if delta else None
+    merged = Problem.make(0, n, db, [*hb, ((m1, n - delta), 1)], ib) if delta else None
     vmerged = eng.count_x(merged) if delta else 0
     groups = []
     for m11 in range(1, m1):
@@ -108,7 +103,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
         mids = []
         for on_plane in itertools.combinations((0, 1), delta):
             contacts = [((m, n - 2 if k in on_plane else n - 1), 1) for k, m in enumerate((m11, m1 - m11))]
-            mid = Problem.make(0, n, db, [*hb.items(), *contacts], ib)
+            mid = Problem.make(0, n, db, [*hb, *contacts], ib)
             vmid = eng.count_x(mid)
             if vmid:
                 mids.append((half * d0**delta, mid, vmid))
@@ -178,10 +173,10 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     # component has freedom -1..2n-5 (see count_yb).  Over P^2 the
     # hyperplane component is the line H, so a tail of delta 1 leaves a
     # marker free on it and counts 0: tails take 0..2n-4, which over
-    # P^3 is the rational window.
+    # P^3 is the whole rational window and over P^2 its delta 0.
+    doubly = [entry for entry in rational if tail_delta(n, *entry[1:4]) <= 2 * n - 4]
     for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1,
-        tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0, 0, 2 * n - 4)),
+        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1), tails)
         if value:

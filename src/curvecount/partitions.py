@@ -1,5 +1,11 @@
 """Combinatorics for degeneration sums: distributing labeled markers
-over curve components and enumerating component multisets."""
+over curve components and enumerating component multisets.
+
+A marker pool is a dict, {(m, e): count} for tangency markers and
+{e: count} for incidence markers.  The marker vectors of a component
+that splits off are sorted (key, count) item tuples, the form
+tail_table keys, problems.free_dim, attach_mult and Problem.make take.
+"""
 
 from __future__ import annotations
 
@@ -29,12 +35,6 @@ def attach_mult(dk: int, h_items) -> int:
     return dk - sum(m * c for (m, _), c in h_items)
 
 
-def minus(pool_items, sub: dict) -> tuple:
-    """The pool ``pool_items`` ((key, count) pairs) less the sub-vector
-    ``sub`` drawn from it, as pairs in the same order."""
-    return tuple((key, c - sub.get(key, 0)) for key, c in pool_items if c - sub.get(key, 0))
-
-
 def automorphism_order(items) -> int:
     """Order of the symmetry group permuting equal entries."""
     counts: dict = {}
@@ -43,76 +43,63 @@ def automorphism_order(items) -> int:
     return math.prod(math.factorial(c) for c in counts.values())
 
 
-def subvectors(pool_items):
-    """Yield (sub_dict, ways) over all sub-vectors of the pool, with
-    ways the number of marker choices realizing the sub-vector.
-
-    ``pool_items`` is a sequence of (key, count) pairs.
-    """
-    yield from subvectors_weighted(pool_items, lambda key: 0, 0, 0)
-
-
-def subvectors_weighted(pool_items, weight_of, lo, hi):
-    """Yield (sub_dict, ways) over sub-vectors whose weighted size
-    sum(weight_of(key) * take) lies in [lo, hi].  Weights may be
-    negative; pruning uses suffix bounds."""
-    items = list(pool_items)
-    k = len(items)
-    max_add = [0] * (k + 1)
-    min_add = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        key, c = items[j]
-        w = weight_of(key)
-        max_add[j] = max_add[j + 1] + max(0, w) * c
-        min_add[j] = min_add[j + 1] + min(0, w) * c
-
-    sub: dict = {}
-
-    def rec(j, total, ways):
-        if total + min_add[j] > hi or total + max_add[j] < lo:
-            return
-        if j == k:
-            yield dict(sub), ways
-            return
-        key, c = items[j]
-        w = weight_of(key)
-        for take in range(c + 1):
-            if take:
-                sub[key] = take
-            yield from rec(j + 1, total + w * take, ways * math.comb(c, take))
-            if take:
-                del sub[key]
-
-    yield from rec(0, 0, 1)
+def subvectors(pool: dict, weight_of=lambda key: 0) -> list:
+    """Every sub-vector of the marker pool ``pool`` as (items, ways,
+    weight, rest): the sorted (key, take) pairs with take > 0, the
+    prod C(count, take) marker choices realizing them, the weight
+    sum(weight_of(key) * take), and the pool left, a dict that keeps
+    zero counts.  The takes run lexicographically over the sorted keys:
+    each key's takes vary fastest within those of the keys before it."""
+    rows = [((), 1, 0, {})]
+    for key in sorted(pool):
+        c, w = pool[key], weight_of(key)
+        rows = [
+            (
+                items + ((key, take),) if take else items,
+                ways * math.comb(c, take),
+                weight + w * take,
+                {**rest, key: c - take},
+            )
+            for items, ways, weight, rest in rows
+            for take in range(c + 1)
+        ]
+    return rows
 
 
-def components(n: int, d_max: int, h_items, i_items, i_bounds, m_min=1, d_min=1):
+def components(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds, m_min=1, d_min=1):
     """Enumerate the single components that can split off a curve
-    falling into H, drawing on the marker pools ``h_items`` and
-    ``i_items`` (sorted (key, count) pairs).
+    falling into H, drawing on the marker pools ``h_pool`` and
+    ``i_pool``.
 
     A component takes a degree dk in d_min..d_max, a sub-vector h_sub
     of the tangency pool and a sub-vector i_sub of the incidence pool,
     and meets the hyperplane at its attachment point with multiplicity
-    mk = dk - sum(m * h) >= m_min.  ``i_bounds(dk, h_sub, mk)`` returns
-    the admissible window (lo, hi) for its incidence weight
-    sum((n-1-e) * c).  An elliptic component takes d_min = 3: there are
-    no elliptic curves of degree 1 or 2, so a smaller one counts 0.
+    mk = dk - sum(m * h) >= m_min.  Its incidence weight
+    sum((n-1-e) * c) must lie in the window ``i_bounds(dk, h_sub, mk)``.
+    An elliptic component takes d_min = 3: there are no elliptic curves
+    of degree 1 or 2, so a smaller one counts 0.
 
-    Yields (dk, h_sub, i_sub, mk, ways, h_rest, i_rest): ways is the
+    Yields (dk, h_sub, i_sub, mk, ways, h_rest, i_rest), ordered by dk,
+    then by the subvectors order of h_sub, then of i_sub.  ways is the
     number of labeled marker choices realizing the sub-vectors, and
-    h_rest, i_rest are the pools the component leaves, as pairs.
+    h_rest, i_rest are the rests of subvectors, shared between yields.
+    Each pool's sub-vectors are listed once and the incidence side is
+    filtered by the window, without pruning: the enumeration runs once
+    per specialization (see tail_table), so pruning would buy little.
     """
-    weight_of = lambda e: n - 1 - e
+    if d_min > d_max:
+        return  # no degree to split off: list no pools
+    h_rows = subvectors(h_pool)
+    i_rows = subvectors(i_pool, lambda e: n - 1 - e)
     for dk in range(d_min, d_max + 1):
-        for h_sub, h_ways in subvectors(h_items):
-            mk = attach_mult(dk, h_sub.items())
+        for h_sub, h_ways, _, h_rest in h_rows:
+            mk = attach_mult(dk, h_sub)
             if mk < m_min:
                 continue
-            h_rest = minus(h_items, h_sub)
             lo, hi = i_bounds(dk, h_sub, mk)
-            for i_sub, i_ways in subvectors_weighted(i_items, weight_of, lo, hi):
-                yield dk, h_sub, i_sub, mk, h_ways * i_ways, h_rest, minus(i_items, i_sub)
+            for i_sub, i_ways, weight, i_rest in i_rows:
+                if lo <= weight <= hi:
+                    yield dk, h_sub, i_sub, mk, h_ways * i_ways, h_rest, i_rest
 
 
 def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds) -> list:
@@ -125,15 +112,14 @@ def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds) -> list
     ``components`` yields on it, in the same order: one table serves
     every pool the tails of type2_partitions and the distinguished part
     of genus1._split_off_part leave.  genus0.expand_x takes d_max =
-    d - 1, genus1.expand_w d - 3 for its two tables (IIa and IIc keep
-    degree >= 3 for the elliptic part, IIb >= 2 for the doubly-attached
-    part and >= 1 for the hyperplane component)."""
+    d - 1.  genus1.expand_w builds one table with d_max = d - 3 (IIa
+    and IIc keep degree >= 3 for the elliptic part, IIb >= 2 for the
+    doubly-attached part and >= 1 for the hyperplane component) and
+    keeps its entries of delta <= 2n - 4 for the IIb tails."""
     table = []
-    for dk, h_sub, i_sub, mk, *_ in components(
-        n, d_max, tuple(sorted(h_pool.items())), tuple(sorted(i_pool.items())), i_bounds
-    ):
-        if i_sub.get(0, 0) <= points_on_curve(n, dk):
-            key = (dk, tuple(sorted(h_sub.items())), tuple(sorted(i_sub.items())))
+    for dk, h_sub, i_sub, mk, *_ in components(n, d_max, h_pool, i_pool, i_bounds):
+        if dict(i_sub).get(0, 0) <= points_on_curve(n, dk):
+            key = (dk, h_sub, i_sub)
             table.append((key, *key, mk))
     return table
 

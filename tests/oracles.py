@@ -100,7 +100,7 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
                 mk = dk - sum(m * c for (m, _), c in h_sub)
                 if mk < m_min:
                     continue
-                bounds = i_bounds(dk, dict(h_sub), mk)
+                bounds = i_bounds(dk, h_sub, mk)
                 if bounds is None:
                     continue
                 lo, hi = bounds
@@ -139,28 +139,28 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1)
     ``tail_table``: same shapes, same order, same weights.  Unlike the
     oracles above it uses the program's own component enumerator."""
 
-    def rec(d_rem, h_items, i_items, min_key):
-        points = dict(i_items).get(0, 0)
+    def rec(d_rem, h_rem, i_rem, min_key):
+        points = i_rem.get(0, 0)
         if not points_fit(n, d_rem, points):
             return
         if not points:
-            yield (), 1, 1, d_rem, h_items, i_items
-        for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(
-            n, d_rem, h_items, i_items, i_bounds
-        ):
-            if i_sub.get(0, 0) > points_on_curve(n, dk):
+            yield (), 1, 1, d_rem, h_rem, i_rem
+        for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(n, d_rem, h_rem, i_rem, i_bounds):
+            if dict(i_sub).get(0, 0) > points_on_curve(n, dk):
                 continue
-            key = (dk, tuple(sorted(h_sub.items())), tuple(sorted(i_sub.items())))
+            key = (dk, h_sub, i_sub)
             if key < min_key:
                 continue
             for rest, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, key):
                 yield (key,) + rest, ways * rest_ways, mk * ram, d_left, h_left, i_left
 
-    h_items = tuple(sorted(h_pool.items()))
-    i_items = tuple(sorted(i_pool.items()))
-    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_items, i_items, (0, (), ())):
+    h_pool = dict(sorted(h_pool.items()))
+    i_pool = dict(sorted(i_pool.items()))
+    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, (0, (), ())):
         comb = Fraction(ways, automorphism_order(parts))
-        yield parts, comb, d_left + d0_min, dict(h0), bump(dict(i0), e_lift), ram
+        h0 = {k: c for k, c in h0.items() if c}
+        i0 = {e: c for e, c in i0.items() if c}
+        yield parts, comb, d_left + d0_min, h0, bump(i0, e_lift), ram
 
 # Exact intersection ring of the pair space obtained by blowing up
 # H x H along the diagonal, H a projective plane.

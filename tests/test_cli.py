@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import curvecount
-from curvecount import Engine, Problem, UnsupportedProblem
+from curvecount import Engine, Problem, UnsupportedProblem, ZProblem
 from curvecount.cache import MAGIC, MemoStore
 from curvecount.cli import main
 from curvecount.engine import memo_key
+from curvecount.problems import parse_divisor
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 # Quartic plane elliptic curves through 11 points with D = p1+p2+p3+p4: 62.
@@ -250,6 +251,29 @@ def test_degeneration_beyond_the_recursion_limit_is_unsupported(capsys):
     assert "recursion limit" in err and "Traceback" not in err
     with pytest.raises(UnsupportedProblem, match="recursion limit"):
         Engine().count(Problem.make(0, 400, 1, {(1, 399): 1}, {0: 2}))
+
+
+def test_divisor_problem_beyond_the_recursion_limit_is_unsupported():
+    # Counted under padding frames that leave it too little of the
+    # recursion limit, a divisor problem raises UnsupportedProblem like
+    # a rational or elliptic one; the limit itself is left as it is.
+    z = ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("p1+p2+l1"))
+    assert Engine().count(z) == 1
+
+    def pad(k):
+        return pad(k - 1) if k else Engine().count(z)
+
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    outcomes = set()
+    for k in range(sys.getrecursionlimit() - depth - 90, sys.getrecursionlimit() - depth - 20, 5):
+        try:
+            outcomes.add(pad(k))
+        except UnsupportedProblem as err:
+            assert "recursion limit" in str(err)
+            outcomes.add("unsupported")
+    assert "unsupported" in outcomes <= {1, "unsupported"}
 
 
 def test_invalid_divisor(capsys):

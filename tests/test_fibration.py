@@ -170,8 +170,9 @@ def _reference_splits(eng, z, pool, d0_min, rational_of):
     total = Fraction(0)
     for d0 in range(d0_min, d):
         d1 = d - d0
-        for i1, ways in subvectors(tuple(sorted(pool.items()))):
-            i0 = {k: c - i1.get(k, 0) for k, c in pool.items() if c - i1.get(k, 0)}
+        for i1, ways, _, _ in subvectors(pool):
+            taken = dict(i1)
+            i0 = {k: c - taken.get(k, 0) for k, c in pool.items() if c - taken.get(k, 0)}
             x, scale = rational_of(d0, i0)
             w = Problem.make(1, n, d1, {(1, n - 1): d1}, i1)
             term = scale * eng.count_x(x) * Fraction(eng.count_w(w), math.factorial(d1)) * ways

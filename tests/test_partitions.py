@@ -11,7 +11,6 @@ from curvecount.partitions import (
     components,
     points_on_curve,
     subvectors,
-    subvectors_weighted,
     tail_table,
     type2_partitions,
 )
@@ -46,10 +45,13 @@ def test_automorphism_order():
 
 
 def test_subvectors_cover_the_power_set_with_binomial_weights():
-    pool = (("a", 2), ("b", 1))
+    pool = {"b": 1, "a": 2}
     seen = {}
-    for sub, ways in subvectors(pool):
-        seen[tuple(sorted(sub.items()))] = ways
+    for sub, ways, weight, rest in subvectors(pool, {"a": 3, "b": -1}.get):
+        seen[sub] = ways
+        assert weight == sum({"a": 3, "b": -1}[k] * c for k, c in sub)
+        assert {k: c for k, c in rest.items() if c} == dict(Counter(pool) - Counter(dict(sub)))
+    assert list(seen) == [(), (("b", 1),), (("a", 1),), (("a", 1), ("b", 1)), (("a", 2),), (("a", 2), ("b", 1))]
     assert seen == {
         (): 1,
         (("a", 1),): 2,
@@ -61,42 +63,70 @@ def test_subvectors_cover_the_power_set_with_binomial_weights():
     assert sum(seen.values()) == 2**3
 
 
-def test_subvectors_weighted_agrees_with_filtering():
-    pool = ((0, 2), (1, 3), (2, 1))
-    weight_of = lambda e: 2 - e
-    for lo, hi in [(0, 3), (2, 2), (1, 4), (5, 9)]:
-        fast = sorted(
-            (tuple(sorted(s.items())), w)
-            for s, w in subvectors_weighted(pool, weight_of, lo, hi)
-        )
-        slow = sorted(
-            (tuple(sorted(s.items())), w)
-            for s, w in subvectors(pool)
-            if lo <= sum(weight_of(k) * c for k, c in s.items()) <= hi
-        )
-        assert fast == slow
+def _labeled_subvectors(pool):
+    """Every sub-vector of ``pool`` with its ways, found by listing the
+    subsets of its labeled markers, in lexicographic order of the takes
+    over the sorted keys."""
+    keys = sorted(pool)
+    labeled = [key for key in keys for _ in range(pool[key])]
+    ways = Counter()
+    for mask in range(2 ** len(labeled)):
+        taken = Counter(key for j, key in enumerate(labeled) if mask >> j & 1)
+        ways[tuple(taken[key] for key in keys)] += 1
+    return [
+        (tuple((key, take) for key, take in zip(keys, takes) if take), w, dict(zip(keys, takes)))
+        for takes, w in sorted(ways.items())
+    ]
 
 
-def test_subvectors_weighted_handles_negative_weights():
-    pool = ((-1, 2), (1, 2))
-    weight_of = lambda e: e
-    picked = sorted(
-        (tuple(sorted(s.items())), w)
-        for s, w in subvectors_weighted(pool, weight_of, 0, 0)
-    )
-    slow = sorted(
-        (tuple(sorted(s.items())), w)
-        for s, w in subvectors(pool)
-        if sum(k * c for k, c in s.items()) == 0
-    )
-    assert picked == slow
-    assert ((( -1, 1), (1, 1)), 4) in picked
+def _brute_components(n, d_max, h_pool, i_pool, i_bounds, m_min=1, d_min=1):
+    out = []
+    for dk in range(d_min, d_max + 1):
+        for h_sub, h_ways, h_take in _labeled_subvectors(h_pool):
+            mk = dk - sum(m * c for (m, _), c in h_sub)
+            if mk < m_min:
+                continue
+            lo, hi = i_bounds(dk, h_sub, mk)
+            for i_sub, i_ways, i_take in _labeled_subvectors(i_pool):
+                if lo <= sum((n - 1 - e) * c for e, c in i_sub) <= hi:
+                    h_rest = {k: c - h_take[k] for k, c in h_pool.items() if c - h_take[k]}
+                    i_rest = {e: c - i_take[e] for e, c in i_pool.items() if c - i_take[e]}
+                    out.append((dk, h_sub, i_sub, mk, h_ways * i_ways, h_rest, i_rest))
+    return out
+
+
+def test_components_filter_every_subvector_in_lexicographic_order():
+    # free markers (e = n) weigh -1, so windows reaching below 0 matter
+    cases = [
+        (2, 3, {(1, 0): 2, (1, 1): 1}, {0: 2, 1: 1, 2: 2}, tail_window(2, 0), 1, 1),
+        (3, 4, {(1, 2): 3, (2, 1): 1}, {0: 1, 1: 3, 3: 2}, tail_window(3, 0, -1, 1), 2, 1),
+        (3, 5, {(1, 2): 2}, {1: 4, 2: 1, 3: 1}, tail_window(3, 1), 1, 3),
+        (2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-3, -1), 1, 1),
+        (2, 2, {(1, 1): 1}, {0: 1, 1: 2, 2: 1}, lambda dk, h_sub, mk: (dk, dk), 1, 1),
+        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (-99, 99), 1, 1),
+        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (1, 0), 1, 1),
+        (3, 2, {}, {}, lambda dk, h_sub, mk: (0, 0), 1, 1),
+        (3, 2, {(1, 2): 1}, {1: 3}, tail_window(3, 1), 1, 3),
+    ]
+    for n, d_max, h_pool, i_pool, bounds, m_min, d_min in cases:
+        fast = [
+            (dk, h_sub, i_sub, mk, ways, {k: c for k, c in h_rest.items() if c}, {e: c for e, c in i_rest.items() if c})
+            for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
+        ]
+        assert fast == _brute_components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
+    # the window cases select what they say: everything, nothing, or a
+    # weight below 0; 5 (dk, h_sub) pairs keep mk >= 1
+    wide = components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (-99, 99))
+    assert len(list(wide)) == 5 * 3 * 3
+    assert list(components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (1, 0))) == []
+    negative = components(2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-3, -1))
+    assert {i_sub for _, _, i_sub, *_ in negative} == {((2, 1),), ((2, 2),), ((2, 3),), ((0, 1), (2, 2)), ((0, 1), (2, 3)), ((0, 2), (2, 3))}
 
 
 def _window(n):
     def bounds(dk, h_sub, mk):
         base = (n + 1) * dk + (n - 3)
-        base -= sum((n + m - e - 2) * c for (m, e), c in h_sub.items())
+        base -= sum((n + m - e - 2) * c for (m, e), c in h_sub)
         base -= mk - 1
         return (base - (n - 1), base)
 
@@ -310,11 +340,9 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
             )
         ]
         slow = []
-        for d1, h1, i1, m1, ways, h_rest, i_rest in components(
-            n, d - 1, tuple(sorted(h_pool.items())), tuple(sorted(i_pool.items())), part_window, m_min, d1_min
-        ):
+        for d1, h1, i1, m1, ways, h_rest, i_rest in components(n, d - 1, h_pool, i_pool, part_window, m_min, d1_min):
             for tails, comb, d0, h0, i0, ram in _listed(
-                per_level_type2_partitions(d - d1, dict(h_rest), dict(i_rest), n, window, e_lift)
+                per_level_type2_partitions(d - d1, h_rest, i_rest, n, window, e_lift)
             ):
                 slow.append((d1, h1, i1, m1, tails, ways * comb, d0, h0, i0, ram))
         assert len(walked) > 10
