@@ -53,8 +53,8 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
         for e in markers:
             pool = bump(pool, e, -1)
         total = whole(pool)
-        rigid = lambda d1, h1, m1: ((n + 1) * d1, (n + 1) * d1)
-        for d1, _, i1, _, ways, _, i0 in components(n, d - d0_min, {}, pool, rigid, 1, 3):
+        rigid = lambda d1, h1, m1: ((n + 1) * d1, 0, 0)
+        for d1, _, i1, _, _, ways, _, i0 in components(n, d - d0_min, {}, pool, rigid, 1, 3):
             d0 = d - d1
             x, scale = rational(d0, i0)
             vx = eng.count_x(x)

@@ -19,40 +19,32 @@ import math
 from fractions import Fraction
 
 from .engine import Engine, exact_int, finish_terms, group_sum
-from .partitions import attach_mult, bump, points_on_curve, tail_table, type2_partitions
-from .problems import Problem, dim_x, dimension, free_dim, incidence_weight
+from .partitions import bump, points_on_curve, tail_table, type2_partitions
+from .problems import Problem, dim_x, dimension, free_dim
 
 
 def tail_window(n: int, genus: int, lo: int = 0, hi: int | None = None):
-    """Window for a component's incidence weight: with its attachment
-    contact free on H its freedom delta must lie within lo..hi (by
-    default 0..n-1, so that constraining the attachment point to a
-    plane of H pins it)."""
+    """Window of partitions.components for a component of the given
+    genus: with its attachment contact free on H its freedom delta must
+    lie within lo..hi (by default 0..n-1, so that constraining the
+    attachment point to a plane of H pins it)."""
     hi = n - 1 if hi is None else hi
 
-    def bounds(dk, h_sub, mk):
-        base = free_dim(n, genus, dk, h_sub, mk)
-        return base - hi, base - lo
+    def window(dk, h_sub, mk):
+        return free_dim(n, genus, dk, h_sub, mk), lo, hi
 
-    return bounds
-
-
-def tail_delta(n: int, dk: int, h_items, i_items, genus: int = 0) -> int:
-    """The freedom delta of a component with its attachment contact free
-    on H: pinning puts that contact on a general (n-1-delta)-plane of H."""
-    mk = attach_mult(dk, h_items)
-    return free_dim(n, genus, dk, h_items, mk) - incidence_weight(n, i_items)
+    return window
 
 
-def tail_problem(n: int, dk: int, h_items, i_items, genus: int = 0):
-    """Pin a component's attachment point: returns (problem, delta) with
-    the attachment contact on a general (n-1-delta)-plane of H.  Every
+def tail_problem(n: int, dk: int, h_items, i_items, mk: int, delta: int, genus: int = 0):
+    """Pin a component, given as its record (see partitions) and its
+    genus: the problem of the component with its attachment contact, of
+    multiplicity mk, on a general (n-1-delta)-plane of H.  Every
     caller's window (see tail_window) makes some plane dimension rigid,
     so a component outside it is a fault of the caller and raises."""
-    delta = tail_delta(n, dk, h_items, i_items, genus)
     if not 0 <= delta <= n - 1:
         raise AssertionError(f"component of freedom {delta} cannot be pinned in P^{n}")
-    return Problem.make(genus, n, dk, bump(h_items, (attach_mult(dk, h_items), n - 1 - delta)), i_items), delta
+    return Problem.make(genus, n, dk, bump(h_items, (mk, n - 1 - delta)), i_items)
 
 
 def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
@@ -79,9 +71,10 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
 
     The hyperplane component has degree d0, keeps the tangency markers
     h0 and incidence markers i0 (with the specialized one), and carries
-    one attachment point per component of ``parts``: a rational tail
-    (dk, h_items, i_items) as type2_partitions yields it, or first the
-    IIa elliptic component (dk, h_items, i_items, 1).  Each is rigid
+    one attachment point per component of ``parts``: a rational tail as
+    the record (dk, h_items, i_items, mk, delta) that type2_partitions
+    yields, or first the IIa elliptic component as its record followed
+    by its genus, (dk, h_items, i_items, mk, delta, 1).  Each is rigid
     once tail_problem pins it, and the hyperplane component becomes a
     rational curve problem in H with the markers of hyperplane_markers
     and its d0 intersections with a hyperplane of H as free contacts.
@@ -91,14 +84,14 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
 
     Returns (value, groups) with groups as engine.terms_node expects.
     """
-    i0p = hyperplane_markers(h0, i0, [tail_delta(n, *part) for part in parts])
+    i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
     if n >= 3 and i0p.get(0, 0) > points_on_curve(n - 1, d0):
         return 0, []
     # Counted here, not in a helper: a frame more on every level of the
     # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
     factors = []
     for part in parts:
-        child, _ = tail_problem(n, *part)
+        child = tail_problem(n, *part)
         v = eng.count_w(child) if child.genus else eng.count_x(child)
         if v == 0:
             return 0, []

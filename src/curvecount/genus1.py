@@ -24,11 +24,10 @@ from .genus0 import (
     hyperplane_markers,
     settle,
     specialize,
-    tail_delta,
     tail_problem,
     tail_window,
 )
-from .partitions import attach_mult, bump, components, points_fit, tail_table, type2_partitions
+from .partitions import bump, components, points_fit, tail_table, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
@@ -36,32 +35,31 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
     """Enumerate type II shapes with one distinguished component.
 
     The distinguished component is one of partitions.components (its
-    incidence weight restricted by part_window, its attachment
-    multiplicity at least m_min, its degree at least d1_min); the
-    remaining pools split into rational tails, entries of ``table``
+    freedom delta1 within part_window, which also sets its genus, its
+    attachment multiplicity at least m_min, its degree at least d1_min);
+    the remaining pools split into rational tails, records of ``table``
     (partitions.tail_table on the whole pools), and the hyperplane
     component.  Yields
-    (d1, h1, i1, m1, tails, ways, d0, h0, i0, ram) where ways counts the
-    labeled marker routings divided by the tail automorphisms, and
-    tails, d0, h0, i0, ram are as type2_partitions yields them.  As
-    there, the distinguished component and the tails take every point
-    marker between them.
+    (d1, h1, i1, m1, delta1, tails, ways, d0, h0, i0, ram): the
+    distinguished component's record, then ways, the labeled marker
+    routings divided by the tail automorphisms, and tails, d0, h0, i0,
+    ram as type2_partitions yields them.  As there, the distinguished
+    component and the tails take every point marker between them.
     """
-    for d1, h1, i1, m1, ways, h_rest, i_rest in components(
+    for d1, h1, i1, m1, delta1, ways, h_rest, i_rest in components(
         n, d - 1, h_pool, i_base, part_window, m_min, d1_min
     ):
         if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
             continue
         for tails, comb, d0, h0, i0, ram in type2_partitions(d - d1, h_rest, i_rest, n, table, e_lift):
-            yield d1, h1, i1, m1, tails, ways * comb, d0, h0, i0, ram
+            yield d1, h1, i1, m1, delta1, tails, ways * comb, d0, h0, i0, ram
 
 
 def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     """Broken-curve count for a type IIa term: hyperplane component plus
-    an off-H elliptic component and rational tails, attachments pinned
-    the same way as in the rational recursion."""
-    d1, h1, i1, _ = part1
-    return count_y(eng, n, d0, h0, i0, ((d1, h1, i1, 1),) + tails)
+    an off-H elliptic component, the record part1, and rational tails,
+    attachments pinned the same way as in the rational recursion."""
+    return count_y(eng, n, d0, h0, i0, (part1 + (1,),) + tails)
 
 
 def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -70,23 +68,24 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     ordered splits (m11, m12) of its total contact multiplicity m1.  The
     half weight cancels the swap of the two attachment points.
 
-    With both contact points free on H the doubly-attached component
-    keeps a freedom delta in 0..2n-4 (the window in expand_w).  Putting
-    delta of its two contacts on a hyperplane of H, which meets the
-    hyperplane component in d0 points, makes it rigid; the other
-    contacts become point conditions on the hyperplane component, whose
-    count (count_y) does not depend on the split.  Every such choice
-    counts with a factor d0 per contact on a hyperplane of H, and for
-    delta >= 1 the configurations where the two contacts collide are
-    subtracted once: the merged contact on a general (n - delta)-plane
-    of H, weighted d0**(delta - 1).
+    part1 is the doubly-attached component's record, whose freedom takes
+    its two contacts as one free on H.  With both contact points free on
+    H it keeps one freedom more, a delta in 0..2n-4 (the window in
+    expand_w).  Putting delta of its two contacts on a hyperplane of H,
+    which meets the hyperplane component in d0 points, makes it rigid;
+    the other contacts become point conditions on the hyperplane
+    component, whose count (count_y) does not depend on the split.
+    Every such choice counts with a factor d0 per contact on a
+    hyperplane of H, and for delta >= 1 the configurations where the two
+    contacts collide are subtracted once: the merged contact on a
+    general (n - delta)-plane of H, weighted d0**(delta - 1).
 
     Over P^2 delta is 0 and H is a line: the hyperplane component's
     problem on H = P^1 is zero-dimensional, and counts 1, exactly when
     d0 = 1 and every marker it carries lies on a point of H.
     """
-    db, hb, ib, m1 = part1
-    delta = tail_delta(n, db, hb, ib) + 1
+    db, hb, ib, m1, delta = part1
+    delta += 1  # both contacts free on H
     if not 0 <= delta <= 2:
         raise AssertionError(f"doubly-attached component of freedom {delta} in P^{n}")
     # the hyperplane side is 0 far more often than the middle component
@@ -121,28 +120,28 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     H-markers and the tail attachments become its incidence conditions
     (hyperplane_markers), and the divisor records the hyperplane class
     of the original curve: tangency markers enter with their contact
-    multiplicity, attachments with minus theirs."""
-    deltas, factors = [], []
-    for dk, h_items, i_items in tails:
-        child, delta = tail_problem(n, dk, h_items, i_items)
+    multiplicity, attachments with minus theirs.  Each tail's record
+    gives its attachment multiplicity mk and, through its freedom delta,
+    the slot of its attachment marker."""
+    factors = []
+    for tail in tails:
+        child = tail_problem(n, *tail)
         v = eng.count_x(child)
         if v == 0:
             return 0, []
-        deltas.append(delta)
         factors.append((child, v))
-    rams = [attach_mult(dk, h_items) for dk, h_items, _ in tails]
     divisor = []
     for e in range(n):
         # Slot e numbers its inherited markers first, then the
         # tangency markers, then the attachments.
         h_marks = sorted(m for (m, e0), c in h0.items() if e0 == e for _ in range(c))
-        att_marks = sorted(mk for mk, dlt in zip(rams, deltas) if dlt == e)
+        att_marks = sorted(mk for _, _, _, mk, delta in tails if delta == e)
         coeffs = h_marks + [-mk for mk in att_marks]
         divisor.extend((c, e, idx) for idx, c in enumerate(coeffs, i0.get(e + 1, 0) + 1))
     degree = sum(c for c, _, _ in divisor)
     if degree != d0:
         raise InexactCount(f"divisor degree {degree} must match the component degree {d0}")
-    z = ZProblem.make(n - 1, d0, hyperplane_markers(h0, i0, deltas), divisor)
+    z = ZProblem.make(n - 1, d0, hyperplane_markers(h0, i0, [tail[4] for tail in tails]), divisor)
     vz = eng.count_z(z)
     if vz == 0:
         return 0, []
@@ -162,10 +161,10 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0))
 
-    for d1, h1, i1, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
+    for d1, h1, i1, m1, delta1, tails, ways, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational
     ):
-        value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1), tails)
+        value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1, delta1), tails)
         if value:
             terms.append(("type-IIa", ways * m1 * ram, value, groups))
 
@@ -174,11 +173,11 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     # hyperplane component is the line H, so a tail of delta 1 leaves a
     # marker free on it and counts 0: tails take 0..2n-4, which over
     # P^3 is the whole rational window and over P^2 its delta 0.
-    doubly = [entry for entry in rational if tail_delta(n, *entry[1:4]) <= 2 * n - 4]
-    for db, hb, ib, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
+    doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
+    for db, hb, ib, m1, delta1, tails, ways, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly
     ):
-        value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1), tails)
+        value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1, delta1), tails)
         if value:
             terms.append(("type-IIb", ways * ram, value, groups))
 

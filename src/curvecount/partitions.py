@@ -2,9 +2,11 @@
 over curve components and enumerating component multisets.
 
 A marker pool is a dict, {(m, e): count} for tangency markers and
-{e: count} for incidence markers.  The marker vectors of a component
-that splits off are sorted (key, count) item tuples, the form
-tail_table keys, problems.free_dim, attach_mult and Problem.make take.
+{e: count} for incidence markers.  A component that splits off is one
+record (dk, h_items, i_items, mk, delta): its degree, its marker
+vectors as sorted (key, count) item tuples, its attachment multiplicity
+and its freedom, all worked out once by components.  mk and delta
+depend on the first three fields alone, so records order as those do.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def subvectors(pool: dict, weight_of=lambda key: 0) -> list:
     return rows
 
 
-def components(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds, m_min=1, d_min=1):
+def components(n: int, d_max: int, h_pool: dict, i_pool: dict, window, m_min=1, d_min=1):
     """Enumerate the single components that can split off a curve
     falling into H, drawing on the marker pools ``h_pool`` and
     ``i_pool``.
@@ -74,15 +76,16 @@ def components(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds, m_min=1
     A component takes a degree dk in d_min..d_max, a sub-vector h_sub
     of the tangency pool and a sub-vector i_sub of the incidence pool,
     and meets the hyperplane at its attachment point with multiplicity
-    mk = dk - sum(m * h) >= m_min.  Its incidence weight
-    sum((n-1-e) * c) must lie in the window ``i_bounds(dk, h_sub, mk)``.
-    An elliptic component takes d_min = 3: there are no elliptic curves
-    of degree 1 or 2, so a smaller one counts 0.
+    mk = dk - sum(m * h) >= m_min.  ``window(dk, h_sub, mk)`` gives
+    (base, lo, hi): the component's freedom delta, base less its
+    incidence weight sum((n-1-e) * c), must lie in lo..hi.  An elliptic
+    component takes d_min = 3: there are no elliptic curves of degree 1
+    or 2, so a smaller one counts 0.
 
-    Yields (dk, h_sub, i_sub, mk, ways, h_rest, i_rest), ordered by dk,
-    then by the subvectors order of h_sub, then of i_sub.  ways is the
-    number of labeled marker choices realizing the sub-vectors, and
-    h_rest, i_rest are the rests of subvectors, shared between yields.
+    Yields (dk, h_sub, i_sub, mk, delta, ways, h_rest, i_rest), ordered
+    by dk, then by the subvectors order of h_sub, then of i_sub: the
+    component's record, the number of labeled marker choices realizing
+    the sub-vectors, and the rests of subvectors, shared between yields.
     Each pool's sub-vectors are listed once and the incidence side is
     filtered by the window, without pruning: the enumeration runs once
     per specialization (see tail_table), so pruning would buy little.
@@ -96,35 +99,33 @@ def components(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds, m_min=1
             mk = attach_mult(dk, h_sub)
             if mk < m_min:
                 continue
-            lo, hi = i_bounds(dk, h_sub, mk)
+            base, lo, hi = window(dk, h_sub, mk)
             for i_sub, i_ways, weight, i_rest in i_rows:
-                if lo <= weight <= hi:
-                    yield dk, h_sub, i_sub, mk, h_ways * i_ways, h_rest, i_rest
+                delta = base - weight
+                if lo <= delta <= hi:
+                    yield dk, h_sub, i_sub, mk, delta, h_ways * i_ways, h_rest, i_rest
 
 
-def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, i_bounds) -> list:
-    """The rational tails of one degeneration, as (key, dk, h_items,
-    i_items, mk) with key = (dk, h_items, i_items): the ``components``
-    of the marker pools up to degree d_max, in the window ``i_bounds``
-    and through at most points_on_curve(n, dk) points, in the order
-    ``components`` yields them, so ascending in dk.  The window depends
-    on the tail alone, so the entries that fit a sub-pool are what
-    ``components`` yields on it, in the same order: one table serves
-    every pool the tails of type2_partitions and the distinguished part
-    of genus1._split_off_part leave.  genus0.expand_x takes d_max =
-    d - 1.  genus1.expand_w builds one table with d_max = d - 3 (IIa
-    and IIc keep degree >= 3 for the elliptic part, IIb >= 2 for the
-    doubly-attached part and >= 1 for the hyperplane component) and
-    keeps its entries of delta <= 2n - 4 for the IIb tails."""
+def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, window) -> list:
+    """The rational tails of one degeneration, as records (dk, h_items,
+    i_items, mk, delta): the ``components`` of the marker pools up to
+    degree d_max, in ``window`` and through at most points_on_curve(n,
+    dk) points, in the order ``components`` yields them, so ascending
+    in dk.  The window depends on the tail alone, so the entries that
+    fit a sub-pool are what ``components`` yields on it, in the same
+    order: one table serves every pool the tails of type2_partitions and
+    the distinguished part of genus1._split_off_part leave.
+    genus0.expand_x takes d_max = d - 1.  genus1.expand_w builds one
+    table with d_max = d - 3 (IIa and IIc keep degree >= 3 for the
+    elliptic part, IIb >= 2 for the doubly-attached part and >= 1 for
+    the hyperplane component) and keeps its entries of delta <= 2n - 4
+    for the IIb tails."""
     table = []
-    for dk, h_sub, i_sub, mk, *_ in components(n, d_max, h_pool, i_pool, i_bounds):
-        if dict(i_sub).get(0, 0) <= points_on_curve(n, dk):
-            key = (dk, h_sub, i_sub)
-            table.append((key, *key, mk))
+    for dk, h_sub, i_sub, mk, delta, *_ in components(n, d_max, h_pool, i_pool, window):
+        # a point count is first in the sorted item tuple
+        if (i_sub[0][1] if i_sub and i_sub[0][0] == 0 else 0) <= points_on_curve(n, dk):
+            table.append((dk, h_sub, i_sub, mk, delta))
     return table
-
-
-_MIN_PART_KEY = (0, (), ())
 
 
 def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1):
@@ -132,13 +133,13 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     a hyperplane component of degree at least d0_min and an unordered
     multiset of rational tails.
 
-    Each tail is an entry of ``table`` (see tail_table, built on these
+    Each tail is a record of ``table`` (see tail_table, built on these
     pools or larger ones) whose marker vectors fit what the tails before
     it leave, and the tails take a total degree of at most d - d0_min.
     d0_min is 1 for a rational hyperplane component and 3 for an
     elliptic one (type IIc), since elliptic curves of degree 1 or 2 do
-    not exist.  A multiset takes its tails in nondecreasing key order,
-    and the walk stops at the first entry of too high a degree.
+    not exist.  A multiset takes its tails in nondecreasing record
+    order, and the walk stops at the first record of too high a degree.
 
     Two rules drop shapes that count nothing.  A multiset must take
     every point marker (e = 0) of ``i_pool``: the hyperplane component
@@ -148,8 +149,8 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     remaining degree cannot take the points left are cut early.
 
     Yields (parts, comb, d0, h0, i0, ram).  parts is a nondecreasing
-    tuple of (dk, h_items, i_items) with the vectors as sorted item
-    tuples, and comb is a Fraction: the multinomial routing of labeled
+    tuple of the tails' table records (dk, h_items, i_items, mk,
+    delta), and comb is a Fraction: the multinomial routing of labeled
     markers into the ordered tails divided by the automorphism order of
     the multiset.  d0, h0 and i0 are what the hyperplane component
     keeps: its degree and the markers left in the pools, i0 with the
@@ -157,16 +158,17 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     tails' attachment multiplicities.
     """
 
-    def rec(d_rem, h_rem, i_rem, min_key):
+    def rec(d_rem, h_rem, i_rem, min_tail):
         points = i_rem.get(0, 0)
         if not points_fit(n, d_rem, points):
             return
         if not points:
             yield (), 1, 1, d_rem, h_rem, i_rem
-        for key, dk, h_items, i_items, mk in table:
+        for tail in table:
+            dk, h_items, i_items, mk, _ = tail
             if dk > d_rem:
                 break
-            if key < min_key:
+            if tail < min_tail:
                 continue
             # math.comb is 0 when a tail takes more than is left
             ways = 1
@@ -181,12 +183,12 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
                 h_left[k] -= take
             for e, take in i_items:
                 i_left[e] -= take
-            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, key):
-                yield (key,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
+            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail):
+                yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
 
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))
-    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, _MIN_PART_KEY):
+    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, ()):
         comb = Fraction(ways, automorphism_order(parts))
         h0 = {k: c for k, c in h0.items() if c}
         i0 = {e: c for e, c in i0.items() if c}

@@ -70,13 +70,14 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
     Parts are chosen in order (the 1/l! at the end undoes the ordering),
     each drawing a labeled sub-multiset of the remaining marker pools,
     with the same degree, attachment and incidence-window constraints as
-    the engine's enumerator.  The worth of a configuration is the
-    product of value_of(dk, h_items, i_items) over its parts.  Two
-    configurations are worth nothing: one that leaves a point marker
-    (e = 0) untaken, since that point would lie on the hyperplane
-    component, and one with a part through more general points than a
-    rational curve of its degree passes through, (n-1) * points >
-    (n+1) * dk + n - 3.
+    the engine's enumerator: i_bounds(dk, h_sub, mk) gives (base, lo,
+    hi), and a part is kept when lo <= base - incidence weight <= hi.
+    The worth of a configuration is the product of value_of(dk,
+    h_items, i_items) over its parts.  Two configurations are worth
+    nothing: one that leaves a point marker (e = 0) untaken, since that
+    point would lie on the hyperplane component, and one with a part
+    through more general points than a rational curve of its degree
+    passes through, (n-1) * points > (n+1) * dk + n - 3.
     """
 
     def sub_multisets(items):
@@ -100,12 +101,9 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
                 mk = dk - sum(m * c for (m, _), c in h_sub)
                 if mk < m_min:
                     continue
-                bounds = i_bounds(dk, h_sub, mk)
-                if bounds is None:
-                    continue
-                lo, hi = bounds
+                base, lo, hi = i_bounds(dk, h_sub, mk)
                 for i_sub, i_ways in sub_multisets(i_items):
-                    if not lo <= weight(i_sub) <= hi:
+                    if not lo <= base - weight(i_sub) <= hi:
                         continue
                     if (n - 1) * dict(i_sub).get(0, 0) > (n + 1) * dk + n - 3:
                         continue
@@ -139,24 +137,24 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1)
     ``tail_table``: same shapes, same order, same weights.  Unlike the
     oracles above it uses the program's own component enumerator."""
 
-    def rec(d_rem, h_rem, i_rem, min_key):
+    def rec(d_rem, h_rem, i_rem, min_tail):
         points = i_rem.get(0, 0)
         if not points_fit(n, d_rem, points):
             return
         if not points:
             yield (), 1, 1, d_rem, h_rem, i_rem
-        for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(n, d_rem, h_rem, i_rem, i_bounds):
+        for dk, h_sub, i_sub, mk, delta, ways, h_rest, i_rest in components(n, d_rem, h_rem, i_rem, i_bounds):
             if dict(i_sub).get(0, 0) > points_on_curve(n, dk):
                 continue
-            key = (dk, h_sub, i_sub)
-            if key < min_key:
+            tail = (dk, h_sub, i_sub, mk, delta)
+            if tail < min_tail:
                 continue
-            for rest, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, key):
-                yield (key,) + rest, ways * rest_ways, mk * ram, d_left, h_left, i_left
+            for rest, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, tail):
+                yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h_left, i_left
 
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))
-    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, (0, (), ())):
+    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, ()):
         comb = Fraction(ways, automorphism_order(parts))
         h0 = {k: c for k, c in h0.items() if c}
         i0 = {e: c for e, c in i0.items() if c}

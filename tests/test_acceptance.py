@@ -139,7 +139,7 @@ def test_criterion_7_doubly_attached_bracket():
         eng = Engine(SHARED)
         h0 = {(1, 0): 1, (1, 1): 2}
         i0 = {2: 1}
-        part1 = (2, (), ((1, 7),), 2)
+        part1 = (2, (), ((1, 7),), 2, 0)
         # the ordered count 68, halved by the one 1+1 split
         value, _ = count_yb(eng, 3, 1, h0, i0, part1, ())
         assert 2 * value == 68

@@ -165,16 +165,15 @@ def test_unpinnable_component_is_an_internal_fault():
     # A line of P^3 with its attachment free on H moves in 4 dimensions:
     # 4 lines make it rigid with the attachment anywhere on H (delta 0),
     # while 5 lines or none leave no plane of H that makes it rigid.
-    child, delta = tail_problem(3, 1, (), ((1, 4),))
-    assert delta == 0
+    child = tail_problem(3, 1, (), ((1, 4),), 1, 0)
     assert child == Problem.make(0, 3, 1, {(1, 2): 1}, {1: 4})
-    for lines in (((1, 5),), ()):
+    for lines, delta in ((((1, 5),), -1), ((), 4)):
         with pytest.raises(AssertionError, match="cannot be pinned"):
-            tail_problem(3, 1, (), lines)
+            tail_problem(3, 1, (), lines, 1, delta)
     # the doubly-attached component of a IIb term likewise: a conic with
     # both contacts free on H and no incidence keeps 8 degrees of freedom
     with pytest.raises(AssertionError, match="doubly-attached component of freedom 8"):
-        count_yb(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, (2, (), (), 2), ())
+        count_yb(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, (2, (), (), 2, 7), ())
 
 
 def test_overdrawn_pool_is_an_internal_fault():

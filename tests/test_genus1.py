@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from curvecount import Engine, Problem, UnsupportedProblem, ZProblem, genus1
-from curvecount.genus0 import count_y, tail_delta, tail_problem, tail_window
+from curvecount.genus0 import count_y, tail_problem, tail_window
 from curvecount.genus1 import count_yb
 from curvecount.partitions import bump
 from curvecount.problems import parse_divisor
@@ -112,7 +112,7 @@ def test_genus_one_order_independence():
 # the latter, the half weight m11 * m12 / 2 of its one split.
 WORKED_H0 = {(1, 0): 1, (1, 1): 2}
 WORKED_I0 = {2: 1}
-WORKED_PART1 = (2, (), ((1, 7),), 2)
+WORKED_PART1 = (2, (), ((1, 7),), 2, 0)
 
 
 def test_doubly_attached_worked_example():
@@ -153,7 +153,7 @@ def test_rigid_case_gives_marked_conics():
     # H and the ordered count is the plain marked conic count, halved
     # by the one 1+1 split
     eng = Engine()
-    rigid, _ = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (2, (), ((1, 8),), 2), ())
+    rigid, _ = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (2, (), ((1, 8),), 2, -1), ())
     assert 2 * rigid == 184
     assert rigid == 92
 
@@ -167,7 +167,7 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
     vb = eng.count_x(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
     yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, ())
     assert (va, vb, yval) == (1, 1, 1)
-    value, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, (), ((0, 3),), 2), ())
+    value, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, (), ((0, 3),), 2, 1), ())
     assert value == 1
     ordered = 2 * value
     assert ordered == 2 * (2 * va - vb) * yval == 2
@@ -178,7 +178,7 @@ def test_split_point_symmetry():
     # a cubic through 11 lines attached with contacts 1+2 and 2+1: both
     # splits weigh 1 * 2 / 2 = 1 and count the same
     eng = Engine()
-    value, groups = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (3, (), ((1, 11),), 3), ())
+    value, groups = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (3, (), ((1, 11),), 3, -1), ())
     one, two = (c * math.prod(v for _, v in fac) for c, fac in groups)
     assert one == two == 134400
     assert value == 268800
@@ -213,13 +213,13 @@ def _line_h_closed_form(eng, d0, h0, i0, part1, tails):
         return "d0", 0
     if i0.get(2, 0) or any(e == 1 for _, e in h0):
         return "free marker on H", 0
-    db, hb, ib, m1 = part1
+    db, hb, ib, m1, _ = part1
     mids = sum(
         Fraction(m11 * (m1 - m11), 2)
         * eng.count_x(Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m1 - m11, 1)), ib))
         for m11 in range(1, m1)
     )
-    tails_value = math.prod(eng.count_x(tail_problem(2, dk, h, i)[0]) for dk, h, i in tails)
+    tails_value = math.prod(eng.count_x(tail_problem(2, *tail)) for tail in tails)
     return "line H", mids * tails_value
 
 
@@ -251,7 +251,7 @@ def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
     assert set(seen) == {"line H"}, seen
     # The counts above send only line-H shapes to it; the other cases
     # come from a conic through 5 points attached twice.
-    conic = (2, (), ((0, 5),), 2)
+    conic = (2, (), ((0, 5),), 2, -1)
     for d0, h0, i0 in [(2, {(1, 0): 2}, {1: 1}), (1, {(1, 0): 1}, {1: 1, 2: 1}), (1, {(1, 1): 1}, {1: 1})]:
         assert genus1.count_yb(eng, 2, d0, h0, i0, conic, ())[0] == 0
     assert genus1.count_yb(eng, 2, 1, {(1, 0): 1}, {1: 1}, conic, ())[0] == 1
@@ -305,10 +305,10 @@ def test_iib_builds_its_collision_problem_once_per_shape(monkeypatch):
     monkeypatch.setattr(genus1, "count_yb", spy_yb)
     assert Engine().count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) > 0
     split = 0
-    for (n, (db, hb, ib, m1)), made in calls:
+    for (n, (db, hb, ib, m1, delta)), made in calls:
         if not made:
             continue  # the hyperplane side counts 0
-        delta = tail_delta(n, db, hb, ib) + 1
+        delta += 1
         assert len(made) == (m1 - 1) * math.comb(2, delta) + (delta > 0)
         if delta:
             merged = real_make(Problem, 0, n, db, [*hb, ((m1, n - delta), 1)], ib)
@@ -353,6 +353,6 @@ def test_expand_w_builds_one_tail_table(monkeypatch):
         (2, 3, {(2, 0): 1, (1, 1): 2}, {0: 10}),
     ]:
         rational = real_table(n, d_max, h_pool, i_pool, tail_window(n, 0))
-        doubly = [entry for entry in rational if tail_delta(n, *entry[1:4]) <= 2 * n - 4]
+        doubly = [entry for entry in rational if entry[4] <= 2 * n - 4]
         assert doubly == real_table(n, d_max, h_pool, i_pool, tail_window(n, 0, 0, 2 * n - 4))
         assert len(rational) > len(doubly) > 5 if n == 2 else rational == doubly

@@ -7,13 +7,16 @@ from curvecount import Engine, Problem, genus0, partitions
 from curvecount.genus0 import tail_window
 from curvecount.genus1 import _split_off_part
 from curvecount.partitions import (
+    attach_mult,
     automorphism_order,
+    bump,
     components,
     points_on_curve,
     subvectors,
     tail_table,
     type2_partitions,
 )
+from curvecount.problems import dim_w, dim_x
 from oracles import ordered_type2_aggregate, per_level_type2_partitions
 
 
@@ -86,12 +89,13 @@ def _brute_components(n, d_max, h_pool, i_pool, i_bounds, m_min=1, d_min=1):
             mk = dk - sum(m * c for (m, _), c in h_sub)
             if mk < m_min:
                 continue
-            lo, hi = i_bounds(dk, h_sub, mk)
+            base, lo, hi = i_bounds(dk, h_sub, mk)
             for i_sub, i_ways, i_take in _labeled_subvectors(i_pool):
-                if lo <= sum((n - 1 - e) * c for e, c in i_sub) <= hi:
+                delta = base - sum((n - 1 - e) * c for e, c in i_sub)
+                if lo <= delta <= hi:
                     h_rest = {k: c - h_take[k] for k, c in h_pool.items() if c - h_take[k]}
                     i_rest = {e: c - i_take[e] for e, c in i_pool.items() if c - i_take[e]}
-                    out.append((dk, h_sub, i_sub, mk, h_ways * i_ways, h_rest, i_rest))
+                    out.append((dk, h_sub, i_sub, mk, delta, h_ways * i_ways, h_rest, i_rest))
     return out
 
 
@@ -101,25 +105,25 @@ def test_components_filter_every_subvector_in_lexicographic_order():
         (2, 3, {(1, 0): 2, (1, 1): 1}, {0: 2, 1: 1, 2: 2}, tail_window(2, 0), 1, 1),
         (3, 4, {(1, 2): 3, (2, 1): 1}, {0: 1, 1: 3, 3: 2}, tail_window(3, 0, -1, 1), 2, 1),
         (3, 5, {(1, 2): 2}, {1: 4, 2: 1, 3: 1}, tail_window(3, 1), 1, 3),
-        (2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-3, -1), 1, 1),
-        (2, 2, {(1, 1): 1}, {0: 1, 1: 2, 2: 1}, lambda dk, h_sub, mk: (dk, dk), 1, 1),
-        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (-99, 99), 1, 1),
-        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (1, 0), 1, 1),
-        (3, 2, {}, {}, lambda dk, h_sub, mk: (0, 0), 1, 1),
+        (2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-1, 0, 2), 1, 1),
+        (2, 2, {(1, 1): 1}, {0: 1, 1: 2, 2: 1}, lambda dk, h_sub, mk: (dk, 0, 0), 1, 1),
+        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (99, 0, 198), 1, 1),
+        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (0, 1, 0), 1, 1),
+        (3, 2, {}, {}, lambda dk, h_sub, mk: (0, 0, 0), 1, 1),
         (3, 2, {(1, 2): 1}, {1: 3}, tail_window(3, 1), 1, 3),
     ]
     for n, d_max, h_pool, i_pool, bounds, m_min, d_min in cases:
         fast = [
-            (dk, h_sub, i_sub, mk, ways, {k: c for k, c in h_rest.items() if c}, {e: c for e, c in i_rest.items() if c})
-            for dk, h_sub, i_sub, mk, ways, h_rest, i_rest in components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
+            (*record, ways, {k: c for k, c in h_rest.items() if c}, {e: c for e, c in i_rest.items() if c})
+            for *record, ways, h_rest, i_rest in components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
         ]
         assert fast == _brute_components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
     # the window cases select what they say: everything, nothing, or a
     # weight below 0; 5 (dk, h_sub) pairs keep mk >= 1
-    wide = components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (-99, 99))
+    wide = components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (99, 0, 198))
     assert len(list(wide)) == 5 * 3 * 3
-    assert list(components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (1, 0))) == []
-    negative = components(2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-3, -1))
+    assert list(components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (0, 1, 0))) == []
+    negative = components(2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-1, 0, 2))
     assert {i_sub for _, _, i_sub, *_ in negative} == {((2, 1),), ((2, 2),), ((2, 3),), ((0, 1), (2, 2)), ((0, 1), (2, 3)), ((0, 2), (2, 3))}
 
 
@@ -128,7 +132,7 @@ def _window(n):
         base = (n + 1) * dk + (n - 3)
         base -= sum((n + m - e - 2) * c for (m, e), c in h_sub)
         base -= mk - 1
-        return (base - (n - 1), base)
+        return base, 0, n - 1
 
     return bounds
 
@@ -148,7 +152,7 @@ def test_type2_partitions_match_ordered_enumeration():
         for parts, comb in _shapes(d_avail, h_pool, i_pool, n, bounds):
             worth = comb
             for part in parts:
-                worth *= _value_of(*part)
+                worth *= _value_of(*part[:3])
             total += worth
         oracle = ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of)
         assert total == oracle
@@ -167,9 +171,9 @@ def test_type2_partitions_yield_canonical_multisets():
 
 def test_weights_scale_with_automorphisms():
     # two interchangeable parts carry a half weight
-    bounds = lambda dk, h_sub, mk: (0, 99)
+    bounds = lambda dk, h_sub, mk: (99, 0, 99)
     entries = {
-        parts: comb for parts, comb in _shapes(2, {}, {}, 2, bounds)
+        tuple(part[:3] for part in parts): comb for parts, comb in _shapes(2, {}, {}, 2, bounds)
     }
     twin = ((1, (), ()), (1, (), ()))
     assert entries[twin] == Fraction(1, 2)
@@ -180,7 +184,7 @@ def _aggregate(d_avail, h_pool, i_pool, n, bounds):
     for parts, comb in _shapes(d_avail, h_pool, i_pool, n, bounds):
         worth = comb
         for part in parts:
-            worth *= _value_of(*part)
+            worth *= _value_of(*part[:3])
         total += worth
     return total
 
@@ -197,7 +201,7 @@ def test_type2_partitions_take_every_point_marker():
         shapes = list(_shapes(d_avail, h_pool, i_pool, n, _window(n)))
         assert shapes
         for parts, _ in shapes:
-            taken = sum(dict(i_items).get(0, 0) for _, _, i_items in parts)
+            taken = sum(dict(i_items).get(0, 0) for _, _, i_items, *_ in parts)
             assert taken == i_pool[0]
 
 
@@ -247,7 +251,7 @@ def _kept(d, h_pool, i_pool, e_lift, parts):
     the specialized marker on slot e_lift, and the product of the
     parts' attachment multiplicities."""
     h0, i0, ram = Counter(h_pool), Counter(i_pool), 1
-    for dk, h_items, i_items in parts:
+    for dk, h_items, i_items, *_ in parts:
         h0.subtract(dict(h_items))
         i0.subtract(dict(i_items))
         ram *= dk - sum(m * c for (m, _), c in h_items)
@@ -264,7 +268,7 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
         (4, {}, {1: 6, 0: 2}, 3, _window(3)),
         (3, {(1, 1): 2}, {0: 6}, 2, _window(2)),
         (4, {(1, 2): 1}, {1: 5}, 3, _window(3)),
-        (2, {}, {}, 2, lambda dk, h_sub, mk: (0, 99)),
+        (2, {}, {}, 2, lambda dk, h_sub, mk: (99, 0, 99)),
         (4, {(1, 3): 1}, {0: 3, 2: 4}, 4, _window(4)),
         (2, {(1, 2): 1}, {0: 4, 1: 3}, 3, _window(3)),
         (1, {(1, 1): 1}, {0: 2, 1: 2}, 2, _window(2)),
@@ -334,17 +338,17 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
     ]:
         table = tail_table(n, d - 3, h_pool, i_pool, window)
         walked = [
-            (d1, h1, i1, m1, tails, ways, d0, tuple(h0.items()), tuple(i0.items()), ram)
-            for d1, h1, i1, m1, tails, ways, d0, h0, i0, ram in _split_off_part(
+            (*part1, tails, ways, d0, tuple(h0.items()), tuple(i0.items()), ram)
+            for *part1, tails, ways, d0, h0, i0, ram in _split_off_part(
                 n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, table
             )
         ]
         slow = []
-        for d1, h1, i1, m1, ways, h_rest, i_rest in components(n, d - 1, h_pool, i_pool, part_window, m_min, d1_min):
+        for *part1, ways, h_rest, i_rest in components(n, d - 1, h_pool, i_pool, part_window, m_min, d1_min):
             for tails, comb, d0, h0, i0, ram in _listed(
-                per_level_type2_partitions(d - d1, h_rest, i_rest, n, window, e_lift)
+                per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, window, e_lift)
             ):
-                slow.append((d1, h1, i1, m1, tails, ways * comb, d0, h0, i0, ram))
+                slow.append((*part1, tails, ways * comb, d0, h0, i0, ram))
         assert len(walked) > 10
         assert walked == slow
 
@@ -352,13 +356,48 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
 def test_tail_table_keeps_each_tail_once_in_ascending_degree():
     h_pool, i_pool = {(1, 2): 2, (2, 2): 1}, {0: 3, 1: 6}
     table = tail_table(3, 4, h_pool, i_pool, _window(3))
-    keys = [key for key, *_ in table]
+    keys = [entry[:3] for entry in table]
     assert len(set(keys)) == len(keys) > 20
-    assert [dk for _, dk, *_ in table] == sorted(dk for _, dk, *_ in table)
-    for key, dk, h_items, i_items, mk in table:
-        assert key == (dk, h_items, i_items)
+    assert [dk for dk, *_ in table] == sorted(dk for dk, *_ in table)
+    for dk, h_items, i_items, mk, delta in table:
         assert mk == dk - sum(m * c for (m, _), c in h_items)
         assert dict(i_items).get(0, 0) <= points_on_curve(3, dk)
+
+
+def _freedom(n, genus, dk, h_items, i_items, mk):
+    """A component's freedom read plainly: the dimension of its problem
+    with the attachment contact free on H (slot n - 1)."""
+    p = Problem.make(genus, n, dk, bump(h_items, (mk, n - 1)), i_items)
+    return dim_w(p) if genus else dim_x(p)
+
+
+def test_records_carry_the_multiplicity_and_freedom_of_their_component():
+    # tail tables in the windows the expanders use, and the
+    # distinguished IIa (genus 1) and IIb components of _split_off_part
+    seen = {}
+    for n, d, h_pool, i_pool in [
+        (2, 6, {(1, 1): 3, (1, 0): 2, (2, 0): 1}, {0: 12, 2: 1}),
+        (3, 6, {(1, 2): 4, (2, 1): 1}, {0: 2, 1: 14, 3: 1}),
+        (3, 5, {(1, 2): 3, (1, 0): 1, (2, 2): 1}, {0: 1, 1: 9, 2: 2}),
+    ]:
+        rational = tail_table(n, d - 3, h_pool, i_pool, tail_window(n, 0))
+        doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
+        split_off = lambda window, m_min, d1_min, table: [
+            shape[:5] for shape in _split_off_part(n, d, h_pool, i_pool, n - 1, window, m_min, d1_min, table)
+        ]
+        for genus, lo, hi, records in [
+            (0, 0, n - 1, tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0))),
+            (0, 0, 2 * n - 4, tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0, 0, 2 * n - 4))),
+            (1, 0, n - 1, split_off(tail_window(n, 1), 1, 3, rational)),
+            (0, -1, 2 * n - 5, split_off(tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly)),
+        ]:
+            for dk, h_items, i_items, mk, delta in records:
+                assert mk == attach_mult(dk, h_items)
+                assert delta == _freedom(n, genus, dk, h_items, i_items, mk)
+                assert lo <= delta <= hi
+            seen.setdefault((n, genus, lo, hi), set()).update(record[4] for record in records)
+    # every freedom each window admits shows up
+    assert all(deltas == set(range(lo, hi + 1)) for (_, _, lo, hi), deltas in seen.items()), seen
 
 
 def test_type2_walks_never_enumerate_components(monkeypatch):

@@ -1,12 +1,15 @@
 """Exhaustive sweeps over small problem spaces.
 
-Three facts checked cell by cell: there are no elliptic curves of
+Four facts checked cell by cell: there are no elliptic curves of
 degree 1 or 2, so every zero-dimensional elliptic problem (W) and
 divisor problem (Z) of those degrees counts 0; a rational curve of
 degree d passes through at most points_on_curve(n, d) general points,
-so every problem asking for more counts 0; and every incidence-only
+so every problem asking for more counts 0; every incidence-only
 rational count agrees with the WDVV recursion of bench/oracle.py, which
-never calls the engine (up to rational P^3 d=6 through 24 lines).
+never calls the engine (up to rational P^3 d=6 through 24 lines); and
+where no oracle reaches, the elliptic P^3 counts of degree 3, and of
+degree 4 with four free contacts, do not depend on which incidence
+plane is specialized first, nor on the degeneration order.
 
 The engine answers the first two facts without expanding a problem
 (engine.beyond_capacity), so the zero sweeps hand their cells to the
@@ -29,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from curvecount import Engine, Problem, ZProblem, engine, parse_problem, table_rows
-from curvecount.engine import beyond_capacity, unmarked
+from curvecount.engine import beyond_capacity, check_all_orders, unmarked
 from curvecount.fibration import expand_z
 from curvecount.genus0 import expand_x
 from curvecount.genus1 import expand_w
@@ -202,6 +205,30 @@ def test_dead_shapes_are_cut_before_counting():
         records = [key for key, _ in eng.store.items()]
         assert len(records) == size, p
         assert [key for key in records if beyond_capacity(_record_problem(key))] == [], p
+
+
+def _elliptic_order_cells():
+    """Zero-dimensional elliptic P^3 problems: degree 3 with every
+    tangency vector, and degree 4 with four free contacts, with points
+    and lines filling the dimension."""
+    for d, vectors in ((3, _tangency_vectors(3, 3)), (4, [{(1, 2): 4}])):
+        for h in vectors:
+            weight = 4 * d - sum((1 + m - e) * c for (m, e), c in h.items())
+            for i in _incidence_vectors(3, weight):
+                p = validate(Problem.make(1, 3, d, h, i))
+                assert dim_w(p) == 0
+                yield p
+
+
+def test_elliptic_space_counts_do_not_depend_on_the_order():
+    # both orders and every first slot, each with a fresh memo store
+    cells = counted = 0
+    for p in _elliptic_order_cells():
+        reference = Engine().count(p)
+        check_all_orders(p, reference)
+        cells += 1
+        counted += reference != 0
+    assert (cells, counted) == (116 + 9, 79)
 
 
 @pytest.fixture
