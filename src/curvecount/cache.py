@@ -6,11 +6,14 @@ format is one header line ``EGC-CACHE v1`` followed by one
 ``key<TAB>value`` record per line, UTF-8, LF line endings, keys sorted,
 so saves are byte-identical for equal contents.  Values are decimal
 integers exactly as ``str(int)`` writes them.  A save merges the
-records already in the file (MemoStore.save).
+records already in the file (MemoStore.save), under an advisory lock
+on ``<path>.lock`` that is removed again once the file is replaced.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
 import re
 
@@ -76,12 +79,37 @@ class MemoStore:
     def save(self, path) -> None:
         """Write the records to ``path`` after merging in those already
         there (say, from another run that shares the file); a differing
-        value raises CacheConflict and writes nothing.  This is not a
-        lock: a run that saves between this read and replace is lost."""
-        if os.path.exists(path):
-            self.load(path)
-        body = "".join(f"{key}\t{self._data[key]}\n" for key in sorted(self._data))
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(MAGIC + "\n" + body)
-        os.replace(tmp, path)
+        value raises CacheConflict and writes nothing.  The read, merge
+        and replace hold an advisory lock (_exclusive), so runs that save
+        into one file at once wait for each other and all keep their
+        records; only a writer that ignores the lock can still be lost."""
+        with _exclusive(f"{path}.lock"):
+            if os.path.exists(path):
+                self.load(path)
+            body = "".join(f"{key}\t{self._data[key]}\n" for key in sorted(self._data))
+            tmp = f"{path}.tmp.{os.getpid()}"
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(MAGIC + "\n" + body)
+            os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def _exclusive(lock_path):
+    """Hold an exclusive ``fcntl.flock`` on the file ``lock_path``,
+    created for the purpose and removed before the lock is released.
+    A waiter whose lock lands on a file a holder has already removed
+    opens the path afresh, so two holders never overlap."""
+    while True:
+        fh = open(lock_path, "a")
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(lock_path)):
+                break
+        except FileNotFoundError:
+            pass
+        fh.close()
+    try:
+        yield
+    finally:
+        os.unlink(lock_path)
+        fh.close()

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .engine import Engine, exact_int, finish_terms, group_sum
-from .partitions import bump, points_on_curve, tail_table, type2_partitions
+from .partitions import bump, tail_table, type2_partitions
 from .problems import Problem, dim_x, dimension, free_dim
 
 
@@ -78,15 +78,13 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     once tail_problem pins it, and the hyperplane component becomes a
     rational curve problem in H with the markers of hyperplane_markers
     and its d0 intersections with a hyperplane of H as free contacts.
-    It counts 0, before anything is pinned, when it would pass through
-    more points of H than a curve of degree d0 can; over P^2 a point of
-    the line H costs nothing and nothing is cut.
+    It checks no capacity of its own: type2_partitions drops every shape
+    whose hyperplane component would pass through more points of H than
+    a curve of degree d0 can, so none reaches it.
 
     Returns (value, groups) with groups as engine.terms_node expects.
     """
     i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
-    if n >= 3 and i0p.get(0, 0) > points_on_curve(n - 1, d0):
-        return 0, []
     # Counted here, not in a helper: a frame more on every level of the
     # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
     factors = []

@@ -31,7 +31,7 @@ from .partitions import bump, components, points_fit, tail_table, type2_partitio
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
-def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, table):
+def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, table, points_on_h):
     """Enumerate type II shapes with one distinguished component.
 
     The distinguished component is one of partitions.components (its
@@ -39,7 +39,11 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
     attachment multiplicity at least m_min, its degree at least d1_min);
     the remaining pools split into rational tails, records of ``table``
     (partitions.tail_table on the whole pools), and the hyperplane
-    component.  Yields
+    component.  ``points_on_h(delta1)`` is the number of points of H the
+    distinguished component puts on the hyperplane component, which
+    type2_partitions adds to its capacity count: for IIa its attachment
+    when delta1 is 0 (count_ya), for IIb the 1 - delta1 contacts that
+    count_yb puts on points of H.  Yields
     (d1, h1, i1, m1, delta1, tails, ways, d0, h0, i0, ram): the
     distinguished component's record, then ways, the labeled marker
     routings divided by the tail automorphisms, and tails, d0, h0, i0,
@@ -51,7 +55,9 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
     ):
         if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
             continue
-        for tails, comb, d0, h0, i0, ram in type2_partitions(d - d1, h_rest, i_rest, n, table, e_lift):
+        for tails, comb, d0, h0, i0, ram in type2_partitions(
+            d - d1, h_rest, i_rest, n, table, e_lift, 1, points_on_h(delta1)
+        ):
             yield d1, h1, i1, m1, delta1, tails, ways * comb, d0, h0, i0, ram
 
 
@@ -60,6 +66,13 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     an off-H elliptic component, the record part1, and rational tails,
     attachments pinned the same way as in the rational recursion."""
     return count_y(eng, n, d0, h0, i0, (part1 + (1,),) + tails)
+
+
+def iia_points_on_h(delta1: int) -> int:
+    """Points of H a IIa elliptic component of freedom delta1 puts on
+    the hyperplane component: its attachment marker lies on a general
+    delta1-plane of H (hyperplane_markers), a point when delta1 is 0."""
+    return 1 if delta1 == 0 else 0
 
 
 def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -114,6 +127,14 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     return group_sum(groups), groups
 
 
+def iib_points_on_h(delta1: int) -> int:
+    """Points of H a IIb doubly-attached component of freedom delta1
+    puts on the hyperplane component: count_yb puts delta1 + 1 of its
+    two contacts on hyperplanes of H and the other 1 - delta1 on
+    points."""
+    return 1 - delta1
+
+
 def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
     lies in H, so its count is a divisor-class problem there.  The old
@@ -162,7 +183,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0))
 
     for d1, h1, i1, m1, delta1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational
+        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1, delta1), tails)
         if value:
@@ -175,7 +196,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     # P^3 is the whole rational window and over P^2 its delta 0.
     doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
     for db, hb, ib, m1, delta1, tails, ways, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly
+        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1, delta1), tails)
         if value:

@@ -7,6 +7,9 @@ record (dk, h_items, i_items, mk, delta): its degree, its marker
 vectors as sorted (key, count) item tuples, its attachment multiplicity
 and its freedom, all worked out once by components.  mk and delta
 depend on the first three fields alone, so records order as those do.
+tail_table lists the records of one degeneration, type2_partitions
+walks them into type II shapes, and both leave out, before building
+them, the tails and shapes that count 0 by their point markers alone.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, window) -> list:
     return table
 
 
-def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1):
+def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1, h_points=0):
     """Enumerate the ways a curve of degree d falling into H breaks into
     a hyperplane component of degree at least d0_min and an unordered
     multiset of rational tails.
@@ -141,12 +144,22 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     not exist.  A multiset takes its tails in nondecreasing record
     order, and the walk stops at the first record of too high a degree.
 
-    Two rules drop shapes that count nothing.  A multiset must take
+    Three rules drop shapes that count nothing.  A multiset must take
     every point marker (e = 0) of ``i_pool``: the hyperplane component
     lies in H, so a general point left on it makes the term vanish.  A
     tail may not take more points than a rational curve of its degree
     passes through (tail_table leaves such tails out).  Branches whose
-    remaining degree cannot take the points left are cut early.
+    remaining degree cannot take the points left are cut early.  And
+    for n >= 3 a rational hyperplane component (d0_min = 1) of degree
+    d0 passes through at most points_on_curve(n - 1, d0) points of H,
+    the point markers (e = 0) genus0.hyperplane_markers gives it: its
+    incidence markers left on slot 1 (the specialized one when e_lift
+    is 1), its tangency markers left on slot 0, one per tail of freedom
+    delta = 0, and ``h_points`` more that a component outside the
+    multiset puts there (genus1._split_off_part).  The walk counts
+    them as it takes tails and drops a shape past the capacity before
+    building it.  Over P^2 a point of the line H costs nothing, and an
+    elliptic component in H (d0_min = 3) is not capped here.
 
     Yields (parts, comb, d0, h0, i0, ram).  parts is a nondecreasing
     tuple of the tails' table records (dk, h_items, i_items, mk,
@@ -158,14 +171,14 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     tails' attachment multiplicities.
     """
 
-    def rec(d_rem, h_rem, i_rem, min_tail):
+    def rec(d_rem, h_rem, i_rem, min_tail, on_h):
         points = i_rem.get(0, 0)
         if not points_fit(n, d_rem, points):
             return
-        if not points:
+        if not points and (room is None or on_h + i_rem.get(1, 0) <= room[d_rem]):
             yield (), 1, 1, d_rem, h_rem, i_rem
         for tail in table:
-            dk, h_items, i_items, mk, _ = tail
+            dk, h_items, i_items, mk, delta = tail
             if dk > d_rem:
                 break
             if tail < min_tail:
@@ -179,16 +192,22 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
             if not ways:
                 continue
             h_left, i_left = dict(h_rem), dict(i_rem)
+            on_h_left = on_h if delta else on_h + 1
             for k, take in h_items:
                 h_left[k] -= take
+                if not k[1]:
+                    on_h_left -= take
             for e, take in i_items:
                 i_left[e] -= take
-            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail):
+            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h_left):
                 yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
 
+    # room[d0 - 1]: the points of H a component of degree d0 there takes
+    room = [points_on_curve(n - 1, d0) for d0 in range(1, d + 1)] if n >= 3 and d0_min == 1 else None
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))
-    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, ()):
+    on_h = h_points + (e_lift == 1) + sum(c for (_, e), c in h_pool.items() if not e)
+    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, (), on_h):
         comb = Fraction(ways, automorphism_order(parts))
         h0 = {k: c for k, c in h0.items() if c}
         i0 = {e: c for e, c in i0.items() if c}
@@ -199,11 +218,11 @@ def points_on_curve(n: int, d: int) -> int:
     """Most general points of P^n that a rational curve of degree d
     passes through: the curves move in a family of dimension
     (n+1)*d + n - 3 and each point costs n - 1.  Free markers (e = n)
-    do not move the curve, so they never raise the bound.  It caps the
-    points a tail takes (type2_partitions) and the points of H a
-    hyperplane component passes through (genus0.count_y, with
-    n - 1 >= 2).  n must be at least 2: in P^1 a point is a hyperplane
-    and costs nothing."""
+    do not move the curve, so they never raise the bound.  tail_table
+    caps the points a tail takes with it, type2_partitions the points of
+    H a rational hyperplane component passes through (with n - 1 >= 2),
+    and engine.beyond_capacity the points of a whole problem.  n must
+    be at least 2: in P^1 a point is a hyperplane and costs nothing."""
     return ((n + 1) * d + n - 3) // (n - 1)
 
 

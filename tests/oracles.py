@@ -77,7 +77,14 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
     nothing: one that leaves a point marker (e = 0) untaken, since that
     point would lie on the hyperplane component, and one with a part
     through more general points than a rational curve of its degree
-    passes through, (n-1) * points > (n+1) * dk + n - 3.
+    passes through, (n-1) * points > (n+1) * dk + n - 3.  For n >= 3 a
+    third is worth nothing: one whose hyperplane component, a rational
+    curve of degree d0 = d_avail + 1 - (the parts' degrees) in H =
+    P^(n-1), meets more points of H than such a curve passes through,
+    (n-2) * points > n * d0 + n - 4.  Its points of H are its markers
+    left on lines (e = 1), its tangency markers left on points of H, and
+    one per part of freedom 0; the specialized marker is taken to lie on
+    a hyperplane (e = n - 1), which meets H in a point only for n = 2.
     """
 
     def sub_multisets(items):
@@ -93,8 +100,12 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
     def weight(i_items):
         return sum((n - 1 - e) * c for e, c in i_items)
 
-    def rec_ordered(d_rem, h_items, i_items):
-        if not dict(i_items).get(0, 0):
+    def fits_in_h(d0, h_items, i_items, rigid):
+        points = dict(i_items).get(1, 0) + sum(c for (_, e), c in h_items if e == 0) + rigid
+        return n < 3 or (n - 2) * points <= n * d0 + n - 4
+
+    def rec_ordered(d_rem, h_items, i_items, rigid):
+        if not dict(i_items).get(0, 0) and fits_in_h(d_rem + 1, h_items, i_items, rigid):
             yield (), 1
         for dk in range(1, d_rem + 1):
             for h_sub, h_ways in sub_multisets(h_items):
@@ -103,7 +114,8 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
                     continue
                 base, lo, hi = i_bounds(dk, h_sub, mk)
                 for i_sub, i_ways in sub_multisets(i_items):
-                    if not lo <= base - weight(i_sub) <= hi:
+                    delta = base - weight(i_sub)
+                    if not lo <= delta <= hi:
                         continue
                     if (n - 1) * dict(i_sub).get(0, 0) > (n + 1) * dk + n - 3:
                         continue
@@ -118,24 +130,30 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
                         if c - dict(i_sub).get(k, 0)
                     )
                     head = value_of(dk, tuple(sorted(h_sub)), tuple(sorted(i_sub)))
-                    for rest, rest_worth in rec_ordered(d_rem - dk, h_next, i_next):
+                    for rest, rest_worth in rec_ordered(d_rem - dk, h_next, i_next, rigid + (delta == 0)):
                         yield (dk,) + rest, h_ways * i_ways * head * rest_worth
 
     total = Fraction(0)
     for parts, worth in rec_ordered(
-        d_avail, tuple(sorted(h_pool.items())), tuple(sorted(i_pool.items()))
+        d_avail, tuple(sorted(h_pool.items())), tuple(sorted(i_pool.items())), 0
     ):
         total += Fraction(worth, math.factorial(len(parts)))
     return total
 
 
-def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1):
+def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1, h_points=0):
     """The type II enumerator as it was before tail tables: it calls
     ``partitions.components`` again on every pool the tails before
     leave, and drops a tail through more points than points_on_curve.
-    It is the slow reference for ``type2_partitions`` over a
-    ``tail_table``: same shapes, same order, same weights.  Unlike the
-    oracles above it uses the program's own component enumerator."""
+    For n >= 3 and d0_min = 1 it drops a finished shape whose hyperplane
+    component of degree d0 meets more points of H than a rational curve
+    in H = P^(n-1) passes through, (n-2) * points > n * d0 + n - 4,
+    counting its markers on lines (e = 1, the specialized one included),
+    its tangency markers on points of H, one per tail of freedom 0, and
+    ``h_points``.  It is the slow reference for ``type2_partitions``
+    over a ``tail_table``: same shapes, same order, same weights.
+    Unlike the oracles above it uses the program's own component
+    enumerator."""
 
     def rec(d_rem, h_rem, i_rem, min_tail):
         points = i_rem.get(0, 0)
@@ -155,10 +173,15 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1)
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))
     for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, ()):
-        comb = Fraction(ways, automorphism_order(parts))
+        d0 = d_left + d0_min
         h0 = {k: c for k, c in h0.items() if c}
-        i0 = {e: c for e, c in i0.items() if c}
-        yield parts, comb, d_left + d0_min, h0, bump(i0, e_lift), ram
+        i0 = bump({e: c for e, c in i0.items() if c}, e_lift)
+        points = h_points + i0.get(1, 0) + sum(c for (_, e), c in h0.items() if e == 0)
+        points += sum(1 for part in parts if part[4] == 0)
+        if n >= 3 and d0_min == 1 and (n - 2) * points > n * d0 + n - 4:
+            continue
+        comb = Fraction(ways, automorphism_order(parts))
+        yield parts, comb, d0, h0, i0, ram
 
 # Exact intersection ring of the pair space obtained by blowing up
 # H x H along the diagonal, H a projective plane.

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import threading
 
 import pytest
 
@@ -129,6 +130,35 @@ def test_save_keeps_the_records_of_a_run_that_shares_the_file(tmp_path):
     fresh = MemoStore()
     assert fresh.load(path) == 3
     assert dict(fresh.items()) == {"k": 5, "k1": 1, "k2": -7}
+
+
+def test_a_save_that_lands_inside_another_keeps_its_records(tmp_path):
+    # b saves while a is between reading the file and replacing it; the
+    # lock holds b back until a has replaced the file, so b then merges
+    # a's records instead of a overwriting b's
+    path = tmp_path / "shared.egc"
+    first = MemoStore()
+    first.store("k0", 0)
+    first.save(path)
+    a, b = MemoStore(), MemoStore()
+    a.store("k1", 1)
+    b.store("k2", 2)
+    b_saving = threading.Thread(target=b.save, args=(path,))
+    real_load = a.load
+
+    def load_then_let_b_save(p):
+        count = real_load(p)
+        b_saving.start()
+        b_saving.join(timeout=0.5)
+        return count
+
+    a.load = load_then_let_b_save
+    a.save(path)
+    b_saving.join()
+    fresh = MemoStore()
+    fresh.load(path)
+    assert dict(fresh.items()) == {"k0": 0, "k1": 1, "k2": 2}
+    assert sorted(os.listdir(tmp_path)) == ["shared.egc"]
 
 
 def test_save_refuses_a_conflicting_record_and_writes_nothing(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from curvecount import Engine, Problem, UnsupportedProblem
 from curvecount.genus0 import count_y, tail_window
-from curvecount.genus1 import _split_off_part
+from curvecount.genus1 import _split_off_part, iia_points_on_h
 from curvecount.partitions import tail_table, type2_partitions
 from oracles import kontsevich_numbers, lines_meeting
 
@@ -127,7 +127,7 @@ def test_part_zero_rejects_ambient_points():
     table = tail_table(3, 3, h, i, window)
     shapes = [i0 for *_, i0, _ in type2_partitions(4, h, i, 3, table, 2)]
     table = tail_table(3, 1, h, i, window)
-    shapes += [i0 for *_, i0, _ in _split_off_part(3, 4, h, i, 2, tail_window(3, 1), 1, 3, table)]
+    shapes += [i0 for *_, i0, _ in _split_off_part(3, 4, h, i, 2, tail_window(3, 1), 1, 3, table, iia_points_on_h)]
     assert len(shapes) > 10
     assert [i0 for i0 in shapes if i0.get(0, 0)] == []
     with pytest.raises(AssertionError, match="point markers left"):

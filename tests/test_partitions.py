@@ -3,9 +3,9 @@
 from collections import Counter
 from fractions import Fraction
 
-from curvecount import Engine, Problem, genus0, partitions
+from curvecount import Engine, Problem, genus0, genus1, partitions
 from curvecount.genus0 import tail_window
-from curvecount.genus1 import _split_off_part
+from curvecount.genus1 import _split_off_part, iia_points_on_h, iib_points_on_h
 from curvecount.partitions import (
     attach_mult,
     automorphism_order,
@@ -219,7 +219,7 @@ def test_type2_partitions_yield_nothing_past_the_point_capacity():
         assert list(_shapes(d_avail, h_pool, i_pool, n, bounds)) == []
         assert ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of) == 0
     # at the capacity itself shapes remain, and agree with the oracle
-    for d_avail, i_pool, n in [(2, {0: 4, 1: 3}, 3), (1, {0: 2, 1: 2}, 2), (2, {0: 5}, 2)]:
+    for d_avail, i_pool, n in [(2, {0: 4, 1: 1}, 3), (1, {0: 2, 1: 2}, 2), (2, {0: 5}, 2)]:
         bounds = _window(n)
         h_pool = {(1, n - 1): 1}
         total = _aggregate(d_avail, h_pool, i_pool, n, bounds)
@@ -318,7 +318,7 @@ def test_table_walk_repeats_the_per_level_enumeration_in_the_iib_window():
         (5, {(1, 1): 3, (2, 0): 1}, {0: 9, 2: 1}, 2),
         (6, {(1, 1): 4, (1, 0): 2}, {0: 12}, 2),
         (5, {(1, 2): 3, (2, 1): 1}, {0: 1, 1: 9, 2: 1}, 3),
-        (6, {(1, 2): 6}, {1: 20, 0: 1}, 3),
+        (6, {(1, 2): 6}, {1: 14, 0: 1}, 3),
     ]
     for d, h_pool, i_pool, n in cases:
         shapes = sum(
@@ -331,22 +331,29 @@ def test_table_walk_repeats_the_per_level_enumeration_in_the_iib_window():
 def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
     # one table on the whole pools serves every pool the distinguished
     # component leaves; the slow side enumerates each sub-pool afresh
-    for n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, window in [
-        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, 2, tail_window(3, 1), 1, 3, tail_window(3, 0)),
-        (3, 5, {(1, 2): 5}, {1: 19}, 2, tail_window(3, 0, -1, 1), 2, 1, tail_window(3, 0, 0, 2)),
-        (2, 6, {(1, 0): 6}, {0: 11}, 1, tail_window(2, 0, -1, -1), 2, 1, tail_window(2, 0, 0, 0)),
+    # the distinguished component's points on H, stated plainly: the IIa
+    # attachment on a delta1-plane, and the IIb contacts count_yb puts
+    # on points, two less the delta1 + 1 it puts on hyperplanes
+    iia = lambda delta1: int(delta1 == 0)
+    iib = lambda delta1: 2 - (delta1 + 1)
+    for n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, window, points, plain in [
+        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, 2, tail_window(3, 1), 1, 3, tail_window(3, 0), iia_points_on_h, iia),
+        (3, 6, {(1, 2): 4, (1, 0): 1}, {0: 1, 1: 15}, 1, tail_window(3, 1), 1, 3, tail_window(3, 0), iia_points_on_h, iia),
+        (3, 5, {(1, 2): 5}, {1: 13}, 2, tail_window(3, 0, -1, 1), 2, 1, tail_window(3, 0, 0, 2), iib_points_on_h, iib),
+        (3, 5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1, tail_window(3, 0, -1, 1), 2, 1, tail_window(3, 0, 0, 2), iib_points_on_h, iib),
+        (2, 6, {(1, 0): 6}, {0: 11}, 1, tail_window(2, 0, -1, -1), 2, 1, tail_window(2, 0, 0, 0), iib_points_on_h, iib),
     ]:
         table = tail_table(n, d - 3, h_pool, i_pool, window)
         walked = [
             (*part1, tails, ways, d0, tuple(h0.items()), tuple(i0.items()), ram)
             for *part1, tails, ways, d0, h0, i0, ram in _split_off_part(
-                n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, table
+                n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, table, points
             )
         ]
         slow = []
         for *part1, ways, h_rest, i_rest in components(n, d - 1, h_pool, i_pool, part_window, m_min, d1_min):
             for tails, comb, d0, h0, i0, ram in _listed(
-                per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, window, e_lift)
+                per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, window, e_lift, 1, plain(part1[4]))
             ):
                 slow.append((*part1, tails, ways * comb, d0, h0, i0, ram))
         assert len(walked) > 10
@@ -382,14 +389,14 @@ def test_records_carry_the_multiplicity_and_freedom_of_their_component():
     ]:
         rational = tail_table(n, d - 3, h_pool, i_pool, tail_window(n, 0))
         doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
-        split_off = lambda window, m_min, d1_min, table: [
-            shape[:5] for shape in _split_off_part(n, d, h_pool, i_pool, n - 1, window, m_min, d1_min, table)
+        split_off = lambda window, m_min, d1_min, table, points: [
+            shape[:5] for shape in _split_off_part(n, d, h_pool, i_pool, n - 1, window, m_min, d1_min, table, points)
         ]
         for genus, lo, hi, records in [
             (0, 0, n - 1, tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0))),
             (0, 0, 2 * n - 4, tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0, 0, 2 * n - 4))),
-            (1, 0, n - 1, split_off(tail_window(n, 1), 1, 3, rational)),
-            (0, -1, 2 * n - 5, split_off(tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly)),
+            (1, 0, n - 1, split_off(tail_window(n, 1), 1, 3, rational, iia_points_on_h)),
+            (0, -1, 2 * n - 5, split_off(tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h)),
         ]:
             for dk, h_items, i_items, mk, delta in records:
                 assert mk == attach_mult(dk, h_items)
@@ -452,3 +459,99 @@ def test_type2_walks_never_enumerate_components(monkeypatch):
     assert stray == []
     assert all(tables == specialized <= 1 for specialized, tables in expansions)
     assert enumerations[0] == sum(tables for _, tables in expansions) > 10
+
+
+def _excess_in_h(n, d0, h0, i0, deltas):
+    """How many more points of H the component in H, as count_y builds
+    it, is asked through than a rational curve of degree d0 there
+    passes through; over P^2 nothing is capped."""
+    if n < 3:
+        return -1
+    return genus0.hyperplane_markers(h0, i0, deltas).get(0, 0) - points_on_curve(n - 1, d0)
+
+
+def test_count_y_sees_no_shape_beyond_the_hyperplane_capacity(monkeypatch):
+    # the walk drops every shape whose component in H is asked through
+    # more points of H than it can pass through, and only those: no
+    # count_y call gets one, and every count stays the same
+    real_y = genus0.count_y
+    over, calls = [], [0]
+
+    def spy_y(eng, n, d0, h0, i0, parts):
+        calls[0] += 1
+        if _excess_in_h(n, d0, h0, i0, [part[4] for part in parts]) > 0:
+            over.append((n, d0, h0, i0, parts))
+        return real_y(eng, n, d0, h0, i0, parts)
+
+    monkeypatch.setattr(genus0, "count_y", spy_y)
+    monkeypatch.setattr(genus1, "count_y", spy_y)
+    for p, value in [
+        (Problem.make(0, 3, 4, {(1, 2): 4}, {1: 16}), 383306880 * 24),
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 52832040 * 24),
+        (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24),
+    ]:
+        assert Engine().count(p) == value, p
+    assert calls[0] > 1000
+    assert over == []
+
+
+# h_points this low leaves every shape within the capacity, so the walk
+# yields what it did before the cut
+_UNCAPPED = -(10**9)
+
+
+def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
+    # points of H other than lines: the specialized marker on slot 1
+    # (e_lift = 1), tangency markers on slot 0, rigid tails and h_points
+    edges = Counter()
+    for d, h_pool, i_pool, n in [
+        (4, {(1, 2): 2, (1, 0): 2}, {0: 1, 1: 8}, 3),
+        (5, {(1, 0): 3, (2, 2): 1}, {1: 11}, 3),
+        (4, {(1, 3): 2, (1, 0): 2}, {1: 5, 2: 2}, 4),
+    ]:
+        table = tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0))
+        for e_lift in range(1, n):
+            for h_points in (0, 1, 2):
+                walked = list(type2_partitions(d, h_pool, i_pool, n, table, e_lift, 1, h_points))
+                every = list(type2_partitions(d, h_pool, i_pool, n, table, e_lift, 1, _UNCAPPED))
+                excess = [
+                    _excess_in_h(n, d0, bump(h0, (1, 0), h_points), i0, [tail[4] for tail in parts])
+                    for parts, _, d0, h0, i0, _ in every
+                ]
+                assert walked == [shape for shape, over in zip(every, excess) if over <= 0]
+                edges.update((n, e_lift, over) for over in excess if over in (0, 1))
+        # an elliptic component in H (type IIc) is not capped
+        table = tail_table(n, d - 3, h_pool, i_pool, tail_window(n, 0))
+        assert list(type2_partitions(d, h_pool, i_pool, n, table, 1, 3)) == list(
+            type2_partitions(d, h_pool, i_pool, n, table, 1, 3, _UNCAPPED)
+        )
+    # shapes on both sides of the capacity, for every slot of the marker
+    assert set(edges) == {(n, e, over) for n in (3, 4) for e in range(1, n) for over in (0, 1)}, edges
+
+
+def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero():
+    # the distinguished component's own points on H: the IIa attachment
+    # when delta1 is 0, and the 1 - delta1 contacts of a IIb component,
+    # read off the markers count_ya and count_yb hand to count_y
+    n = 3
+    iia = lambda shape: (shape[8], shape[9], [shape[4]] + [tail[4] for tail in shape[5]])
+    iib = lambda shape: (bump(shape[8], (1, 0), 2 - (shape[4] + 1)), shape[9], [tail[4] for tail in shape[5]])
+    for d, h_pool, i_pool, e_lift in [
+        (5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1),
+        (6, {(1, 2): 5, (1, 0): 1}, {0: 1, 1: 13}, 2),
+    ]:
+        rational = tail_table(n, d - 3, h_pool, i_pool, tail_window(n, 0))
+        for window, m_min, d1_min, points, markers, deltas in [
+            (tail_window(n, 1), 1, 3, iia_points_on_h, iia, {0, 1, 2}),
+            (tail_window(n, 0, -1, 2 * n - 5), 2, 1, iib_points_on_h, iib, {-1, 0, 1}),
+        ]:
+            walk = lambda points: list(
+                _split_off_part(n, d, h_pool, i_pool, e_lift, window, m_min, d1_min, rational, points)
+            )
+            every = walk(lambda _: _UNCAPPED)
+            excess = [_excess_in_h(n, shape[7], *markers(shape)) for shape in every]
+            assert walk(points) == [shape for shape, over in zip(every, excess) if over <= 0]
+            # every delta1 has shapes just inside and just past the capacity
+            edges = {(shape[4], over) for shape, over in zip(every, excess) if over in (0, 1)}
+            assert edges == {(delta1, over) for delta1 in deltas for over in (0, 1)}, edges
