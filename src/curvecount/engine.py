@@ -2,9 +2,11 @@
 
 The engine owns the memo store and the evaluation options; the
 recursion rules live in genus0, genus1 and fibration.  All arithmetic
-is exact: weights are fractions.Fraction, counts are ints, and every
-division the theory promises to be exact is checked, raising
-InexactCount when it is not.
+is exact and in ints: a term's weight is an integer numerator over one
+integer divisor, known before anything is counted, and every division
+the theory promises to be exact is checked, raising InexactCount when it
+is not.  Fractions are built only for a trace, whose edge weights they
+are.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ class InexactCount(ArithmeticError):
     engine, never of the input, and is raised rather than truncated."""
 
 
-def exact_int(value, what: str) -> int:
-    """``value`` (an int or Fraction) as an int; InexactCount with the
-    message ``what`` if it is not integral."""
-    if value.denominator != 1:
-        raise InexactCount(f"{what}: got {value}")
-    return int(value)
+def exact_quotient(numerator: int, divisor: int, what: str) -> int:
+    """``numerator / divisor`` as an int; InexactCount with the message
+    ``what`` and the reduced fraction if it is not integral."""
+    quotient, rest = divmod(numerator, divisor)
+    if rest:
+        raise InexactCount(f"{what}: got {Fraction(numerator, divisor)}")
+    return quotient
 
 
 def unmarked(marked: int, p: Problem) -> int:
@@ -204,52 +207,45 @@ class Engine:
     def terms_node(self, problem, dim: int, total: int, terms, term_totals, default_rule: str):
         """Build the node for an expanded problem.
 
-        terms: list of (rule, weight, value, groups) where groups is a
-        list of (coeff, factors) and factors a list of (problem, count);
-        the term contributes weight * value, given as an int in
-        term_totals, and value == sum(coeff * prod(counts)).
+        terms: list of (rule, num, div, value, groups) where groups is a
+        list of (coeff, coeff_div, factors) and factors a list of
+        (problem, count); the term contributes num * value / div, given
+        as an int in term_totals, and value == sum(coeff *
+        prod(counts) / coeff_div).  The edge weights are Fractions,
+        built here from those ints.
         """
         if self.tracer is None:
             return None
         children = []
-        for (rule, weight, _, groups), term_total in zip(terms, term_totals):
+        for (rule, num, div, _, groups), term_total in zip(terms, term_totals):
             if term_total == 0:
                 continue
             merged: dict[str, Fraction] = {}
-            for coeff, factors in groups:
+            for coeff, coeff_div, factors in groups:
                 r = len(factors)
                 prod_all = math.prod(c for _, c in factors)
                 if prod_all == 0 or coeff == 0:
                     continue
                 for fproblem, c in factors:
                     fkey = memo_key(fproblem)
-                    merged[fkey] = merged.get(fkey, 0) + weight * coeff * Fraction(prod_all, c) / r
+                    weight = Fraction(num * coeff * (prod_all // c), div * coeff_div * r)
+                    merged[fkey] = merged.get(fkey, 0) + weight
             term_children = [(wsum, self.tracer.nodes[fkey]) for fkey, wsum in merged.items()]
             children.append((Fraction(1), TraceNode(problem, dim, term_total, rule, term_children)))
         rule = children[0][1].rule if children else default_rule
         return TraceNode(problem, dim, total, rule, children)
 
 
-def group_sum(groups) -> Fraction:
-    """The value of a broken-curve term from its factor groups:
-    sum(coeff * prod(counts)) over the (coeff, factors) pairs."""
-    total = Fraction(0)
-    for coeff, factors in groups:
-        for _, c in factors:
-            coeff *= c
-        total += coeff
-    return total
-
-
 def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
-    """Sum the term contributions exactly and build the trace node."""
+    """Sum the term contributions exactly and build the trace node: one
+    division per term, of its numerator times its value by its divisor."""
     term_totals = []
-    for rule, weight, value, _ in terms:
-        term = weight * value
-        if term.denominator != 1:
+    for rule, num, div, value, _ in terms:
+        term, rest = divmod(num * value, div)
+        if rest:
             # the message formats the whole problem, so only on failure
-            raise InexactCount(f"non-integral {rule} term for {p}: got {term}")
-        term_totals.append(int(term))
+            raise InexactCount(f"non-integral {rule} term for {p}: got {Fraction(num * value, div)}")
+        term_totals.append(term)
     total = sum(term_totals)
     if total < 0:
         raise InexactCount(f"negative count {total} for {p}")

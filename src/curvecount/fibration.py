@@ -13,16 +13,16 @@ evaluated by degenerating the family in one body, ``_pairing``: a
 whole-fiber term plus a sum over fibers broken into a rational and an
 elliptic curve (partitions.components).  Every term is a product of
 rational and elliptic counts of lower degree, divided by the
-relabelings of free contacts.
+relabelings of free contacts; the terms are summed as integer
+numerators over one factorial and divided once.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
+from math import comb, factorial
 
-from .engine import Engine, InexactCount, exact_int, memo
+from .engine import Engine, InexactCount, exact_quotient, memo
 from .partitions import bump, components
 from .problems import Problem, ZProblem, base_z_text, dim_z
 
@@ -34,17 +34,21 @@ def _uniform(n: int, d: int) -> dict:
 def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: int, rational) -> int:
     """A pairing of two divisors on the family, memoized under ``key``.
 
+    Every term is an integer numerator over one divisor, top!, where top
+    is d - d0_min + 1: the free contacts of a broken fiber's rational
+    side, d0 - d0_min + 1 of them, and of its elliptic side, d1, are
+    relabeled by a factor (d0 - d0_min + 1)! d1! that divides top!.
     The sections of the markers on slots ``markers`` leave the fiber's
-    incidence pool; ``whole(pool)`` is the whole-fiber term on the rest.
-    A broken fiber is a rational curve of degree d0 >= d0_min and an
-    elliptic curve of degree d1 = d - d0 taking a sub-vector i1 of the
-    pool.  ``rational(d0, i0)`` returns the rational side's problem for
-    the rest i0 and its scale: the inverse relabelings of its free
-    contacts times the choices the divisor makes on it.  Over P^2 the
-    two components meet in d0*d1 points, each giving a distinct fiber.
-    The elliptic side, one of partitions.components, counts nothing
-    unless its incidence weight is its whole dimension (n+1)*d1, nor
-    unless d1 >= 3, as there are no elliptic curves of degree 1 or 2.
+    incidence pool; ``whole(pool)`` is the numerator of the whole-fiber
+    term on the rest.  A broken fiber is a rational curve of degree
+    d0 >= d0_min and an elliptic curve of degree d1 = d - d0 taking a
+    sub-vector i1 of the pool.  ``rational(d0, i0)`` returns the
+    rational side's problem for the rest i0 and its scale, the choices
+    the divisor makes on it.  Over P^2 the two components meet in d0*d1
+    points, each giving a distinct fiber.  The elliptic side, one of
+    partitions.components, counts nothing unless its incidence weight is
+    its whole dimension (n+1)*d1, nor unless d1 >= 3, as there are no
+    elliptic curves of degree 1 or 2.
     """
 
     def compute():
@@ -52,6 +56,7 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
         pool = z.i_map()
         for e in markers:
             pool = bump(pool, e, -1)
+        top = d - d0_min + 1
         total = whole(pool)
         rigid = lambda d1, h1, m1: ((n + 1) * d1, 0, 0)
         for d1, _, i1, _, _, ways, _, i0 in components(n, d - d0_min, {}, pool, rigid, 1, 3):
@@ -63,11 +68,11 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
             vw = eng.count_w(Problem.make(1, n, d1, _uniform(n, d1), i1))
             if vw == 0:
                 continue
-            term = scale * vx * Fraction(vw, math.factorial(d1)) * ways
+            term = scale * vx * vw * ways * comb(top, d1)
             if n == 2:
                 term *= d0 * d1
             total += term
-        return exact_int(total, "free-contact relabelings must divide the count")
+        return exact_quotient(total, factorial(top), "free-contact relabelings must divide the count")
 
     return memo(eng.store, key, compute)
 
@@ -81,22 +86,21 @@ def _divisor_pair(eng: Engine, z: ZProblem, key: str, markers: tuple, hyps: int)
     a hyperplane, so the fiber gains a marker on a plane of dimension
     sum(markers) + hyps*(n-1) - n, when that is not negative.  On a
     broken fiber the markers stay on the rational side, and each
-    hyperplane divisor chooses one of its d0 points on H.
+    hyperplane divisor chooses one of its d0 points on H.  The terms
+    share the divisor d!.
     """
     n, d = z.n, z.d
 
     def whole(pool):
         slot = sum(markers) + hyps * (n - 1) - n
         if slot < 0:
-            return Fraction(0)
-        w = Problem.make(1, n, d, _uniform(n, d), bump(pool, slot))
-        return Fraction(eng.count_w(w), math.factorial(d))
+            return 0
+        return eng.count_w(Problem.make(1, n, d, _uniform(n, d), bump(pool, slot)))
 
     def rational(d0, i0):
         for e in markers:
             i0 = bump(i0, e)
-        x = Problem.make(0, n, d0, _uniform(n, d0), i0)
-        return x, Fraction(d0**hyps, math.factorial(d0))
+        return Problem.make(0, n, d0, _uniform(n, d0), i0), d0**hyps
 
     return _pairing(eng, z, key, markers, whole, 1, rational)
 
@@ -121,19 +125,20 @@ def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
 
     Moving the section into the hyperplane divisor turns the marker into
     a doubled contact; the broken fibers keep the marker as a contact
-    point of the rational component instead of a free one.
+    point of the rational component instead of a free one.  The terms
+    share the divisor (d-1)!, of which the whole fiber's d - 2 free
+    contacts take (d-2)!.
     """
     n, d = z.n, z.d
 
     def whole(pool):
         if d < 2:
-            return Fraction(0)
+            return 0
         w = Problem.make(1, n, d, bump({(2, e): 1}, (1, n - 1), d - 2), pool)
-        return Fraction(eng.count_w(w), math.factorial(d - 2))
+        return eng.count_w(w) * (d - 1)
 
     def rational(d0, i0):
-        x = Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0)
-        return x, Fraction(d0 - 1, math.factorial(d0 - 1))
+        return Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0), d0 - 1
 
     return _pairing(eng, z, f"HMQ|{base_z_text(z)} e={e}", (e,), whole, 2, rational)
 

@@ -15,10 +15,9 @@ type IIa elliptic component), are shared with genus1.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from math import factorial
 
-from .engine import Engine, exact_int, finish_terms, group_sum
+from .engine import Engine, exact_quotient, finish_terms
 from .partitions import bump, tail_table, type2_partitions
 from .problems import Problem, dim_x, dimension, free_dim
 
@@ -82,26 +81,29 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     whose hyperplane component would pass through more points of H than
     a curve of degree d0 can, so none reaches it.
 
-    Returns (value, groups) with groups as engine.terms_node expects.
+    Returns (value, groups) with groups as engine.terms_node expects:
+    value is the product of the counts divided by the d0! relabelings of
+    the hyperplane component's free contacts, which must divide it.
     """
     i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
     # Counted here, not in a helper: a frame more on every level of the
     # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
     factors = []
+    prod = 1
     for part in parts:
         child = tail_problem(n, *part)
         v = eng.count_w(child) if child.genus else eng.count_x(child)
         if v == 0:
             return 0, []
         factors.append((child, v))
+        prod *= v
     child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
     v0 = eng.count_x(child0)
     if v0 == 0:
         return 0, []
-    factors = [(child0, v0)] + factors
-    groups = [(Fraction(1, math.factorial(d0)), factors)]
-    value = exact_int(group_sum(groups), "hyperplane-component relabelings must divide the count")
-    return value, groups
+    relabelings = factorial(d0)
+    value = exact_quotient(prod * v0, relabelings, "hyperplane-component relabelings must divide the count")
+    return value, [(1, relabelings, [(child0, v0)] + factors)]
 
 
 def settle(eng: Engine, p: Problem, first_slot=None):
@@ -141,7 +143,7 @@ def specialize(eng: Engine, p: Problem, first_slot=None):
             continue
         child = Problem.make(p.genus, p.n, p.d, bump(bump(h_pool, (m, e0), -1), (m, e_new)), i_base)
         v = count(child)
-        terms.append(("type-I", Fraction(m * c), v, [(Fraction(1), [(child, v)])]))
+        terms.append(("type-I", m * c, 1, v, [(1, 1, [(child, v)])]))
     return e_lift, h_pool, i_base, terms
 
 
@@ -157,8 +159,8 @@ def expand_x(eng: Engine, p: Problem, first_slot=None):
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     table = tail_table(n, d - 1, h_pool, i_base, tail_window(n, 0))
-    for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, table, e_lift):
+    for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, table, e_lift):
         value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:
-            terms.append(("type-IIplain", comb * ram, value, groups))
+            terms.append(("type-IIplain", ways * ram, aut, value, groups))
     return finish_terms(eng, p, 0, terms, "type-I")

@@ -16,9 +16,9 @@ unsupported rather than guessed at.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
-from .engine import Engine, InexactCount, finish_terms, group_sum
+from .engine import Engine, InexactCount, finish_terms
 from .genus0 import (
     count_y,
     hyperplane_markers,
@@ -44,21 +44,21 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
     type2_partitions adds to its capacity count: for IIa its attachment
     when delta1 is 0 (count_ya), for IIb the 1 - delta1 contacts that
     count_yb puts on points of H.  Yields
-    (d1, h1, i1, m1, delta1, tails, ways, d0, h0, i0, ram): the
+    (d1, h1, i1, m1, delta1, tails, ways, aut, d0, h0, i0, ram): the
     distinguished component's record, then ways, the labeled marker
-    routings divided by the tail automorphisms, and tails, d0, h0, i0,
-    ram as type2_partitions yields them.  As there, the distinguished
-    component and the tails take every point marker between them.
+    routings, and tails, aut, d0, h0, i0, ram as type2_partitions yields
+    them.  As there, the distinguished component and the tails take
+    every point marker between them.
     """
     for d1, h1, i1, m1, delta1, ways, h_rest, i_rest in components(
         n, d - 1, h_pool, i_base, part_window, m_min, d1_min
     ):
         if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
             continue
-        for tails, comb, d0, h0, i0, ram in type2_partitions(
+        for tails, tail_ways, aut, d0, h0, i0, ram in type2_partitions(
             d - d1, h_rest, i_rest, n, table, e_lift, 1, points_on_h(delta1)
         ):
-            yield d1, h1, i1, m1, delta1, tails, ways * comb, d0, h0, i0, ram
+            yield d1, h1, i1, m1, delta1, tails, ways * tail_ways, aut, d0, h0, i0, ram
 
 
 def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -78,8 +78,10 @@ def iia_points_on_h(delta1: int) -> int:
 def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     """Broken-curve count for a type IIb term: a rational component
     attached to the hyperplane component at two points, summed over the
-    ordered splits (m11, m12) of its total contact multiplicity m1.  The
-    half weight cancels the swap of the two attachment points.
+    ordered splits (m11, m12) of its total contact multiplicity m1, each
+    weighted m11 * m12.  It is the ordered count: the swap of the two
+    attachment points counts each configuration twice, and the IIb
+    term's divisor carries that 2.
 
     part1 is the doubly-attached component's record, whose freedom takes
     its two contacts as one free on H.  With both contact points free on
@@ -105,26 +107,29 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     yval, ygroups = count_y(eng, n, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
     if yval == 0:
         return 0, []
-    [(ycoeff, yfactors)] = ygroups
+    [(_, ydiv, yfactors)] = ygroups
     # the merged contact of a collision does not depend on the split
     merged = Problem.make(0, n, db, [*hb, ((m1, n - delta), 1)], ib) if delta else None
     vmerged = eng.count_x(merged) if delta else 0
+    mids_total = 0
     groups = []
     for m11 in range(1, m1):
-        half = Fraction(m11 * (m1 - m11), 2)
+        ordered = m11 * (m1 - m11)
         mids = []
         for on_plane in itertools.combinations((0, 1), delta):
             contacts = [((m, n - 2 if k in on_plane else n - 1), 1) for k, m in enumerate((m11, m1 - m11))]
             mid = Problem.make(0, n, db, [*hb, *contacts], ib)
             vmid = eng.count_x(mid)
             if vmid:
-                mids.append((half * d0**delta, mid, vmid))
+                mids.append((ordered * d0**delta, mid, vmid))
         if vmerged:
-            mids.append((-half * d0 ** (delta - 1), merged, vmerged))
+            mids.append((-ordered * d0 ** (delta - 1), merged, vmerged))
         # a split whose middle components cancel adds nothing to the trace
-        if sum(coeff * vmid for coeff, _, vmid in mids):
-            groups.extend((ycoeff * coeff, [(mid, vmid)] + yfactors) for coeff, mid, vmid in mids)
-    return group_sum(groups), groups
+        split = sum(coeff * vmid for coeff, _, vmid in mids)
+        if split:
+            mids_total += split
+            groups.extend((coeff, ydiv, [(mid, vmid)] + yfactors) for coeff, mid, vmid in mids)
+    return mids_total * yval, groups
 
 
 def iib_points_on_h(delta1: int) -> int:
@@ -166,8 +171,8 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     vz = eng.count_z(z)
     if vz == 0:
         return 0, []
-    groups = [(Fraction(1), [(z, vz)] + factors)]
-    return group_sum(groups), groups
+    factors = [(z, vz)] + factors
+    return math.prod(v for _, v in factors), [(1, 1, factors)]
 
 
 def expand_w(eng: Engine, p: Problem, first_slot=None):
@@ -182,12 +187,12 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0))
 
-    for d1, h1, i1, m1, delta1, tails, ways, d0, h0, i0, ram in _split_off_part(
+    for d1, h1, i1, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1, delta1), tails)
         if value:
-            terms.append(("type-IIa", ways * m1 * ram, value, groups))
+            terms.append(("type-IIa", ways * m1 * ram, aut, value, groups))
 
     # With its two contacts taken as one free on H, the doubly-attached
     # component has freedom -1..2n-5 (see count_yb).  Over P^2 the
@@ -195,17 +200,17 @@ def expand_w(eng: Engine, p: Problem, first_slot=None):
     # marker free on it and counts 0: tails take 0..2n-4, which over
     # P^3 is the whole rational window and over P^2 its delta 0.
     doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
-    for db, hb, ib, m1, delta1, tails, ways, d0, h0, i0, ram in _split_off_part(
+    for db, hb, ib, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1, delta1), tails)
         if value:
-            terms.append(("type-IIb", ways * ram, value, groups))
+            terms.append(("type-IIb", ways * ram, 2 * aut, value, groups))
 
     if n == 3:
-        for parts, comb, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, rational, e_lift, 3):
+        for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, rational, e_lift, 3):
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
-                terms.append(("type-IIc", comb * ram, value, groups))
+                terms.append(("type-IIc", ways * ram, aut, value, groups))
 
     return finish_terms(eng, p, 0, terms, "type-I")

@@ -15,7 +15,6 @@ them, the tails and shapes that count 0 by their point markers alone.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def bump(vec: dict, key, delta=1) -> dict:
@@ -161,14 +160,15 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     building it.  Over P^2 a point of the line H costs nothing, and an
     elliptic component in H (d0_min = 3) is not capped here.
 
-    Yields (parts, comb, d0, h0, i0, ram).  parts is a nondecreasing
-    tuple of the tails' table records (dk, h_items, i_items, mk,
-    delta), and comb is a Fraction: the multinomial routing of labeled
-    markers into the ordered tails divided by the automorphism order of
-    the multiset.  d0, h0 and i0 are what the hyperplane component
-    keeps: its degree and the markers left in the pools, i0 with the
-    specialized marker added on slot e_lift.  ram is the product of the
-    tails' attachment multiplicities.
+    Yields (parts, ways, aut, d0, h0, i0, ram).  parts is a
+    nondecreasing tuple of the tails' table records (dk, h_items,
+    i_items, mk, delta).  The ints ways and aut are the multinomial
+    routing of labeled markers into the ordered tails and the
+    automorphism order of the multiset, by which a term divides its
+    weight.  d0, h0 and i0 are what the hyperplane component keeps: its
+    degree and the markers left in the pools, i0 with the specialized
+    marker added on slot e_lift.  ram is the product of the tails'
+    attachment multiplicities.
     """
 
     def rec(d_rem, h_rem, i_rem, min_tail, on_h):
@@ -208,10 +208,9 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     i_pool = dict(sorted(i_pool.items()))
     on_h = h_points + (e_lift == 1) + sum(c for (_, e), c in h_pool.items() if not e)
     for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, (), on_h):
-        comb = Fraction(ways, automorphism_order(parts))
         h0 = {k: c for k, c in h0.items() if c}
         i0 = {e: c for e, c in i0.items() if c}
-        yield parts, comb, d_left + d0_min, h0, bump(i0, e_lift), ram
+        yield parts, ways, automorphism_order(parts), d_left + d0_min, h0, bump(i0, e_lift), ram
 
 
 def points_on_curve(n: int, d: int) -> int:

@@ -180,8 +180,7 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1,
         points += sum(1 for part in parts if part[4] == 0)
         if n >= 3 and d0_min == 1 and (n - 2) * points > n * d0 + n - 4:
             continue
-        comb = Fraction(ways, automorphism_order(parts))
-        yield parts, comb, d0, h0, i0, ram
+        yield parts, ways, automorphism_order(parts), d0, h0, i0, ram
 
 # Exact intersection ring of the pair space obtained by blowing up
 # H x H along the diagonal, H a projective plane.

@@ -1,5 +1,8 @@
 """Exactness checks are ordinary raises: they hold under ``python -O``
-and end a CLI run with exit code 4, not with a truncated count."""
+and end a CLI run with exit code 4, not with a truncated count.  Each
+check divides ints, and each is reached here by an int fault: a divisor
+patched to a large prime that divides no count.  An untraced count does
+all its arithmetic in ints and builds no Fraction."""
 
 import ast
 import subprocess
@@ -17,18 +20,24 @@ from curvecount import (
     ZProblem,
     parse_divisor,
     parse_problem,
+    render_dot,
+    render_json,
     render_text,
     trace,
 )
-from curvecount import fibration, genus0
+from curvecount import fibration, genus0, partitions
 from curvecount.cli import main
 from curvecount.engine import check_all_orders, memo_key, unmarked
 from curvecount.genus0 import tail_problem
 from curvecount.genus1 import count_yb
 from curvecount.partitions import bump
 from curvecount.trace import Tracer
+from test_trace import GOLDEN, _sha256
 
 SRC = str(Path(curvecount.__file__).resolve().parent.parent)
+
+# elliptic space cubics through 12 lines, a case with a pinned trace
+GOLDEN_ELLIPTIC = Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12})
 
 SAMPLE = [
     "Problem.make(0, 3, 3, {(1, 2): 3}, {1: 12})",
@@ -104,10 +113,20 @@ def test_check_all_orders_zcount_under_python_O():
 @pytest.mark.parametrize(
     "patch, argv",
     [
-        # a non-integral type II term
-        (
-            "genus0.count_y = lambda *args: (Fraction(1, 1000003), [])",
+        pytest.param(
+            "partitions.automorphism_order = lambda parts: 1000003",
             ["count", "-n", "3", "-d", "2", "--lines", "8"],
+            id="non-integral-term",
+        ),
+        pytest.param(
+            "genus0.factorial = lambda k: 1000003",
+            ["count", "-n", "3", "-d", "2", "--lines", "8"],
+            id="hyperplane-relabelings",
+        ),
+        pytest.param(
+            "fibration.factorial = lambda k: 1000003",
+            ["zcount", "-n", "2", "-d", "4", "--points", "11", "--divisor", "p1+p2+p3+p4"],
+            id="free-contact-relabelings",
         ),
         # section self-intersections that depend on the slot
         (
@@ -120,8 +139,7 @@ def test_check_all_orders_zcount_under_python_O():
 )
 def test_exactness_failure_exits_4_under_python_O(patch, argv):
     code = "import sys\n"
-    code += "from fractions import Fraction\n"
-    code += "from curvecount import fibration, genus0\n"
+    code += "from curvecount import fibration, genus0, partitions\n"
     code += "from curvecount.cli import main\n"
     code += patch + "\n"
     code += f"sys.exit(main({argv!r}))\n"
@@ -133,17 +151,57 @@ def test_exactness_failure_exits_4_under_python_O(patch, argv):
 
 
 def test_non_integral_term_raises(monkeypatch):
-    monkeypatch.setattr(genus0, "count_y", lambda *args: (Fraction(1, 1000003), []))
-    with pytest.raises(InexactCount, match="non-integral type-IIplain term"):
+    # a term's divisor that does not divide its numerator times its value
+    monkeypatch.setattr(partitions, "automorphism_order", lambda parts: 1000003)
+    with pytest.raises(InexactCount, match=r"non-integral type-IIplain term for .*: got \d+/1000003$"):
         Engine().count(Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8}))
 
 
+def test_hyperplane_relabelings_must_divide_the_count(monkeypatch):
+    monkeypatch.setattr(genus0, "factorial", lambda k: 1000003)
+    with pytest.raises(InexactCount, match=r"hyperplane-component relabelings must divide the count: got \d+/1000003$"):
+        Engine().count(Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8}))
+
+
+def test_free_contact_relabelings_must_divide_a_pairing(monkeypatch):
+    monkeypatch.setattr(fibration, "factorial", lambda k: 1000003)
+    with pytest.raises(InexactCount, match=r"free-contact relabelings must divide the count: got -?\d+/1000003$"):
+        Engine().count(ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")))
+
+
 def test_cli_maps_inexact_count_to_exit_4(monkeypatch, capsys):
-    monkeypatch.setattr(genus0, "count_y", lambda *args: (Fraction(1, 1000003), []))
+    monkeypatch.setattr(partitions, "automorphism_order", lambda parts: 1000003)
     assert main(["count", "-n", "3", "-d", "2", "--lines", "8"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: internal exactness check failed:")
+
+
+def test_untraced_counts_build_no_fraction(monkeypatch):
+    # rational P^3 d=4, elliptic P^3 d=4 (types IIa, IIb, IIc and the
+    # fibration pairings) and d=3, elliptic P^2 d=5, and a divisor count
+    problems = [
+        (Problem.make(0, 3, 4, {(1, 2): 4}, {1: 16}), 9199365120),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 1267968960),
+        (GOLDEN_ELLIPTIC, 9000),
+        (Problem.make(1, 2, 5, {(1, 1): 5}, {0: 15}), 10463040),
+        (ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")), 62),
+    ]
+    made = []
+    real_new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    assert [Engine().count(p) for p, _ in problems] == [value for _, value in problems]
+    assert made == []
+    # a trace builds its edge weights as Fractions, the same as before
+    root = trace(GOLDEN_ELLIPTIC)
+    assert made
+    digests = next(digests for _, p, _, digests, _ in GOLDEN if p == GOLDEN_ELLIPTIC)
+    assert (_sha256(render_text(root)), _sha256(render_json(root)), _sha256(render_dot(root))) == digests
 
 
 def test_odd_divisor_self_intersection_raises(monkeypatch):

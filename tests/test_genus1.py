@@ -109,7 +109,8 @@ def test_genus_one_order_independence():
 # space cubics through 12 lines, a conic meets the hyperplane component
 # (a line in H) at two points.  Splitting its double contact 1+1 gives
 # the ordered count 68 and the symmetrized count 34: count_yb gives
-# the latter, the half weight m11 * m12 / 2 of its one split.
+# the former, weighted m11 * m12 for its one split, and the IIb term
+# divides it by 2.
 WORKED_H0 = {(1, 0): 1, (1, 1): 2}
 WORKED_I0 = {2: 1}
 WORKED_PART1 = (2, (), ((1, 7),), 2, 0)
@@ -118,10 +119,9 @@ WORKED_PART1 = (2, (), ((1, 7),), 2, 0)
 def test_doubly_attached_worked_example():
     eng = Engine()
     value, groups = count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())
-    assert 2 * value == 68
-    assert value == 34
+    assert value == 68
     # the trace bookkeeping carries the same total
-    assert sum(c * math.prod(v for _, v in fac) for c, fac in groups) == 34
+    assert sum(Fraction(c * math.prod(v for _, v in fac), div) for c, div, fac in groups) == 68
 
 
 def test_worked_example_bracket_pieces():
@@ -145,17 +145,16 @@ def test_worked_example_chow_kernel():
     family = va * (H1 * H1 * H2) + va * (H1 * H2 * H2) - vc * (E * H1 * H2)
     paired = blowup_pair_product(kernel, family)
     assert paired == 68
-    assert paired == 2 * count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())[0]
+    assert paired == count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())[0]
 
 
 def test_rigid_case_gives_marked_conics():
     # when the conic is fully pinned the two contact points are free on
-    # H and the ordered count is the plain marked conic count, halved
-    # by the one 1+1 split
+    # H and the ordered count is the plain marked conic count, which the
+    # IIb term halves for the one 1+1 split
     eng = Engine()
     rigid, _ = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (2, (), ((1, 8),), 2, -1), ())
-    assert 2 * rigid == 184
-    assert rigid == 92
+    assert rigid == 184
 
 
 def test_two_freedoms_case_keeps_the_base_degree_factor():
@@ -167,21 +166,19 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
     vb = eng.count_x(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
     yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, ())
     assert (va, vb, yval) == (1, 1, 1)
-    value, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, (), ((0, 3),), 2, 1), ())
-    assert value == 1
-    ordered = 2 * value
+    ordered, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, (), ((0, 3),), 2, 1), ())
     assert ordered == 2 * (2 * va - vb) * yval == 2
     assert ordered != (2 * va - vb) * yval
 
 
 def test_split_point_symmetry():
     # a cubic through 11 lines attached with contacts 1+2 and 2+1: both
-    # splits weigh 1 * 2 / 2 = 1 and count the same
+    # splits weigh 1 * 2 = 2 and count the same
     eng = Engine()
     value, groups = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (3, (), ((1, 11),), 3, -1), ())
-    one, two = (c * math.prod(v for _, v in fac) for c, fac in groups)
-    assert one == two == 134400
-    assert value == 268800
+    one, two = (Fraction(c * math.prod(v for _, v in fac), div) for c, div, fac in groups)
+    assert one == two == 268800
+    assert value == 537600
 
 
 def test_blowup_ring_relations():
@@ -207,7 +204,7 @@ def _line_h_closed_form(eng, d0, h0, i0, part1, tails):
     component must be H itself (d0 = 1), which carries no marker free
     on it (i0 on slot 2) and no contact free on H (h0 on slot 1); then
     both contacts attach at free points of H, and each ordered split
-    (m11, m12) counts m11 * m12 / 2 times the middle component's count
+    (m11, m12) counts m11 * m12 times the middle component's count
     times the pinned tails'."""
     if d0 != 1:
         return "d0", 0
@@ -215,7 +212,7 @@ def _line_h_closed_form(eng, d0, h0, i0, part1, tails):
         return "free marker on H", 0
     db, hb, ib, m1, _ = part1
     mids = sum(
-        Fraction(m11 * (m1 - m11), 2)
+        m11 * (m1 - m11)
         * eng.count_x(Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m1 - m11, 1)), ib))
         for m11 in range(1, m1)
     )
@@ -254,7 +251,8 @@ def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
     conic = (2, (), ((0, 5),), 2, -1)
     for d0, h0, i0 in [(2, {(1, 0): 2}, {1: 1}), (1, {(1, 0): 1}, {1: 1, 2: 1}), (1, {(1, 1): 1}, {1: 1})]:
         assert genus1.count_yb(eng, 2, d0, h0, i0, conic, ())[0] == 0
-    assert genus1.count_yb(eng, 2, 1, {(1, 0): 1}, {1: 1}, conic, ())[0] == 1
+    # one conic, counted once for each order of its two contacts
+    assert genus1.count_yb(eng, 2, 1, {(1, 0): 1}, {1: 1}, conic, ())[0] == 2
     assert set(seen) == {"d0", "free marker on H", "line H"}, seen
 
 

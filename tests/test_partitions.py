@@ -21,12 +21,12 @@ from oracles import ordered_type2_aggregate, per_level_type2_partitions
 
 
 def _shapes(d_avail, h_pool, i_pool, n, bounds):
-    """(parts, comb) of every shape whose tails take at most d_avail,
-    the hyperplane component keeping the rest of a degree d_avail + 1
-    curve."""
+    """(parts, ways, aut) of every shape whose tails take at most
+    d_avail, the hyperplane component keeping the rest of a degree
+    d_avail + 1 curve."""
     table = tail_table(n, d_avail, h_pool, i_pool, bounds)
-    for parts, comb, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, n, table, n - 1):
-        yield parts, comb
+    for parts, ways, aut, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, n, table, n - 1):
+        yield parts, ways, aut
 
 
 def _value_of(dk, h_items, i_items):
@@ -149,8 +149,8 @@ def test_type2_partitions_match_ordered_enumeration():
     for d_avail, h_pool, i_pool, n in _ORDERED_CASES:
         bounds = _window(n)
         total = Fraction(0)
-        for parts, comb in _shapes(d_avail, h_pool, i_pool, n, bounds):
-            worth = comb
+        for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n, bounds):
+            worth = Fraction(ways, aut)
             for part in parts:
                 worth *= _value_of(*part[:3])
             total += worth
@@ -160,12 +160,12 @@ def test_type2_partitions_match_ordered_enumeration():
 
 def test_type2_partitions_yield_canonical_multisets():
     seen = set()
-    for parts, comb in _shapes(4, {(1, 2): 1}, {1: 5}, 3, _window(3)):
+    for parts, ways, aut in _shapes(4, {(1, 2): 1}, {1: 5}, 3, _window(3)):
         assert list(parts) == sorted(parts)
         assert parts not in seen
         seen.add(parts)
         assert sum(p[0] for p in parts) <= 4
-        assert comb > 0
+        assert ways > 0 and aut > 0
     assert () in seen
 
 
@@ -173,16 +173,16 @@ def test_weights_scale_with_automorphisms():
     # two interchangeable parts carry a half weight
     bounds = lambda dk, h_sub, mk: (99, 0, 99)
     entries = {
-        tuple(part[:3] for part in parts): comb for parts, comb in _shapes(2, {}, {}, 2, bounds)
+        tuple(part[:3] for part in parts): (ways, aut) for parts, ways, aut in _shapes(2, {}, {}, 2, bounds)
     }
     twin = ((1, (), ()), (1, (), ()))
-    assert entries[twin] == Fraction(1, 2)
+    assert entries[twin] == (1, 2)
 
 
 def _aggregate(d_avail, h_pool, i_pool, n, bounds):
     total = Fraction(0)
-    for parts, comb in _shapes(d_avail, h_pool, i_pool, n, bounds):
-        worth = comb
+    for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n, bounds):
+        worth = Fraction(ways, aut)
         for part in parts:
             worth *= _value_of(*part[:3])
         total += worth
@@ -200,7 +200,7 @@ def test_type2_partitions_take_every_point_marker():
     for d_avail, h_pool, i_pool, n in cases:
         shapes = list(_shapes(d_avail, h_pool, i_pool, n, _window(n)))
         assert shapes
-        for parts, _ in shapes:
+        for parts, *_ in shapes:
             taken = sum(dict(i_items).get(0, 0) for _, _, i_items, *_ in parts)
             assert taken == i_pool[0]
 
@@ -283,7 +283,7 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
         for e_lift in range(n):
             d = d_avail + 1
             table = tail_table(n, d - 1, h_pool, i_pool, bounds)
-            for parts, _, *kept in type2_partitions(d, h_pool, i_pool, n, table, e_lift):
+            for parts, _, _, *kept in type2_partitions(d, h_pool, i_pool, n, table, e_lift):
                 assert tuple(kept) == _kept(d, h_pool, i_pool, e_lift, parts)
                 shapes += 1
     assert shapes > 100
@@ -292,7 +292,10 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
 def _listed(shapes):
     """Shapes with the kept pools as item tuples, so that the order of
     their keys is compared too."""
-    return [(parts, comb, d0, tuple(h0.items()), tuple(i0.items()), ram) for parts, comb, d0, h0, i0, ram in shapes]
+    return [
+        (parts, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
+        for parts, ways, aut, d0, h0, i0, ram in shapes
+    ]
 
 
 def _walk_matches_per_level(d, h_pool, i_pool, n, bounds, e_lift, d0_min=1):
@@ -345,17 +348,17 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
     ]:
         table = tail_table(n, d - 3, h_pool, i_pool, window)
         walked = [
-            (*part1, tails, ways, d0, tuple(h0.items()), tuple(i0.items()), ram)
-            for *part1, tails, ways, d0, h0, i0, ram in _split_off_part(
+            (*part1, tails, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
+            for *part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
                 n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, table, points
             )
         ]
         slow = []
         for *part1, ways, h_rest, i_rest in components(n, d - 1, h_pool, i_pool, part_window, m_min, d1_min):
-            for tails, comb, d0, h0, i0, ram in _listed(
+            for tails, tail_ways, aut, d0, h0, i0, ram in _listed(
                 per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, window, e_lift, 1, plain(part1[4]))
             ):
-                slow.append((*part1, tails, ways * comb, d0, h0, i0, ram))
+                slow.append((*part1, tails, ways * tail_ways, aut, d0, h0, i0, ram))
         assert len(walked) > 10
         assert walked == slow
 
@@ -517,7 +520,7 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
                 every = list(type2_partitions(d, h_pool, i_pool, n, table, e_lift, 1, _UNCAPPED))
                 excess = [
                     _excess_in_h(n, d0, bump(h0, (1, 0), h_points), i0, [tail[4] for tail in parts])
-                    for parts, _, d0, h0, i0, _ in every
+                    for parts, _, _, d0, h0, i0, _ in every
                 ]
                 assert walked == [shape for shape, over in zip(every, excess) if over <= 0]
                 edges.update((n, e_lift, over) for over in excess if over in (0, 1))
@@ -535,8 +538,8 @@ def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero():
     # when delta1 is 0, and the 1 - delta1 contacts of a IIb component,
     # read off the markers count_ya and count_yb hand to count_y
     n = 3
-    iia = lambda shape: (shape[8], shape[9], [shape[4]] + [tail[4] for tail in shape[5]])
-    iib = lambda shape: (bump(shape[8], (1, 0), 2 - (shape[4] + 1)), shape[9], [tail[4] for tail in shape[5]])
+    iia = lambda shape: (shape[9], shape[10], [shape[4]] + [tail[4] for tail in shape[5]])
+    iib = lambda shape: (bump(shape[9], (1, 0), 2 - (shape[4] + 1)), shape[10], [tail[4] for tail in shape[5]])
     for d, h_pool, i_pool, e_lift in [
         (5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1),
         (6, {(1, 2): 5, (1, 0): 1}, {0: 1, 1: 13}, 2),
@@ -550,7 +553,7 @@ def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero():
                 _split_off_part(n, d, h_pool, i_pool, e_lift, window, m_min, d1_min, rational, points)
             )
             every = walk(lambda _: _UNCAPPED)
-            excess = [_excess_in_h(n, shape[7], *markers(shape)) for shape in every]
+            excess = [_excess_in_h(n, shape[8], *markers(shape)) for shape in every]
             assert walk(points) == [shape for shape, over in zip(every, excess) if over <= 0]
             # every delta1 has shapes just inside and just past the capacity
             edges = {(shape[4], over) for shape, over in zip(every, excess) if over in (0, 1)}
