@@ -65,13 +65,15 @@ def _cached(path):
 
 
 def _problem(args):
-    """The problem the flags describe: a divisor-class problem when a
-    divisor is given, a rational or elliptic one otherwise."""
-    if args.genus not in (0, 1):
+    """The problem the flags describe: an elliptic divisor-class problem
+    when a divisor is given, else one of genus -g, 0 when unset."""
+    if args.genus not in (None, 0, 1):
         raise InvalidProblem(f"genus must be 0 or 1, got {args.genus}")
     if args.divisor is None:
         h = _gather_tangency(args.tangency, args.n, args.d)
-        return Problem.make(args.genus, args.n, args.d, h, _gather_incidence(args))
+        return Problem.make(args.genus or 0, args.n, args.d, h, _gather_incidence(args))
+    if args.genus == 0:
+        raise InvalidProblem("-g 0 does not apply to a divisor problem")
     if args.tangency:
         raise InvalidProblem("--tangency does not apply to a divisor problem")
     i = _gather_incidence(args)
@@ -131,7 +133,7 @@ def _add_problem_flags(sub, genus=True):
     """The flags that describe a problem; genus=False leaves out -g and
     --tangency, as a divisor problem is elliptic with free contacts."""
     if genus:
-        sub.add_argument("-g", "--genus", type=int, default=0, help="0 rational, 1 elliptic")
+        sub.add_argument("-g", "--genus", type=int, help="0 rational, 1 elliptic")
         sub.add_argument(
             "--tangency",
             action="append",

@@ -1,12 +1,13 @@
 """Count evaluation engine: memoized recursion with optional tracing.
 
 The engine owns the memo store and the evaluation options; the
-recursion rules live in genus0, genus1 and fibration.  All arithmetic
-is exact and in ints: a term's weight is an integer numerator over one
-integer divisor, known before anything is counted, and every division
-the theory promises to be exact is checked, raising InexactCount when it
-is not.  Fractions are built only for a trace, whose edge weights they
-are.
+recursion rules live in genus0, genus1 and fibration, whose expanders
+return a count as an int and record its trace node through leaf, axiom
+or terms_node.  All arithmetic is exact and in ints: a term's weight is
+an integer numerator over one integer divisor, known before anything is
+counted, and every division the theory promises to be exact is checked,
+raising InexactCount when it is not.  Fractions are built only for a
+trace, whose edge weights they are.
 """
 
 from __future__ import annotations
@@ -79,12 +80,12 @@ def beyond_capacity(problem) -> bool:
     return n >= 2 and points > points_on_curve(n, d)
 
 
-def memo(store: MemoStore, key: str, compute) -> int:
-    """The value stored under ``key``, computed and stored on a miss."""
+def memo(store: MemoStore, key: str, compute, *args) -> int:
+    """The value stored under ``key``, ``compute(*args)`` stored on a miss."""
     hit = store.lookup(key)
     if hit is not None:
         return hit
-    return store.store(key, compute())
+    return store.store(key, compute(*args))
 
 
 class Engine:
@@ -135,37 +136,30 @@ class Engine:
             raise UnsupportedProblem(f"the degeneration of {problem} is deeper than Python's recursion limit") from None
 
     def count_x(self, p: Problem, first_slot: int | None = None) -> int:
-        from . import genus0
-
-        return self._counted(p, lambda: genus0.expand_x(self, p, first_slot))
+        return self._counted(p, genus0.expand_x, first_slot)
 
     def count_w(self, p: Problem, first_slot: int | None = None) -> int:
-        from . import genus1
-
-        return self._counted(p, lambda: genus1.expand_w(self, p, first_slot))
+        return self._counted(p, genus1.expand_w, first_slot)
 
     def count_z(self, z: ZProblem) -> int:
-        from . import fibration
+        return self._counted(z, fibration.expand_z, None)
 
-        return self._counted(z, lambda: fibration.expand_z(self, z))
-
-    def _counted(self, problem, expander) -> int:
+    def _counted(self, problem, expand, first_slot) -> int:
         """The count of ``problem``: 0 without expanding or storing it
         when beyond_capacity says so (a ``capacity`` leaf in a trace),
-        else the stored value, else ``expander()`` stored."""
+        else the stored value (traced, the count of its node), else
+        ``expand(self, problem, first_slot)`` stored."""
         if beyond_capacity(problem):
             if self.tracer is not None:
-                self.capacity_leaf(problem)
+                self.leaf(problem, (dim_z if isinstance(problem, ZProblem) else dimension)(problem), 0, "capacity")
             return 0
         key = memo_key(problem)
         if self.tracer is None:
-            return memo(self.store, key, lambda: expander()[0])
+            return memo(self.store, key, expand, self, problem, first_slot)
         node = self.tracer.nodes.get(key)
         if node is not None:
             return node.count
-        value, node = expander()
-        self.tracer.nodes[key] = node
-        return self.store.store(key, value)
+        return self.store.store(key, expand(self, problem, first_slot))
 
     # Slot selection.
 
@@ -182,63 +176,59 @@ class Engine:
             raise AssertionError(f"no incidence slot to degenerate in {p}")
         return max(slots) if self.order == "max-e" else min(slots)
 
-    # Trace node assembly.  Every helper returns None when not tracing.
+    # Trace node assembly.  Each helper records a problem's node under its
+    # memo key, keeping a node already there, and only when tracing.
 
-    def leaf_node(self, problem, dim: int, count: int, rule: str):
-        if self.tracer is None:
-            return None
-        return TraceNode(problem, dim, count, rule)
+    def leaf(self, problem, dim: int, count: int, rule: str) -> int:
+        """Record a leaf node; return ``count``."""
+        if self.tracer is not None:
+            self.tracer.nodes.setdefault(memo_key(problem), TraceNode(problem, dim, count, rule))
+        return count
 
-    def capacity_leaf(self, problem) -> None:
-        """Record the ``capacity`` leaf of a problem beyond_capacity flags.
-        This is not inlined in _counted because every level of the
-        recursion has a _counted frame: on CPython 3.11, that frame
-        growing from 12 to 16 slots made rational P^3 d=6 about 20%
-        slower."""
-        dim = dim_z(problem) if isinstance(problem, ZProblem) else dimension(problem)
-        self.tracer.nodes.setdefault(memo_key(problem), TraceNode(problem, dim, 0, "capacity"))
+    def axiom(self, problem, count: int, weight: int, child: Problem) -> int:
+        """Record the ``divisor-axiom`` node of a zero-dimensional
+        problem counted as ``weight`` times ``child``; return ``count``."""
+        if self.tracer is not None:
+            nodes = self.tracer.nodes
+            edge = (Fraction(weight), nodes[memo_key(child)])
+            nodes.setdefault(memo_key(problem), TraceNode(problem, 0, count, "divisor-axiom", [edge]))
+        return count
 
-    def axiom_node(self, problem, dim: int, count: int, weight: int, child: Problem):
-        if self.tracer is None:
-            return None
-        child_node = self.tracer.nodes[memo_key(child)]
-        return TraceNode(problem, dim, count, "divisor-axiom", [(Fraction(weight), child_node)])
-
-    def terms_node(self, problem, dim: int, total: int, terms, term_totals, default_rule: str):
-        """Build the node for an expanded problem.
+    def terms_node(self, problem, dim: int, total: int, terms, term_totals, default_rule: str) -> None:
+        """Record the node of an expanded problem, one child per term.
 
         terms: list of (rule, num, div, value, groups) where groups is a
-        list of (coeff, coeff_div, factors) and factors a list of
-        (problem, count); the term contributes num * value / div, given
-        as an int in term_totals, and value == sum(coeff *
-        prod(counts) / coeff_div).  The edge weights are Fractions,
-        built here from those ints.
+        list of (coeff, factors) and factors a list of (problem, count).
+        A term's checked int total, in term_totals, is split between its
+        groups in proportion to coeff * prod(counts), and a group's share
+        evenly between its r factors: a factor of count c weighs
+        share / (r * c), a Fraction built here from those ints.
         """
         if self.tracer is None:
-            return None
+            return
+        nodes = self.tracer.nodes
         children = []
-        for (rule, num, div, _, groups), term_total in zip(terms, term_totals):
+        for (rule, _, _, _, groups), term_total in zip(terms, term_totals):
             if term_total == 0:
                 continue
+            shares = [(coeff * math.prod(c for _, c in factors), factors) for coeff, factors in groups]
+            whole = sum(share for share, _ in shares)
             merged: dict[str, Fraction] = {}
-            for coeff, coeff_div, factors in groups:
-                r = len(factors)
-                prod_all = math.prod(c for _, c in factors)
-                if prod_all == 0 or coeff == 0:
+            for share, factors in shares:
+                if share == 0:
                     continue
                 for fproblem, c in factors:
                     fkey = memo_key(fproblem)
-                    weight = Fraction(num * coeff * (prod_all // c), div * coeff_div * r)
-                    merged[fkey] = merged.get(fkey, 0) + weight
-            term_children = [(wsum, self.tracer.nodes[fkey]) for fkey, wsum in merged.items()]
+                    merged[fkey] = merged.get(fkey, 0) + Fraction(term_total * share, whole * len(factors) * c)
+            term_children = [(wsum, nodes[fkey]) for fkey, wsum in merged.items()]
             children.append((Fraction(1), TraceNode(problem, dim, term_total, rule, term_children)))
         rule = children[0][1].rule if children else default_rule
-        return TraceNode(problem, dim, total, rule, children)
+        nodes.setdefault(memo_key(problem), TraceNode(problem, dim, total, rule, children))
 
 
-def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
-    """Sum the term contributions exactly and build the trace node: one
-    division per term, of its numerator times its value by its divisor."""
+def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str) -> int:
+    """The count of p, summed exactly with one division per term, of its
+    numerator times its value by its divisor; eng.terms_node traces it."""
     term_totals = []
     for rule, num, div, value, _ in terms:
         term, rest = divmod(num * value, div)
@@ -249,7 +239,8 @@ def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str):
     total = sum(term_totals)
     if total < 0:
         raise InexactCount(f"negative count {total} for {p}")
-    return total, eng.terms_node(p, dim, total, terms, term_totals, default_rule)
+    eng.terms_node(p, dim, total, terms, term_totals, default_rule)
+    return total
 
 
 def check_all_orders(problem, reference: int, divisor_axiom: bool = True) -> None:
@@ -278,3 +269,8 @@ def trace(problem, *, divisor_axiom: bool = True, order: str = "max-e", store=No
     # The tracer is fresh, so the root, recorded after everything it
     # depends on, is its newest node.
     return next(reversed(tracer.nodes.values()))
+
+
+# The rule modules import from this one, so they are bound last, as
+# modules: a patched expander is the one the engine calls.
+from . import fibration, genus0, genus1

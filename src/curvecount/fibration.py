@@ -159,10 +159,10 @@ def sec_self(eng: Engine, z: ZProblem) -> int:
     return memo(eng.store, key, compute)
 
 
-def expand_z(eng: Engine, z: ZProblem):
+def expand_z(eng: Engine, z: ZProblem, first_slot=None) -> int:
     dim = dim_z(z)
     if dim != 0:
-        return 0, eng.leaf_node(z, dim, 0, "zero-dim")
+        return eng.leaf(z, dim, 0, "zero-dim")
     markers = [(coeff, e) for coeff, e, _ in z.divisor]
     s2 = sec_self(eng, z)
     d2 = hyp_self(eng, z)
@@ -173,5 +173,4 @@ def expand_z(eng: Engine, z: ZProblem):
         d2 += 2 * cs * ct * sec_pair(eng, z, es, et)
     if d2 % 2:
         raise InexactCount(f"divisor self-intersection {d2} must be even for {z}")
-    value = s2 - d2 // 2
-    return value, eng.leaf_node(z, 0, value, "z-evaluation")
+    return eng.leaf(z, 0, s2 - d2 // 2, "z-evaluation")

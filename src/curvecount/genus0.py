@@ -81,9 +81,10 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     whose hyperplane component would pass through more points of H than
     a curve of degree d0 can, so none reaches it.
 
-    Returns (value, groups) with groups as engine.terms_node expects:
-    value is the product of the counts divided by the d0! relabelings of
-    the hyperplane component's free contacts, which must divide it.
+    Returns (value, groups): value is the product of the counts divided
+    by the d0! relabelings of the hyperplane component's free contacts,
+    which must divide it, and groups the one group (1, factors) of
+    engine.terms_node, the component in H first.
     """
     i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
     # Counted here, not in a helper: a frame more on every level of the
@@ -101,27 +102,25 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     v0 = eng.count_x(child0)
     if v0 == 0:
         return 0, []
-    relabelings = factorial(d0)
-    value = exact_quotient(prod * v0, relabelings, "hyperplane-component relabelings must divide the count")
-    return value, [(1, relabelings, [(child0, v0)] + factors)]
+    value = exact_quotient(prod * v0, factorial(d0), "hyperplane-component relabelings must divide the count")
+    return value, [(1, [(child0, v0)] + factors)]
 
 
-def settle(eng: Engine, p: Problem, first_slot=None):
-    """(value, trace node) of a problem that needs no degeneration, or
-    None.  A positive-dimensional problem counts 0; markers on general
+def settle(eng: Engine, p: Problem, first_slot=None) -> int | None:
+    """The count of a problem that needs no degeneration, or None.  A
+    positive-dimensional problem counts 0; markers on general
     hyperplanes trade for a factor of d each (the divisor axiom), and
     ``first_slot`` passes to the problem without them."""
     dim = dimension(p)
     if dim != 0:
-        return 0, eng.leaf_node(p, dim, 0, "zero-dim")
+        return eng.leaf(p, dim, 0, "zero-dim")
     imap = p.i_map()
     if not (eng.divisor_axiom and imap.get(p.n - 1, 0)):
         return None
     weight = p.d ** imap.pop(p.n - 1)
     child = Problem.make(p.genus, p.n, p.d, p.h_map(), imap)
     count = eng.count_w if p.genus == 1 else eng.count_x
-    value = weight * count(child, first_slot)
-    return value, eng.axiom_node(p, 0, value, weight, child)
+    return eng.axiom(p, weight * count(child, first_slot), weight, child)
 
 
 def specialize(eng: Engine, p: Problem, first_slot=None):
@@ -143,17 +142,17 @@ def specialize(eng: Engine, p: Problem, first_slot=None):
             continue
         child = Problem.make(p.genus, p.n, p.d, bump(bump(h_pool, (m, e0), -1), (m, e_new)), i_base)
         v = count(child)
-        terms.append(("type-I", m * c, 1, v, [(1, 1, [(child, v)])]))
+        terms.append(("type-I", m * c, 1, v, [(1, [(child, v)])]))
     return e_lift, h_pool, i_base, terms
 
 
-def expand_x(eng: Engine, p: Problem, first_slot=None):
+def expand_x(eng: Engine, p: Problem, first_slot=None) -> int:
     n, d = p.n, p.d
     if n == 1:
         dim = dim_x(p)
         if dim == 0:
-            return 1, eng.leaf_node(p, 0, 1, "seed")
-        return 0, eng.leaf_node(p, dim, 0, "base-n1")
+            return eng.leaf(p, 0, 1, "seed")
+        return eng.leaf(p, dim, 0, "base-n1")
     done = settle(eng, p, first_slot)
     if done is not None:
         return done

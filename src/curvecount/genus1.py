@@ -98,6 +98,9 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     Over P^2 delta is 0 and H is a line: the hyperplane component's
     problem on H = P^1 is zero-dimensional, and counts 1, exactly when
     d0 = 1 and every marker it carries lies on a point of H.
+
+    Returns the ordered count and, per middle problem of a split that
+    adds something, a group (coeff, [that problem] + count_y's factors).
     """
     db, hb, ib, m1, delta = part1
     delta += 1  # both contacts free on H
@@ -107,7 +110,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     yval, ygroups = count_y(eng, n, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
     if yval == 0:
         return 0, []
-    [(_, ydiv, yfactors)] = ygroups
+    [(_, yfactors)] = ygroups
     # the merged contact of a collision does not depend on the split
     merged = Problem.make(0, n, db, [*hb, ((m1, n - delta), 1)], ib) if delta else None
     vmerged = eng.count_x(merged) if delta else 0
@@ -128,7 +131,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
         split = sum(coeff * vmid for coeff, _, vmid in mids)
         if split:
             mids_total += split
-            groups.extend((coeff, ydiv, [(mid, vmid)] + yfactors) for coeff, mid, vmid in mids)
+            groups.extend((coeff, [(mid, vmid)] + yfactors) for coeff, mid, vmid in mids)
     return mids_total * yval, groups
 
 
@@ -172,10 +175,10 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     if vz == 0:
         return 0, []
     factors = [(z, vz)] + factors
-    return math.prod(v for _, v in factors), [(1, 1, factors)]
+    return math.prod(v for _, v in factors), [(1, factors)]
 
 
-def expand_w(eng: Engine, p: Problem, first_slot=None):
+def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     n, d = p.n, p.d
     if n >= 4:
         raise UnsupportedProblem(

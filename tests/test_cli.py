@@ -205,6 +205,8 @@ def test_malformed_condition_flags_exit_2(capsys, flags, message):
         (["trace", *Z62, "--tangency", "2,0:1"], "--tangency does not apply to a divisor problem"),
         (["trace", *Z62, "-g", "5"], "genus must be 0 or 1, got 5"),
         (["count", "-g", "5", "-n", "2", "-d", "3", "--points", "8"], "genus must be 0 or 1, got 5"),
+        (["trace", "-g", "0", "-n", "2", "-d", "3", "--points", "8", "--lines", "1", "--divisor", "p1+p2+l1"],
+         "-g 0 does not apply to a divisor problem"),
     ],
 )
 def test_flags_a_problem_cannot_use_exit_2(capsys, argv, message):
@@ -326,11 +328,11 @@ def test_interrupt_saves_the_cache_and_exits_130(tmp_path, capsys, monkeypatch):
     real = Engine._counted
     calls = []
 
-    def interrupted(self, problem, expander):
+    def interrupted(self, problem, *args):
         calls.append(problem)
         if len(calls) == 40:
             raise KeyboardInterrupt
-        return real(self, problem, expander)
+        return real(self, problem, *args)
 
     monkeypatch.setattr(Engine, "_counted", interrupted)
     try:
@@ -424,6 +426,10 @@ def test_trace_divisor(capsys):
     assert code == 0
     assert out.startswith("12  ")
     assert "[z-evaluation]" in out
+    # a divisor problem is elliptic, so -g 1 says what it already is
+    assert run(capsys, "trace", "-g", "1", "-n", "2", "-d", "3", "--points", "8", "--lines", "1", "--divisor", "3*l1") == (
+        0, out, ""
+    )
 
 
 def test_installed_script(tmp_path):

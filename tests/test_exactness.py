@@ -2,7 +2,7 @@
 and end a CLI run with exit code 4, not with a truncated count.  Each
 check divides ints, and each is reached here by an int fault: a divisor
 patched to a large prime that divides no count.  An untraced count does
-all its arithmetic in ints and builds no Fraction."""
+all its arithmetic in ints and builds no Fraction and no trace node."""
 
 import ast
 import subprocess
@@ -31,7 +31,7 @@ from curvecount.engine import check_all_orders, memo_key, unmarked
 from curvecount.genus0 import tail_problem
 from curvecount.genus1 import count_yb
 from curvecount.partitions import bump
-from curvecount.trace import Tracer
+from curvecount.trace import TraceNode, Tracer
 from test_trace import GOLDEN, _sha256
 
 SRC = str(Path(curvecount.__file__).resolve().parent.parent)
@@ -187,19 +187,25 @@ def test_untraced_counts_build_no_fraction(monkeypatch):
         (Problem.make(1, 2, 5, {(1, 1): 5}, {0: 15}), 10463040),
         (ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")), 62),
     ]
-    made = []
-    real_new = Fraction.__new__
+    made, nodes = [], []
+    real_new, real_init = Fraction.__new__, TraceNode.__init__
 
     def spy(cls, *args, **kwargs):
         made.append(args)
         return real_new(cls, *args, **kwargs)
 
+    def node_spy(self, *args, **kwargs):
+        nodes.append(args)
+        real_init(self, *args, **kwargs)
+
     monkeypatch.setattr(Fraction, "__new__", spy)
+    # the engine's node helpers record nodes only when tracing
+    monkeypatch.setattr(TraceNode, "__init__", node_spy)
     assert [Engine().count(p) for p, _ in problems] == [value for _, value in problems]
-    assert made == []
-    # a trace builds its edge weights as Fractions, the same as before
+    assert made == [] and nodes == []
+    # a trace builds its nodes, and its edge weights as Fractions
     root = trace(GOLDEN_ELLIPTIC)
-    assert made
+    assert made and nodes
     digests = next(digests for _, p, _, digests, _ in GOLDEN if p == GOLDEN_ELLIPTIC)
     assert (_sha256(render_text(root)), _sha256(render_json(root)), _sha256(render_dot(root))) == digests
 
