@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 
@@ -50,8 +51,12 @@ def _gather_incidence(args) -> dict:
 def _cached(path):
     """The memo store of ``--cache PATH``: loaded from PATH when the file
     exists, and saved there when the run ends or is interrupted
-    (KeyboardInterrupt), so an interrupted run keeps its work."""
+    (KeyboardInterrupt), so an interrupted run keeps its work.  A PATH
+    in a directory that does not exist raises FileNotFoundError naming
+    it before anything is counted, not at the save that ends the run."""
     store = MemoStore()
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, "no directory to save the cache file in", path)
     if path and os.path.exists(path):
         store.load(path)
     try:

@@ -65,7 +65,7 @@ def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
     return markers
 
 
-def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
+def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, counted: dict):
     """Count the broken-curve configurations of a type II term.
 
     The hyperplane component has degree d0, keeps the tangency markers
@@ -81,6 +81,14 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     whose hyperplane component would pass through more points of H than
     a curve of degree d0 can, so none reaches it.
 
+    ``counted`` holds what the shapes of one expansion (one n) have
+    counted so far, each as (problem, count): a pinned component under
+    its record, the hyperplane component under (d0, its markers), which
+    is all either problem depends on.  Each is built and counted the
+    first time a shape needs it, in the order it did when every shape
+    counted its own, so the memo store fills the same way; a zero tail
+    still returns before the hyperplane component is counted.
+
     Returns (value, groups): value is the product of the counts divided
     by the d0! relabelings of the hyperplane component's free contacts,
     which must divide it, and groups the one group (1, factors) of
@@ -92,18 +100,23 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     factors = []
     prod = 1
     for part in parts:
-        child = tail_problem(n, *part)
-        v = eng.count_w(child) if child.genus else eng.count_x(child)
-        if v == 0:
+        factor = counted.get(part)
+        if factor is None:
+            child = tail_problem(n, *part)
+            factor = counted[part] = (child, eng.count_w(child) if child.genus else eng.count_x(child))
+        if factor[1] == 0:
             return 0, []
-        factors.append((child, v))
-        prod *= v
-    child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
-    v0 = eng.count_x(child0)
-    if v0 == 0:
+        factors.append(factor)
+        prod *= factor[1]
+    key = (d0, frozenset(i0p.items()))
+    factor0 = counted.get(key)
+    if factor0 is None:
+        child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
+        factor0 = counted[key] = (child0, eng.count_x(child0))
+    if factor0[1] == 0:
         return 0, []
-    value = exact_quotient(prod * v0, factorial(d0), "hyperplane-component relabelings must divide the count")
-    return value, [(1, [(child0, v0)] + factors)]
+    value = exact_quotient(prod * factor0[1], factorial(d0), "hyperplane-component relabelings must divide the count")
+    return value, [(1, [factor0] + factors)]
 
 
 def settle(eng: Engine, p: Problem, first_slot=None) -> int | None:
@@ -158,8 +171,9 @@ def expand_x(eng: Engine, p: Problem, first_slot=None) -> int:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     table = tail_table(n, d - 1, h_pool, i_base, tail_window(n, 0))
+    counted = {}
     for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, table, e_lift):
-        value, groups = count_y(eng, n, d0, h0, i0, parts)
+        value, groups = count_y(eng, n, d0, h0, i0, parts, counted)
         if value:
             terms.append(("type-IIplain", ways * ram, aut, value, groups))
     return finish_terms(eng, p, 0, terms, "type-I")

@@ -348,6 +348,33 @@ def test_interrupt_saves_the_cache_and_exits_130(tmp_path, capsys, monkeypatch):
     assert run(capsys, *argv)[:2] == (0, f"{Engine().count(Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12}))}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "-n", "3", "-d", "3", "--lines", "12"],
+        ["zcount", *Z62],
+        ["table", "p3-rational"],
+        ["trace", "-n", "3", "-d", "1", "--lines", "4"],
+    ],
+)
+def test_cache_in_a_missing_directory_exits_2_before_counting(tmp_path, capsys, monkeypatch, argv):
+    path = tmp_path / "nodir" / "counts.egc"
+    calls = []
+    real = Engine._counted
+
+    def spy(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Engine, "_counted", spy)
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and ".lock" not in err
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_cache_rejects_corrupt_file(tmp_path, capsys):
     path = tmp_path / "bad.egc"
     path.write_text("garbage\n", encoding="utf-8")

@@ -21,9 +21,11 @@ and every record the frontier problems of the benchmark store when the
 rule is off.  The engine also cuts degeneration shapes on those facts
 before counting them, and the memo store of a count holds no problem
 the rule flags; test_dead_shapes_are_cut_before_counting reads that
-off the store.
+off the store, and test_memo_store_keeps_its_records_and_their_order
+pins two stores record for record, in the order they were counted.
 """
 
+import hashlib
 import importlib
 import itertools
 import sys
@@ -205,6 +207,24 @@ def test_dead_shapes_are_cut_before_counting():
         records = [key for key, _ in eng.store.items()]
         assert len(records) == size, p
         assert [key for key in records if beyond_capacity(_record_problem(key))] == [], p
+
+
+def test_memo_store_keeps_its_records_and_their_order():
+    # The sha256 of the store's records in insertion order: the
+    # recursion counts the same problems in the same order, so a change
+    # that counts a component in H before a zero tail, or reorders the
+    # counts, shows here though every value stays the same.
+    for p, size, digest in (
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 189,
+         "c50f03bcf73057395834ac1c2e86cb9bf6c22d30b8c3f8479aa923025ce91a8d"),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 431,
+         "cfe685e8f47d8d77159e98f3c048c76d53d3e2e8f7a23422ed4b2506e410c922"),
+    ):
+        eng = Engine()
+        eng.count(p)
+        records = list(eng.store.items())
+        assert len(records) == size, p
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == digest, p
 
 
 def _elliptic_order_cells():
