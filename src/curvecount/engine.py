@@ -1,18 +1,20 @@
 """Count evaluation engine: memoized recursion with optional tracing.
 
-The engine owns the memo store and the evaluation options; the
-recursion rules live in genus0, genus1 and fibration, whose expanders
-return a count as an int and record its trace node through leaf, axiom
-or terms_node.  All arithmetic is exact and in ints: a term's weight is
-an integer numerator over one integer divisor, known before anything is
-counted, and every division the theory promises to be exact is checked,
-raising InexactCount when it is not.  Fractions are built only for a
-trace, whose edge weights they are.
+The engine owns the memo store, the evaluation options and the pin
+table (see Engine), a dict per n kept for the engine's life; the recursion
+rules live in genus0, genus1 and fibration, whose expanders return a
+count as an int and record its trace node through leaf, axiom or
+terms_node.  All arithmetic is exact and in ints: a term's weight is
+an integer numerator over one integer divisor, known before anything
+is counted, and every division the theory promises to be exact is
+checked, raising InexactCount when it is not.  Fractions are built
+only for a trace, whose edge weights they are.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from .cache import MemoStore
@@ -97,6 +99,10 @@ class Engine:
       order: which admissible incidence slot to degenerate first,
         "max-e" (largest plane dimension) or "min-e".
       tracer: a trace.Tracer recording a derivation node per problem.
+
+    pinned[n] maps a type II factor's key over P^n (a tail's record, or
+    a component in H's (d0, markers)), all its problem depends on, to its
+    (problem, count) for the Engine's life, so its tracer must stay the same.
     """
 
     def __init__(
@@ -113,6 +119,7 @@ class Engine:
         self.divisor_axiom = divisor_axiom
         self.order = order
         self.tracer = tracer
+        self.pinned = defaultdict(dict)
 
     def count(self, problem, first_slot: int | None = None) -> int:
         """Validate and count; the public entry point.  A rational or
@@ -145,13 +152,10 @@ class Engine:
         return self._counted(z, fibration.expand_z, None)
 
     def _counted(self, problem, expand, first_slot) -> int:
-        """The count of ``problem``: 0 without expanding or storing it
-        when beyond_capacity says so (a ``capacity`` leaf in a trace),
-        else the stored value (traced, the count of its node), else
-        ``expand(self, problem, first_slot)`` stored."""
+        """The count of ``problem``: 0, not expanded, stored or traced, when
+        beyond_capacity flags it, else the stored value (traced, the count
+        of its node), else ``expand(self, problem, first_slot)`` stored."""
         if beyond_capacity(problem):
-            if self.tracer is not None:
-                self.leaf(problem, (dim_z if isinstance(problem, ZProblem) else dimension)(problem), 0, "capacity")
             return 0
         key = memo_key(problem)
         if self.tracer is None:
@@ -261,11 +265,14 @@ def check_all_orders(problem, reference: int, divisor_axiom: bool = True) -> Non
 
 def trace(problem, *, divisor_axiom: bool = True, order: str = "max-e", store=None) -> TraceNode:
     """Count a problem and return the root of its derivation tree.  A
-    problem that beyond_capacity flags is not expanded: its root
-    is a ``capacity`` leaf of count 0, and zero-count children are
-    pruned, so such a leaf shows only as a root."""
+    problem that beyond_capacity flags is not expanded: its root is a
+    ``capacity`` leaf of count 0, built here, as zero-count children are
+    pruned and so no other node needs one."""
     tracer = Tracer()
     Engine(store, divisor_axiom=divisor_axiom, order=order, tracer=tracer).count(problem)
+    if not tracer.nodes:
+        p = validate_z(problem) if isinstance(problem, ZProblem) else validate(problem)
+        return TraceNode(p, (dim_z if isinstance(p, ZProblem) else dimension)(p), 0, "capacity")
     # The tracer is fresh, so the root, recorded after everything it
     # depends on, is its newest node.
     return next(reversed(tracer.nodes.values()))

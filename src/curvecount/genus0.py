@@ -65,7 +65,7 @@ def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
     return markers
 
 
-def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, counted: dict):
+def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     """Count the broken-curve configurations of a type II term.
 
     The hyperplane component has degree d0, keeps the tangency markers
@@ -81,13 +81,9 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, counted: di
     whose hyperplane component would pass through more points of H than
     a curve of degree d0 can, so none reaches it.
 
-    ``counted`` holds what the shapes of one expansion (one n) have
-    counted so far, each as (problem, count): a pinned component under
-    its record, the hyperplane component under (d0, its markers), which
-    is all either problem depends on.  Each is built and counted the
-    first time a shape needs it, in the order it did when every shape
-    counted its own, so the memo store fills the same way; a zero tail
-    still returns before the hyperplane component is counted.
+    Each factor is counted once per Engine and n, kept in eng.pinned[n]
+    (see Engine), tails first, so the memo store fills as if every shape
+    counted its own and a zero tail skips the hyperplane component.
 
     Returns (value, groups): value is the product of the counts divided
     by the d0! relabelings of the hyperplane component's free contacts,
@@ -97,6 +93,7 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, counted: di
     i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
     # Counted here, not in a helper: a frame more on every level of the
     # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
+    counted = eng.pinned[n]
     factors = []
     prod = 1
     for part in parts:
@@ -171,9 +168,8 @@ def expand_x(eng: Engine, p: Problem, first_slot=None) -> int:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     table = tail_table(n, d - 1, h_pool, i_base, tail_window(n, 0))
-    counted = {}
     for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, table, e_lift):
-        value, groups = count_y(eng, n, d0, h0, i0, parts, counted)
+        value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:
             terms.append(("type-IIplain", ways * ram, aut, value, groups))
     return finish_terms(eng, p, 0, terms, "type-I")

@@ -61,13 +61,13 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
             yield d1, h1, i1, m1, delta1, tails, ways * tail_ways, aut, d0, h0, i0, ram
 
 
-def count_ya(eng: Engine, n, d0, h0, i0, part1, tails, counted):
+def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     """Broken-curve count for a type IIa term: hyperplane component plus
     an off-H elliptic component, the record part1, and rational tails,
     attachments pinned the same way as in the rational recursion.  The
     elliptic component goes to count_y as its record with its genus
-    appended, so in ``counted`` it never shares a key with a tail."""
-    return count_y(eng, n, d0, h0, i0, (part1 + (1,),) + tails, counted)
+    appended, so among the pins it never shares a key with a tail."""
+    return count_y(eng, n, d0, h0, i0, (part1 + (1,),) + tails)
 
 
 def iia_points_on_h(delta1: int) -> int:
@@ -77,7 +77,7 @@ def iia_points_on_h(delta1: int) -> int:
     return 1 if delta1 == 0 else 0
 
 
-def count_yb(eng: Engine, n, d0, h0, i0, part1, tails, counted):
+def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     """Broken-curve count for a type IIb term: a rational component
     attached to the hyperplane component at two points, summed over the
     ordered splits (m11, m12) of its total contact multiplicity m1, each
@@ -101,9 +101,8 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails, counted):
     problem on H = P^1 is zero-dimensional, and counts 1, exactly when
     d0 = 1 and every marker it carries lies on a point of H.
 
-    The tails and the hyperplane component come from count_y, which
-    shares ``counted`` with the expansion's other shapes; the middle
-    problems are built for this shape alone.
+    The tails and the hyperplane component are pinned by count_y; the
+    middle problems are built for this shape alone.
 
     Returns the ordered count and, per middle problem of a split that
     adds something, a group (coeff, [that problem] + count_y's factors).
@@ -113,7 +112,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails, counted):
     if not 0 <= delta <= 2:
         raise AssertionError(f"doubly-attached component of freedom {delta} in P^{n}")
     # the hyperplane side is 0 far more often than the middle component
-    yval, ygroups = count_y(eng, n, d0, bump(h0, (1, 0), 2 - delta), i0, tails, counted)
+    yval, ygroups = count_y(eng, n, d0, bump(h0, (1, 0), 2 - delta), i0, tails)
     if yval == 0:
         return 0, []
     [(_, yfactors)] = ygroups
@@ -149,7 +148,7 @@ def iib_points_on_h(delta1: int) -> int:
     return 1 - delta1
 
 
-def count_yc(eng: Engine, n, d0, h0, i0, tails, counted):
+def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
     lies in H, so its count is a divisor-class problem there.  The old
     H-markers and the tail attachments become its incidence conditions
@@ -157,8 +156,8 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails, counted):
     of the original curve: tangency markers enter with their contact
     multiplicity, attachments with minus theirs.  Each tail's record
     gives its attachment multiplicity mk and, through its freedom delta,
-    the slot of its attachment marker.  A tail is pinned and counted
-    once per expansion, as in count_y, whose ``counted`` this shares."""
+    the slot of its attachment marker.  Tails are pinned as in count_y."""
+    counted = eng.pinned[n]
     factors = []
     for tail in tails:
         factor = counted.get(tail)
@@ -198,12 +197,10 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0))
-    counted = {}
-
     for d1, h1, i1, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h
     ):
-        value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1, delta1), tails, counted)
+        value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1, delta1), tails)
         if value:
             terms.append(("type-IIa", ways * m1 * ram, aut, value, groups))
 
@@ -216,13 +213,13 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     for db, hb, ib, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
         n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h
     ):
-        value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1, delta1), tails, counted)
+        value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1, delta1), tails)
         if value:
             terms.append(("type-IIb", ways * ram, 2 * aut, value, groups))
 
     if n == 3:
         for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, rational, e_lift, 3):
-            value, groups = count_yc(eng, n, d0, h0, i0, parts, counted)
+            value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
                 terms.append(("type-IIc", ways * ram, aut, value, groups))
 

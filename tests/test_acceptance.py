@@ -142,7 +142,7 @@ def test_criterion_7_doubly_attached_bracket():
         part1 = (2, (), ((1, 7),), 2, 0)
         # the ordered count 68, which the IIb term halves for the one
         # 1+1 split
-        value, _ = count_yb(eng, 3, 1, h0, i0, part1, (), {})
+        value, _ = count_yb(eng, 3, 1, h0, i0, part1, ())
         assert value == 68
         # the bracket pieces are themselves published counts
         va = eng.count(Problem.make(0, 3, 2, {(1, 1): 1, (1, 2): 1}, {1: 7}))

@@ -237,7 +237,7 @@ def test_unpinnable_component_is_an_internal_fault():
     # the doubly-attached component of a IIb term likewise: a conic with
     # both contacts free on H and no incidence keeps 8 degrees of freedom
     with pytest.raises(AssertionError, match="doubly-attached component of freedom 8"):
-        count_yb(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, (2, (), (), 2, 7), (), {})
+        count_yb(Engine(), 3, 1, {(1, 2): 1}, {1: 1}, (2, (), (), 2, 7), ())
 
 
 def test_overdrawn_pool_is_an_internal_fault():

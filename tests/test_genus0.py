@@ -131,7 +131,7 @@ def test_part_zero_rejects_ambient_points():
     assert len(shapes) > 10
     assert [i0 for i0 in shapes if i0.get(0, 0)] == []
     with pytest.raises(AssertionError, match="point markers left"):
-        count_y(Engine(), 3, 1, {}, {0: 1}, (), {})
+        count_y(Engine(), 3, 1, {}, {0: 1}, ())
 
 
 def test_count_y_keys_a_component_in_h_by_its_degree_and_markers():
@@ -139,10 +139,10 @@ def test_count_y_keys_a_component_in_h_by_its_degree_and_markers():
     # its markers make zero-dimensional, but count_y keys it by both:
     # conics in H through 5 points count 1 after their 2! relabelings,
     # while a line or a cubic through them counts 0.
-    eng, counted = Engine(), {}
+    eng = Engine()
     for d0, value in ((2, 1), (1, 0), (3, 0)):
-        assert count_y(eng, 3, d0, {}, {1: 5}, (), counted)[0] == value
-    assert len(counted) == 3
+        assert count_y(eng, 3, d0, {}, {1: 5}, ())[0] == value
+    assert len(eng.pinned[3]) == 3
 
 
 def test_count_y_keys_a_tail_by_its_whole_record():
@@ -150,9 +150,9 @@ def test_count_y_keys_a_tail_by_its_whole_record():
     # expansion meets two that differ in delta alone; count_y keys by
     # the whole record all the same.  A line through 3 lines pinned on
     # a line of H counts 2; pinned on H alone it still moves, and counts 0.
-    eng, counted = Engine(), {}
-    assert count_y(eng, 3, 1, {}, {1: 2}, ((1, (), ((1, 3),), 1, 1),), counted)[0] == 2
-    assert count_y(eng, 3, 1, {}, {1: 1}, ((1, (), ((1, 3),), 1, 0),), counted)[0] == 0
+    eng = Engine()
+    assert count_y(eng, 3, 1, {}, {1: 2}, ((1, (), ((1, 3),), 1, 1),))[0] == 2
+    assert count_y(eng, 3, 1, {}, {1: 1}, ((1, (), ((1, 3),), 1, 0),))[0] == 0
 
 
 def test_order_choice_does_not_change_counts():

@@ -15,6 +15,7 @@ from curvecount.genus0 import count_y, tail_problem, tail_window
 from curvecount.genus1 import count_yb
 from curvecount.partitions import bump
 from curvecount.problems import parse_divisor
+from curvecount.tables import table_rows
 from oracles import E, H1, H2, BlowupClass, blowup_pair_product
 
 
@@ -120,7 +121,7 @@ WORKED_PART1 = (2, (), ((1, 7),), 2, 0)
 
 def test_doubly_attached_worked_example():
     eng = Engine()
-    value, groups = count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, (), {})
+    value, groups = count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())
     assert value == 68
     # the trace bookkeeping carries the same total
     assert sum(c * math.prod(v for _, v in fac) for c, fac in groups) == 68
@@ -147,7 +148,7 @@ def test_worked_example_chow_kernel():
     family = va * (H1 * H1 * H2) + va * (H1 * H2 * H2) - vc * (E * H1 * H2)
     paired = blowup_pair_product(kernel, family)
     assert paired == 68
-    assert paired == count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, (), {})[0]
+    assert paired == count_yb(eng, 3, 1, WORKED_H0, WORKED_I0, WORKED_PART1, ())[0]
 
 
 def test_rigid_case_gives_marked_conics():
@@ -155,7 +156,7 @@ def test_rigid_case_gives_marked_conics():
     # H and the ordered count is the plain marked conic count, which the
     # IIb term halves for the one 1+1 split
     eng = Engine()
-    rigid, _ = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (2, (), ((1, 8),), 2, -1), (), {})
+    rigid, _ = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (2, (), ((1, 8),), 2, -1), ())
     assert rigid == 184
 
 
@@ -166,9 +167,9 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
     eng = Engine()
     va = eng.count_x(Problem.make(0, 3, 2, {(1, 1): 2}, {0: 3}))
     vb = eng.count_x(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
-    yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, (), {})
+    yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, ())
     assert (va, vb, yval) == (1, 1, 1)
-    ordered, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, (), ((0, 3),), 2, 1), (), {})
+    ordered, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, (), ((0, 3),), 2, 1), ())
     assert ordered == 2 * (2 * va - vb) * yval == 2
     assert ordered != (2 * va - vb) * yval
 
@@ -177,7 +178,7 @@ def test_split_point_symmetry():
     # a cubic through 11 lines attached with contacts 1+2 and 2+1: both
     # splits weigh 1 * 2 = 2 and count the same
     eng = Engine()
-    value, groups = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (3, (), ((1, 11),), 3, -1), (), {})
+    value, groups = count_yb(eng, 3, 1, {(1, 1): 3}, {2: 1}, (3, (), ((1, 11),), 3, -1), ())
     one, two = (c * math.prod(v for _, v in fac) for c, fac in groups)
     assert one == two == 268800
     assert value == 537600
@@ -231,8 +232,7 @@ def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
     def spy(eng, n, *args):
         value, groups = real(eng, n, *args)
         if n == 2:
-            # the last argument is the expansion's dict of counts
-            case, expected = _line_h_closed_form(reference, *args[:-1])
+            case, expected = _line_h_closed_form(reference, *args)
             assert value == expected, args
             seen[case] = seen.get(case, 0) + 1
         return value, groups
@@ -253,9 +253,9 @@ def test_p2_type_iib_is_the_line_h_closed_form(monkeypatch):
     # come from a conic through 5 points attached twice.
     conic = (2, (), ((0, 5),), 2, -1)
     for d0, h0, i0 in [(2, {(1, 0): 2}, {1: 1}), (1, {(1, 0): 1}, {1: 1, 2: 1}), (1, {(1, 1): 1}, {1: 1})]:
-        assert genus1.count_yb(eng, 2, d0, h0, i0, conic, (), {})[0] == 0
+        assert genus1.count_yb(eng, 2, d0, h0, i0, conic, ())[0] == 0
     # one conic, counted once for each order of its two contacts
-    assert genus1.count_yb(eng, 2, 1, {(1, 0): 1}, {1: 1}, conic, (), {})[0] == 2
+    assert genus1.count_yb(eng, 2, 1, {(1, 0): 1}, {1: 1}, conic, ())[0] == 2
     assert set(seen) == {"d0", "free marker on H", "line H"}, seen
 
 
@@ -285,62 +285,69 @@ def test_iib_counts_its_hyperplane_side_once_per_shape(monkeypatch):
     assert calls == {"count_yb": 30, "count_y": 30}
 
 
-def test_an_expansion_counts_each_pinned_component_and_component_in_h_once(monkeypatch):
-    # A pinned component's count depends on its record alone, and that
-    # of a component in H on its degree and markers, so an expansion
-    # looks each up once however many of its shapes share it.  Two
-    # records (the attachment on different markers) can pin to one
-    # problem, which is then looked up once per record.
+def test_an_engine_counts_each_pinned_component_and_component_in_h_once_per_n(monkeypatch):
+    # A pinned component's problem depends on n and its record alone,
+    # and that of a component in H on n, its degree and its markers, so
+    # an Engine looks each up once per n however many shapes of however
+    # many expansions share it.  Two records (the attachment on
+    # different markers) can pin to one problem, looked up once each.
     real_counted, real_pin = Engine._counted, genus0.tail_problem
-    real_x, real_w = genus0.expand_x, genus1.expand_w
     callers = (genus0.count_y.__code__, genus1.count_yc.__code__)
-    ids, open_ = itertools.count(), []
     calls, lookups, records = [0], Counter(), defaultdict(set)
-
-    def expanding(expand):
-        def spy(*args):
-            open_.append(next(ids))
-            try:
-                return expand(*args)
-            finally:
-                open_.pop()
-
-        return spy
 
     def spy_pin(n, *record):
         made = real_pin(n, *record)
-        records[open_[-1], memo_key(made)].add(record)
+        records[n, memo_key(made)].add(record)
         return made
 
     def spy_counted(self, problem, *args):
         calls[0] += 1
-        # frame 1 is count_x, count_w or count_z
-        if sys._getframe(2).f_code in callers:
-            lookups[open_[-1], memo_key(problem)] += 1
+        # frame 1 is count_x, count_w or count_z; frame 2's n keys the pin
+        caller = sys._getframe(2)
+        if caller.f_code in callers:
+            lookups[caller.f_locals["n"], memo_key(problem)] += 1
         return real_counted(self, problem, *args)
 
     monkeypatch.setattr(Engine, "_counted", spy_counted)
-    monkeypatch.setattr(genus0, "expand_x", expanding(real_x))
-    monkeypatch.setattr(genus1, "expand_w", expanding(real_w))
     monkeypatch.setattr(genus0, "tail_problem", spy_pin)
     monkeypatch.setattr(genus1, "tail_problem", spy_pin)
     # (problem, value, _counted calls, lookups of a problem pinned from
     # two records); the calls were 3,249 and 1,443 while every shape
-    # built and looked up its own
+    # built and looked up its own, and 1,490 and 1,296 (with 4 and 0
+    # such lookups) while every expansion kept its own pins
     for p, value, total, shared in [
-        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 1490, 4),
-        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 52832040 * 24, 1296, 0),
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 351, 15),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 52832040 * 24, 996, 6),
     ]:
         calls[0] = 0
         lookups.clear()
         records.clear()
         assert Engine().count(p) == value
         assert calls[0] == total, p
-        assert len(lookups) > 100
+        assert len(lookups) > 50
         # a component in H is built without tail_problem, from one key
         once = {key: len(records[key]) if key in records else 1 for key in lookups}
         assert lookups == once
         assert sum(count - 1 for count in lookups.values()) == shared
+
+
+def test_a_table_run_pins_each_record_once_per_n(monkeypatch):
+    # The pins outlive a count: one Engine runs every row of a table,
+    # and each (n, record) is pinned once over the whole run.
+    real_pin = genus0.tail_problem
+    pins = Counter()
+
+    def spy_pin(n, *record):
+        pins[n, record] += 1
+        return real_pin(n, *record)
+
+    monkeypatch.setattr(genus0, "tail_problem", spy_pin)
+    monkeypatch.setattr(genus1, "tail_problem", spy_pin)
+    eng = Engine()
+    assert all(row.status != "FAIL" for row in table_rows("eqesc-full", eng))
+    assert len(pins) > 100
+    assert set(pins.values()) == {1}
+    assert all(record in eng.pinned[n] for n, record in pins)
 
 
 def test_iib_builds_its_collision_problem_once_per_shape(monkeypatch):
@@ -356,9 +363,9 @@ def test_iib_builds_its_collision_problem_once_per_shape(monkeypatch):
             calls[-1][1].append(made)
         return made
 
-    def spy_yb(eng, n, d0, h0, i0, part1, tails, counted):
+    def spy_yb(eng, n, d0, h0, i0, part1, tails):
         calls.append(((n, part1), []))
-        return real_yb(eng, n, d0, h0, i0, part1, tails, counted)
+        return real_yb(eng, n, d0, h0, i0, part1, tails)
 
     monkeypatch.setattr(Problem, "make", classmethod(spy_make))
     monkeypatch.setattr(genus1, "count_yb", spy_yb)

@@ -480,11 +480,11 @@ def test_count_y_sees_no_shape_beyond_the_hyperplane_capacity(monkeypatch):
     real_y = genus0.count_y
     over, calls = [], [0]
 
-    def spy_y(eng, n, d0, h0, i0, parts, counted):
+    def spy_y(eng, n, d0, h0, i0, parts):
         calls[0] += 1
         if _excess_in_h(n, d0, h0, i0, [part[4] for part in parts]) > 0:
             over.append((n, d0, h0, i0, parts))
-        return real_y(eng, n, d0, h0, i0, parts, counted)
+        return real_y(eng, n, d0, h0, i0, parts)
 
     monkeypatch.setattr(genus0, "count_y", spy_y)
     monkeypatch.setattr(genus1, "count_y", spy_y)

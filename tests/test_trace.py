@@ -7,6 +7,7 @@ replaced, so the pinned tree digests show that nothing was lost."""
 import hashlib
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -216,13 +217,15 @@ def test_positive_dim_leaf():
 )
 def test_capacity_root_is_a_leaf(problem):
     # no elliptic curve of degree 2; no elliptic cubic through 7 points
-    # of P^3; no conic through 5 general points of P^3
+    # of P^3; no conic through 5 general points of P^3.  The engine
+    # neither stores nor records such a problem; trace builds its leaf.
     tracer = Tracer()
     eng = Engine(tracer=tracer)
     assert eng.count(problem) == 0
     root = trace(problem)
     assert (root.rule, root.count, root.dim, root.children) == ("capacity", 0, 0, [])
-    assert list(tracer.nodes.values()) == [root]
+    assert str(root.problem) == str(problem)
+    assert tracer.nodes == {}
     assert list(eng.store.items()) == []
 
 
@@ -244,25 +247,46 @@ def test_shared_subproblems_share_nodes():
                 assert str(child.problem) == str(parent.problem)
 
 
-def test_a_problem_met_again_keeps_its_first_node(monkeypatch):
-    # a capacity leaf is recorded each time its problem is met, and the
-    # registry keeps the node of the first meeting: one node per problem
+def test_a_traced_count_builds_no_capacity_leaf(monkeypatch):
+    # zero-count children are pruned, so a problem beyond capacity met
+    # inside a count (50 of them here) gets no node; leaves are built
+    # once per problem
     tracer = Tracer()
-    first, met_again = {}, []
+    rules, keys = Counter(), Counter()
     real = Engine.leaf
 
     def leaf(self, problem, dim, count, rule):
-        value = real(self, problem, dim, count, rule)
-        key = memo_key(problem)
-        if key in first:
-            met_again.append(key)
-        first.setdefault(key, tracer.nodes[key])
-        return value
+        rules[rule] += 1
+        keys[memo_key(problem)] += 1
+        return real(self, problem, dim, count, rule)
 
     monkeypatch.setattr(Engine, "leaf", leaf)
     assert Engine(tracer=tracer).count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) == 1267968960
-    assert met_again
-    assert all(tracer.nodes[key] is node for key, node in first.items())
+    assert rules["capacity"] == 0 and sum(rules.values()) > 0
+    assert set(keys.values()) == {1}
+
+def test_a_traced_engine_shares_pins_between_counts():
+    # The pins live with the engine and so with its tracer: a second
+    # count reuses factors the first one pinned, and their nodes are
+    # already recorded.  Elliptic quartics through 16 lines, then
+    # through 2 points and 12 lines.
+    tracer = Tracer()
+    eng = Engine(tracer=tracer)
+    assert eng.count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) == 52832040 * 24
+    before = {memo_key(child) for table in eng.pinned.values() for child, _ in table.values()}
+    second = Problem.make(1, 3, 4, {(1, 2): 4}, {0: 2, 1: 12})
+    assert eng.count(second) == 385656 * 24
+    root = tracer.nodes[memo_key(second)]
+    check_invariant(root)
+    # a node the registry does not hold is a term, whose children are
+    # the factors it multiplies
+    registry = {id(node) for node in tracer.nodes.values()}
+    terms = [node for node in iter_nodes(root) if id(node) not in registry]
+    factors = [factor for term in terms for _, factor in term.children]
+    assert len(terms) > 10
+    assert all(id(factor) in registry for factor in factors)
+    assert before & {memo_key(factor.problem) for factor in factors}
+
 
 # sha256 of render_text, render_json and render_dot, then of the text
 # and json unfolded into trees.  The dot and unfolded digests were pinned
