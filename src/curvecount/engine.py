@@ -1,14 +1,15 @@
 """Count evaluation engine: memoized recursion with optional tracing.
 
-The engine owns the memo store, the evaluation options and the pin
-table (see Engine), a dict per n kept for the engine's life; the recursion
-rules live in genus0, genus1 and fibration, whose expanders return a
-count as an int and record its trace node through leaf, axiom or
-terms_node.  All arithmetic is exact and in ints: a term's weight is
-an integer numerator over one integer divisor, known before anything
-is counted, and every division the theory promises to be exact is
-checked, raising InexactCount when it is not.  Fractions are built
-only for a trace, whose edge weights they are.
+The engine owns the memo store, the evaluation options, the tracer and
+the pin table (see Engine).  Engine.counted is the one memo boundary:
+genus0, genus1 and fibration count every smaller problem through it,
+and it calls the expander of the problem's kind, which returns a count
+as an int and records its trace node through leaf, axiom or terms_node.
+All arithmetic is exact and in ints: a term's weight is an integer
+numerator over one integer divisor, known before anything is counted,
+and every division the theory promises to be exact is checked, raising
+InexactCount when it is not.  Fractions are built only for a trace,
+whose edge weights they are.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ def beyond_capacity(problem) -> bool:
     return n >= 2 and points > points_on_curve(n, d)
 
 
-def memo(store: MemoStore, key: str, compute, *args) -> int:
-    """The value stored under ``key``, ``compute(*args)`` stored on a miss."""
+def memo(store: MemoStore, key: str, compute) -> int:
+    """The value stored under ``key``, ``compute()`` stored on a miss;
+    fibration's pairings, which are not problems, are memoized by it."""
     hit = store.lookup(key)
     if hit is not None:
         return hit
-    return store.store(key, compute(*args))
+    return store.store(key, compute())
 
 
 class Engine:
@@ -98,11 +100,12 @@ class Engine:
         a factor of d each instead of degenerating them.
       order: which admissible incidence slot to degenerate first,
         "max-e" (largest plane dimension) or "min-e".
-      tracer: a trace.Tracer recording a derivation node per problem.
+      tracer: a trace.Tracer recording a derivation node per problem,
+        fixed for the Engine's life (read-only), as its pins are nodes of it.
 
     pinned[n] maps a type II factor's key over P^n (a tail's record, or
     a component in H's (d0, markers)), all its problem depends on, to its
-    (problem, count) for the Engine's life, so its tracer must stay the same.
+    (problem, count) for the Engine's life.
     """
 
     def __init__(
@@ -118,8 +121,12 @@ class Engine:
         self.store = store if store is not None else MemoStore()
         self.divisor_axiom = divisor_axiom
         self.order = order
-        self.tracer = tracer
+        self._tracer = tracer
         self.pinned = defaultdict(dict)
+
+    @property
+    def tracer(self) -> Tracer | None:
+        return self._tracer
 
     def count(self, problem, first_slot: int | None = None) -> int:
         """Validate and count; the public entry point.  A rational or
@@ -133,36 +140,31 @@ class Engine:
             if isinstance(problem, ZProblem):
                 if first_slot is not None:
                     raise ValueError("a divisor problem has no first slot to choose")
-                return self.count_z(validate_z(problem))
+                return self.counted(validate_z(problem))
             p = validate(problem)
             slots = self.admissible_slots(p)
             if first_slot is not None and first_slot not in slots:
                 raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
-            return self.count_w(p, first_slot) if p.genus == 1 else self.count_x(p, first_slot)
+            return self.counted(p, first_slot)
         except RecursionError:
             raise UnsupportedProblem(f"the degeneration of {problem} is deeper than Python's recursion limit") from None
 
-    def count_x(self, p: Problem, first_slot: int | None = None) -> int:
-        return self._counted(p, genus0.expand_x, first_slot)
-
-    def count_w(self, p: Problem, first_slot: int | None = None) -> int:
-        return self._counted(p, genus1.expand_w, first_slot)
-
-    def count_z(self, z: ZProblem) -> int:
-        return self._counted(z, fibration.expand_z, None)
-
-    def _counted(self, problem, expand, first_slot) -> int:
-        """The count of ``problem``: 0, not expanded, stored or traced, when
-        beyond_capacity flags it, else the stored value (traced, the count
-        of its node), else ``expand(self, problem, first_slot)`` stored."""
+    def counted(self, problem, first_slot: int | None = None) -> int:
+        """The count of a valid problem: 0, not expanded, stored or traced,
+        when beyond_capacity flags it, else the stored value (traced, its
+        node's), else its expander's, stored; the expander is read here."""
         if beyond_capacity(problem):
             return 0
         key = memo_key(problem)
-        if self.tracer is None:
-            return memo(self.store, key, expand, self, problem, first_slot)
-        node = self.tracer.nodes.get(key)
-        if node is not None:
-            return node.count
+        if self._tracer is None:
+            hit = self.store.lookup(key)
+            if hit is not None:
+                return hit
+        else:
+            node = self._tracer.nodes.get(key)
+            if node is not None:
+                return node.count
+        expand = genus0.expand_x if key[0] == "X" else genus1.expand_w if key[0] == "W" else fibration.expand_z
         return self.store.store(key, expand(self, problem, first_slot))
 
     # Slot selection.
@@ -185,15 +187,15 @@ class Engine:
 
     def leaf(self, problem, dim: int, count: int, rule: str) -> int:
         """Record a leaf node; return ``count``."""
-        if self.tracer is not None:
-            self.tracer.nodes.setdefault(memo_key(problem), TraceNode(problem, dim, count, rule))
+        if self._tracer is not None:
+            self._tracer.nodes.setdefault(memo_key(problem), TraceNode(problem, dim, count, rule))
         return count
 
     def axiom(self, problem, count: int, weight: int, child: Problem) -> int:
         """Record the ``divisor-axiom`` node of a zero-dimensional
         problem counted as ``weight`` times ``child``; return ``count``."""
-        if self.tracer is not None:
-            nodes = self.tracer.nodes
+        if self._tracer is not None:
+            nodes = self._tracer.nodes
             edge = (Fraction(weight), nodes[memo_key(child)])
             nodes.setdefault(memo_key(problem), TraceNode(problem, 0, count, "divisor-axiom", [edge]))
         return count
@@ -208,9 +210,9 @@ class Engine:
         evenly between its r factors: a factor of count c weighs
         share / (r * c), a Fraction built here from those ints.
         """
-        if self.tracer is None:
+        if self._tracer is None:
             return
-        nodes = self.tracer.nodes
+        nodes = self._tracer.nodes
         children = []
         for (rule, _, _, _, groups), term_total in zip(terms, term_totals):
             if term_total == 0:

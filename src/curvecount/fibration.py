@@ -62,10 +62,10 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
         for d1, _, i1, _, _, ways, _, i0 in components(n, d - d0_min, {}, pool, rigid, 1, 3):
             d0 = d - d1
             x, scale = rational(d0, i0)
-            vx = eng.count_x(x)
+            vx = eng.counted(x)
             if vx == 0:
                 continue
-            vw = eng.count_w(Problem.make(1, n, d1, _uniform(n, d1), i1))
+            vw = eng.counted(Problem.make(1, n, d1, _uniform(n, d1), i1))
             if vw == 0:
                 continue
             term = scale * vx * vw * ways * comb(top, d1)
@@ -95,7 +95,7 @@ def _divisor_pair(eng: Engine, z: ZProblem, key: str, markers: tuple, hyps: int)
         slot = sum(markers) + hyps * (n - 1) - n
         if slot < 0:
             return 0
-        return eng.count_w(Problem.make(1, n, d, _uniform(n, d), bump(pool, slot)))
+        return eng.counted(Problem.make(1, n, d, _uniform(n, d), bump(pool, slot)))
 
     def rational(d0, i0):
         for e in markers:
@@ -135,7 +135,7 @@ def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
         if d < 2:
             return 0
         w = Problem.make(1, n, d, bump({(2, e): 1}, (1, n - 1), d - 2), pool)
-        return eng.count_w(w) * (d - 1)
+        return eng.counted(w) * (d - 1)
 
     def rational(d0, i0):
         return Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0), d0 - 1

@@ -93,23 +93,23 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
     # Counted here, not in a helper: a frame more on every level of the
     # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
-    counted = eng.pinned[n]
+    pinned = eng.pinned[n]
     factors = []
     prod = 1
     for part in parts:
-        factor = counted.get(part)
+        factor = pinned.get(part)
         if factor is None:
             child = tail_problem(n, *part)
-            factor = counted[part] = (child, eng.count_w(child) if child.genus else eng.count_x(child))
+            factor = pinned[part] = (child, eng.counted(child))
         if factor[1] == 0:
             return 0, []
         factors.append(factor)
         prod *= factor[1]
     key = (d0, frozenset(i0p.items()))
-    factor0 = counted.get(key)
+    factor0 = pinned.get(key)
     if factor0 is None:
         child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
-        factor0 = counted[key] = (child0, eng.count_x(child0))
+        factor0 = pinned[key] = (child0, eng.counted(child0))
     if factor0[1] == 0:
         return 0, []
     value = exact_quotient(prod * factor0[1], factorial(d0), "hyperplane-component relabelings must divide the count")
@@ -129,8 +129,7 @@ def settle(eng: Engine, p: Problem, first_slot=None) -> int | None:
         return None
     weight = p.d ** imap.pop(p.n - 1)
     child = Problem.make(p.genus, p.n, p.d, p.h_map(), imap)
-    count = eng.count_w if p.genus == 1 else eng.count_x
-    return eng.axiom(p, weight * count(child, first_slot), weight, child)
+    return eng.axiom(p, weight * eng.counted(child, first_slot), weight, child)
 
 
 def specialize(eng: Engine, p: Problem, first_slot=None):
@@ -140,7 +139,6 @@ def specialize(eng: Engine, p: Problem, first_slot=None):
     the tangency pool, the incidence pool without the specialized
     marker, and the type-I terms, where a contact point absorbs the
     plane and its marker drops to a smaller plane of H."""
-    count = eng.count_w if p.genus == 1 else eng.count_x
     e_star = eng.pick_slot(p, first_slot)
     e_lift = e_star + 1
     i_base = bump(p.i_map(), e_star, -1)
@@ -151,7 +149,7 @@ def specialize(eng: Engine, p: Problem, first_slot=None):
         if e_new < 0:
             continue
         child = Problem.make(p.genus, p.n, p.d, bump(bump(h_pool, (m, e0), -1), (m, e_new)), i_base)
-        v = count(child)
+        v = eng.counted(child)
         terms.append(("type-I", m * c, 1, v, [(1, [(child, v)])]))
     return e_lift, h_pool, i_base, terms
 

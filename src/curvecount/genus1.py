@@ -118,7 +118,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     [(_, yfactors)] = ygroups
     # the merged contact of a collision does not depend on the split
     merged = Problem.make(0, n, db, [*hb, ((m1, n - delta), 1)], ib) if delta else None
-    vmerged = eng.count_x(merged) if delta else 0
+    vmerged = eng.counted(merged) if delta else 0
     mids_total = 0
     groups = []
     for m11 in range(1, m1):
@@ -127,7 +127,7 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
         for on_plane in itertools.combinations((0, 1), delta):
             contacts = [((m, n - 2 if k in on_plane else n - 1), 1) for k, m in enumerate((m11, m1 - m11))]
             mid = Problem.make(0, n, db, [*hb, *contacts], ib)
-            vmid = eng.count_x(mid)
+            vmid = eng.counted(mid)
             if vmid:
                 mids.append((ordered * d0**delta, mid, vmid))
         if vmerged:
@@ -157,13 +157,13 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     multiplicity, attachments with minus theirs.  Each tail's record
     gives its attachment multiplicity mk and, through its freedom delta,
     the slot of its attachment marker.  Tails are pinned as in count_y."""
-    counted = eng.pinned[n]
+    pinned = eng.pinned[n]
     factors = []
     for tail in tails:
-        factor = counted.get(tail)
+        factor = pinned.get(tail)
         if factor is None:
             child = tail_problem(n, *tail)
-            factor = counted[tail] = (child, eng.count_x(child))
+            factor = pinned[tail] = (child, eng.counted(child))
         if factor[1] == 0:
             return 0, []
         factors.append(factor)
@@ -179,7 +179,7 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     if degree != d0:
         raise InexactCount(f"divisor degree {degree} must match the component degree {d0}")
     z = ZProblem.make(n - 1, d0, hyperplane_markers(h0, i0, [tail[4] for tail in tails]), divisor)
-    vz = eng.count_z(z)
+    vz = eng.counted(z)
     if vz == 0:
         return 0, []
     factors = [(z, vz)] + factors

@@ -32,20 +32,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-RULES = (
-    "seed",
-    "base-n1",
-    "zero-dim",
-    "capacity",
-    "divisor-axiom",
-    "type-I",
-    "type-IIplain",
-    "type-IIa",
-    "type-IIb",
-    "type-IIc",
-    "z-evaluation",
-)
-
 
 @dataclass
 class TraceNode:

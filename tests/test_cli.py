@@ -255,6 +255,12 @@ def test_degeneration_beyond_the_recursion_limit_is_unsupported(capsys):
         Engine().count(Problem.make(0, 400, 1, {(1, 399): 1}, {0: 2}))
 
 
+def test_a_degeneration_level_leaves_room_for_lines_of_p140():
+    # Lines of P^n through 2 points recurse once per dimension; at three
+    # frames a level, n = 140 fits the default recursion limit.
+    assert Engine().count(Problem.make(0, 140, 1, {(1, 139): 1}, {0: 2})) == 1
+
+
 def test_divisor_problem_beyond_the_recursion_limit_is_unsupported():
     # Counted under padding frames that leave it too little of the
     # recursion limit, a divisor problem raises UnsupportedProblem like
@@ -325,7 +331,7 @@ def test_cache_conflict_on_save_exits_2(tmp_path, capsys, monkeypatch):
 def test_interrupt_saves_the_cache_and_exits_130(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "c.egc"
     argv = ["count", "-g", "1", "-n", "3", "-d", "3", "--incidence", "1:12", "--cache", str(cache)]
-    real = Engine._counted
+    real = Engine.counted
     calls = []
 
     def interrupted(self, problem, *args):
@@ -334,7 +340,7 @@ def test_interrupt_saves_the_cache_and_exits_130(tmp_path, capsys, monkeypatch):
             raise KeyboardInterrupt
         return real(self, problem, *args)
 
-    monkeypatch.setattr(Engine, "_counted", interrupted)
+    monkeypatch.setattr(Engine, "counted", interrupted)
     try:
         code, out, err = run(capsys, *argv)
     except KeyboardInterrupt:
@@ -360,13 +366,13 @@ def test_interrupt_saves_the_cache_and_exits_130(tmp_path, capsys, monkeypatch):
 def test_cache_in_a_missing_directory_exits_2_before_counting(tmp_path, capsys, monkeypatch, argv):
     path = tmp_path / "nodir" / "counts.egc"
     calls = []
-    real = Engine._counted
+    real = Engine.counted
 
     def spy(self, *args):
         calls.append(args)
         return real(self, *args)
 
-    monkeypatch.setattr(Engine, "_counted", spy)
+    monkeypatch.setattr(Engine, "counted", spy)
     code, out, err = run(capsys, *argv, "--cache", str(path))
     assert (code, out, calls) == (2, "", [])
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -175,7 +175,7 @@ def _reference_splits(eng, z, pool, d0_min, rational_of):
             i0 = {k: c - taken.get(k, 0) for k, c in pool.items() if c - taken.get(k, 0)}
             x, scale = rational_of(d0, i0)
             w = Problem.make(1, n, d1, {(1, n - 1): d1}, i1)
-            term = scale * eng.count_x(x) * Fraction(eng.count_w(w), math.factorial(d1)) * ways
+            term = scale * eng.counted(x) * Fraction(eng.counted(w), math.factorial(d1)) * ways
             total += term * (d0 * d1 if n == 2 else 1)
     return total
 
@@ -196,7 +196,7 @@ def _reference_pairings(eng, z):
         return rational_of
 
     def w_term(h, i, relabel):
-        return Fraction(eng.count_w(Problem.make(1, n, d, h, i)), math.factorial(relabel))
+        return Fraction(eng.counted(Problem.make(1, n, d, h, i)), math.factorial(relabel))
 
     out = {}
     full = z.i_map()

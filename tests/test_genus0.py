@@ -4,10 +4,12 @@ lines.  Expected numbers are frozen here, not recomputed from the
 engine."""
 
 import math
+import sys
+from collections import Counter
 
 import pytest
 
-from curvecount import Engine, Problem, UnsupportedProblem
+from curvecount import Engine, Problem, UnsupportedProblem, genus0
 from curvecount.genus0 import count_y, tail_window
 from curvecount.genus1 import _split_off_part, iia_points_on_h
 from curvecount.partitions import tail_table, type2_partitions
@@ -187,3 +189,33 @@ def test_unsupported_only_for_genus_one():
     eng = Engine()
     with pytest.raises(UnsupportedProblem):
         eng.count(Problem.make(1, 4, 2, {(1, 3): 2}, {2: 10}))
+
+
+def test_a_recursion_level_is_three_frames():
+    # Engine.counted calls the expander, and the expander's settle,
+    # specialize or count_y calls Engine.counted: every nested expand_x
+    # sits three frames below the one that needs it.  sys.setprofile
+    # adds no frame of its own.
+    expand, counted = genus0.expand_x.__code__, Engine.counted.__code__
+    between = {f.__code__ for f in (genus0.settle, genus0.specialize, genus0.count_y)}
+    chains = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is expand:
+            via = frame.f_back
+            caller = via.f_back
+            if caller.f_code is Engine.count.__code__:
+                chains["root" if via.f_code is counted else "root outside counted"] += 1
+            else:
+                chain = (via.f_code is counted, caller.f_code in between, caller.f_back.f_code is expand)
+                chains[caller.f_code.co_name if chain == (True, True, True) else chain] += 1
+
+    p = Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20})
+    sys.setprofile(profile)
+    try:
+        value = Engine().count(p)
+    finally:
+        sys.setprofile(None)
+    assert value == 6089786376960 * 120
+    assert chains["root"] == 1
+    assert set(chains) == {"root", "settle", "specialize", "count_y"}, chains

@@ -129,9 +129,9 @@ def test_doubly_attached_worked_example():
 
 def test_worked_example_bracket_pieces():
     eng = Engine()
-    va = eng.count_x(Problem.make(0, 3, 2, {(1, 1): 1, (1, 2): 1}, {1: 7}))
-    vb = eng.count_x(Problem.make(0, 3, 2, {(1, 2): 1, (1, 1): 1}, {1: 7}))
-    vc = eng.count_x(Problem.make(0, 3, 2, {(2, 2): 1}, {1: 7}))
+    va = eng.counted(Problem.make(0, 3, 2, {(1, 1): 1, (1, 2): 1}, {1: 7}))
+    vb = eng.counted(Problem.make(0, 3, 2, {(1, 2): 1, (1, 1): 1}, {1: 7}))
+    vc = eng.counted(Problem.make(0, 3, 2, {(2, 2): 1}, {1: 7}))
     assert (va, vb, vc) == (92, 92, 116)
     assert 1 * (va + vb) - vc == 68
 
@@ -141,8 +141,8 @@ def test_worked_example_chow_kernel():
     blown-up pair space; pairing its class against the locus of pairs
     collinear with the base line reproduces the bracket."""
     eng = Engine()
-    va = eng.count_x(Problem.make(0, 3, 2, {(1, 1): 1, (1, 2): 1}, {1: 7}))
-    vc = eng.count_x(Problem.make(0, 3, 2, {(2, 2): 1}, {1: 7}))
+    va = eng.counted(Problem.make(0, 3, 2, {(1, 1): 1, (1, 2): 1}, {1: 7}))
+    vc = eng.counted(Problem.make(0, 3, 2, {(2, 2): 1}, {1: 7}))
     d0 = 1
     kernel = d0 * (H1 + H2) - E
     family = va * (H1 * H1 * H2) + va * (H1 * H2 * H2) - vc * (E * H1 * H2)
@@ -165,8 +165,8 @@ def test_two_freedoms_case_keeps_the_base_degree_factor():
     # contributes a factor of its degree, which separates the engine's
     # normalization from dropping one of them
     eng = Engine()
-    va = eng.count_x(Problem.make(0, 3, 2, {(1, 1): 2}, {0: 3}))
-    vb = eng.count_x(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
+    va = eng.counted(Problem.make(0, 3, 2, {(1, 1): 2}, {0: 3}))
+    vb = eng.counted(Problem.make(0, 3, 2, {(2, 1): 1}, {0: 3}))
     yval, _ = count_y(eng, 3, 2, {(1, 0): 4}, {1: 1}, ())
     assert (va, vb, yval) == (1, 1, 1)
     ordered, _ = count_yb(eng, 3, 2, {(1, 0): 4}, {1: 1}, (2, (), ((0, 3),), 2, 1), ())
@@ -216,10 +216,10 @@ def _line_h_closed_form(eng, d0, h0, i0, part1, tails):
     db, hb, ib, m1, _ = part1
     mids = sum(
         m11 * (m1 - m11)
-        * eng.count_x(Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m1 - m11, 1)), ib))
+        * eng.counted(Problem.make(0, 2, db, bump(bump(hb, (m11, 1)), (m1 - m11, 1)), ib))
         for m11 in range(1, m1)
     )
-    tails_value = math.prod(eng.count_x(tail_problem(2, *tail)) for tail in tails)
+    tails_value = math.prod(eng.counted(tail_problem(2, *tail)) for tail in tails)
     return "line H", mids * tails_value
 
 
@@ -291,7 +291,7 @@ def test_an_engine_counts_each_pinned_component_and_component_in_h_once_per_n(mo
     # an Engine looks each up once per n however many shapes of however
     # many expansions share it.  Two records (the attachment on
     # different markers) can pin to one problem, looked up once each.
-    real_counted, real_pin = Engine._counted, genus0.tail_problem
+    real_counted, real_pin = Engine.counted, genus0.tail_problem
     callers = (genus0.count_y.__code__, genus1.count_yc.__code__)
     calls, lookups, records = [0], Counter(), defaultdict(set)
 
@@ -302,16 +302,16 @@ def test_an_engine_counts_each_pinned_component_and_component_in_h_once_per_n(mo
 
     def spy_counted(self, problem, *args):
         calls[0] += 1
-        # frame 1 is count_x, count_w or count_z; frame 2's n keys the pin
-        caller = sys._getframe(2)
+        # the caller's n keys the pin
+        caller = sys._getframe(1)
         if caller.f_code in callers:
             lookups[caller.f_locals["n"], memo_key(problem)] += 1
         return real_counted(self, problem, *args)
 
-    monkeypatch.setattr(Engine, "_counted", spy_counted)
+    monkeypatch.setattr(Engine, "counted", spy_counted)
     monkeypatch.setattr(genus0, "tail_problem", spy_pin)
     monkeypatch.setattr(genus1, "tail_problem", spy_pin)
-    # (problem, value, _counted calls, lookups of a problem pinned from
+    # (problem, value, counted calls, lookups of a problem pinned from
     # two records); the calls were 3,249 and 1,443 while every shape
     # built and looked up its own, and 1,490 and 1,296 (with 4 and 0
     # such lookups) while every expansion kept its own pins

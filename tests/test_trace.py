@@ -15,13 +15,27 @@ import pytest
 from curvecount import Engine, Problem, ZProblem, parse_divisor, trace
 from curvecount.engine import memo_key
 from curvecount.trace import (
-    RULES,
     Tracer,
     check_invariant,
     iter_nodes,
     render_dot,
     render_json,
     render_text,
+)
+
+# every rule a node can carry (see curvecount.trace)
+RULES = (
+    "seed",
+    "base-n1",
+    "zero-dim",
+    "capacity",
+    "divisor-axiom",
+    "type-I",
+    "type-IIplain",
+    "type-IIa",
+    "type-IIb",
+    "type-IIc",
+    "z-evaluation",
 )
 
 WEIGHT_RE = re.compile(r"-?\d+(/\d+)?\Z")
@@ -264,6 +278,21 @@ def test_a_traced_count_builds_no_capacity_leaf(monkeypatch):
     assert Engine(tracer=tracer).count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) == 1267968960
     assert rules["capacity"] == 0 and sum(rules.values()) > 0
     assert set(keys.values()) == {1}
+
+
+def test_the_tracer_is_fixed_at_construction():
+    # A replaced tracer would lack the nodes of the pins counted before
+    # it (a KeyError in terms_node), so the attribute is read-only.
+    tracer = Tracer()
+    eng = Engine(tracer=tracer)
+    assert eng.count(Problem.make(0, 3, 4, {(1, 2): 4}, {1: 16})) > 0
+    with pytest.raises(AttributeError):
+        eng.tracer = Tracer()
+    assert eng.tracer is tracer
+    second = Problem.make(0, 3, 4, {(1, 2): 4}, {0: 1, 1: 14})
+    assert eng.count(second) == Engine().count(second)
+    check_invariant(tracer.nodes[memo_key(second)])
+
 
 def test_a_traced_engine_shares_pins_between_counts():
     # The pins live with the engine and so with its tracer: a second
