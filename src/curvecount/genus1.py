@@ -27,11 +27,11 @@ from .genus0 import (
     tail_problem,
     tail_window,
 )
-from .partitions import bump, components, points_fit, tail_table, type2_partitions
+from .partitions import bump, components, points_budget, pool_rows, tail_table, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
-def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, table, points_on_h):
+def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, table, points_on_h, rows=None):
     """Enumerate type II shapes with one distinguished component.
 
     The distinguished component is one of partitions.components (its
@@ -48,12 +48,14 @@ def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, ta
     distinguished component's record, then ways, the labeled marker
     routings, and tails, aut, d0, h0, i0, ram as type2_partitions yields
     them.  As there, the distinguished component and the tails take
-    every point marker between them.
+    every point marker between them, so a component that leaves more
+    points than the tails can take starts no walk.  ``rows`` is the
+    pools' pool_rows when the caller has listed them already.
     """
     for d1, h1, i1, m1, delta1, ways, h_rest, i_rest in components(
-        n, d - 1, h_pool, i_base, part_window, m_min, d1_min
+        n, d - 1, h_pool, i_base, part_window, m_min, d1_min, rows
     ):
-        if not points_fit(n, d - 1 - d1, i_rest.get(0, 0)):
+        if i_rest.get(0, 0) > points_budget(n, d - 1 - d1):
             continue
         for tails, tail_ways, aut, d0, h0, i0, ram in type2_partitions(
             d - d1, h_rest, i_rest, n, table, e_lift, 1, points_on_h(delta1)
@@ -196,9 +198,11 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     if done is not None:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
-    rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0))
+    # the tail table and both split-offs share one listing of sub-vectors
+    rows = pool_rows(n, h_pool, i_base)
+    rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0), rows)
     for d1, h1, i1, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h
+        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h, rows
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1, delta1), tails)
         if value:
@@ -211,7 +215,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     # P^3 is the whole rational window and over P^2 its delta 0.
     doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
     for db, hb, ib, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h
+        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h, rows
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1, delta1), tails)
         if value:

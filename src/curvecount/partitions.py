@@ -5,11 +5,25 @@ A marker pool is a dict, {(m, e): count} for tangency markers and
 {e: count} for incidence markers.  A component that splits off is one
 record (dk, h_items, i_items, mk, delta): its degree, its marker
 vectors as sorted (key, count) item tuples, its attachment multiplicity
-and its freedom, all worked out once by components.  mk and delta
-depend on the first three fields alone, so records order as those do.
-tail_table lists the records of one degeneration, type2_partitions
-walks them into type II shapes, and both leave out, before building
-them, the tails and shapes that count 0 by their point markers alone.
+and its freedom.  mk and delta depend on the first three fields alone,
+so records order as those do.
+
+pool_rows lists the sub-vectors of a degeneration's pools once
+(subvectors).  From that listing components yields the split-off
+components with the pools they leave, and tail_table the rational
+tails as bare records.  type2_partitions walks a tail table into type
+II shapes.  The shapes and tails that count 0 by their point markers
+alone are cut before anything about them is built, each at one place:
+
+- tail_table drops a tail through more points than points_on_curve,
+  testing the cap once per degree on the incidence rows;
+- type2_partitions drops a branch whose remaining degree cannot take
+  the points left (points_budget) when it picks the tail that leads to
+  it, before it copies the pools or starts the branch, and a shape
+  whose component in H passes through too many points of H before it
+  builds the shape;
+- genus1._split_off_part drops a distinguished component that leaves
+  more points than the tails can take before it starts their walk.
 """
 
 from __future__ import annotations
@@ -32,13 +46,6 @@ def bump(vec: dict, key, delta=1) -> dict:
     return out
 
 
-def attach_mult(dk: int, h_items) -> int:
-    """Contact multiplicity of a component of degree dk at its
-    attachment point: the intersections with H that its tangency
-    markers ``h_items`` (((m, e), count) pairs) do not account for."""
-    return dk - sum(m * c for (m, _), c in h_items)
-
-
 def automorphism_order(items) -> int:
     """Order of the symmetry group permuting equal entries."""
     counts: dict = {}
@@ -49,28 +56,45 @@ def automorphism_order(items) -> int:
 
 def subvectors(pool: dict, weight_of=lambda key: 0) -> list:
     """Every sub-vector of the marker pool ``pool`` as (items, ways,
-    weight, rest): the sorted (key, take) pairs with take > 0, the
-    prod C(count, take) marker choices realizing them, the weight
-    sum(weight_of(key) * take), and the pool left, a dict that keeps
-    zero counts.  The takes run lexicographically over the sorted keys:
-    each key's takes vary fastest within those of the keys before it."""
-    rows = [((), 1, 0, {})]
+    weight): the sorted (key, take) pairs with take > 0, the prod
+    C(count, take) marker choices realizing them and the weight
+    sum(weight_of(key) * take).  The takes run lexicographically over
+    the sorted keys: each key's takes vary fastest within those of the
+    keys before it.  No row carries the pool it leaves; components
+    builds that only for the components it yields."""
+    rows = [((), 1, 0)]
     for key in sorted(pool):
         c, w = pool[key], weight_of(key)
         rows = [
-            (
-                items + ((key, take),) if take else items,
-                ways * math.comb(c, take),
-                weight + w * take,
-                {**rest, key: c - take},
-            )
-            for items, ways, weight, rest in rows
+            (items + ((key, take),) if take else items, ways * math.comb(c, take), weight + w * take)
+            for items, ways, weight in rows
             for take in range(c + 1)
         ]
     return rows
 
 
-def components(n: int, d_max: int, h_pool: dict, i_pool: dict, window, m_min=1, d_min=1):
+def pool_rows(n: int, h_pool: dict, i_pool: dict) -> tuple:
+    """The sub-vectors of a degeneration's two marker pools, (h_rows,
+    i_rows), each listed once by subvectors.  An incidence row weighs
+    n - 1 - e per marker on slot e, its incidence weight.  A tangency
+    row weighs m per marker of contact multiplicity m, its intersections
+    with H, so a component of degree dk that takes it meets H at its
+    attachment point with multiplicity mk = dk less that weight.  One
+    listing serves the tail table and every components call of one
+    specialization (genus1.expand_w)."""
+    return subvectors(h_pool, lambda key: key[0]), subvectors(i_pool, lambda e: n - 1 - e)
+
+
+def _rest(pool: dict, items) -> dict:
+    """The marker pool ``pool`` less the sub-vector ``items``, keeping
+    zero counts."""
+    rest = dict(pool)
+    for key, take in items:
+        rest[key] -= take
+    return rest
+
+
+def components(n: int, d_max: int, h_pool: dict, i_pool: dict, window, m_min=1, d_min=1, rows=None):
     """Enumerate the single components that can split off a curve
     falling into H, drawing on the marker pools ``h_pool`` and
     ``i_pool``.
@@ -78,37 +102,36 @@ def components(n: int, d_max: int, h_pool: dict, i_pool: dict, window, m_min=1, 
     A component takes a degree dk in d_min..d_max, a sub-vector h_sub
     of the tangency pool and a sub-vector i_sub of the incidence pool,
     and meets the hyperplane at its attachment point with multiplicity
-    mk = dk - sum(m * h) >= m_min.  ``window(dk, h_sub, mk)`` gives
-    (base, lo, hi): the component's freedom delta, base less its
-    incidence weight sum((n-1-e) * c), must lie in lo..hi.  An elliptic
-    component takes d_min = 3: there are no elliptic curves of degree 1
-    or 2, so a smaller one counts 0.
+    mk = dk - sum(m * c) >= m_min, over the (m, e) markers of h_sub.
+    ``window(dk, h_sub, mk)`` gives (base, lo, hi): the component's
+    freedom delta, base less its incidence weight sum((n-1-e) * c), must
+    lie in lo..hi.  An elliptic component takes d_min = 3: there are no
+    elliptic curves of degree 1 or 2, so a smaller one counts 0.
 
     Yields (dk, h_sub, i_sub, mk, delta, ways, h_rest, i_rest), ordered
     by dk, then by the subvectors order of h_sub, then of i_sub: the
     component's record, the number of labeled marker choices realizing
-    the sub-vectors, and the rests of subvectors, shared between yields.
-    Each pool's sub-vectors are listed once and the incidence side is
-    filtered by the window, without pruning: the enumeration runs once
-    per specialization (see tail_table), so pruning would buy little.
+    the sub-vectors, and the pools it leaves, dicts that keep zero
+    counts, built for the yielded components alone.  ``rows`` is the
+    pools' pool_rows when the caller has listed them already; the
+    incidence side is filtered by the window, without pruning.
     """
     if d_min > d_max:
         return  # no degree to split off: list no pools
-    h_rows = subvectors(h_pool)
-    i_rows = subvectors(i_pool, lambda e: n - 1 - e)
+    h_rows, i_rows = rows or pool_rows(n, h_pool, i_pool)
     for dk in range(d_min, d_max + 1):
-        for h_sub, h_ways, _, h_rest in h_rows:
-            mk = attach_mult(dk, h_sub)
+        for h_sub, h_ways, h_weight in h_rows:
+            mk = dk - h_weight
             if mk < m_min:
                 continue
             base, lo, hi = window(dk, h_sub, mk)
-            for i_sub, i_ways, weight, i_rest in i_rows:
+            for i_sub, i_ways, weight in i_rows:
                 delta = base - weight
                 if lo <= delta <= hi:
-                    yield dk, h_sub, i_sub, mk, delta, h_ways * i_ways, h_rest, i_rest
+                    yield dk, h_sub, i_sub, mk, delta, h_ways * i_ways, _rest(h_pool, h_sub), _rest(i_pool, i_sub)
 
 
-def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, window) -> list:
+def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, window, rows=None) -> list:
     """The rational tails of one degeneration, as records (dk, h_items,
     i_items, mk, delta): the ``components`` of the marker pools up to
     degree d_max, in ``window`` and through at most points_on_curve(n,
@@ -120,13 +143,25 @@ def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, window) -> list:
     genus0.expand_x takes d_max = d - 1.  genus1.expand_w builds one
     table with d_max = d - 3 (IIa and IIc keep degree >= 3 for the
     elliptic part, IIb >= 2 for the doubly-attached part and >= 1 for
-    the hyperplane component) and keeps its entries of delta <= 2n - 4
-    for the IIb tails."""
+    the hyperplane component), on the pool_rows ``rows`` its split-offs
+    share, and keeps its entries of delta <= 2n - 4 for the IIb tails.
+
+    The table is built from the pools' sub-vectors without the rests
+    components builds, and the point cap is tested once per degree, on
+    the incidence rows, before any record is made.
+    """
+    h_rows, i_rows = rows or pool_rows(n, h_pool, i_pool)
     table = []
-    for dk, h_sub, i_sub, mk, delta, *_ in components(n, d_max, h_pool, i_pool, window):
+    for dk in range(1, d_max + 1):
+        cap = points_on_curve(n, dk)
         # a point count is first in the sorted item tuple
-        if (i_sub[0][1] if i_sub and i_sub[0][0] == 0 else 0) <= points_on_curve(n, dk):
-            table.append((dk, h_sub, i_sub, mk, delta))
+        fit = [(i_sub, weight) for i_sub, _, weight in i_rows if not i_sub or i_sub[0][0] or i_sub[0][1] <= cap]
+        for h_sub, _, h_weight in h_rows:
+            mk = dk - h_weight
+            if mk < 1:
+                continue
+            base, lo, hi = window(dk, h_sub, mk)
+            table += [(dk, h_sub, i_sub, mk, base - weight) for i_sub, weight in fit if lo <= base - weight <= hi]
     return table
 
 
@@ -147,8 +182,10 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     every point marker (e = 0) of ``i_pool``: the hyperplane component
     lies in H, so a general point left on it makes the term vanish.  A
     tail may not take more points than a rational curve of its degree
-    passes through (tail_table leaves such tails out).  Branches whose
-    remaining degree cannot take the points left are cut early.  And
+    passes through (tail_table leaves such tails out).  So a branch
+    whose remaining degree cannot take the points left
+    (points_budget) yields nothing: the walk tests it on each tail it
+    picks, before it copies the pools or starts the branch.  And
     for n >= 3 a rational hyperplane component (d0_min = 1) of degree
     d0 passes through at most points_on_curve(n - 1, d0) points of H,
     the point markers (e = 0) genus0.hyperplane_markers gives it: its
@@ -159,6 +196,9 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     them as it takes tails and drops a shape past the capacity before
     building it.  Over P^2 a point of the line H costs nothing, and an
     elliptic component in H (d0_min = 3) is not capped here.
+
+    The walk is lazy: it yields each shape as it reaches it and holds
+    one branch of pools at a time.
 
     Yields (parts, ways, aut, d0, h0, i0, ram).  parts is a
     nondecreasing tuple of the tails' table records (dk, h_items,
@@ -172,42 +212,51 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     """
 
     def rec(d_rem, h_rem, i_rem, min_tail, on_h):
+        # the caller has checked that the points left fit d_rem
         points = i_rem.get(0, 0)
-        if not points_fit(n, d_rem, points):
-            return
         if not points and (room is None or on_h + i_rem.get(1, 0) <= room[d_rem]):
             yield (), 1, 1, d_rem, h_rem, i_rem
         for tail in table:
             dk, h_items, i_items, mk, delta = tail
             if dk > d_rem:
                 break
+            # the child's points must fit its degree; a point count is
+            # first in the sorted item tuple
+            if points and points - (i_items[0][1] if i_items and not i_items[0][0] else 0) > budget[d_rem - dk]:
+                continue
             if tail < min_tail:
                 continue
-            # math.comb is 0 when a tail takes more than is left
+            # math.comb is 0 when a tail takes more than is left, and
+            # the copies are dropped
             ways = 1
-            for k, take in h_items:
-                ways *= math.comb(h_rem.get(k, 0), take)
-            for e, take in i_items:
-                ways *= math.comb(i_rem.get(e, 0), take)
-            if not ways:
-                continue
             h_left, i_left = dict(h_rem), dict(i_rem)
             on_h_left = on_h if delta else on_h + 1
             for k, take in h_items:
-                h_left[k] -= take
+                c = h_left.get(k, 0)
+                ways *= math.comb(c, take)
+                h_left[k] = c - take
                 if not k[1]:
                     on_h_left -= take
             for e, take in i_items:
-                i_left[e] -= take
+                c = i_left.get(e, 0)
+                ways *= math.comb(c, take)
+                i_left[e] = c - take
+            if not ways:
+                continue
             for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h_left):
                 yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
 
+    d_tails = d - d0_min
+    if i_pool.get(0, 0) > points_budget(n, d_tails):
+        return
+    # budget[t]: the points tails of total degree t take at most
+    budget = [points_budget(n, t) for t in range(d_tails + 1)]
     # room[d0 - 1]: the points of H a component of degree d0 there takes
     room = [points_on_curve(n - 1, d0) for d0 in range(1, d + 1)] if n >= 3 and d0_min == 1 else None
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))
     on_h = h_points + (e_lift == 1) + sum(c for (_, e), c in h_pool.items() if not e)
-    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, (), on_h):
+    for parts, ways, ram, d_left, h0, i0 in rec(d_tails, h_pool, i_pool, (), on_h):
         h0 = {k: c for k, c in h0.items() if c}
         i0 = {e: c for e, c in i0.items() if c}
         yield parts, ways, automorphism_order(parts), d_left + d0_min, h0, bump(i0, e_lift), ram
@@ -225,11 +274,13 @@ def points_on_curve(n: int, d: int) -> int:
     return ((n + 1) * d + n - 3) // (n - 1)
 
 
-def points_fit(n: int, d_rem: int, points: int) -> bool:
-    """Whether rational components of total degree at most d_rem can
-    take ``points`` general points between them.  Each component of
-    degree dk takes at most points_on_curve(n, dk), which is 3*dk - 1
-    for n = 2 and at most 2*dk for n >= 3."""
-    if not points:
-        return True
-    return points <= (2 * d_rem if n >= 3 else 3 * d_rem - 1)
+def points_budget(n: int, d_rem: int) -> int:
+    """Most general points that rational components of total degree at
+    most d_rem take between them.  Each component of degree dk takes at
+    most points_on_curve(n, dk), which is 3*dk - 1 for n = 2 and at
+    most 2*dk for n >= 3, with equality for lines; none take none.
+    type2_partitions cuts a branch, and genus1._split_off_part a
+    distinguished component, that leaves its tails more points."""
+    if n >= 3:
+        return 2 * d_rem
+    return 3 * d_rem - 1 if d_rem else 0

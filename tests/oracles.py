@@ -10,7 +10,7 @@ component enumerator.
 import math
 from fractions import Fraction
 
-from curvecount.partitions import automorphism_order, bump, components, points_fit, points_on_curve
+from curvecount.partitions import automorphism_order, bump, components, points_budget, points_on_curve
 
 
 def kontsevich_numbers(dmax):
@@ -157,7 +157,7 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1,
 
     def rec(d_rem, h_rem, i_rem, min_tail):
         points = i_rem.get(0, 0)
-        if not points_fit(n, d_rem, points):
+        if points > points_budget(n, d_rem):
             return
         if not points:
             yield (), 1, 1, d_rem, h_rem, i_rem

@@ -310,6 +310,22 @@ def test_cache_round_trip(tmp_path, capsys):
     assert path.read_bytes() == first
 
 
+def test_trace_on_a_warm_cache_renders_the_same_tree(tmp_path, capsys):
+    # The second trace finds every record in the file its first run
+    # saved: it must still render the whole tree, and the first run must
+    # save what an untraced count of the same problem saves.
+    traced, plain = tmp_path / "traced.egc", tmp_path / "plain.egc"
+    argv = ("-n", "2", "-d", "3", "--points", "8")
+    code, first, _ = run(capsys, "trace", *argv, "--cache", str(traced))
+    assert code == 0
+    assert first.startswith("72  ") and "[capacity]" not in first
+    saved = traced.read_bytes()
+    assert run(capsys, "trace", *argv, "--cache", str(traced)) == (0, first, "")
+    assert run(capsys, "count", *argv, "--cache", str(plain)) == (0, "72\n", "")
+    assert saved == plain.read_bytes() == traced.read_bytes()
+    assert saved.count(b"\n") > 10
+
+
 def test_cache_conflict_on_save_exits_2(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "c.egc"
     real = Engine.count

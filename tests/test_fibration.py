@@ -170,7 +170,7 @@ def _reference_splits(eng, z, pool, d0_min, rational_of):
     total = Fraction(0)
     for d0 in range(d0_min, d):
         d1 = d - d0
-        for i1, ways, _, _ in subvectors(pool):
+        for i1, ways, _ in subvectors(pool):
             taken = dict(i1)
             i0 = {k: c - taken.get(k, 0) for k, c in pool.items() if c - taken.get(k, 0)}
             x, scale = rational_of(d0, i0)

@@ -219,3 +219,27 @@ def test_a_recursion_level_is_three_frames():
     assert value == 6089786376960 * 120
     assert chains["root"] == 1
     assert set(chains) == {"root", "settle", "specialize", "count_y"}, chains
+
+
+@pytest.mark.parametrize(
+    "p, walks, shapes",
+    [
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 140, 1215),
+        (Problem.make(0, 2, 7, {(1, 1): 7}, {0: 20}), 118, 601),
+    ],
+)
+def test_type2_work_counts(monkeypatch, p, walks, shapes):
+    # The type II walks a count starts and the shapes they yield: a cut
+    # that drops a shape, or lets a dead one through, moves the numbers.
+    real = genus0.type2_partitions
+    seen = [0, 0]
+
+    def walk(*args):
+        seen[0] += 1
+        for shape in real(*args):
+            seen[1] += 1
+            yield shape
+
+    monkeypatch.setattr(genus0, "type2_partitions", walk)
+    Engine().count(p)
+    assert seen == [walks, shapes]

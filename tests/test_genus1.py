@@ -9,7 +9,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from curvecount import Engine, Problem, UnsupportedProblem, ZProblem, genus0, genus1
+from curvecount import Engine, Problem, UnsupportedProblem, ZProblem, fibration, genus0, genus1, partitions
 from curvecount.engine import memo_key
 from curvecount.genus0 import count_y, tail_problem, tail_window
 from curvecount.genus1 import count_yb
@@ -387,11 +387,14 @@ def test_expand_w_builds_one_tail_table(monkeypatch):
     # The IIb tails are the rational tails of delta <= 2n - 4: all of
     # them over P^3, those of delta 0 over P^2.  Every expansion that
     # specializes builds the one table and filters it.
+    # The table and both split-offs share one listing of the pools'
+    # sub-vectors.
     real_expand, real_specialize, real_table = genus1.expand_w, genus1.specialize, genus1.tail_table
+    real_rows = partitions.pool_rows
     expansions, stack = [], []
 
     def expand_w(eng, p, first_slot=None):
-        stack.append([0, 0])
+        stack.append([0, 0, 0])
         try:
             return real_expand(eng, p, first_slot)
         finally:
@@ -405,14 +408,34 @@ def test_expand_w_builds_one_tail_table(monkeypatch):
         stack[-1][1] += 1
         return real_table(*args)
 
+    def rows(*args):
+        if stack:  # the direct table calls below list on their own
+            stack[-1][2] += 1
+        return real_rows(*args)
+
+    def elsewhere(real):
+        # the listings of rational and divisor-class expansions are their own
+        def expand(*args):
+            stack.append([0, 0, 0])
+            try:
+                return real(*args)
+            finally:
+                stack.pop()
+
+        return expand
+
     p = Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})
     plain = Engine().count(p)
+    monkeypatch.setattr(genus0, "expand_x", elsewhere(genus0.expand_x))
+    monkeypatch.setattr(fibration, "expand_z", elsewhere(fibration.expand_z))
     monkeypatch.setattr(genus1, "expand_w", expand_w)
     monkeypatch.setattr(genus1, "specialize", specialize)
     monkeypatch.setattr(genus1, "tail_table", table)
+    monkeypatch.setattr(genus1, "pool_rows", rows)
+    monkeypatch.setattr(partitions, "pool_rows", rows)
     assert Engine().count(p) == plain
-    assert all(tables == specialized <= 1 for specialized, tables in expansions)
-    assert sum(tables for _, tables in expansions) > 10
+    assert all(tables == listings == specialized <= 1 for specialized, tables, listings in expansions)
+    assert sum(tables for _, tables, _ in expansions) > 10
     for n, d_max, h_pool, i_pool in [
         (3, 3, {(1, 2): 4, (2, 1): 1}, {0: 2, 1: 14}),
         (2, 4, {(1, 1): 3, (1, 0): 2}, {0: 12, 2: 1}),

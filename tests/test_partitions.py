@@ -1,16 +1,19 @@
 """Marker-routing combinatorics against plain slow enumerations."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from curvecount import Engine, Problem, genus0, genus1, partitions
 from curvecount.genus0 import tail_window
 from curvecount.genus1 import _split_off_part, iia_points_on_h, iib_points_on_h
 from curvecount.partitions import (
-    attach_mult,
     automorphism_order,
     bump,
     components,
+    points_budget,
     points_on_curve,
     subvectors,
     tail_table,
@@ -50,10 +53,9 @@ def test_automorphism_order():
 def test_subvectors_cover_the_power_set_with_binomial_weights():
     pool = {"b": 1, "a": 2}
     seen = {}
-    for sub, ways, weight, rest in subvectors(pool, {"a": 3, "b": -1}.get):
+    for sub, ways, weight in subvectors(pool, {"a": 3, "b": -1}.get):
         seen[sub] = ways
         assert weight == sum({"a": 3, "b": -1}[k] * c for k, c in sub)
-        assert {k: c for k, c in rest.items() if c} == dict(Counter(pool) - Counter(dict(sub)))
     assert list(seen) == [(), (("b", 1),), (("a", 1),), (("a", 1), ("b", 1)), (("a", 2),), (("a", 2), ("b", 1))]
     assert seen == {
         (): 1,
@@ -374,6 +376,83 @@ def test_tail_table_keeps_each_tail_once_in_ascending_degree():
         assert dict(i_items).get(0, 0) <= points_on_curve(3, dk)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}),
+        Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}),
+        Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}),
+        Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}),
+    ],
+    ids=["rational P^3 d=5", "rational P^4 d=4", "elliptic P^3 d=4", "elliptic P^2 d=6"],
+)
+def test_tail_table_is_components_within_the_point_cap(monkeypatch, p):
+    # Every table a count builds, on the pools of every specialization,
+    # lists the records components yields within the point cap, in the
+    # same order.
+    built = []
+    for module in (genus0, genus1):
+        real = module.tail_table
+
+        def spy(*args, real=real):
+            table = real(*args)
+            built.append((args[:5], table))
+            return table
+
+        monkeypatch.setattr(module, "tail_table", spy)
+    Engine().count(p)
+    assert len(built) > 10
+    for (n, d_max, h_pool, i_pool, window), table in built:
+        reference = [
+            record[:5]
+            for record in components(n, d_max, h_pool, i_pool, window)
+            if dict(record[2]).get(0, 0) <= points_on_curve(n, record[0])
+        ]
+        assert table == reference
+
+
+def _most_points(n, d_rem):
+    """Most general points rational curves of total degree at most
+    d_rem pass through between them, over every split of the degree."""
+    best = [0] * (d_rem + 1)
+    for t in range(1, d_rem + 1):
+        best[t] = max(best[t - 1], *(best[t - dk] + points_on_curve(n, dk) for dk in range(1, t + 1)))
+    return best[d_rem]
+
+
+def test_points_budget_is_what_the_tails_can_take():
+    for n in range(2, 7):
+        assert [points_budget(n, t) for t in range(12)] == [_most_points(n, t) for t in range(12)]
+
+
+@pytest.mark.parametrize(
+    "p, bodies",
+    [
+        (Problem.make(0, 2, 7, {(1, 1): 7}, {0: 20}), 1707),
+        (Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}), 810),
+    ],
+    ids=["rational P^2 d=7", "elliptic P^2 d=6"],
+)
+def test_type2_walks_start_no_branch_past_its_points(p, bodies):
+    # Every branch the walk starts can still place its points: the walk
+    # cuts the others before it descends.  A branch is one run of the
+    # walk's recursive body, seen by a profile hook on its frames.
+    body = next(c for c in type2_partitions.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+    started = {}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is body and frame not in started:
+            started[frame] = (frame.f_locals["d_rem"], frame.f_locals["i_rem"].get(0, 0))
+
+    sys.setprofile(hook)
+    try:
+        Engine().count(p)
+    finally:
+        sys.setprofile(None)
+    assert len(started) == bodies
+    assert all(points <= _most_points(p.n, d_rem) for d_rem, points in started.values())
+
+
 def _freedom(n, genus, dk, h_items, i_items, mk):
     """A component's freedom read plainly: the dimension of its problem
     with the attachment contact free on H (slot n - 1)."""
@@ -402,7 +481,7 @@ def test_records_carry_the_multiplicity_and_freedom_of_their_component():
             (0, -1, 2 * n - 5, split_off(tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h)),
         ]:
             for dk, h_items, i_items, mk, delta in records:
-                assert mk == attach_mult(dk, h_items)
+                assert mk == dk - sum(m * c for (m, _), c in h_items)
                 assert delta == _freedom(n, genus, dk, h_items, i_items, mk)
                 assert lo <= delta <= hi
             seen.setdefault((n, genus, lo, hi), set()).update(record[4] for record in records)
@@ -412,10 +491,11 @@ def test_records_carry_the_multiplicity_and_freedom_of_their_component():
 
 def test_type2_walks_never_enumerate_components(monkeypatch):
     # rational P^3 d=4 through 16 lines: every expansion that specializes
-    # builds one tail table, with the one components call of the count,
-    # and no type2_partitions generator calls components while it runs
+    # builds one tail table, with the one listing of its pools'
+    # sub-vectors, and no type2_partitions generator lists any while it
+    # runs
     real_expand, real_specialize, real_table = genus0.expand_x, genus0.specialize, genus0.tail_table
-    real_partitions, real_components = genus0.type2_partitions, partitions.components
+    real_partitions, real_rows = genus0.type2_partitions, partitions.pool_rows
     expansions, stack, running, stray, enumerations = [], [], [0], [], [0]
 
     def expand_x(eng, p, first_slot=None):
@@ -433,11 +513,11 @@ def test_type2_walks_never_enumerate_components(monkeypatch):
         stack[-1][1] += 1
         return real_table(*args)
 
-    def counted_components(*args):
+    def counted_rows(*args):
         enumerations[0] += 1
         if running[0]:
             stray.append(args)
-        return real_components(*args)
+        return real_rows(*args)
 
     def walk(*args):
         shapes = real_partitions(*args)
@@ -457,7 +537,7 @@ def test_type2_walks_never_enumerate_components(monkeypatch):
     monkeypatch.setattr(genus0, "specialize", specialize)
     monkeypatch.setattr(genus0, "tail_table", table)
     monkeypatch.setattr(genus0, "type2_partitions", walk)
-    monkeypatch.setattr(partitions, "components", counted_components)
+    monkeypatch.setattr(partitions, "pool_rows", counted_rows)
     assert Engine().count(p) == plain
     assert stray == []
     assert all(tables == specialized <= 1 for specialized, tables in expansions)
