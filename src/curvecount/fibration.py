@@ -23,7 +23,7 @@ import itertools
 from math import comb, factorial
 
 from .engine import Engine, InexactCount, exact_quotient, memo
-from .partitions import bump, components
+from .partitions import bump, components, pool_rows, rest
 from .problems import Problem, ZProblem, base_z_text, dim_z
 
 
@@ -59,9 +59,9 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
         top = d - d0_min + 1
         total = whole(pool)
         rigid = lambda d1, h1, m1: ((n + 1) * d1, 0, 0)
-        for d1, _, i1, _, _, ways, _, i0 in components(n, d - d0_min, {}, pool, rigid, 1, 3):
+        for (d1, _, i1, _, _), ways in components(n, d - d0_min, pool_rows(n, {}, pool), rigid, 1, 3):
             d0 = d - d1
-            x, scale = rational(d0, i0)
+            x, scale = rational(d0, rest(pool, i1))
             vx = eng.counted(x)
             if vx == 0:
                 continue

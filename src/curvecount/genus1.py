@@ -27,40 +27,40 @@ from .genus0 import (
     tail_problem,
     tail_window,
 )
-from .partitions import bump, components, points_budget, pool_rows, tail_table, type2_partitions
+from .partitions import bump, components, points_budget, pool_rows, rest, tail_table, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
-def _split_off_part(n, d, h_pool, i_base, e_lift, part_window, m_min, d1_min, table, points_on_h, rows=None):
+def _split_off_part(n, d, h_pool, i_base, rows, e_lift, part_window, m_min, d1_min, table, points_on_h):
     """Enumerate type II shapes with one distinguished component.
 
-    The distinguished component is one of partitions.components (its
-    freedom delta1 within part_window, which also sets its genus, its
-    attachment multiplicity at least m_min, its degree at least d1_min);
-    the remaining pools split into rational tails, records of ``table``
-    (partitions.tail_table on the whole pools), and the hyperplane
-    component.  ``points_on_h(delta1)`` is the number of points of H the
-    distinguished component puts on the hyperplane component, which
-    type2_partitions adds to its capacity count: for IIa its attachment
-    when delta1 is 0 (count_ya), for IIb the 1 - delta1 contacts that
-    count_yb puts on points of H.  Yields
-    (d1, h1, i1, m1, delta1, tails, ways, aut, d0, h0, i0, ram): the
-    distinguished component's record, then ways, the labeled marker
-    routings, and tails, aut, d0, h0, i0, ram as type2_partitions yields
-    them.  As there, the distinguished component and the tails take
-    every point marker between them, so a component that leaves more
-    points than the tails can take starts no walk.  ``rows`` is the
-    pools' pool_rows when the caller has listed them already.
+    The distinguished component is one of partitions.components on the
+    pools' pool_rows ``rows`` (its freedom delta1 within part_window,
+    which also sets its genus, its attachment multiplicity at least
+    m_min, its degree at least d1_min); the remaining pools split into
+    rational tails, records of ``table`` (partitions.tail_table on the
+    whole pools), and the hyperplane component.  ``points_on_h(delta1)``
+    is the number of points of H the distinguished component puts on
+    the hyperplane component, which type2_partitions adds to its
+    capacity count: for IIa its attachment when delta1 is 0 (count_ya),
+    for IIb the 1 - delta1 contacts that count_yb puts on points of H.
+    Yields (part, tails, ways, aut, d0, h0, i0, ram): the distinguished
+    component's record, then ways, the labeled marker routings, and
+    tails, aut, d0, h0, i0, ram as type2_partitions yields them.  As
+    there, the distinguished component and the tails take every point
+    marker between them, so a component that leaves more points than
+    the tails can take (points_budget) is dropped before the pools it
+    leaves (partitions.rest) are built or their walk starts.
     """
-    for d1, h1, i1, m1, delta1, ways, h_rest, i_rest in components(
-        n, d - 1, h_pool, i_base, part_window, m_min, d1_min, rows
-    ):
-        if i_rest.get(0, 0) > points_budget(n, d - 1 - d1):
+    points = i_base.get(0, 0)
+    for part, ways in components(n, d - 1, rows, part_window, m_min, d1_min):
+        d1, h1, i1, _, delta1 = part
+        if points - dict(i1).get(0, 0) > points_budget(n, d - 1 - d1):
             continue
         for tails, tail_ways, aut, d0, h0, i0, ram in type2_partitions(
-            d - d1, h_rest, i_rest, n, table, e_lift, 1, points_on_h(delta1)
+            d - d1, rest(h_pool, h1), rest(i_base, i1), n, table, e_lift, 1, points_on_h(delta1)
         ):
-            yield d1, h1, i1, m1, delta1, tails, ways * tail_ways, aut, d0, h0, i0, ram
+            yield part, tails, ways * tail_ways, aut, d0, h0, i0, ram
 
 
 def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -200,13 +200,13 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     # the tail table and both split-offs share one listing of sub-vectors
     rows = pool_rows(n, h_pool, i_base)
-    rational = tail_table(n, d - 3, h_pool, i_base, tail_window(n, 0), rows)
-    for d1, h1, i1, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h, rows
+    rational = tail_table(n, d - 3, rows, tail_window(n, 0))
+    for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
+        n, d, h_pool, i_base, rows, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h
     ):
-        value, groups = count_ya(eng, n, d0, h0, i0, (d1, h1, i1, m1, delta1), tails)
+        value, groups = count_ya(eng, n, d0, h0, i0, part1, tails)
         if value:
-            terms.append(("type-IIa", ways * m1 * ram, aut, value, groups))
+            terms.append(("type-IIa", ways * part1[3] * ram, aut, value, groups))
 
     # With its two contacts taken as one free on H, the doubly-attached
     # component has freedom -1..2n-5 (see count_yb).  Over P^2 the
@@ -214,10 +214,10 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     # marker free on it and counts 0: tails take 0..2n-4, which over
     # P^3 is the whole rational window and over P^2 its delta 0.
     doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
-    for db, hb, ib, m1, delta1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h, rows
+    for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
+        n, d, h_pool, i_base, rows, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h
     ):
-        value, groups = count_yb(eng, n, d0, h0, i0, (db, hb, ib, m1, delta1), tails)
+        value, groups = count_yb(eng, n, d0, h0, i0, part1, tails)
         if value:
             terms.append(("type-IIb", ways * ram, 2 * aut, value, groups))
 

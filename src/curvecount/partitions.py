@@ -9,21 +9,25 @@ and its freedom.  mk and delta depend on the first three fields alone,
 so records order as those do.
 
 pool_rows lists the sub-vectors of a degeneration's pools once
-(subvectors).  From that listing components yields the split-off
-components with the pools they leave, and tail_table the rational
-tails as bare records.  type2_partitions walks a tail table into type
-II shapes.  The shapes and tails that count 0 by their point markers
-alone are cut before anything about them is built, each at one place:
+(subvectors).  components, the one enumerator of split-off components,
+reads that listing and yields records without building any pool;
+tail_table keeps its records within the point cap as the rational
+tails.  type2_partitions walks a tail table into type II shapes.  A
+caller that needs the pool a component leaves builds it with rest, for
+the components it keeps: genus1._split_off_part for its distinguished
+component and fibration._pairing for the elliptic side of a broken
+fiber.  The shapes and tails that count 0 by their point markers alone
+are cut before anything about them is built, each at one place:
 
-- tail_table drops a tail through more points than points_on_curve,
-  testing the cap once per degree on the incidence rows;
+- tail_table drops a tail through more points than points_on_curve;
 - type2_partitions drops a branch whose remaining degree cannot take
   the points left (points_budget) when it picks the tail that leads to
   it, before it copies the pools or starts the branch, and a shape
   whose component in H passes through too many points of H before it
   builds the shape;
 - genus1._split_off_part drops a distinguished component that leaves
-  more points than the tails can take before it starts their walk.
+  more points than the tails can take by the same test, before it
+  builds the pools it leaves or starts their walk.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ def subvectors(pool: dict, weight_of=lambda key: 0) -> list:
     C(count, take) marker choices realizing them and the weight
     sum(weight_of(key) * take).  The takes run lexicographically over
     the sorted keys: each key's takes vary fastest within those of the
-    keys before it.  No row carries the pool it leaves; components
-    builds that only for the components it yields."""
+    keys before it.  No row carries the pool it leaves; rest builds
+    that for the components a caller keeps."""
     rows = [((), 1, 0)]
     for key in sorted(pool):
         c, w = pool[key], weight_of(key)
@@ -85,19 +89,19 @@ def pool_rows(n: int, h_pool: dict, i_pool: dict) -> tuple:
     return subvectors(h_pool, lambda key: key[0]), subvectors(i_pool, lambda e: n - 1 - e)
 
 
-def _rest(pool: dict, items) -> dict:
+def rest(pool: dict, items) -> dict:
     """The marker pool ``pool`` less the sub-vector ``items``, keeping
     zero counts."""
-    rest = dict(pool)
+    out = dict(pool)
     for key, take in items:
-        rest[key] -= take
-    return rest
+        out[key] -= take
+    return out
 
 
-def components(n: int, d_max: int, h_pool: dict, i_pool: dict, window, m_min=1, d_min=1, rows=None):
+def components(n: int, d_max: int, rows, window, m_min=1, d_min=1):
     """Enumerate the single components that can split off a curve
-    falling into H, drawing on the marker pools ``h_pool`` and
-    ``i_pool``.
+    falling into H, drawing on the marker pools that ``rows`` lists
+    (pool_rows).
 
     A component takes a degree dk in d_min..d_max, a sub-vector h_sub
     of the tangency pool and a sub-vector i_sub of the incidence pool,
@@ -108,17 +112,12 @@ def components(n: int, d_max: int, h_pool: dict, i_pool: dict, window, m_min=1, 
     lie in lo..hi.  An elliptic component takes d_min = 3: there are no
     elliptic curves of degree 1 or 2, so a smaller one counts 0.
 
-    Yields (dk, h_sub, i_sub, mk, delta, ways, h_rest, i_rest), ordered
-    by dk, then by the subvectors order of h_sub, then of i_sub: the
-    component's record, the number of labeled marker choices realizing
-    the sub-vectors, and the pools it leaves, dicts that keep zero
-    counts, built for the yielded components alone.  ``rows`` is the
-    pools' pool_rows when the caller has listed them already; the
-    incidence side is filtered by the window, without pruning.
+    Yields (record, ways), ordered by dk, then by the subvectors order
+    of h_sub, then of i_sub: the component's record (dk, h_sub, i_sub,
+    mk, delta) and the number of labeled marker choices realizing the
+    sub-vectors.  The window filters the incidence side without pruning.
     """
-    if d_min > d_max:
-        return  # no degree to split off: list no pools
-    h_rows, i_rows = rows or pool_rows(n, h_pool, i_pool)
+    h_rows, i_rows = rows
     for dk in range(d_min, d_max + 1):
         for h_sub, h_ways, h_weight in h_rows:
             mk = dk - h_weight
@@ -128,41 +127,31 @@ def components(n: int, d_max: int, h_pool: dict, i_pool: dict, window, m_min=1, 
             for i_sub, i_ways, weight in i_rows:
                 delta = base - weight
                 if lo <= delta <= hi:
-                    yield dk, h_sub, i_sub, mk, delta, h_ways * i_ways, _rest(h_pool, h_sub), _rest(i_pool, i_sub)
+                    yield (dk, h_sub, i_sub, mk, delta), h_ways * i_ways
 
 
-def tail_table(n: int, d_max: int, h_pool: dict, i_pool: dict, window, rows=None) -> list:
+def tail_table(n: int, d_max: int, rows, window) -> list:
     """The rational tails of one degeneration, as records (dk, h_items,
-    i_items, mk, delta): the ``components`` of the marker pools up to
-    degree d_max, in ``window`` and through at most points_on_curve(n,
-    dk) points, in the order ``components`` yields them, so ascending
-    in dk.  The window depends on the tail alone, so the entries that
-    fit a sub-pool are what ``components`` yields on it, in the same
-    order: one table serves every pool the tails of type2_partitions and
-    the distinguished part of genus1._split_off_part leave.
-    genus0.expand_x takes d_max = d - 1.  genus1.expand_w builds one
-    table with d_max = d - 3 (IIa and IIc keep degree >= 3 for the
-    elliptic part, IIb >= 2 for the doubly-attached part and >= 1 for
-    the hyperplane component), on the pool_rows ``rows`` its split-offs
-    share, and keeps its entries of delta <= 2n - 4 for the IIb tails.
-
-    The table is built from the pools' sub-vectors without the rests
-    components builds, and the point cap is tested once per degree, on
-    the incidence rows, before any record is made.
+    i_items, mk, delta): the ``components`` of the pools ``rows`` lists,
+    up to degree d_max, in ``window`` and through at most
+    points_on_curve(n, dk) points, in the order ``components`` yields
+    them, so ascending in dk.  The window depends on the tail alone, so
+    the entries that fit a sub-pool are what ``components`` yields on
+    it, in the same order: one table serves every pool the tails of
+    type2_partitions and the distinguished part of
+    genus1._split_off_part leave.  genus0.expand_x takes d_max = d - 1.
+    genus1.expand_w builds one table with d_max = d - 3 (IIa and IIc
+    keep degree >= 3 for the elliptic part, IIb >= 2 for the
+    doubly-attached part and >= 1 for the hyperplane component) and
+    keeps its entries of delta <= 2n - 4 for the IIb tails.
     """
-    h_rows, i_rows = rows or pool_rows(n, h_pool, i_pool)
-    table = []
-    for dk in range(1, d_max + 1):
-        cap = points_on_curve(n, dk)
-        # a point count is first in the sorted item tuple
-        fit = [(i_sub, weight) for i_sub, _, weight in i_rows if not i_sub or i_sub[0][0] or i_sub[0][1] <= cap]
-        for h_sub, _, h_weight in h_rows:
-            mk = dk - h_weight
-            if mk < 1:
-                continue
-            base, lo, hi = window(dk, h_sub, mk)
-            table += [(dk, h_sub, i_sub, mk, base - weight) for i_sub, weight in fit if lo <= base - weight <= hi]
-    return table
+    caps = [points_on_curve(n, dk) for dk in range(d_max + 1)]
+    # a point count is first in the sorted item tuple
+    return [
+        record
+        for record, _ in components(n, d_max, rows, window)
+        if not record[2] or record[2][0][0] or record[2][0][1] <= caps[record[0]]
+    ]
 
 
 def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1, h_points=0):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import index
 
 
 class InvalidProblem(ValueError):
@@ -39,9 +40,9 @@ def _norm_h(h) -> tuple[tuple[int, int, int], ...]:
         return ()
     items = h.items() if isinstance(h, dict) else h
     merged: dict[tuple[int, int], int] = {}
-    for key, c in items:
-        m, e = key
-        merged[(int(m), int(e))] = merged.get((int(m), int(e)), 0) + int(c)
+    for (m, e), c in items:
+        key = (index(m), index(e))
+        merged[key] = merged.get(key, 0) + index(c)
     out = []
     for (m, e), c in sorted(merged.items()):
         if c < 0:
@@ -57,7 +58,8 @@ def _norm_i(i, n: int) -> tuple[tuple[int, int], ...]:
     items = i.items() if isinstance(i, dict) else i
     merged: dict[int, int] = {}
     for e, c in items:
-        merged[int(e)] = merged.get(int(e), 0) + int(c)
+        e = index(e)
+        merged[e] = merged.get(e, 0) + index(c)
     out = []
     for e, c in sorted(merged.items()):
         if c < 0:
@@ -88,14 +90,17 @@ class Problem:
     def make(cls, genus, n, d, h=None, i=None) -> "Problem":
         if genus not in (0, 1):
             raise InvalidProblem(f"genus must be 0 or 1, got {genus!r}")
-        n = int(n)
-        d = int(d)
-        if n < 1:
-            raise InvalidProblem(f"ambient dimension must be at least 1, got {n}")
-        if d < 1:
-            raise InvalidProblem(f"degree must be at least 1, got {d}")
-        ht = _norm_h(h)
-        it = _norm_i(i, n)
+        # index, unlike int, refuses a number it would have to truncate
+        try:
+            genus, n, d = index(genus), index(n), index(d)
+            if n < 1:
+                raise InvalidProblem(f"ambient dimension must be at least 1, got {n}")
+            if d < 1:
+                raise InvalidProblem(f"degree must be at least 1, got {d}")
+            ht = _norm_h(h)
+            it = _norm_i(i, n)
+        except TypeError as exc:
+            raise InvalidProblem(f"problem numbers must be integers: {exc}") from None
         for m, e, _ in ht:
             if m < 1:
                 raise InvalidProblem(f"contact multiplicity must be positive, got m={m}")
@@ -258,16 +263,19 @@ class ZProblem:
 
     @classmethod
     def make(cls, n, d, i=None, divisor=()) -> "ZProblem":
-        n = int(n)
-        d = int(d)
-        if n < 2:
-            raise InvalidProblem(f"divisor problems need ambient dimension at least 2, got {n}")
-        if d < 1:
-            raise InvalidProblem(f"degree must be at least 1, got {d}")
-        it = _norm_i(i, n)
         merged: dict[tuple[int, int], int] = {}
-        for coeff, e, k in divisor:
-            merged[(int(e), int(k))] = merged.get((int(e), int(k)), 0) + int(coeff)
+        try:
+            n, d = index(n), index(d)
+            if n < 2:
+                raise InvalidProblem(f"divisor problems need ambient dimension at least 2, got {n}")
+            if d < 1:
+                raise InvalidProblem(f"degree must be at least 1, got {d}")
+            it = _norm_i(i, n)
+            for coeff, e, k in divisor:
+                key = (index(e), index(k))
+                merged[key] = merged.get(key, 0) + index(coeff)
+        except TypeError as exc:
+            raise InvalidProblem(f"problem numbers must be integers: {exc}") from None
         terms = tuple(
             (c, e, k) for (e, k), c in sorted(merged.items()) if c
         )

@@ -10,7 +10,7 @@ component enumerator.
 import math
 from fractions import Fraction
 
-from curvecount.partitions import automorphism_order, bump, components, points_budget, points_on_curve
+from curvecount.partitions import automorphism_order, bump, components, points_budget, points_on_curve, pool_rows, rest
 
 
 def kontsevich_numbers(dmax):
@@ -143,9 +143,9 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
 
 def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1, h_points=0):
     """The type II enumerator as it was before tail tables: it calls
-    ``partitions.components`` again on every pool the tails before
-    leave, and drops a tail through more points than points_on_curve.
-    For n >= 3 and d0_min = 1 it drops a finished shape whose hyperplane
+    ``partitions.components`` again on the pool_rows of every pool the
+    tails before leave (partitions.rest), and drops a tail through more
+    points than points_on_curve.  For n >= 3 and d0_min = 1 it drops a finished shape whose hyperplane
     component of degree d0 meets more points of H than a rational curve
     in H = P^(n-1) passes through, (n-2) * points > n * d0 + n - 4,
     counting its markers on lines (e = 1, the specialized one included),
@@ -161,14 +161,15 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1,
             return
         if not points:
             yield (), 1, 1, d_rem, h_rem, i_rem
-        for dk, h_sub, i_sub, mk, delta, ways, h_rest, i_rest in components(n, d_rem, h_rem, i_rem, i_bounds):
+        for tail, ways in components(n, d_rem, pool_rows(n, h_rem, i_rem), i_bounds):
+            dk, h_sub, i_sub, mk, _ = tail
             if dict(i_sub).get(0, 0) > points_on_curve(n, dk):
                 continue
-            tail = (dk, h_sub, i_sub, mk, delta)
             if tail < min_tail:
                 continue
-            for rest, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, tail):
-                yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h_left, i_left
+            h_rest, i_rest = rest(h_rem, h_sub), rest(i_rem, i_sub)
+            for tails, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, tail):
+                yield (tail,) + tails, ways * rest_ways, mk * ram, d_left, h_left, i_left
 
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))

@@ -409,8 +409,7 @@ def test_expand_w_builds_one_tail_table(monkeypatch):
         return real_table(*args)
 
     def rows(*args):
-        if stack:  # the direct table calls below list on their own
-            stack[-1][2] += 1
+        stack[-1][2] += 1
         return real_rows(*args)
 
     def elsewhere(real):
@@ -441,7 +440,8 @@ def test_expand_w_builds_one_tail_table(monkeypatch):
         (2, 4, {(1, 1): 3, (1, 0): 2}, {0: 12, 2: 1}),
         (2, 3, {(2, 0): 1, (1, 1): 2}, {0: 10}),
     ]:
-        rational = real_table(n, d_max, h_pool, i_pool, tail_window(n, 0))
+        listed = real_rows(n, h_pool, i_pool)
+        rational = real_table(n, d_max, listed, tail_window(n, 0))
         doubly = [entry for entry in rational if entry[4] <= 2 * n - 4]
-        assert doubly == real_table(n, d_max, h_pool, i_pool, tail_window(n, 0, 0, 2 * n - 4))
+        assert doubly == real_table(n, d_max, listed, tail_window(n, 0, 0, 2 * n - 4))
         assert len(rational) > len(doubly) > 5 if n == 2 else rational == doubly

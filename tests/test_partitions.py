@@ -15,6 +15,8 @@ from curvecount.partitions import (
     components,
     points_budget,
     points_on_curve,
+    pool_rows,
+    rest,
     subvectors,
     tail_table,
     type2_partitions,
@@ -27,7 +29,7 @@ def _shapes(d_avail, h_pool, i_pool, n, bounds):
     """(parts, ways, aut) of every shape whose tails take at most
     d_avail, the hyperplane component keeping the rest of a degree
     d_avail + 1 curve."""
-    table = tail_table(n, d_avail, h_pool, i_pool, bounds)
+    table = tail_table(n, d_avail, pool_rows(n, h_pool, i_pool), bounds)
     for parts, ways, aut, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, n, table, n - 1):
         yield parts, ways, aut
 
@@ -115,18 +117,20 @@ def test_components_filter_every_subvector_in_lexicographic_order():
         (3, 2, {(1, 2): 1}, {1: 3}, tail_window(3, 1), 1, 3),
     ]
     for n, d_max, h_pool, i_pool, bounds, m_min, d_min in cases:
-        fast = [
-            (*record, ways, {k: c for k, c in h_rest.items() if c}, {e: c for e, c in i_rest.items() if c})
-            for *record, ways, h_rest, i_rest in components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
-        ]
+        fast = []
+        for record, ways in components(n, d_max, pool_rows(n, h_pool, i_pool), bounds, m_min, d_min):
+            # the pools the component leaves, as its callers build them
+            h_rest, i_rest = rest(h_pool, record[1]), rest(i_pool, record[2])
+            fast.append((*record, ways, {k: c for k, c in h_rest.items() if c}, {e: c for e, c in i_rest.items() if c}))
         assert fast == _brute_components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
     # the window cases select what they say: everything, nothing, or a
     # weight below 0; 5 (dk, h_sub) pairs keep mk >= 1
-    wide = components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (99, 0, 198))
+    rows = pool_rows(3, {(1, 2): 1}, {1: 2, 3: 2})
+    wide = components(3, 3, rows, lambda dk, h_sub, mk: (99, 0, 198))
     assert len(list(wide)) == 5 * 3 * 3
-    assert list(components(3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (0, 1, 0))) == []
-    negative = components(2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-1, 0, 2))
-    assert {i_sub for _, _, i_sub, *_ in negative} == {((2, 1),), ((2, 2),), ((2, 3),), ((0, 1), (2, 2)), ((0, 1), (2, 3)), ((0, 2), (2, 3))}
+    assert list(components(3, 3, rows, lambda dk, h_sub, mk: (0, 1, 0))) == []
+    negative = components(2, 2, pool_rows(2, {}, {0: 2, 2: 3}), lambda dk, h_sub, mk: (-1, 0, 2))
+    assert {record[2] for record, _ in negative} == {((2, 1),), ((2, 2),), ((2, 3),), ((0, 1), (2, 2)), ((0, 1), (2, 3)), ((0, 2), (2, 3))}
 
 
 def _window(n):
@@ -284,7 +288,7 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
     for d_avail, h_pool, i_pool, n, bounds in cases:
         for e_lift in range(n):
             d = d_avail + 1
-            table = tail_table(n, d - 1, h_pool, i_pool, bounds)
+            table = tail_table(n, d - 1, pool_rows(n, h_pool, i_pool), bounds)
             for parts, _, _, *kept in type2_partitions(d, h_pool, i_pool, n, table, e_lift):
                 assert tuple(kept) == _kept(d, h_pool, i_pool, e_lift, parts)
                 shapes += 1
@@ -301,7 +305,7 @@ def _listed(shapes):
 
 
 def _walk_matches_per_level(d, h_pool, i_pool, n, bounds, e_lift, d0_min=1):
-    table = tail_table(n, d - d0_min, h_pool, i_pool, bounds)
+    table = tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool), bounds)
     walked = _listed(type2_partitions(d, h_pool, i_pool, n, table, e_lift, d0_min))
     assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, bounds, e_lift, d0_min))
     return len(walked)
@@ -348,26 +352,59 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
         (3, 5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1, tail_window(3, 0, -1, 1), 2, 1, tail_window(3, 0, 0, 2), iib_points_on_h, iib),
         (2, 6, {(1, 0): 6}, {0: 11}, 1, tail_window(2, 0, -1, -1), 2, 1, tail_window(2, 0, 0, 0), iib_points_on_h, iib),
     ]:
-        table = tail_table(n, d - 3, h_pool, i_pool, window)
+        rows = pool_rows(n, h_pool, i_pool)
+        table = tail_table(n, d - 3, rows, window)
         walked = [
-            (*part1, tails, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
-            for *part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-                n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, table, points
+            (part1, tails, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
+            for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
+                n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, d1_min, table, points
             )
         ]
         slow = []
-        for *part1, ways, h_rest, i_rest in components(n, d - 1, h_pool, i_pool, part_window, m_min, d1_min):
+        for part1, ways in components(n, d - 1, rows, part_window, m_min, d1_min):
+            h_rest, i_rest = rest(h_pool, part1[1]), rest(i_pool, part1[2])
             for tails, tail_ways, aut, d0, h0, i0, ram in _listed(
                 per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, window, e_lift, 1, plain(part1[4]))
             ):
-                slow.append((*part1, tails, ways * tail_ways, aut, d0, h0, i0, ram))
+                slow.append((part1, tails, ways * tail_ways, aut, d0, h0, i0, ram))
         assert len(walked) > 10
         assert walked == slow
 
 
+def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
+    # A distinguished component is tested on its points first, the way
+    # the walk tests a tail: partitions.rest builds the two pools it
+    # leaves when it passes, and nothing when it does not.
+    calls = []
+    real_rest = partitions.rest
+
+    def spy(pool, items):
+        calls.append((pool, items))
+        return real_rest(pool, items)
+
+    monkeypatch.setattr(genus1, "rest", spy)
+    for n, d, h_pool, i_pool, part_window, m_min, d1_min, points in [
+        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, tail_window(3, 1), 1, 3, iia_points_on_h),
+        (3, 5, {(1, 2): 3, (1, 0): 2}, {0: 3, 1: 8}, tail_window(3, 0, -1, 1), 2, 1, iib_points_on_h),
+        (2, 6, {(1, 1): 4, (1, 0): 2}, {0: 12}, tail_window(2, 0, -1, -1), 2, 1, iib_points_on_h),
+    ]:
+        rows = pool_rows(n, h_pool, i_pool)
+        table = tail_table(n, d - 3, rows, tail_window(n, 0))
+        expected, dropped = [], 0
+        for part, _ in components(n, d - 1, rows, part_window, m_min, d1_min):
+            if i_pool[0] - dict(part[2]).get(0, 0) > points_budget(n, d - 1 - part[0]):
+                dropped += 1
+            else:
+                expected += [(h_pool, part[1]), (i_pool, part[2])]
+        calls.clear()
+        list(_split_off_part(n, d, h_pool, i_pool, rows, n - 1, part_window, m_min, d1_min, table, points))
+        assert calls == expected
+        assert expected and dropped, (n, d, h_pool, i_pool)
+
+
 def test_tail_table_keeps_each_tail_once_in_ascending_degree():
     h_pool, i_pool = {(1, 2): 2, (2, 2): 1}, {0: 3, 1: 6}
-    table = tail_table(3, 4, h_pool, i_pool, _window(3))
+    table = tail_table(3, 4, pool_rows(3, h_pool, i_pool), _window(3))
     keys = [entry[:3] for entry in table]
     assert len(set(keys)) == len(keys) > 20
     assert [dk for dk, *_ in table] == sorted(dk for dk, *_ in table)
@@ -396,16 +433,16 @@ def test_tail_table_is_components_within_the_point_cap(monkeypatch, p):
 
         def spy(*args, real=real):
             table = real(*args)
-            built.append((args[:5], table))
+            built.append((args, table))
             return table
 
         monkeypatch.setattr(module, "tail_table", spy)
     Engine().count(p)
     assert len(built) > 10
-    for (n, d_max, h_pool, i_pool, window), table in built:
+    for (n, d_max, rows, window), table in built:
         reference = [
-            record[:5]
-            for record in components(n, d_max, h_pool, i_pool, window)
+            record
+            for record, _ in components(n, d_max, rows, window)
             if dict(record[2]).get(0, 0) <= points_on_curve(n, record[0])
         ]
         assert table == reference
@@ -469,14 +506,16 @@ def test_records_carry_the_multiplicity_and_freedom_of_their_component():
         (3, 6, {(1, 2): 4, (2, 1): 1}, {0: 2, 1: 14, 3: 1}),
         (3, 5, {(1, 2): 3, (1, 0): 1, (2, 2): 1}, {0: 1, 1: 9, 2: 2}),
     ]:
-        rational = tail_table(n, d - 3, h_pool, i_pool, tail_window(n, 0))
+        rows = pool_rows(n, h_pool, i_pool)
+        rational = tail_table(n, d - 3, rows, tail_window(n, 0))
         doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
         split_off = lambda window, m_min, d1_min, table, points: [
-            shape[:5] for shape in _split_off_part(n, d, h_pool, i_pool, n - 1, window, m_min, d1_min, table, points)
+            shape[0]
+            for shape in _split_off_part(n, d, h_pool, i_pool, rows, n - 1, window, m_min, d1_min, table, points)
         ]
         for genus, lo, hi, records in [
-            (0, 0, n - 1, tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0))),
-            (0, 0, 2 * n - 4, tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0, 0, 2 * n - 4))),
+            (0, 0, n - 1, tail_table(n, d - 1, rows, tail_window(n, 0))),
+            (0, 0, 2 * n - 4, tail_table(n, d - 1, rows, tail_window(n, 0, 0, 2 * n - 4))),
             (1, 0, n - 1, split_off(tail_window(n, 1), 1, 3, rational, iia_points_on_h)),
             (0, -1, 2 * n - 5, split_off(tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h)),
         ]:
@@ -537,6 +576,7 @@ def test_type2_walks_never_enumerate_components(monkeypatch):
     monkeypatch.setattr(genus0, "specialize", specialize)
     monkeypatch.setattr(genus0, "tail_table", table)
     monkeypatch.setattr(genus0, "type2_partitions", walk)
+    monkeypatch.setattr(genus0, "pool_rows", counted_rows)
     monkeypatch.setattr(partitions, "pool_rows", counted_rows)
     assert Engine().count(p) == plain
     assert stray == []
@@ -593,7 +633,8 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
         (5, {(1, 0): 3, (2, 2): 1}, {1: 11}, 3),
         (4, {(1, 3): 2, (1, 0): 2}, {1: 5, 2: 2}, 4),
     ]:
-        table = tail_table(n, d - 1, h_pool, i_pool, tail_window(n, 0))
+        rows = pool_rows(n, h_pool, i_pool)
+        table = tail_table(n, d - 1, rows, tail_window(n, 0))
         for e_lift in range(1, n):
             for h_points in (0, 1, 2):
                 walked = list(type2_partitions(d, h_pool, i_pool, n, table, e_lift, 1, h_points))
@@ -605,7 +646,7 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
                 assert walked == [shape for shape, over in zip(every, excess) if over <= 0]
                 edges.update((n, e_lift, over) for over in excess if over in (0, 1))
         # an elliptic component in H (type IIc) is not capped
-        table = tail_table(n, d - 3, h_pool, i_pool, tail_window(n, 0))
+        table = tail_table(n, d - 3, rows, tail_window(n, 0))
         assert list(type2_partitions(d, h_pool, i_pool, n, table, 1, 3)) == list(
             type2_partitions(d, h_pool, i_pool, n, table, 1, 3, _UNCAPPED)
         )
@@ -618,23 +659,24 @@ def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero():
     # when delta1 is 0, and the 1 - delta1 contacts of a IIb component,
     # read off the markers count_ya and count_yb hand to count_y
     n = 3
-    iia = lambda shape: (shape[9], shape[10], [shape[4]] + [tail[4] for tail in shape[5]])
-    iib = lambda shape: (bump(shape[9], (1, 0), 2 - (shape[4] + 1)), shape[10], [tail[4] for tail in shape[5]])
+    iia = lambda shape: (shape[5], shape[6], [shape[0][4]] + [tail[4] for tail in shape[1]])
+    iib = lambda shape: (bump(shape[5], (1, 0), 2 - (shape[0][4] + 1)), shape[6], [tail[4] for tail in shape[1]])
     for d, h_pool, i_pool, e_lift in [
         (5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1),
         (6, {(1, 2): 5, (1, 0): 1}, {0: 1, 1: 13}, 2),
     ]:
-        rational = tail_table(n, d - 3, h_pool, i_pool, tail_window(n, 0))
+        rows = pool_rows(n, h_pool, i_pool)
+        rational = tail_table(n, d - 3, rows, tail_window(n, 0))
         for window, m_min, d1_min, points, markers, deltas in [
             (tail_window(n, 1), 1, 3, iia_points_on_h, iia, {0, 1, 2}),
             (tail_window(n, 0, -1, 2 * n - 5), 2, 1, iib_points_on_h, iib, {-1, 0, 1}),
         ]:
             walk = lambda points: list(
-                _split_off_part(n, d, h_pool, i_pool, e_lift, window, m_min, d1_min, rational, points)
+                _split_off_part(n, d, h_pool, i_pool, rows, e_lift, window, m_min, d1_min, rational, points)
             )
             every = walk(lambda _: _UNCAPPED)
-            excess = [_excess_in_h(n, shape[8], *markers(shape)) for shape in every]
+            excess = [_excess_in_h(n, shape[4], *markers(shape)) for shape in every]
             assert walk(points) == [shape for shape, over in zip(every, excess) if over <= 0]
             # every delta1 has shapes just inside and just past the capacity
-            edges = {(shape[4], over) for shape, over in zip(every, excess) if over in (0, 1)}
+            edges = {(shape[0][4], over) for shape, over in zip(every, excess) if over in (0, 1)}
             assert edges == {(delta1, over) for delta1 in deltas for over in (0, 1)}, edges

@@ -87,6 +87,30 @@ def test_parse_problem_rejects_malformed_text(text, message):
         parse_problem(text)
 
 
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Problem.make(0, 2.5, 3, {(1, 1): 3}, {0: 8}),
+        lambda: Problem.make(0, 2, 3.9, {(1, 1): 3}, {0: 8.7}),
+        lambda: Problem.make(1.0, 2, 3, {(1, 1): 3}, {0: 9}),
+        lambda: Problem.make(0, 2, 3, {(1, 1.5): 3}, {0: 8}),
+        lambda: Problem.make(0, 2, 3, [((1, 1), 3.0)], {0: 8}),
+        lambda: Problem.make(0, 2, 3, {(1, 1): 3}, [(0.0, 8)]),
+        lambda: ZProblem.make(2, 3, {0: 8}, [(1.5, 0, 1), (1.5, 0, 2), (1, 0, 3)]),
+        lambda: ZProblem.make(2, 3, {0: 8}, [(1, 0, 1), (1, 0, 2), (1, 0, 2.5)]),
+        lambda: ZProblem.make(2, 3.0, {0: 8}, [(3, 0, 1)]),
+        lambda: ZProblem.make(2, 3, {0: 7.5}, [(3, 0, 1)]),
+    ],
+    ids=["n", "d and incidence", "genus", "tangency plane", "tangency count", "incidence slot",
+         "divisor coefficient", "divisor index", "divisor degree", "divisor incidence"],
+)
+def test_make_rejects_numbers_that_are_not_integers(make):
+    # int() would truncate each of these into some other problem
+    with pytest.raises(InvalidProblem, match="must be integers"):
+        make()
+
+
 def test_dimension_formulas():
     # lines in P^3: dim 4, each line condition costs 1
     p = Problem.make(0, 3, 1, {(1, 2): 1}, {1: 4})

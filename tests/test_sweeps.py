@@ -22,7 +22,7 @@ rule is off.  The engine also cuts degeneration shapes on those facts
 before counting them, and the memo store of a count holds no problem
 the rule flags; test_dead_shapes_are_cut_before_counting reads that
 off the store, and test_memo_store_keeps_its_records_and_their_order
-pins two stores record for record, in the order they were counted.
+pins five stores record for record, in the order they were counted.
 """
 
 import hashlib
@@ -39,7 +39,7 @@ from curvecount.fibration import expand_z
 from curvecount.genus0 import expand_x
 from curvecount.genus1 import expand_w
 from curvecount.partitions import points_on_curve
-from curvecount.problems import dim_w, dim_x, dim_z, validate, validate_z
+from curvecount.problems import dim_w, dim_x, dim_z, parse_divisor, validate, validate_z
 from curvecount.tables import TABLES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -219,6 +219,14 @@ def test_memo_store_keeps_its_records_and_their_order():
          "c50f03bcf73057395834ac1c2e86cb9bf6c22d30b8c3f8479aa923025ce91a8d"),
         (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 431,
          "cfe685e8f47d8d77159e98f3c048c76d53d3e2e8f7a23422ed4b2506e410c922"),
+        # point markers, which the split-off point cut and the broken
+        # fibers of the pairings (the divisor-class problem) reach
+        (Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}), 145,
+         "bc7b8b2718c37e8d575439e62e265783c82dcc3d158378773a23fbdd926c05c4"),
+        (parse_problem("g=1 n=3 d=4 h=1,2:4 i=0:2;1:12"), 238,
+         "87bb7a550358a55a442394a4d5c02443b69df9ffdbbd7e7f15bdd5c8f4d4cd4e"),
+        (ZProblem.make(2, 5, {0: 14, 1: 1}, parse_divisor("p1+p2+p3+p4+l1")), 104,
+         "e13f57b52cd3e92a03afe5ae4b7d00234a437ae2aa1f76a864cdf2886ea3af6d"),
     ):
         eng = Engine()
         eng.count(p)
@@ -282,9 +290,10 @@ def test_incidence_only_rational_counts_match_wdvv(oracle):
 
 
 def test_rational_space_frontier_counts_match_wdvv(oracle):
-    # rational quintics through 20 lines and sextics through 24 lines of
-    # P^3, the enumeration-bound end of the rational recursion
-    for d, expected in ((5, 6089786376960), (6, 244274488980962304)):
+    # rational quintics through 20 lines, sextics through 24 lines and
+    # septics through 28 lines of P^3, the enumeration-bound end of the
+    # rational recursion
+    for d, expected in ((5, 6089786376960), (6, 244274488980962304), (7, 20812135703772685676544)):
         p = Problem.make(0, 3, d, {(1, 2): d}, {1: 4 * d})
         assert oracle.gw_invariant(3, d, oracle.incidence_codims(p)) == expected
         assert unmarked(Engine().count(p), p) == expected
