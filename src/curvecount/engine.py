@@ -15,6 +15,7 @@ whose edge weights they are.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 
@@ -132,8 +133,9 @@ class Engine:
         """Validate and count; the public entry point.  A rational or
         elliptic problem specializes its first incidence plane on
         ``first_slot`` if given; every later choice follows ``order``.
-        A slot that is not admissible (any slot, for a divisor problem)
-        raises ValueError, also when the count is already stored.  A
+        A slot that is not an admissible integer (any slot, for a divisor
+        problem) raises ValueError, also when the count is already
+        stored; a bool counts as the integer it equals.  A
         degeneration deeper than Python's recursion limit (left as it
         is: raising it risks overflowing the C stack) is unsupported."""
         try:
@@ -143,8 +145,13 @@ class Engine:
                 return self.counted(validate_z(problem))
             p = validate(problem)
             slots = self.admissible_slots(p)
-            if first_slot is not None and first_slot not in slots:
-                raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
+            if first_slot is not None:
+                try:
+                    first_slot = operator.index(first_slot)
+                except TypeError:
+                    raise ValueError(f"slot {first_slot!r} is not admissible for {p}: not an integer") from None
+                if first_slot not in slots:
+                    raise ValueError(f"slot {first_slot} is not admissible for {p}; admissible: {slots}")
             return self.counted(p, first_slot)
         except RecursionError:
             raise UnsupportedProblem(f"the degeneration of {problem} is deeper than Python's recursion limit") from None

@@ -11,7 +11,8 @@ section, D' = H - sum(c_s Q_s).  The pairings H^2, H.Q, Q.Q of
 distinct sections and (H-Q).Q, whence Q^2 = H.Q - (H-Q).Q, are each
 evaluated by degenerating the family in one body, ``_pairing``: a
 whole-fiber term plus a sum over fibers broken into a rational and an
-elliptic curve (partitions.components).  Every term is a product of
+elliptic curve, the elliptic side read off the sub-vectors of the
+incidence pool (partitions.pool_rows).  Every term is a product of
 rational and elliptic counts of lower degree, divided by the
 relabelings of free contacts; the terms are summed as integer
 numerators over one factorial and divided once.
@@ -23,7 +24,7 @@ import itertools
 from math import comb, factorial
 
 from .engine import Engine, InexactCount, exact_quotient, memo
-from .partitions import bump, components, pool_rows, rest
+from .partitions import bump, pool_rows, rest
 from .problems import Problem, ZProblem, base_z_text, dim_z
 
 
@@ -45,10 +46,11 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
     sub-vector i1 of the pool.  ``rational(d0, i0)`` returns the
     rational side's problem for the rest i0 and its scale, the choices
     the divisor makes on it.  Over P^2 the two components meet in d0*d1
-    points, each giving a distinct fiber.  The elliptic side, one of
-    partitions.components, counts nothing unless its incidence weight is
-    its whole dimension (n+1)*d1, nor unless d1 >= 3, as there are no
-    elliptic curves of degree 1 or 2.
+    points, each giving a distinct fiber.  The elliptic side counts
+    nothing unless its incidence weight is its whole dimension (n+1)*d1,
+    so it takes just the incidence rows of pool_rows(n, {}, pool) of that
+    weight, in their order, for each d1 >= 3 (there are no elliptic
+    curves of degree 1 or 2).
     """
 
     def compute():
@@ -58,20 +60,23 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
             pool = bump(pool, e, -1)
         top = d - d0_min + 1
         total = whole(pool)
-        rigid = lambda d1, h1, m1: ((n + 1) * d1, 0, 0)
-        for (d1, _, i1, _, _), ways in components(n, d - d0_min, pool_rows(n, {}, pool), rigid, 1, 3):
-            d0 = d - d1
-            x, scale = rational(d0, rest(pool, i1))
-            vx = eng.counted(x)
-            if vx == 0:
-                continue
-            vw = eng.counted(Problem.make(1, n, d1, _uniform(n, d1), i1))
-            if vw == 0:
-                continue
-            term = scale * vx * vw * ways * comb(top, d1)
-            if n == 2:
-                term *= d0 * d1
-            total += term
+        _, i_rows = pool_rows(n, {}, pool)
+        for d1 in range(3, d - d0_min + 1):
+            for i1, ways, weight in i_rows:
+                if weight != (n + 1) * d1:
+                    continue
+                d0 = d - d1
+                x, scale = rational(d0, rest(pool, i1))
+                vx = eng.counted(x)
+                if vx == 0:
+                    continue
+                vw = eng.counted(Problem.make(1, n, d1, _uniform(n, d1), i1))
+                if vw == 0:
+                    continue
+                term = scale * vx * vw * ways * comb(top, d1)
+                if n == 2:
+                    term *= d0 * d1
+                total += term
         return exact_quotient(total, factorial(top), "free-contact relabelings must divide the count")
 
     return memo(eng.store, key, compute)

@@ -19,28 +19,16 @@ from math import factorial
 
 from .engine import Engine, exact_quotient, finish_terms
 from .partitions import bump, pool_rows, tail_table, type2_partitions
-from .problems import Problem, dim_x, dimension, free_dim
-
-
-def tail_window(n: int, genus: int, lo: int = 0, hi: int | None = None):
-    """Window of partitions.components for a component of the given
-    genus: with its attachment contact free on H its freedom delta must
-    lie within lo..hi (by default 0..n-1, so that constraining the
-    attachment point to a plane of H pins it)."""
-    hi = n - 1 if hi is None else hi
-
-    def window(dk, h_sub, mk):
-        return free_dim(n, genus, dk, h_sub, mk), lo, hi
-
-    return window
+from .problems import Problem, dim_x, dimension
 
 
 def tail_problem(n: int, dk: int, h_items, i_items, mk: int, delta: int, genus: int = 0):
     """Pin a component, given as its record (see partitions) and its
     genus: the problem of the component with its attachment contact, of
     multiplicity mk, on a general (n-1-delta)-plane of H.  Every
-    caller's window (see tail_window) makes some plane dimension rigid,
-    so a component outside it is a fault of the caller and raises."""
+    caller's window (see partitions.components) makes some plane
+    dimension rigid, so a component outside it is a fault of the caller
+    and raises."""
     if not 0 <= delta <= n - 1:
         raise AssertionError(f"component of freedom {delta} cannot be pinned in P^{n}")
     return Problem.make(genus, n, dk, bump(h_items, (mk, n - 1 - delta)), i_items)
@@ -165,7 +153,7 @@ def expand_x(eng: Engine, p: Problem, first_slot=None) -> int:
     if done is not None:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
-    table = tail_table(n, d - 1, pool_rows(n, h_pool, i_base), tail_window(n, 0))
+    table = tail_table(n, d - 1, pool_rows(n, h_pool, i_base))
     for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, table, e_lift):
         value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:

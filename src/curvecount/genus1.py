@@ -25,25 +25,25 @@ from .genus0 import (
     settle,
     specialize,
     tail_problem,
-    tail_window,
 )
 from .partitions import bump, components, points_budget, pool_rows, rest, tail_table, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
-def _split_off_part(n, d, h_pool, i_base, rows, e_lift, part_window, m_min, d1_min, table, points_on_h):
+def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
     """Enumerate type II shapes with one distinguished component.
 
     The distinguished component is one of partitions.components on the
-    pools' pool_rows ``rows`` (its freedom delta1 within part_window,
-    which also sets its genus, its attachment multiplicity at least
-    m_min, its degree at least d1_min); the remaining pools split into
-    rational tails, records of ``table`` (partitions.tail_table on the
-    whole pools), and the hyperplane component.  ``points_on_h(delta1)``
-    is the number of points of H the distinguished component puts on
-    the hyperplane component, which type2_partitions adds to its
-    capacity count: for IIa its attachment when delta1 is 0 (count_ya),
-    for IIb the 1 - delta1 contacts that count_yb puts on points of H.
+    pools' pool_rows ``rows``, of the genus and freedom delta1 that
+    ``window`` = (genus, lo, hi) gives and of attachment multiplicity
+    at least m_min; the remaining pools split into rational tails,
+    records of ``table`` (partitions.tail_table on the whole pools),
+    and the hyperplane component.  The distinguished component puts
+    max(0, 1 - delta1) points of H on the hyperplane component, which
+    type2_partitions adds to its capacity count: the IIa attachment lies
+    on a general delta1-plane of H (count_ya), a point exactly when
+    delta1 is 0, and count_yb puts 1 - delta1 of the two IIb contacts on
+    points, with delta1 <= 2n - 5 <= 1 over P^2 and P^3.
     Yields (part, tails, ways, aut, d0, h0, i0, ram): the distinguished
     component's record, then ways, the labeled marker routings, and
     tails, aut, d0, h0, i0, ram as type2_partitions yields them.  As
@@ -53,12 +53,12 @@ def _split_off_part(n, d, h_pool, i_base, rows, e_lift, part_window, m_min, d1_m
     leaves (partitions.rest) are built or their walk starts.
     """
     points = i_base.get(0, 0)
-    for part, ways in components(n, d - 1, rows, part_window, m_min, d1_min):
+    for part, ways in components(n, d - 1, rows, *window, m_min):
         d1, h1, i1, _, delta1 = part
         if points - dict(i1).get(0, 0) > points_budget(n, d - 1 - d1):
             continue
         for tails, tail_ways, aut, d0, h0, i0, ram in type2_partitions(
-            d - d1, rest(h_pool, h1), rest(i_base, i1), n, table, e_lift, 1, points_on_h(delta1)
+            d - d1, rest(h_pool, h1), rest(i_base, i1), n, table, e_lift, 1, max(0, 1 - delta1)
         ):
             yield part, tails, ways * tail_ways, aut, d0, h0, i0, ram
 
@@ -70,13 +70,6 @@ def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
     elliptic component goes to count_y as its record with its genus
     appended, so among the pins it never shares a key with a tail."""
     return count_y(eng, n, d0, h0, i0, (part1 + (1,),) + tails)
-
-
-def iia_points_on_h(delta1: int) -> int:
-    """Points of H a IIa elliptic component of freedom delta1 puts on
-    the hyperplane component: its attachment marker lies on a general
-    delta1-plane of H (hyperplane_markers), a point when delta1 is 0."""
-    return 1 if delta1 == 0 else 0
 
 
 def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -142,14 +135,6 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     return mids_total * yval, groups
 
 
-def iib_points_on_h(delta1: int) -> int:
-    """Points of H a IIb doubly-attached component of freedom delta1
-    puts on the hyperplane component: count_yb puts delta1 + 1 of its
-    two contacts on hyperplanes of H and the other 1 - delta1 on
-    points."""
-    return 1 - delta1
-
-
 def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
     lies in H, so its count is a divisor-class problem there.  The old
@@ -200,9 +185,9 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     # the tail table and both split-offs share one listing of sub-vectors
     rows = pool_rows(n, h_pool, i_base)
-    rational = tail_table(n, d - 3, rows, tail_window(n, 0))
+    rational = tail_table(n, d - 3, rows)
     for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, rows, e_lift, tail_window(n, 1), 1, 3, rational, iia_points_on_h
+        n, d, h_pool, i_base, rows, e_lift, (1, 0, n - 1), 1, rational
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, part1, tails)
         if value:
@@ -215,7 +200,7 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     # P^3 is the whole rational window and over P^2 its delta 0.
     doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
     for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, rows, e_lift, tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h
+        n, d, h_pool, i_base, rows, e_lift, (0, -1, 2 * n - 5), 2, doubly
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, part1, tails)
         if value:

@@ -5,19 +5,22 @@ A marker pool is a dict, {(m, e): count} for tangency markers and
 {e: count} for incidence markers.  A component that splits off is one
 record (dk, h_items, i_items, mk, delta): its degree, its marker
 vectors as sorted (key, count) item tuples, its attachment multiplicity
-and its freedom.  mk and delta depend on the first three fields alone,
-so records order as those do.
+and its freedom.  mk and delta depend on the first three fields and the
+component's genus alone, so records of one genus order as those fields
+do.  A kind of split-off component is plain data, its genus and the
+window lo..hi its freedom must lie in: its least degree and its freedom
+follow from the genus (components).
 
 pool_rows lists the sub-vectors of a degeneration's pools once
 (subvectors).  components, the one enumerator of split-off components,
 reads that listing and yields records without building any pool;
-tail_table keeps its records within the point cap as the rational
-tails.  type2_partitions walks a tail table into type II shapes.  A
-caller that needs the pool a component leaves builds it with rest, for
-the components it keeps: genus1._split_off_part for its distinguished
-component and fibration._pairing for the elliptic side of a broken
-fiber.  The shapes and tails that count 0 by their point markers alone
-are cut before anything about them is built, each at one place:
+tail_table keeps its rational records of freedom 0..n-1 within the
+point cap as the tails.  type2_partitions walks a tail table into type
+II shapes.  genus1._split_off_part takes its distinguished component
+from components and builds the pools it leaves with rest, for the
+components it keeps.  The shapes and tails that count 0 by their point
+markers alone are cut before anything about them is built, each at one
+place:
 
 - tail_table drops a tail through more points than points_on_curve;
 - type2_partitions drops a branch whose remaining degree cannot take
@@ -33,6 +36,8 @@ are cut before anything about them is built, each at one place:
 from __future__ import annotations
 
 import math
+
+from .problems import free_dim
 
 
 def bump(vec: dict, key, delta=1) -> dict:
@@ -98,19 +103,20 @@ def rest(pool: dict, items) -> dict:
     return out
 
 
-def components(n: int, d_max: int, rows, window, m_min=1, d_min=1):
-    """Enumerate the single components that can split off a curve
-    falling into H, drawing on the marker pools that ``rows`` lists
-    (pool_rows).
+def components(n: int, d_max: int, rows, genus: int, lo: int, hi: int, m_min=1):
+    """Enumerate the single components of the given genus that can split
+    off a curve falling into H, drawing on the marker pools that
+    ``rows`` lists (pool_rows).
 
-    A component takes a degree dk in d_min..d_max, a sub-vector h_sub
-    of the tangency pool and a sub-vector i_sub of the incidence pool,
-    and meets the hyperplane at its attachment point with multiplicity
-    mk = dk - sum(m * c) >= m_min, over the (m, e) markers of h_sub.
-    ``window(dk, h_sub, mk)`` gives (base, lo, hi): the component's
-    freedom delta, base less its incidence weight sum((n-1-e) * c), must
-    lie in lo..hi.  An elliptic component takes d_min = 3: there are no
-    elliptic curves of degree 1 or 2, so a smaller one counts 0.
+    A component takes a degree dk from the least one of its genus (3
+    for genus 1, as there are no elliptic curves of degree 1 or 2, else
+    1) to d_max, a sub-vector h_sub of the tangency pool and a
+    sub-vector i_sub of the incidence pool, and meets the hyperplane at
+    its attachment point with multiplicity mk = dk - sum(m * c) >=
+    m_min, over the (m, e) markers of h_sub.  Its freedom delta is the
+    dimension of its curves with the attachment contact free on H,
+    problems.free_dim(n, genus, dk, h_sub, mk), less its incidence
+    weight sum((n-1-e) * c); it must lie in lo..hi.
 
     Yields (record, ways), ordered by dk, then by the subvectors order
     of h_sub, then of i_sub: the component's record (dk, h_sub, i_sub,
@@ -118,30 +124,31 @@ def components(n: int, d_max: int, rows, window, m_min=1, d_min=1):
     sub-vectors.  The window filters the incidence side without pruning.
     """
     h_rows, i_rows = rows
-    for dk in range(d_min, d_max + 1):
+    for dk in range(3 if genus else 1, d_max + 1):
         for h_sub, h_ways, h_weight in h_rows:
             mk = dk - h_weight
             if mk < m_min:
                 continue
-            base, lo, hi = window(dk, h_sub, mk)
+            base = free_dim(n, genus, dk, h_sub, mk)
             for i_sub, i_ways, weight in i_rows:
                 delta = base - weight
                 if lo <= delta <= hi:
                     yield (dk, h_sub, i_sub, mk, delta), h_ways * i_ways
 
 
-def tail_table(n: int, d_max: int, rows, window) -> list:
+def tail_table(n: int, d_max: int, rows) -> list:
     """The rational tails of one degeneration, as records (dk, h_items,
-    i_items, mk, delta): the ``components`` of the pools ``rows`` lists,
-    up to degree d_max, in ``window`` and through at most
-    points_on_curve(n, dk) points, in the order ``components`` yields
-    them, so ascending in dk.  The window depends on the tail alone, so
-    the entries that fit a sub-pool are what ``components`` yields on
-    it, in the same order: one table serves every pool the tails of
-    type2_partitions and the distinguished part of
-    genus1._split_off_part leave.  genus0.expand_x takes d_max = d - 1.
-    genus1.expand_w builds one table with d_max = d - 3 (IIa and IIc
-    keep degree >= 3 for the elliptic part, IIb >= 2 for the
+    i_items, mk, delta): the genus 0 ``components`` of the pools
+    ``rows`` lists, up to degree d_max, of freedom 0..n-1 (so that
+    pinning the attachment point to a plane of H makes them rigid) and
+    through at most points_on_curve(n, dk) points, in the order
+    ``components`` yields them, so ascending in dk.  The window depends
+    on the tail alone, so the entries that fit a sub-pool are what
+    ``components`` yields on it, in the same order: one table serves
+    every pool the tails of type2_partitions and the distinguished part
+    of genus1._split_off_part leave.  genus0.expand_x takes d_max =
+    d - 1.  genus1.expand_w builds one table with d_max = d - 3 (IIa
+    and IIc keep degree >= 3 for the elliptic part, IIb >= 2 for the
     doubly-attached part and >= 1 for the hyperplane component) and
     keeps its entries of delta <= 2n - 4 for the IIb tails.
     """
@@ -149,7 +156,7 @@ def tail_table(n: int, d_max: int, rows, window) -> list:
     # a point count is first in the sorted item tuple
     return [
         record
-        for record, _ in components(n, d_max, rows, window)
+        for record, _ in components(n, d_max, rows, 0, 0, n - 1)
         if not record[2] or record[2][0][0] or record[2][0][1] <= caps[record[0]]
     ]
 

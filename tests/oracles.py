@@ -141,9 +141,10 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
     return total
 
 
-def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1, h_points=0):
+def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h_points=0):
     """The type II enumerator as it was before tail tables: it calls
-    ``partitions.components`` again on the pool_rows of every pool the
+    ``partitions.components``, in ``window`` = (genus, lo, hi), again
+    on the pool_rows of every pool the
     tails before leave (partitions.rest), and drops a tail through more
     points than points_on_curve.  For n >= 3 and d0_min = 1 it drops a finished shape whose hyperplane
     component of degree d0 meets more points of H than a rational curve
@@ -161,7 +162,7 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, i_bounds, e_lift, d0_min=1,
             return
         if not points:
             yield (), 1, 1, d_rem, h_rem, i_rem
-        for tail, ways in components(n, d_rem, pool_rows(n, h_rem, i_rem), i_bounds):
+        for tail, ways in components(n, d_rem, pool_rows(n, h_rem, i_rem), *window):
             dk, h_sub, i_sub, mk, _ = tail
             if dict(i_sub).get(0, 0) > points_on_curve(n, dk):
                 continue

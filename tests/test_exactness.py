@@ -266,9 +266,12 @@ def test_every_order_and_first_slot_agree():
 
 def test_first_slot_must_be_admissible():
     p = parse_problem("g=1 n=3 d=3 h=1,2:3 i=0:1;1:10")
-    for slot in (2, 3, -1):
+    # 1.0 equals slot 1 but is no integer: it is refused up front, not
+    # deep in the count when a smaller problem is built from it
+    for slot in (2, 3, -1, 1.0, "1"):
         with pytest.raises(ValueError, match="not admissible"):
             Engine().count(p, slot)
+    assert Engine().count(p, True) == Engine().count(p, 1) == 900
 
 
 def test_first_slot_is_checked_before_the_memo():

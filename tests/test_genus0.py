@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 from curvecount import Engine, Problem, UnsupportedProblem, genus0
-from curvecount.genus0 import count_y, tail_window
-from curvecount.genus1 import _split_off_part, iia_points_on_h
+from curvecount.genus0 import count_y
+from curvecount.genus1 import _split_off_part
 from curvecount.partitions import pool_rows, tail_table, type2_partitions
 from oracles import kontsevich_numbers, lines_meeting
 
@@ -125,12 +125,11 @@ def test_part_zero_rejects_ambient_points():
     # ambient point, so the type II enumerators hand every point marker
     # to the components off H and count_y never sees one
     h, i = {(1, 2): 4}, {0: 3, 1: 4}
-    window = tail_window(3, 0)
     rows = pool_rows(3, h, i)
-    table = tail_table(3, 3, rows, window)
+    table = tail_table(3, 3, rows)
     shapes = [i0 for *_, i0, _ in type2_partitions(4, h, i, 3, table, 2)]
-    table = tail_table(3, 1, rows, window)
-    shapes += [i0 for *_, i0, _ in _split_off_part(3, 4, h, i, rows, 2, tail_window(3, 1), 1, 3, table, iia_points_on_h)]
+    table = tail_table(3, 1, rows)
+    shapes += [i0 for *_, i0, _ in _split_off_part(3, 4, h, i, rows, 2, (1, 0, 2), 1, table)]
     assert len(shapes) > 10
     assert [i0 for i0 in shapes if i0.get(0, 0)] == []
     with pytest.raises(AssertionError, match="point markers left"):

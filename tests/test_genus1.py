@@ -11,9 +11,9 @@ import pytest
 
 from curvecount import Engine, Problem, UnsupportedProblem, ZProblem, fibration, genus0, genus1, partitions
 from curvecount.engine import memo_key
-from curvecount.genus0 import count_y, tail_problem, tail_window
+from curvecount.genus0 import count_y, tail_problem
 from curvecount.genus1 import count_yb
-from curvecount.partitions import bump
+from curvecount.partitions import bump, components, points_on_curve
 from curvecount.problems import parse_divisor
 from curvecount.tables import table_rows
 from oracles import E, H1, H2, BlowupClass, blowup_pair_product
@@ -441,7 +441,9 @@ def test_expand_w_builds_one_tail_table(monkeypatch):
         (2, 3, {(2, 0): 1, (1, 1): 2}, {0: 10}),
     ]:
         listed = real_rows(n, h_pool, i_pool)
-        rational = real_table(n, d_max, listed, tail_window(n, 0))
+        rational = real_table(n, d_max, listed)
         doubly = [entry for entry in rational if entry[4] <= 2 * n - 4]
-        assert doubly == real_table(n, d_max, listed, tail_window(n, 0, 0, 2 * n - 4))
+        # the filter keeps what the narrower window gives, within the point cap
+        narrow = components(n, d_max, listed, 0, 0, 2 * n - 4)
+        assert doubly == [record for record, _ in narrow if dict(record[2]).get(0, 0) <= points_on_curve(n, record[0])]
         assert len(rational) > len(doubly) > 5 if n == 2 else rational == doubly

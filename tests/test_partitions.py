@@ -1,5 +1,7 @@
 """Marker-routing combinatorics against plain slow enumerations."""
 
+import itertools
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -7,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from curvecount import Engine, Problem, genus0, genus1, partitions
-from curvecount.genus0 import tail_window
-from curvecount.genus1 import _split_off_part, iia_points_on_h, iib_points_on_h
+from curvecount.genus1 import _split_off_part
 from curvecount.partitions import (
     automorphism_order,
     bump,
@@ -25,11 +26,24 @@ from curvecount.problems import dim_w, dim_x
 from oracles import ordered_type2_aggregate, per_level_type2_partitions
 
 
-def _shapes(d_avail, h_pool, i_pool, n, bounds):
+def _table(n, d_max, h_pool, i_pool, window=None):
+    """The tail table of the pools, or for a synthetic (genus, lo, hi)
+    window every component in it, without the point cap."""
+    rows = pool_rows(n, h_pool, i_pool)
+    if window is None:
+        return tail_table(n, d_max, rows)
+    return [record for record, _ in components(n, d_max, rows, *window)]
+
+
+# a window that admits every component the small pools below allow
+_EVERY = (0, -99, 99)
+
+
+def _shapes(d_avail, h_pool, i_pool, n, window=None):
     """(parts, ways, aut) of every shape whose tails take at most
     d_avail, the hyperplane component keeping the rest of a degree
     d_avail + 1 curve."""
-    table = tail_table(n, d_avail, pool_rows(n, h_pool, i_pool), bounds)
+    table = _table(n, d_avail, h_pool, i_pool, window)
     for parts, ways, aut, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, n, table, n - 1):
         yield parts, ways, aut
 
@@ -105,40 +119,52 @@ def _brute_components(n, d_max, h_pool, i_pool, i_bounds, m_min=1, d_min=1):
 
 def test_components_filter_every_subvector_in_lexicographic_order():
     # free markers (e = n) weigh -1, so windows reaching below 0 matter
+    # windows are (genus, lo, hi); an elliptic component (genus 1) has
+    # degree at least 3, which the slow side states as its d_min
     cases = [
-        (2, 3, {(1, 0): 2, (1, 1): 1}, {0: 2, 1: 1, 2: 2}, tail_window(2, 0), 1, 1),
-        (3, 4, {(1, 2): 3, (2, 1): 1}, {0: 1, 1: 3, 3: 2}, tail_window(3, 0, -1, 1), 2, 1),
-        (3, 5, {(1, 2): 2}, {1: 4, 2: 1, 3: 1}, tail_window(3, 1), 1, 3),
-        (2, 2, {}, {0: 2, 2: 3}, lambda dk, h_sub, mk: (-1, 0, 2), 1, 1),
-        (2, 2, {(1, 1): 1}, {0: 1, 1: 2, 2: 1}, lambda dk, h_sub, mk: (dk, 0, 0), 1, 1),
-        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (99, 0, 198), 1, 1),
-        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, lambda dk, h_sub, mk: (0, 1, 0), 1, 1),
-        (3, 2, {}, {}, lambda dk, h_sub, mk: (0, 0, 0), 1, 1),
-        (3, 2, {(1, 2): 1}, {1: 3}, tail_window(3, 1), 1, 3),
+        (2, 3, {(1, 0): 2, (1, 1): 1}, {0: 2, 1: 1, 2: 2}, (0, 0, 1), 1),
+        (3, 4, {(1, 2): 3, (2, 1): 1}, {0: 1, 1: 3, 3: 2}, (0, -1, 1), 2),
+        (3, 5, {(1, 2): 2}, {1: 4, 2: 1, 3: 1}, (1, 0, 2), 1),
+        (2, 2, {}, {0: 4, 2: 1}, (0, -9, -1), 1),
+        (2, 2, {(1, 1): 1}, {0: 1, 1: 2, 2: 1}, (0, 0, 0), 1),
+        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, (0, -99, 99), 1),
+        (3, 3, {(1, 2): 1}, {1: 2, 3: 2}, (0, 1, 0), 1),
+        (3, 2, {}, {}, (0, 0, 0), 1),
+        (3, 2, {(1, 2): 1}, {1: 3}, (1, 0, 2), 1),
+        (2, 4, {(1, 1): 2}, {0: 9, 2: 1}, (1, 0, 1), 1),
     ]
-    for n, d_max, h_pool, i_pool, bounds, m_min, d_min in cases:
+    for n, d_max, h_pool, i_pool, window, m_min in cases:
         fast = []
-        for record, ways in components(n, d_max, pool_rows(n, h_pool, i_pool), bounds, m_min, d_min):
+        for record, ways in components(n, d_max, pool_rows(n, h_pool, i_pool), *window, m_min):
             # the pools the component leaves, as its callers build them
             h_rest, i_rest = rest(h_pool, record[1]), rest(i_pool, record[2])
             fast.append((*record, ways, {k: c for k, c in h_rest.items() if c}, {e: c for e, c in i_rest.items() if c}))
-        assert fast == _brute_components(n, d_max, h_pool, i_pool, bounds, m_min, d_min)
+        d_min = 3 if window[0] else 1
+        assert fast == _brute_components(n, d_max, h_pool, i_pool, _window(n, *window), m_min, d_min)
     # the window cases select what they say: everything, nothing, or a
-    # weight below 0; 5 (dk, h_sub) pairs keep mk >= 1
+    # freedom below 0; 5 (dk, h_sub) pairs keep mk >= 1
     rows = pool_rows(3, {(1, 2): 1}, {1: 2, 3: 2})
-    wide = components(3, 3, rows, lambda dk, h_sub, mk: (99, 0, 198))
+    wide = components(3, 3, rows, 0, -99, 99)
     assert len(list(wide)) == 5 * 3 * 3
-    assert list(components(3, 3, rows, lambda dk, h_sub, mk: (0, 1, 0))) == []
-    negative = components(2, 2, pool_rows(2, {}, {0: 2, 2: 3}), lambda dk, h_sub, mk: (-1, 0, 2))
-    assert {record[2] for record, _ in negative} == {((2, 1),), ((2, 2),), ((2, 3),), ((0, 1), (2, 2)), ((0, 1), (2, 3)), ((0, 2), (2, 3))}
+    assert list(components(3, 3, rows, 0, 1, 0)) == []
+    negative = components(2, 2, pool_rows(2, {}, {0: 4, 2: 1}), 0, -9, -1)
+    assert {(record[2], record[4]) for record, _ in negative} == {(((0, 3),), -1), (((0, 4),), -2), (((0, 4), (2, 1)), -1)}
+    # no elliptic component of degree 1 or 2, however wide its window
+    assert {record[0] for record, _ in components(2, 4, pool_rows(2, {}, {0: 12, 2: 3}), 1, -99, 99)} == {3, 4}
 
 
-def _window(n):
+def _window(n, genus=0, lo=0, hi=None):
+    """The slow enumerations' window of a component of the given genus,
+    its dimension with the attachment contact free on H worked out
+    plainly, and its freedom within lo..hi, by default the tail window
+    0..n-1."""
+    hi = n - 1 if hi is None else hi
+
     def bounds(dk, h_sub, mk):
-        base = (n + 1) * dk + (n - 3)
+        base = (n + 1) * dk + (n - 3 if genus == 0 else 0)
         base -= sum((n + m - e - 2) * c for (m, e), c in h_sub)
         base -= mk - 1
-        return base, 0, n - 1
+        return base, lo, hi
 
     return bounds
 
@@ -153,20 +179,19 @@ _ORDERED_CASES = [
 
 def test_type2_partitions_match_ordered_enumeration():
     for d_avail, h_pool, i_pool, n in _ORDERED_CASES:
-        bounds = _window(n)
         total = Fraction(0)
-        for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n, bounds):
+        for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n):
             worth = Fraction(ways, aut)
             for part in parts:
                 worth *= _value_of(*part[:3])
             total += worth
-        oracle = ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of)
+        oracle = ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of)
         assert total == oracle
 
 
 def test_type2_partitions_yield_canonical_multisets():
     seen = set()
-    for parts, ways, aut in _shapes(4, {(1, 2): 1}, {1: 5}, 3, _window(3)):
+    for parts, ways, aut in _shapes(4, {(1, 2): 1}, {1: 5}, 3):
         assert list(parts) == sorted(parts)
         assert parts not in seen
         seen.add(parts)
@@ -177,17 +202,16 @@ def test_type2_partitions_yield_canonical_multisets():
 
 def test_weights_scale_with_automorphisms():
     # two interchangeable parts carry a half weight
-    bounds = lambda dk, h_sub, mk: (99, 0, 99)
     entries = {
-        tuple(part[:3] for part in parts): (ways, aut) for parts, ways, aut in _shapes(2, {}, {}, 2, bounds)
+        tuple(part[:3] for part in parts): (ways, aut) for parts, ways, aut in _shapes(2, {}, {}, 2, _EVERY)
     }
     twin = ((1, (), ()), (1, (), ()))
     assert entries[twin] == (1, 2)
 
 
-def _aggregate(d_avail, h_pool, i_pool, n, bounds):
+def _aggregate(d_avail, h_pool, i_pool, n):
     total = Fraction(0)
-    for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n, bounds):
+    for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n):
         worth = Fraction(ways, aut)
         for part in parts:
             worth *= _value_of(*part[:3])
@@ -204,7 +228,7 @@ def test_type2_partitions_take_every_point_marker():
         (4, {(1, 3): 1}, {0: 3, 2: 4}, 4),
     ]
     for d_avail, h_pool, i_pool, n in cases:
-        shapes = list(_shapes(d_avail, h_pool, i_pool, n, _window(n)))
+        shapes = list(_shapes(d_avail, h_pool, i_pool, n))
         assert shapes
         for parts, *_ in shapes:
             taken = sum(dict(i_items).get(0, 0) for _, _, i_items, *_ in parts)
@@ -220,24 +244,22 @@ def test_type2_partitions_yield_nothing_past_the_point_capacity():
         (1, {0: 3, 1: 2}, 2),
         (2, {0: 6}, 2),
     ]:
-        bounds = _window(n)
         h_pool = {(1, n - 1): 1}
-        assert list(_shapes(d_avail, h_pool, i_pool, n, bounds)) == []
-        assert ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of) == 0
+        assert list(_shapes(d_avail, h_pool, i_pool, n)) == []
+        assert ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of) == 0
     # at the capacity itself shapes remain, and agree with the oracle
     for d_avail, i_pool, n in [(2, {0: 4, 1: 1}, 3), (1, {0: 2, 1: 2}, 2), (2, {0: 5}, 2)]:
-        bounds = _window(n)
         h_pool = {(1, n - 1): 1}
-        total = _aggregate(d_avail, h_pool, i_pool, n, bounds)
+        total = _aggregate(d_avail, h_pool, i_pool, n)
         assert total != 0
-        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of)
+        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of)
 
 
 def test_free_markers_do_not_raise_the_point_capacity():
     # free markers (e = n) have negative incidence weight, so the window
     # admits a line of P^2 through 4 points and 2 free markers; no line
     # passes through 4 general points, so no such part is enumerated
-    assert list(_shapes(1, {(1, 0): 2}, {0: 4, 2: 2}, 2, _window(2))) == []
+    assert list(_shapes(1, {(1, 0): 2}, {0: 4, 2: 2}, 2)) == []
     for d_avail, h_pool, i_pool, n, some in [
         (1, {(1, 0): 2}, {0: 4, 2: 2}, 2, False),
         (2, {(1, 0): 2}, {0: 4, 2: 2}, 2, True),
@@ -245,10 +267,9 @@ def test_free_markers_do_not_raise_the_point_capacity():
         (3, {(1, 1): 2}, {0: 6, 2: 3}, 2, True),
         (2, {(1, 2): 1}, {0: 4, 1: 2, 3: 2}, 3, True),
     ]:
-        bounds = _window(n)
-        total = _aggregate(d_avail, h_pool, i_pool, n, bounds)
+        total = _aggregate(d_avail, h_pool, i_pool, n)
         assert (total != 0) == some
-        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, bounds, _value_of)
+        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of)
 
 
 def _kept(d, h_pool, i_pool, e_lift, parts):
@@ -269,26 +290,26 @@ def _kept(d, h_pool, i_pool, e_lift, parts):
 
 def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
     cases = [
-        (3, {(1, 2): 2}, {1: 5, 0: 1}, 3, _window(3)),
-        (2, {(1, 1): 1, (2, 2): 1}, {1: 3}, 3, _window(3)),
-        (4, {}, {1: 6, 0: 2}, 3, _window(3)),
-        (3, {(1, 1): 2}, {0: 6}, 2, _window(2)),
-        (4, {(1, 2): 1}, {1: 5}, 3, _window(3)),
-        (2, {}, {}, 2, lambda dk, h_sub, mk: (99, 0, 99)),
-        (4, {(1, 3): 1}, {0: 3, 2: 4}, 4, _window(4)),
-        (2, {(1, 2): 1}, {0: 4, 1: 3}, 3, _window(3)),
-        (1, {(1, 1): 1}, {0: 2, 1: 2}, 2, _window(2)),
-        (2, {(1, 1): 1}, {0: 5}, 2, _window(2)),
-        (2, {(1, 0): 2}, {0: 4, 2: 2}, 2, _window(2)),
-        (2, {(1, 1): 1}, {0: 5, 2: 2}, 2, _window(2)),
-        (3, {(1, 1): 2}, {0: 6, 2: 3}, 2, _window(2)),
-        (2, {(1, 2): 1}, {0: 4, 1: 2, 3: 2}, 3, _window(3)),
+        (3, {(1, 2): 2}, {1: 5, 0: 1}, 3),
+        (2, {(1, 1): 1, (2, 2): 1}, {1: 3}, 3),
+        (4, {}, {1: 6, 0: 2}, 3),
+        (3, {(1, 1): 2}, {0: 6}, 2),
+        (4, {(1, 2): 1}, {1: 5}, 3),
+        (2, {}, {}, 2, _EVERY),
+        (4, {(1, 3): 1}, {0: 3, 2: 4}, 4),
+        (2, {(1, 2): 1}, {0: 4, 1: 3}, 3),
+        (1, {(1, 1): 1}, {0: 2, 1: 2}, 2),
+        (2, {(1, 1): 1}, {0: 5}, 2),
+        (2, {(1, 0): 2}, {0: 4, 2: 2}, 2),
+        (2, {(1, 1): 1}, {0: 5, 2: 2}, 2),
+        (3, {(1, 1): 2}, {0: 6, 2: 3}, 2),
+        (2, {(1, 2): 1}, {0: 4, 1: 2, 3: 2}, 3),
     ]
     shapes = 0
-    for d_avail, h_pool, i_pool, n, bounds in cases:
+    for d_avail, h_pool, i_pool, n, *window in cases:
         for e_lift in range(n):
             d = d_avail + 1
-            table = tail_table(n, d - 1, pool_rows(n, h_pool, i_pool), bounds)
+            table = _table(n, d - 1, h_pool, i_pool, *window)
             for parts, _, _, *kept in type2_partitions(d, h_pool, i_pool, n, table, e_lift):
                 assert tuple(kept) == _kept(d, h_pool, i_pool, e_lift, parts)
                 shapes += 1
@@ -304,10 +325,11 @@ def _listed(shapes):
     ]
 
 
-def _walk_matches_per_level(d, h_pool, i_pool, n, bounds, e_lift, d0_min=1):
-    table = tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool), bounds)
+def _walk_matches_per_level(d, h_pool, i_pool, n, hi, e_lift, d0_min=1):
+    # the tails of freedom 0..hi, hi <= n - 1
+    table = [tail for tail in tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool)) if tail[4] <= hi]
     walked = _listed(type2_partitions(d, h_pool, i_pool, n, table, e_lift, d0_min))
-    assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, bounds, e_lift, d0_min))
+    assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, (0, 0, hi), e_lift, d0_min))
     return len(walked)
 
 
@@ -318,7 +340,7 @@ def test_table_walk_repeats_the_per_level_enumeration():
     for d_avail, h_pool, i_pool, n in _ORDERED_CASES:
         for e_lift in range(n):
             for d0_min in (1, 3):
-                shapes += _walk_matches_per_level(d_avail + d0_min, h_pool, i_pool, n, _window(n), e_lift, d0_min)
+                shapes += _walk_matches_per_level(d_avail + d0_min, h_pool, i_pool, n, n - 1, e_lift, d0_min)
     assert shapes > 200
 
 
@@ -331,7 +353,7 @@ def test_table_walk_repeats_the_per_level_enumeration_in_the_iib_window():
     ]
     for d, h_pool, i_pool, n in cases:
         shapes = sum(
-            _walk_matches_per_level(d, h_pool, i_pool, n, tail_window(n, 0, 0, 2 * n - 4), e_lift)
+            _walk_matches_per_level(d, h_pool, i_pool, n, 2 * n - 4, e_lift)
             for e_lift in range(n)
         )
         assert shapes > 10, (d, h_pool, i_pool, n)
@@ -345,26 +367,27 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
     # on points, two less the delta1 + 1 it puts on hyperplanes
     iia = lambda delta1: int(delta1 == 0)
     iib = lambda delta1: 2 - (delta1 + 1)
-    for n, d, h_pool, i_pool, e_lift, part_window, m_min, d1_min, window, points, plain in [
-        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, 2, tail_window(3, 1), 1, 3, tail_window(3, 0), iia_points_on_h, iia),
-        (3, 6, {(1, 2): 4, (1, 0): 1}, {0: 1, 1: 15}, 1, tail_window(3, 1), 1, 3, tail_window(3, 0), iia_points_on_h, iia),
-        (3, 5, {(1, 2): 5}, {1: 13}, 2, tail_window(3, 0, -1, 1), 2, 1, tail_window(3, 0, 0, 2), iib_points_on_h, iib),
-        (3, 5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1, tail_window(3, 0, -1, 1), 2, 1, tail_window(3, 0, 0, 2), iib_points_on_h, iib),
-        (2, 6, {(1, 0): 6}, {0: 11}, 1, tail_window(2, 0, -1, -1), 2, 1, tail_window(2, 0, 0, 0), iib_points_on_h, iib),
+    # the tails take freedom 0..hi
+    for n, d, h_pool, i_pool, e_lift, part_window, m_min, hi, plain in [
+        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, 2, (1, 0, 2), 1, 2, iia),
+        (3, 6, {(1, 2): 4, (1, 0): 1}, {0: 1, 1: 15}, 1, (1, 0, 2), 1, 2, iia),
+        (3, 5, {(1, 2): 5}, {1: 13}, 2, (0, -1, 1), 2, 2, iib),
+        (3, 5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1, (0, -1, 1), 2, 2, iib),
+        (2, 6, {(1, 0): 6}, {0: 11}, 1, (0, -1, -1), 2, 0, iib),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
-        table = tail_table(n, d - 3, rows, window)
+        table = [tail for tail in tail_table(n, d - 3, rows) if tail[4] <= hi]
         walked = [
             (part1, tails, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
             for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-                n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, d1_min, table, points
+                n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table
             )
         ]
         slow = []
-        for part1, ways in components(n, d - 1, rows, part_window, m_min, d1_min):
+        for part1, ways in components(n, d - 1, rows, *part_window, m_min):
             h_rest, i_rest = rest(h_pool, part1[1]), rest(i_pool, part1[2])
             for tails, tail_ways, aut, d0, h0, i0, ram in _listed(
-                per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, window, e_lift, 1, plain(part1[4]))
+                per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, (0, 0, hi), e_lift, 1, plain(part1[4]))
             ):
                 slow.append((part1, tails, ways * tail_ways, aut, d0, h0, i0, ram))
         assert len(walked) > 10
@@ -383,34 +406,60 @@ def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
         return real_rest(pool, items)
 
     monkeypatch.setattr(genus1, "rest", spy)
-    for n, d, h_pool, i_pool, part_window, m_min, d1_min, points in [
-        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, tail_window(3, 1), 1, 3, iia_points_on_h),
-        (3, 5, {(1, 2): 3, (1, 0): 2}, {0: 3, 1: 8}, tail_window(3, 0, -1, 1), 2, 1, iib_points_on_h),
-        (2, 6, {(1, 1): 4, (1, 0): 2}, {0: 12}, tail_window(2, 0, -1, -1), 2, 1, iib_points_on_h),
+    for n, d, h_pool, i_pool, part_window, m_min in [
+        (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, (1, 0, 2), 1),
+        (3, 5, {(1, 2): 3, (1, 0): 2}, {0: 3, 1: 8}, (0, -1, 1), 2),
+        (2, 6, {(1, 1): 4, (1, 0): 2}, {0: 12}, (0, -1, -1), 2),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
-        table = tail_table(n, d - 3, rows, tail_window(n, 0))
+        table = tail_table(n, d - 3, rows)
         expected, dropped = [], 0
-        for part, _ in components(n, d - 1, rows, part_window, m_min, d1_min):
+        for part, _ in components(n, d - 1, rows, *part_window, m_min):
             if i_pool[0] - dict(part[2]).get(0, 0) > points_budget(n, d - 1 - part[0]):
                 dropped += 1
             else:
                 expected += [(h_pool, part[1]), (i_pool, part[2])]
         calls.clear()
-        list(_split_off_part(n, d, h_pool, i_pool, rows, n - 1, part_window, m_min, d1_min, table, points))
+        list(_split_off_part(n, d, h_pool, i_pool, rows, n - 1, part_window, m_min, table))
         assert calls == expected
         assert expected and dropped, (n, d, h_pool, i_pool)
 
 
 def test_tail_table_keeps_each_tail_once_in_ascending_degree():
     h_pool, i_pool = {(1, 2): 2, (2, 2): 1}, {0: 3, 1: 6}
-    table = tail_table(3, 4, pool_rows(3, h_pool, i_pool), _window(3))
+    table = tail_table(3, 4, pool_rows(3, h_pool, i_pool))
     keys = [entry[:3] for entry in table]
     assert len(set(keys)) == len(keys) > 20
     assert [dk for dk, *_ in table] == sorted(dk for dk, *_ in table)
     for dk, h_items, i_items, mk, delta in table:
         assert mk == dk - sum(m * c for (m, _), c in h_items)
         assert dict(i_items).get(0, 0) <= points_on_curve(3, dk)
+
+
+def _plain_tails(n, d_max, h_pool, i_pool):
+    """The rational tails of the pools, enumerated plainly: every take of
+    every marker in lexicographic order over the sorted keys, the
+    freedom of _window, and at most as many points as a rational curve
+    of degree dk passes through, (n - 1) * points <= (n + 1) * dk + n - 3."""
+
+    def takes(pool):
+        keys = sorted(pool)
+        for counts in itertools.product(*(range(pool[key] + 1) for key in keys)):
+            yield tuple((key, c) for key, c in zip(keys, counts) if c)
+
+    bounds = _window(n)
+    out = []
+    for dk in range(1, d_max + 1):
+        for h_items in takes(h_pool):
+            mk = dk - sum(m * c for (m, _), c in h_items)
+            if mk < 1:
+                continue
+            base, lo, hi = bounds(dk, h_items, mk)
+            for i_items in takes(i_pool):
+                delta = base - sum((n - 1 - e) * c for e, c in i_items)
+                if lo <= delta <= hi and (n - 1) * dict(i_items).get(0, 0) <= (n + 1) * dk + n - 3:
+                    out.append((dk, h_items, i_items, mk, delta))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -425,8 +474,8 @@ def test_tail_table_keeps_each_tail_once_in_ascending_degree():
 )
 def test_tail_table_is_components_within_the_point_cap(monkeypatch, p):
     # Every table a count builds, on the pools of every specialization,
-    # lists the records components yields within the point cap, in the
-    # same order.
+    # lists the tails a plain enumeration finds, in the same order.  The
+    # last row of a listing takes every marker, so it gives the pools.
     built = []
     for module in (genus0, genus1):
         real = module.tail_table
@@ -438,14 +487,15 @@ def test_tail_table_is_components_within_the_point_cap(monkeypatch, p):
 
         monkeypatch.setattr(module, "tail_table", spy)
     Engine().count(p)
-    assert len(built) > 10
-    for (n, d_max, rows, window), table in built:
-        reference = [
-            record
-            for record, _ in components(n, d_max, rows, window)
-            if dict(record[2]).get(0, 0) <= points_on_curve(n, record[0])
-        ]
-        assert table == reference
+    checked = 0
+    for (n, d_max, (h_rows, i_rows)), table in built:
+        h_pool, i_pool = dict(h_rows[-1][0]), dict(i_rows[-1][0])
+        # pools with a few hundred sub-vectors at most keep this fast
+        if math.prod(c + 1 for c in [*h_pool.values(), *i_pool.values()]) > 400:
+            continue
+        assert table == _plain_tails(n, d_max, h_pool, i_pool)
+        checked += 1
+    assert checked > 10
 
 
 def _most_points(n, d_rem):
@@ -507,17 +557,16 @@ def test_records_carry_the_multiplicity_and_freedom_of_their_component():
         (3, 5, {(1, 2): 3, (1, 0): 1, (2, 2): 1}, {0: 1, 1: 9, 2: 2}),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
-        rational = tail_table(n, d - 3, rows, tail_window(n, 0))
+        rational = tail_table(n, d - 3, rows)
         doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
-        split_off = lambda window, m_min, d1_min, table, points: [
-            shape[0]
-            for shape in _split_off_part(n, d, h_pool, i_pool, rows, n - 1, window, m_min, d1_min, table, points)
+        split_off = lambda window, m_min, table: [
+            shape[0] for shape in _split_off_part(n, d, h_pool, i_pool, rows, n - 1, window, m_min, table)
         ]
         for genus, lo, hi, records in [
-            (0, 0, n - 1, tail_table(n, d - 1, rows, tail_window(n, 0))),
-            (0, 0, 2 * n - 4, tail_table(n, d - 1, rows, tail_window(n, 0, 0, 2 * n - 4))),
-            (1, 0, n - 1, split_off(tail_window(n, 1), 1, 3, rational, iia_points_on_h)),
-            (0, -1, 2 * n - 5, split_off(tail_window(n, 0, -1, 2 * n - 5), 2, 1, doubly, iib_points_on_h)),
+            (0, 0, n - 1, tail_table(n, d - 1, rows)),
+            (0, 0, 2 * n - 4, [record for record, _ in components(n, d - 1, rows, 0, 0, 2 * n - 4)]),
+            (1, 0, n - 1, split_off((1, 0, n - 1), 1, rational)),
+            (0, -1, 2 * n - 5, split_off((0, -1, 2 * n - 5), 2, doubly)),
         ]:
             for dk, h_items, i_items, mk, delta in records:
                 assert mk == dk - sum(m * c for (m, _), c in h_items)
@@ -634,7 +683,7 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
         (4, {(1, 3): 2, (1, 0): 2}, {1: 5, 2: 2}, 4),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
-        table = tail_table(n, d - 1, rows, tail_window(n, 0))
+        table = tail_table(n, d - 1, rows)
         for e_lift in range(1, n):
             for h_points in (0, 1, 2):
                 walked = list(type2_partitions(d, h_pool, i_pool, n, table, e_lift, 1, h_points))
@@ -646,7 +695,7 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
                 assert walked == [shape for shape, over in zip(every, excess) if over <= 0]
                 edges.update((n, e_lift, over) for over in excess if over in (0, 1))
         # an elliptic component in H (type IIc) is not capped
-        table = tail_table(n, d - 3, rows, tail_window(n, 0))
+        table = tail_table(n, d - 3, rows)
         assert list(type2_partitions(d, h_pool, i_pool, n, table, 1, 3)) == list(
             type2_partitions(d, h_pool, i_pool, n, table, 1, 3, _UNCAPPED)
         )
@@ -654,10 +703,16 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
     assert set(edges) == {(n, e, over) for n in (3, 4) for e in range(1, n) for over in (0, 1)}, edges
 
 
-def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero():
+def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero(monkeypatch):
     # the distinguished component's own points on H: the IIa attachment
     # when delta1 is 0, and the 1 - delta1 contacts of a IIb component,
-    # read off the markers count_ya and count_yb hand to count_y
+    # read off the markers count_ya and count_yb hand to count_y.  The
+    # uncapped walk passes every shape's points of H as _UNCAPPED.
+    real_walk = genus1.type2_partitions
+
+    def uncapped(*args):
+        return real_walk(*args[:7], _UNCAPPED)
+
     n = 3
     iia = lambda shape: (shape[5], shape[6], [shape[0][4]] + [tail[4] for tail in shape[1]])
     iib = lambda shape: (bump(shape[5], (1, 0), 2 - (shape[0][4] + 1)), shape[6], [tail[4] for tail in shape[1]])
@@ -666,17 +721,17 @@ def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero():
         (6, {(1, 2): 5, (1, 0): 1}, {0: 1, 1: 13}, 2),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
-        rational = tail_table(n, d - 3, rows, tail_window(n, 0))
-        for window, m_min, d1_min, points, markers, deltas in [
-            (tail_window(n, 1), 1, 3, iia_points_on_h, iia, {0, 1, 2}),
-            (tail_window(n, 0, -1, 2 * n - 5), 2, 1, iib_points_on_h, iib, {-1, 0, 1}),
+        rational = tail_table(n, d - 3, rows)
+        for window, m_min, markers, deltas in [
+            ((1, 0, n - 1), 1, iia, {0, 1, 2}),
+            ((0, -1, 2 * n - 5), 2, iib, {-1, 0, 1}),
         ]:
-            walk = lambda points: list(
-                _split_off_part(n, d, h_pool, i_pool, rows, e_lift, window, m_min, d1_min, rational, points)
-            )
-            every = walk(lambda _: _UNCAPPED)
+            walk = lambda: list(_split_off_part(n, d, h_pool, i_pool, rows, e_lift, window, m_min, rational))
+            with monkeypatch.context() as patch:
+                patch.setattr(genus1, "type2_partitions", uncapped)
+                every = walk()
             excess = [_excess_in_h(n, shape[4], *markers(shape)) for shape in every]
-            assert walk(points) == [shape for shape, over in zip(every, excess) if over <= 0]
+            assert walk() == [shape for shape, over in zip(every, excess) if over <= 0]
             # every delta1 has shapes just inside and just past the capacity
             edges = {(shape[0][4], over) for shape, over in zip(every, excess) if over in (0, 1)}
             assert edges == {(delta1, over) for delta1 in deltas for over in (0, 1)}, edges
