@@ -30,7 +30,13 @@ place:
   builds the shape;
 - genus1._split_off_part drops a distinguished component that leaves
   more points than the tails can take by the same test, before it
-  builds the pools it leaves or starts their walk.
+  builds the pools it leaves or starts their walk;
+- relief_cap bounds, once per tail table, the points of H a branch of
+  the walk may still carry for a rational component in H: the walk
+  drops a branch past it when it picks the tail that leads to it,
+  after it copies the pools and before it starts the branch, and
+  genus1._split_off_part a distinguished component past it before it
+  builds the pools it leaves.
 """
 
 from __future__ import annotations
@@ -150,7 +156,9 @@ def tail_table(n: int, d_max: int, rows) -> list:
     d - 1.  genus1.expand_w builds one table with d_max = d - 3 (IIa
     and IIc keep degree >= 3 for the elliptic part, IIb >= 2 for the
     doubly-attached part and >= 1 for the hyperplane component) and
-    keeps its entries of delta <= 2n - 4 for the IIb tails.
+    keeps its entries of delta <= 2n - 4 for the IIb tails.  Each
+    caller builds the table's relief_cap with it, once, and hands both
+    to every walk on the table; the IIb tails, a subset, share it.
     """
     caps = [points_on_curve(n, dk) for dk in range(d_max + 1)]
     # a point count is first in the sorted item tuple
@@ -161,7 +169,57 @@ def tail_table(n: int, d_max: int, rows) -> list:
     ]
 
 
-def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1, h_points=0):
+def relief_cap(n: int, d_max: int, table) -> list | None:
+    """The most points of H a branch of type2_partitions over ``table``
+    (or any subset of it) may carry and still reach a shape whose
+    rational component in H passes through them, per degree left to
+    its tails: cap[r] for r = 0..d_max.
+
+    A tail's relief is how much it lowers the points of H the walk
+    counts: the lines (incidence slot 1) and slot-0 tangency markers it
+    takes, less 1 when its freedom delta is 0, as it then puts its
+    attachment on a point of H.  relief[t], the most that tails of
+    total degree at most t lower the count, is an unbounded knapsack
+    over the table; it ignores what the pools hold, so it is an upper
+    bound.  A branch whose tails have r degrees left ends on a component
+    in H of degree r - t + 1, which passes through at most
+    points_on_curve(n - 1, r - t + 1) points of H, once tails of degree
+    t have lowered the count by at most relief[t]: so cap[r] is the
+    largest sum of the two over t = 0..r.
+
+    Over P^2 no point of H is capped, and a table of degree below 3
+    serves walks too short to repay the build: both get None, and their
+    walks skip the cut."""
+    if n < 3 or d_max < 3:
+        return None
+    # best[dk]: the most one tail of degree dk relieves; plain loops,
+    # as the build runs once per expansion
+    best = [0] * (d_max + 1)
+    for dk, h_items, i_items, _, delta in table:
+        lowered = 0 if delta else -1
+        for e, take in i_items:
+            if e == 1:
+                lowered += take
+        for (_, e), take in h_items:
+            if not e:
+                lowered += take
+        if lowered > best[dk]:
+            best[dk] = lowered
+    relief = best[:]
+    for t in range(2, d_max + 1):
+        for dk in range(1, t):
+            if relief[t - dk] + best[dk] > relief[t]:
+                relief[t] = relief[t - dk] + best[dk]
+    room = [points_on_curve(n - 1, r + 1) for r in range(d_max + 1)]
+    cap = room[:]
+    for r in range(1, d_max + 1):
+        for t in range(1, r + 1):
+            if room[r - t] + relief[t] > cap[r]:
+                cap[r] = room[r - t] + relief[t]
+    return cap
+
+
+def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1, h_points=0, cap=None):
     """Enumerate the ways a curve of degree d falling into H breaks into
     a hyperplane component of degree at least d0_min and an unordered
     multiset of rational tails.
@@ -191,7 +249,13 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     multiset puts there (genus1._split_off_part).  The walk counts
     them as it takes tails and drops a shape past the capacity before
     building it.  Over P^2 a point of the line H costs nothing, and an
-    elliptic component in H (d0_min = 3) is not capped here.
+    elliptic component in H (d0_min = 3) is not capped here.  With
+    ``cap``, the table's relief_cap (None, or ignored for d0_min = 3,
+    leaves the walk uncapped), the walk also drops a branch that
+    carries more points of H than cap allows for the degree its tails
+    have left: no tails can bring it down to a shape.  It tests the
+    root once, and each tail it picks after copying the pools, before
+    it starts the branch.
 
     The walk is lazy: it yields each shape as it reaches it and holds
     one branch of pools at a time.
@@ -208,7 +272,8 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
     """
 
     def rec(d_rem, h_rem, i_rem, min_tail, on_h):
-        # the caller has checked that the points left fit d_rem
+        # the caller has checked that the points left fit d_rem, and
+        # the points of H left the cap
         points = i_rem.get(0, 0)
         if not points and (room is None or on_h + i_rem.get(1, 0) <= room[d_rem]):
             yield (), 1, 1, d_rem, h_rem, i_rem
@@ -239,6 +304,8 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
                 i_left[e] = c - take
             if not ways:
                 continue
+            if cap is not None and on_h_left + i_left.get(1, 0) > cap[d_rem - dk]:
+                continue
             for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h_left):
                 yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
 
@@ -247,11 +314,16 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
         return
     # budget[t]: the points tails of total degree t take at most
     budget = [points_budget(n, t) for t in range(d_tails + 1)]
-    # room[d0 - 1]: the points of H a component of degree d0 there takes
-    room = [points_on_curve(n - 1, d0) for d0 in range(1, d + 1)] if n >= 3 and d0_min == 1 else None
+    if n >= 3 and d0_min == 1:
+        # room[d0 - 1]: the points of H a component of degree d0 there takes
+        room = [points_on_curve(n - 1, d0) for d0 in range(1, d + 1)]
+    else:
+        room = cap = None
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))
     on_h = h_points + (e_lift == 1) + sum(c for (_, e), c in h_pool.items() if not e)
+    if cap is not None and on_h + i_pool.get(1, 0) > cap[d_tails]:
+        return
     for parts, ways, ram, d_left, h0, i0 in rec(d_tails, h_pool, i_pool, (), on_h):
         h0 = {k: c for k, c in h0.items() if c}
         i0 = {e: c for e, c in i0.items() if c}

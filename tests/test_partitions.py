@@ -1,5 +1,6 @@
 """Marker-routing combinatorics against plain slow enumerations."""
 
+import functools
 import itertools
 import math
 import sys
@@ -326,9 +327,12 @@ def _listed(shapes):
 
 
 def _walk_matches_per_level(d, h_pool, i_pool, n, hi, e_lift, d0_min=1):
-    # the tails of freedom 0..hi, hi <= n - 1
-    table = [tail for tail in tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool)) if tail[4] <= hi]
-    walked = _listed(type2_partitions(d, h_pool, i_pool, n, table, e_lift, d0_min))
+    # the tails of freedom 0..hi, hi <= n - 1, under the cap of the
+    # whole table (which an elliptic component in H ignores)
+    whole = tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool))
+    table = [tail for tail in whole if tail[4] <= hi]
+    cap = partitions.relief_cap(n, d - d0_min, whole)
+    walked = _listed(type2_partitions(d, h_pool, i_pool, n, table, e_lift, d0_min, 0, cap))
     assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, (0, 0, hi), e_lift, d0_min))
     return len(walked)
 
@@ -376,11 +380,12 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
         (2, 6, {(1, 0): 6}, {0: 11}, 1, (0, -1, -1), 2, 0, iib),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
-        table = [tail for tail in tail_table(n, d - 3, rows) if tail[4] <= hi]
+        whole = tail_table(n, d - 3, rows)
+        table = [tail for tail in whole if tail[4] <= hi]
         walked = [
             (part1, tails, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
             for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-                n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table
+                n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table, partitions.relief_cap(n, d - 3, whole)
             )
         ]
         slow = []
@@ -396,8 +401,10 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
 
 def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
     # A distinguished component is tested on its points first, the way
-    # the walk tests a tail: partitions.rest builds the two pools it
-    # leaves when it passes, and nothing when it does not.
+    # the walk tests a tail, and then, under the table's relief cap, on
+    # the points of H its walk would start with: partitions.rest builds
+    # the two pools it leaves when it passes both, and nothing when it
+    # does not.
     calls = []
     real_rest = partitions.rest
 
@@ -409,20 +416,37 @@ def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
     for n, d, h_pool, i_pool, part_window, m_min in [
         (3, 6, {(1, 2): 4, (2, 2): 1}, {0: 2, 1: 14}, (1, 0, 2), 1),
         (3, 5, {(1, 2): 3, (1, 0): 2}, {0: 3, 1: 8}, (0, -1, 1), 2),
+        (3, 6, {(1, 2): 4, (1, 0): 2}, {0: 2, 1: 13}, (0, -1, 1), 2),
         (2, 6, {(1, 1): 4, (1, 0): 2}, {0: 12}, (0, -1, -1), 2),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
         table = tail_table(n, d - 3, rows)
-        expected, dropped = [], 0
+        cap = partitions.relief_cap(n, d - 3, table)
+        e_lift = n - 1
+        expected, dropped, capped = [], 0, 0
         for part, _ in components(n, d - 1, rows, *part_window, m_min):
-            if i_pool[0] - dict(part[2]).get(0, 0) > points_budget(n, d - 1 - part[0]):
+            d1, h1, i1, _, delta1 = part
+            # the lines and slot-0 tangency markers the part leaves, the
+            # specialized marker on slot 1 and the part's own points of H
+            on_h = (
+                i_pool.get(1, 0)
+                - dict(i1).get(1, 0)
+                + sum(c for (_, e), c in h_pool.items() if e == 0)
+                - sum(c for (_, e), c in h1 if e == 0)
+                + (e_lift == 1)
+                + max(0, 1 - delta1)
+            )
+            if i_pool[0] - dict(i1).get(0, 0) > points_budget(n, d - 1 - d1):
                 dropped += 1
+            elif cap is not None and on_h > cap[d - 1 - d1]:
+                capped += 1
             else:
-                expected += [(h_pool, part[1]), (i_pool, part[2])]
+                expected += [(h_pool, h1), (i_pool, i1)]
         calls.clear()
-        list(_split_off_part(n, d, h_pool, i_pool, rows, n - 1, part_window, m_min, table))
+        list(_split_off_part(n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table, cap))
         assert calls == expected
         assert expected and dropped, (n, d, h_pool, i_pool)
+        assert capped or cap is None, (n, d, h_pool, i_pool)
 
 
 def test_tail_table_keeps_each_tail_once_in_ascending_degree():
@@ -498,6 +522,130 @@ def test_tail_table_is_components_within_the_point_cap(monkeypatch, p):
     assert checked > 10
 
 
+def _plain_cap(n, d_max, table):
+    """The relief cap of ``table`` worked out plainly.  A tail lowers
+    the points of H the walk counts by the lines and slot-0 tangency
+    markers it takes, less 1 when its freedom is 0; tails with the same
+    degree and relief are alike, so every multiset of tails is a
+    multiset of those kinds.  Over each multiset of total degree t <= r,
+    a rational component in H of degree r - t + 1 passes through at
+    most ((n - 1) + 1) * (r - t + 1) + (n - 1) - 3 points of H, each
+    costing n - 2."""
+    kinds = sorted(
+        {
+            (dk, dict(i_items).get(1, 0) + sum(c for (_, e), c in h_items if e == 0) - (delta == 0))
+            for dk, h_items, i_items, _, delta in table
+        }
+    )
+    most = [0] * (d_max + 1)
+    for size in range(d_max + 1):
+        for chosen in itertools.combinations_with_replacement(kinds, size):
+            t = sum(dk for dk, _ in chosen)
+            if t <= d_max:
+                most[t] = max(most[t], sum(relief for _, relief in chosen))
+    return [
+        max((n * (r - t + 1) + n - 4) // (n - 2) + most[t] for t in range(r + 1))
+        for r in range(d_max + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}),
+        Problem.make(0, 3, 5, {(1, 2): 3, (1, 0): 2}, {1: 16}),
+        Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}),
+        Problem.make(0, 4, 4, {(1, 3): 3, (1, 0): 1}, {1: 9}),
+        Problem.make(1, 3, 5, {(1, 2): 3, (1, 0): 2}, {1: 16}),
+        Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}),
+    ],
+    ids=["rational P^3 d=5", "rational P^3 d=5 slot 0", "rational P^4 d=4", "rational P^4 d=4 slot 0",
+         "elliptic P^3 d=5 slot 0", "elliptic P^2 d=6"],
+)
+def test_relief_cap_is_the_plain_bound_of_each_table(monkeypatch, p):
+    # Every cap a count builds, on the table it is built for: None over
+    # P^2 and below degree 3, else what a plain enumeration gives.
+    built = []
+    for module in (genus0, genus1):
+        real = module.relief_cap
+
+        def spy(*args, real=real):
+            cap = real(*args)
+            built.append((args, cap))
+            return cap
+
+        monkeypatch.setattr(module, "relief_cap", spy)
+    Engine().count(p)
+    capped = 0
+    for (n, d_max, table), cap in built:
+        if n < 3 or d_max < 3:
+            assert cap is None
+        else:
+            assert cap == _plain_cap(n, d_max, table), (n, d_max)
+            capped += 1
+    assert built and (capped == 0 if p.n == 2 else capped > 3)
+
+
+def test_relief_cap_counts_every_term_of_a_relief():
+    # On the pools of real counts a slot-0 tangency marker costs a tail
+    # the freedom of a line and relieves as much, so tails of lines
+    # reach every cap that one relieves; records no pool gives show
+    # each term of the relief in the cap on its own.
+    for n, table in [
+        (3, [(1, (((1, 0), 5),), (), 1, 1)]),
+        (3, [(1, (((1, 2), 1), ((2, 0), 2)), ((1, 3),), 1, 2)]),
+        (3, [(1, (), ((1, 5),), 1, 0), (2, (), ((0, 1), (1, 8)), 2, 1)]),
+        (4, [(1, (((1, 0), 3),), ((1, 1),), 1, 0), (3, (((1, 3), 2),), ((1, 8), (2, 1)), 1, 1)]),
+    ]:
+        for d_max in (3, 4, 5):
+            cap = partitions.relief_cap(n, d_max, table)
+            assert cap == _plain_cap(n, d_max, table)
+            assert cap != [points_on_curve(n - 1, r + 1) for r in range(d_max + 1)]
+
+
+def _walks_with_and_without_the_cap(n, d, h_pool, i_pool):
+    """Every type II walk on the pools, and every split-off over P^3,
+    as (uncapped, capped) pairs of calls that start it."""
+    rows = pool_rows(n, h_pool, i_pool)
+    table = tail_table(n, d - 1, rows)
+    cap = partitions.relief_cap(n, d - 1, table)
+    assert cap is not None
+    for e_lift in range(1, n):
+        for h_points in (0, 1, 2):
+            walk = functools.partial(type2_partitions, d, h_pool, i_pool, n, table, e_lift, 1, h_points)
+            yield walk, functools.partial(walk, cap)
+        if n == 3:
+            rational = tail_table(n, d - 3, rows)
+            for window, m_min in [((1, 0, n - 1), 1), ((0, -1, 2 * n - 5), 2)]:
+                split_off = functools.partial(_split_off_part, n, d, h_pool, i_pool, rows, e_lift, window, m_min, rational)
+                yield split_off, functools.partial(split_off, partitions.relief_cap(n, d - 3, rational))
+
+
+def test_relief_cap_cuts_no_shape():
+    # The cap cuts only branches and distinguished components that
+    # would yield nothing: the same shapes in the same order, on pools
+    # with slot-0 tangency markers, for every slot of the specialized
+    # marker and up to two points of H from outside the walk.
+    runs = [
+        run
+        for n, d, h_pool, i_pool in [
+            (3, 5, {(1, 2): 3, (1, 0): 2}, {1: 14}),
+            (3, 6, {(1, 2): 4, (1, 0): 2}, {0: 1, 1: 15}),
+            (3, 6, {(1, 2): 3, (1, 0): 1, (2, 1): 1}, {1: 17}),
+            (4, 4, {(1, 3): 2, (1, 0): 2}, {1: 5, 2: 2}),
+            (4, 5, {(1, 3): 3, (1, 0): 2}, {0: 1, 1: 6, 2: 2}),
+        ]
+        for run in _walks_with_and_without_the_cap(n, d, h_pool, i_pool)
+    ]
+    every, walked = [], []
+    started = _started_branches(lambda: every.extend(list(uncapped()) for uncapped, _ in runs))
+    kept = _started_branches(lambda: walked.extend(list(capped()) for _, capped in runs))
+    assert walked == every
+    assert sum(map(len, walked)) > 1000
+    # and it does cut
+    assert len(kept) < len(started)
+
+
 def _most_points(n, d_rem):
     """Most general points rational curves of total degree at most
     d_rem pass through between them, over every split of the degree."""
@@ -512,32 +660,54 @@ def test_points_budget_is_what_the_tails_can_take():
         assert [points_budget(n, t) for t in range(12)] == [_most_points(n, t) for t in range(12)]
 
 
-@pytest.mark.parametrize(
-    "p, bodies",
-    [
-        (Problem.make(0, 2, 7, {(1, 1): 7}, {0: 20}), 1707),
-        (Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}), 810),
-    ],
-    ids=["rational P^2 d=7", "elliptic P^2 d=6"],
-)
-def test_type2_walks_start_no_branch_past_its_points(p, bodies):
-    # Every branch the walk starts can still place its points: the walk
-    # cuts the others before it descends.  A branch is one run of the
-    # walk's recursive body, seen by a profile hook on its frames.
+def _started_branches(run):
+    """Call ``run`` and list the branches the type II walks start, each
+    as (n, d_rem, points, points of H, cap): its walk's ambient
+    dimension, its degree left to the tails, the point markers and the
+    points of H it carries (lines and the walk's count), and its walk's
+    cap.  A branch is one run of the walk's recursive body, seen by a
+    profile hook on its frames; the walk that starts a root branch
+    gives it n, and a branch gives it to the branches it starts."""
     body = next(c for c in type2_partitions.__code__.co_consts if getattr(c, "co_name", None) == "rec")
     started = {}
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code is body and frame not in started:
-            started[frame] = (frame.f_locals["d_rem"], frame.f_locals["i_rem"].get(0, 0))
+            caller = frame.f_back
+            n = started[caller][0] if caller.f_code is body else caller.f_locals["n"]
+            seen = frame.f_locals
+            i_rem = seen["i_rem"]
+            started[frame] = (n, seen["d_rem"], i_rem.get(0, 0), seen["on_h"] + i_rem.get(1, 0), seen["cap"])
 
     sys.setprofile(hook)
     try:
-        Engine().count(p)
+        run()
     finally:
         sys.setprofile(None)
+    return list(started.values())
+
+
+@pytest.mark.parametrize(
+    "p, bodies",
+    [
+        (Problem.make(0, 2, 7, {(1, 1): 7}, {0: 20}), 1707),
+        (Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}), 810),
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 1699),
+        (Problem.make(0, 3, 6, {(1, 2): 4, (2, 1): 1}, {0: 3, 1: 16}), 65290),
+        (Problem.make(0, 3, 7, {(1, 2): 7}, {1: 28}), 24905),
+    ],
+    ids=["rational P^2 d=7", "elliptic P^2 d=6", "rational P^3 d=5", "g=0 n=3 d=6 h=1,2:4;2,1:1 i=0:3;1:16",
+         "rational P^3 d=7"],
+)
+def test_type2_walks_start_no_branch_past_its_points(p, bodies):
+    # Every branch the walk starts can still place its points, and under
+    # a cap (relief_cap, over P^3 and up) its points of H: the walk cuts
+    # the others before it descends.
+    started = _started_branches(lambda: Engine().count(p))
     assert len(started) == bodies
-    assert all(points <= _most_points(p.n, d_rem) for d_rem, points in started.values())
+    assert all(points <= _most_points(n, d_rem) for n, d_rem, points, _, _ in started)
+    assert all(cap is None or on_h <= cap[d_rem] for _, d_rem, _, on_h, cap in started)
+    assert any(cap is not None for *_, cap in started) == (p.n >= 3)
 
 
 def _freedom(n, genus, dk, h_items, i_items, mk):

@@ -290,10 +290,15 @@ def test_incidence_only_rational_counts_match_wdvv(oracle):
 
 
 def test_rational_space_frontier_counts_match_wdvv(oracle):
-    # rational quintics through 20 lines, sextics through 24 lines and
-    # septics through 28 lines of P^3, the enumeration-bound end of the
-    # rational recursion
-    for d, expected in ((5, 6089786376960), (6, 244274488980962304), (7, 20812135703772685676544)):
+    # rational quintics through 20 lines, sextics through 24 lines,
+    # septics through 28 lines and octics through 32 lines of P^3, the
+    # enumeration-bound end of the rational recursion
+    for d, expected in (
+        (5, 6089786376960),
+        (6, 244274488980962304),
+        (7, 20812135703772685676544),
+        (8, 3344836691230344061543710720),
+    ):
         p = Problem.make(0, 3, d, {(1, 2): d}, {1: 4 * d})
         assert oracle.gw_invariant(3, d, oracle.incidence_codims(p)) == expected
         assert unmarked(Engine().count(p), p) == expected
