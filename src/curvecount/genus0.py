@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import factorial
 
 from .engine import Engine, exact_quotient, finish_terms
-from .partitions import bump, pool_rows, relief_cap, tail_table, type2_partitions
+from .partitions import bump, pool_rows, tail_table, type2_partitions
 from .problems import Problem, dim_x, dimension
 
 
@@ -154,8 +154,7 @@ def expand_x(eng: Engine, p: Problem, first_slot=None) -> int:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     table = tail_table(n, d - 1, pool_rows(n, h_pool, i_base))
-    cap = relief_cap(n, d - 1, table)
-    for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, table, e_lift, 1, 0, cap):
+    for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, table, e_lift):
         value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:
             terms.append(("type-IIplain", ways * ram, aut, value, groups))

@@ -26,50 +26,39 @@ from .genus0 import (
     specialize,
     tail_problem,
 )
-from .partitions import bump, components, points_budget, pool_rows, relief_cap, rest, tail_table, type2_partitions
+from .partitions import bump, components, markers_on_h, pool_rows, relief, rest, tail_table, type2_partitions
 from .problems import Problem, UnsupportedProblem, ZProblem
 
 
-def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table, cap=None):
+def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
     """Enumerate type II shapes with one distinguished component.
 
     The distinguished component is one of partitions.components on the
-    pools' pool_rows ``rows``, of the genus and freedom delta1 that
-    ``window`` = (genus, lo, hi) gives and of attachment multiplicity
-    at least m_min; the remaining pools split into rational tails,
-    records of ``table`` (partitions.tail_table on the whole pools),
-    and the hyperplane component.  The distinguished component puts
-    max(0, 1 - delta1) points of H on the hyperplane component, which
-    type2_partitions adds to its capacity count: the IIa attachment lies
-    on a general delta1-plane of H (count_ya), a point exactly when
-    delta1 is 0, and count_yb puts 1 - delta1 of the two IIb contacts on
-    points, with delta1 <= 2n - 5 <= 1 over P^2 and P^3.
+    pools' pool_rows ``rows``, of the genus and freedom that ``window``
+    = (genus, lo, hi) gives and of attachment multiplicity at least
+    m_min; the remaining pools split into rational tails, records of
+    ``table`` (partitions.tail_table on the whole pools), and the
+    hyperplane component, on which it puts the points of H its markers
+    would put there less its partitions.relief.
     Yields (part, tails, ways, aut, d0, h0, i0, ram): the distinguished
     component's record, then ways, the labeled marker routings, and
-    tails, aut, d0, h0, i0, ram as type2_partitions yields them.  As
-    there, the distinguished component and the tails take every point
-    marker between them, so a component that leaves more points than
-    the tails can take (points_budget) is dropped before the pools it
-    leaves (partitions.rest) are built or their walk starts.  So is one
-    that leaves more points of H than ``cap``, the table's
-    partitions.relief_cap (or None), allows the walk's root: the lines
-    and slot-0 tangency markers it does not take, the specialized
-    marker when e_lift is 1 and its own points of H.
+    tails, aut, d0, h0, i0, ram as type2_partitions yields them.  A
+    component that leaves more points than the table's budget, or more
+    points of H than its cap allows the walk's root, is dropped before
+    the pools it leaves (partitions.rest) are built.
     """
     points = i_base.get(0, 0)
-    if cap is not None:
-        on_h = i_base.get(1, 0) + sum(c for (_, e), c in h_pool.items() if not e) + (e_lift == 1)
+    budget, cap = table.budget, table.cap
+    on_h = markers_on_h(h_pool.items(), i_base.items()) + (e_lift == 1)
     for part, ways in components(n, d - 1, rows, *window, m_min):
-        d1, h1, i1, _, delta1 = part
-        if points - dict(i1).get(0, 0) > points_budget(n, d - 1 - d1):
+        d1, h1, i1, _, _ = part
+        if points - dict(i1).get(0, 0) > budget[d - 1 - d1]:
             continue
-        h_points = max(0, 1 - delta1)
-        if cap is not None and (
-            on_h + h_points - dict(i1).get(1, 0) - sum(take for (_, e), take in h1 if not e) > cap[d - 1 - d1]
-        ):
+        lowered = relief(part)
+        if cap is not None and on_h - lowered > cap[d - 1 - d1]:
             continue
         for tails, tail_ways, aut, d0, h0, i0, ram in type2_partitions(
-            d - d1, rest(h_pool, h1), rest(i_base, i1), n, table, e_lift, 1, h_points, cap
+            d - d1, rest(h_pool, h1), rest(i_base, i1), table, e_lift, 1, markers_on_h(h1, i1) - lowered
         ):
             yield part, tails, ways * tail_ways, aut, d0, h0, i0, ram
 
@@ -197,9 +186,8 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     # the tail table and both split-offs share one listing of sub-vectors
     rows = pool_rows(n, h_pool, i_base)
     rational = tail_table(n, d - 3, rows)
-    cap = relief_cap(n, d - 3, rational)
     for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, rows, e_lift, (1, 0, n - 1), 1, rational, cap
+        n, d, h_pool, i_base, rows, e_lift, (1, 0, n - 1), 1, rational
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, part1, tails)
         if value:
@@ -209,19 +197,17 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     # component has freedom -1..2n-5 (see count_yb).  Over P^2 the
     # hyperplane component is the line H, so a tail of delta 1 leaves a
     # marker free on it and counts 0: tails take 0..2n-4, which over
-    # P^3 is the whole rational window and over P^2 its delta 0.  A
-    # subset of the tails lowers the points of H no more, so it keeps
-    # their cap.
-    doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
+    # P^3 is the whole rational window and over P^2 its delta 0.
+    doubly = rational.within(2 * n - 4)
     for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-        n, d, h_pool, i_base, rows, e_lift, (0, -1, 2 * n - 5), 2, doubly, cap
+        n, d, h_pool, i_base, rows, e_lift, (0, -1, 2 * n - 5), 2, doubly
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, part1, tails)
         if value:
             terms.append(("type-IIb", ways * ram, 2 * aut, value, groups))
 
     if n == 3:
-        for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, n, rational, e_lift, 3):
+        for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, rational, e_lift, 3):
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
                 terms.append(("type-IIc", ways * ram, aut, value, groups))

@@ -15,33 +15,31 @@ pool_rows lists the sub-vectors of a degeneration's pools once
 (subvectors).  components, the one enumerator of split-off components,
 reads that listing and yields records without building any pool;
 tail_table keeps its rational records of freedom 0..n-1 within the
-point cap as the tails.  type2_partitions walks a tail table into type
-II shapes.  genus1._split_off_part takes its distinguished component
-from components and builds the pools it leaves with rest, for the
-components it keeps.  The shapes and tails that count 0 by their point
-markers alone are cut before anything about them is built, each at one
-place:
+point cap as the tails, with each one's relief and the bounds every
+walk over them reads.  type2_partitions walks a tail table into type II
+shapes.  genus1._split_off_part takes its distinguished component from
+components and builds the pools it leaves with rest, for the components
+it keeps.  A record's relief, the points of H it takes off the
+component in H, is defined once (relief): the walk, the table's cap and
+genus1._split_off_part read it.
+
+The shapes and tails that count 0 by their point markers alone are cut
+before anything about them is built, each at one place:
 
 - tail_table drops a tail through more points than points_on_curve;
 - type2_partitions drops a branch whose remaining degree cannot take
-  the points left (points_budget) when it picks the tail that leads to
-  it, before it copies the pools or starts the branch, and a shape
-  whose component in H passes through too many points of H before it
-  builds the shape;
-- genus1._split_off_part drops a distinguished component that leaves
-  more points than the tails can take by the same test, before it
-  builds the pools it leaves or starts their walk;
-- relief_cap bounds, once per tail table, the points of H a branch of
-  the walk may still carry for a rational component in H: the walk
-  drops a branch past it when it picks the tail that leads to it,
-  after it copies the pools and before it starts the branch, and
-  genus1._split_off_part a distinguished component past it before it
-  builds the pools it leaves.
+  the points left, or that carries more points of H than the table's
+  cap allows, when it picks the tail that leads to it, before it copies
+  the pools, and a shape whose component in H passes through too many
+  points of H before it builds the shape;
+- genus1._split_off_part drops a distinguished component by the same
+  two tests before it builds the pools it leaves.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .problems import free_dim
 
@@ -142,7 +140,86 @@ def components(n: int, d_max: int, rows, genus: int, lo: int, hi: int, m_min=1):
                     yield (dk, h_sub, i_sub, mk, delta), h_ways * i_ways
 
 
-def tail_table(n: int, d_max: int, rows) -> list:
+def markers_on_h(h_items, i_items) -> int:
+    """The points of H that markers, as (key, count) pairs, put on a
+    component lying in H: lines (incidence slot 1) and tangency markers
+    on slot 0.  Plain loops, as every table reads it per record."""
+    count = 0
+    for e, take in i_items:
+        if e == 1:
+            count += take
+    for (_, e), take in h_items:
+        if not e:
+            count += take
+    return count
+
+
+def relief(record) -> int:
+    """The points of H a split-off component takes off the component in
+    H: what its markers would put there, less the max(0, 1 - delta) its
+    attachment puts there, a point for a tail or IIa component of
+    freedom 0 (count_y) and 1 - delta of a IIb component's two contacts
+    (count_yb)."""
+    _, h_items, i_items, _, delta = record
+    return markers_on_h(h_items, i_items) - max(0, 1 - delta)
+
+
+class TailTable(NamedTuple):
+    """The tails of one expansion (tail_table) and what every walk over
+    them reads; the bounds are lists over r = 0..d_max degrees left to
+    the tails:
+
+    - entries: (record, relief) per tail record; over P^2, where a
+      point of the line H costs nothing, every relief is 0;
+    - budget[r]: the points tails of total degree r take at most;
+    - room[r]: the points of H a rational component in H of degree
+      r + 1 passes through; None over P^2;
+    - cap[r]: the most points of H a branch may carry and still reach a
+      shape whose rational component in H passes through them, the
+      largest room[r - t] + most[t] over t = 0..r, where most[t], an
+      unbounded knapsack of reliefs over tails of total degree at most
+      t, ignores the pools and so bounds any subset of the records.
+      None over P^2 and below degree 3 (walks too short to repay it).
+    """
+
+    entries: list
+    budget: list
+    room: list | None
+    cap: list | None
+
+    @classmethod
+    def of(cls, n: int, d_max: int, records: list) -> TailTable:
+        """The table of ``records``, tails in P^n of degree at most d_max."""
+        budget = [points_budget(n, r) for r in range(d_max + 1)]
+        if n < 3:
+            return cls([(record, 0) for record in records], budget, None, None)
+        entries = [(record, relief(record)) for record in records]
+        room = [points_on_curve(n - 1, r + 1) for r in range(d_max + 1)]
+        if d_max < 3:
+            return cls(entries, budget, room, None)
+        # best[dk]: the most one tail of degree dk relieves (plain loops: one build per expansion)
+        best = [0] * (d_max + 1)
+        for record, gain in entries:
+            if gain > best[record[0]]:
+                best[record[0]] = gain
+        most = best[:]
+        for t in range(2, d_max + 1):
+            for dk in range(1, t):
+                if most[t - dk] + best[dk] > most[t]:
+                    most[t] = most[t - dk] + best[dk]
+        cap = room[:]
+        for r in range(1, d_max + 1):
+            for t in range(1, r + 1):
+                if room[r - t] + most[t] > cap[r]:
+                    cap[r] = room[r - t] + most[t]
+        return cls(entries, budget, room, cap)
+
+    def within(self, hi: int) -> TailTable:
+        """The entries of freedom at most hi; the bounds hold for any subset."""
+        return self._replace(entries=[entry for entry in self.entries if entry[0][4] <= hi])
+
+
+def tail_table(n: int, d_max: int, rows) -> TailTable:
     """The rational tails of one degeneration, as records (dk, h_items,
     i_items, mk, delta): the genus 0 ``components`` of the pools
     ``rows`` lists, up to degree d_max, of freedom 0..n-1 (so that
@@ -153,109 +230,51 @@ def tail_table(n: int, d_max: int, rows) -> list:
     ``components`` yields on it, in the same order: one table serves
     every pool the tails of type2_partitions and the distinguished part
     of genus1._split_off_part leave.  genus0.expand_x takes d_max =
-    d - 1.  genus1.expand_w builds one table with d_max = d - 3 (IIa
-    and IIc keep degree >= 3 for the elliptic part, IIb >= 2 for the
-    doubly-attached part and >= 1 for the hyperplane component) and
-    keeps its entries of delta <= 2n - 4 for the IIb tails.  Each
-    caller builds the table's relief_cap with it, once, and hands both
-    to every walk on the table; the IIb tails, a subset, share it.
+    d - 1, genus1.expand_w d - 3 (IIa and IIc keep degree >= 3 for the
+    elliptic part, IIb >= 2 for the doubly-attached part and >= 1 for
+    the hyperplane component).
     """
-    caps = [points_on_curve(n, dk) for dk in range(d_max + 1)]
+    most = [points_on_curve(n, dk) for dk in range(d_max + 1)]
     # a point count is first in the sorted item tuple
-    return [
+    records = [
         record
         for record, _ in components(n, d_max, rows, 0, 0, n - 1)
-        if not record[2] or record[2][0][0] or record[2][0][1] <= caps[record[0]]
+        if not record[2] or record[2][0][0] or record[2][0][1] <= most[record[0]]
     ]
+    return TailTable.of(n, d_max, records)
 
 
-def relief_cap(n: int, d_max: int, table) -> list | None:
-    """The most points of H a branch of type2_partitions over ``table``
-    (or any subset of it) may carry and still reach a shape whose
-    rational component in H passes through them, per degree left to
-    its tails: cap[r] for r = 0..d_max.
-
-    A tail's relief is how much it lowers the points of H the walk
-    counts: the lines (incidence slot 1) and slot-0 tangency markers it
-    takes, less 1 when its freedom delta is 0, as it then puts its
-    attachment on a point of H.  relief[t], the most that tails of
-    total degree at most t lower the count, is an unbounded knapsack
-    over the table; it ignores what the pools hold, so it is an upper
-    bound.  A branch whose tails have r degrees left ends on a component
-    in H of degree r - t + 1, which passes through at most
-    points_on_curve(n - 1, r - t + 1) points of H, once tails of degree
-    t have lowered the count by at most relief[t]: so cap[r] is the
-    largest sum of the two over t = 0..r.
-
-    Over P^2 no point of H is capped, and a table of degree below 3
-    serves walks too short to repay the build: both get None, and their
-    walks skip the cut."""
-    if n < 3 or d_max < 3:
-        return None
-    # best[dk]: the most one tail of degree dk relieves; plain loops,
-    # as the build runs once per expansion
-    best = [0] * (d_max + 1)
-    for dk, h_items, i_items, _, delta in table:
-        lowered = 0 if delta else -1
-        for e, take in i_items:
-            if e == 1:
-                lowered += take
-        for (_, e), take in h_items:
-            if not e:
-                lowered += take
-        if lowered > best[dk]:
-            best[dk] = lowered
-    relief = best[:]
-    for t in range(2, d_max + 1):
-        for dk in range(1, t):
-            if relief[t - dk] + best[dk] > relief[t]:
-                relief[t] = relief[t - dk] + best[dk]
-    room = [points_on_curve(n - 1, r + 1) for r in range(d_max + 1)]
-    cap = room[:]
-    for r in range(1, d_max + 1):
-        for t in range(1, r + 1):
-            if room[r - t] + relief[t] > cap[r]:
-                cap[r] = room[r - t] + relief[t]
-    return cap
-
-
-def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, d0_min=1, h_points=0, cap=None):
+def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: int, d0_min=1, h_points=0):
     """Enumerate the ways a curve of degree d falling into H breaks into
     a hyperplane component of degree at least d0_min and an unordered
     multiset of rational tails.
 
-    Each tail is a record of ``table`` (see tail_table, built on these
-    pools or larger ones) whose marker vectors fit what the tails before
-    it leave, and the tails take a total degree of at most d - d0_min.
+    Each tail is a record of ``tails`` (a tail_table on these pools or
+    larger ones) whose marker vectors fit what the tails before it
+    leave, and the tails take a total degree of at most d - d0_min.
     d0_min is 1 for a rational hyperplane component and 3 for an
-    elliptic one (type IIc), since elliptic curves of degree 1 or 2 do
-    not exist.  A multiset takes its tails in nondecreasing record
-    order, and the walk stops at the first record of too high a degree.
+    elliptic one (type IIc): elliptic curves of degree 1 or 2 do not
+    exist.  A multiset takes its tails in nondecreasing record order,
+    and the walk stops at the first record of too high a degree.  The
+    pools list their keys in sorted order, as Problem's maps do.
 
     Three rules drop shapes that count nothing.  A multiset must take
     every point marker (e = 0) of ``i_pool``: the hyperplane component
     lies in H, so a general point left on it makes the term vanish.  A
     tail may not take more points than a rational curve of its degree
-    passes through (tail_table leaves such tails out).  So a branch
-    whose remaining degree cannot take the points left
-    (points_budget) yields nothing: the walk tests it on each tail it
-    picks, before it copies the pools or starts the branch.  And
-    for n >= 3 a rational hyperplane component (d0_min = 1) of degree
-    d0 passes through at most points_on_curve(n - 1, d0) points of H,
-    the point markers (e = 0) genus0.hyperplane_markers gives it: its
-    incidence markers left on slot 1 (the specialized one when e_lift
-    is 1), its tangency markers left on slot 0, one per tail of freedom
-    delta = 0, and ``h_points`` more that a component outside the
-    multiset puts there (genus1._split_off_part).  The walk counts
-    them as it takes tails and drops a shape past the capacity before
-    building it.  Over P^2 a point of the line H costs nothing, and an
-    elliptic component in H (d0_min = 3) is not capped here.  With
-    ``cap``, the table's relief_cap (None, or ignored for d0_min = 3,
-    leaves the walk uncapped), the walk also drops a branch that
-    carries more points of H than cap allows for the degree its tails
-    have left: no tails can bring it down to a shape.  It tests the
-    root once, and each tail it picks after copying the pools, before
-    it starts the branch.
+    passes through (tail_table leaves such tails out), so a branch whose
+    remaining degree cannot take the points left (the table's budget)
+    yields nothing.  And for n >= 3 a rational hyperplane component
+    (d0_min = 1) of degree d0 passes through at most the table's
+    room[d0 - 1] points of H, the point markers (e = 0)
+    genus0.hyperplane_markers gives it.  The walk counts them: what the
+    pools' markers and the specialized one (when e_lift is 1) put there,
+    and ``h_points`` more that a component outside the multiset puts
+    there (genus1._split_off_part), less each tail's relief.  It drops a
+    shape past the room before building it, and a branch past the
+    budget or the cap on the tail that leads to it, before it copies
+    the pools.  Over P^2 a point of H costs nothing, and an elliptic
+    component in H (d0_min = 3) is not capped here.
 
     The walk is lazy: it yields each shape as it reaches it and holds
     one branch of pools at a time.
@@ -273,12 +292,12 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
 
     def rec(d_rem, h_rem, i_rem, min_tail, on_h):
         # the caller has checked that the points left fit d_rem, and
-        # the points of H left the cap
+        # its points of H the cap
         points = i_rem.get(0, 0)
-        if not points and (room is None or on_h + i_rem.get(1, 0) <= room[d_rem]):
+        if not points and (room is None or on_h <= room[d_rem]):
             yield (), 1, 1, d_rem, h_rem, i_rem
-        for tail in table:
-            dk, h_items, i_items, mk, delta = tail
+        for tail, lowered in entries:
+            dk, h_items, i_items, mk, _ = tail
             if dk > d_rem:
                 break
             # the child's points must fit its degree; a point count is
@@ -287,42 +306,36 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, n: int, table, e_lift: int, 
                 continue
             if tail < min_tail:
                 continue
+            if cap is not None and on_h - lowered > cap[d_rem - dk]:
+                continue
             # math.comb is 0 when a tail takes more than is left, and
             # the copies are dropped
             ways = 1
             h_left, i_left = dict(h_rem), dict(i_rem)
-            on_h_left = on_h if delta else on_h + 1
             for k, take in h_items:
                 c = h_left.get(k, 0)
                 ways *= math.comb(c, take)
                 h_left[k] = c - take
-                if not k[1]:
-                    on_h_left -= take
             for e, take in i_items:
                 c = i_left.get(e, 0)
                 ways *= math.comb(c, take)
                 i_left[e] = c - take
             if not ways:
                 continue
-            if cap is not None and on_h_left + i_left.get(1, 0) > cap[d_rem - dk]:
-                continue
-            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h_left):
+            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h - lowered):
                 yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
 
     d_tails = d - d0_min
-    if i_pool.get(0, 0) > points_budget(n, d_tails):
+    # a negative index would read another degree's bound
+    if d_tails < 0:
         return
-    # budget[t]: the points tails of total degree t take at most
-    budget = [points_budget(n, t) for t in range(d_tails + 1)]
-    if n >= 3 and d0_min == 1:
-        # room[d0 - 1]: the points of H a component of degree d0 there takes
-        room = [points_on_curve(n - 1, d0) for d0 in range(1, d + 1)]
-    else:
+    entries, budget, room, cap = tails
+    if i_pool.get(0, 0) > budget[d_tails]:
+        return
+    if d0_min != 1:
         room = cap = None
-    h_pool = dict(sorted(h_pool.items()))
-    i_pool = dict(sorted(i_pool.items()))
-    on_h = h_points + (e_lift == 1) + sum(c for (_, e), c in h_pool.items() if not e)
-    if cap is not None and on_h + i_pool.get(1, 0) > cap[d_tails]:
+    on_h = h_points + (e_lift == 1) + markers_on_h(h_pool.items(), i_pool.items())
+    if cap is not None and on_h > cap[d_tails]:
         return
     for parts, ways, ram, d_left, h0, i0 in rec(d_tails, h_pool, i_pool, (), on_h):
         h0 = {k: c for k, c in h0.items() if c}
@@ -335,9 +348,10 @@ def points_on_curve(n: int, d: int) -> int:
     passes through: the curves move in a family of dimension
     (n+1)*d + n - 3 and each point costs n - 1.  Free markers (e = n)
     do not move the curve, so they never raise the bound.  tail_table
-    caps the points a tail takes with it, type2_partitions the points of
-    H a rational hyperplane component passes through (with n - 1 >= 2),
-    and engine.beyond_capacity the points of a whole problem.  n must
+    caps the points a tail takes with it and, as the table's room, the
+    points of H a rational hyperplane component passes through (with
+    n - 1 >= 2), and engine.beyond_capacity the points of a whole
+    problem.  n must
     be at least 2: in P^1 a point is a hyperplane and costs nothing."""
     return ((n + 1) * d + n - 3) // (n - 1)
 
@@ -347,8 +361,7 @@ def points_budget(n: int, d_rem: int) -> int:
     most d_rem take between them.  Each component of degree dk takes at
     most points_on_curve(n, dk), which is 3*dk - 1 for n = 2 and at
     most 2*dk for n >= 3, with equality for lines; none take none.
-    type2_partitions cuts a branch, and genus1._split_off_part a
-    distinguished component, that leaves its tails more points."""
+    tail_table lists it per degree as the table's budget."""
     if n >= 3:
         return 2 * d_rem
     return 3 * d_rem - 1 if d_rem else 0

@@ -442,8 +442,13 @@ def test_expand_w_builds_one_tail_table(monkeypatch):
     ]:
         listed = real_rows(n, h_pool, i_pool)
         rational = real_table(n, d_max, listed)
-        doubly = [entry for entry in rational if entry[4] <= 2 * n - 4]
-        # the filter keeps what the narrower window gives, within the point cap
+        doubly = rational.within(2 * n - 4)
+        # the filter keeps what the narrower window gives, within the point
+        # cap, with each record's relief and the whole table's bounds
         narrow = components(n, d_max, listed, 0, 0, 2 * n - 4)
-        assert doubly == [record for record, _ in narrow if dict(record[2]).get(0, 0) <= points_on_curve(n, record[0])]
-        assert len(rational) > len(doubly) > 5 if n == 2 else rational == doubly
+        assert [record for record, _ in doubly.entries] == [
+            record for record, _ in narrow if dict(record[2]).get(0, 0) <= points_on_curve(n, record[0])
+        ]
+        assert set(doubly.entries) <= set(rational.entries)
+        assert doubly[1:] == rational[1:]
+        assert len(rational.entries) > len(doubly.entries) > 5 if n == 2 else rational == doubly

@@ -12,12 +12,14 @@ import pytest
 from curvecount import Engine, Problem, genus0, genus1, partitions
 from curvecount.genus1 import _split_off_part
 from curvecount.partitions import (
+    TailTable,
     automorphism_order,
     bump,
     components,
     points_budget,
     points_on_curve,
     pool_rows,
+    relief,
     rest,
     subvectors,
     tail_table,
@@ -33,7 +35,12 @@ def _table(n, d_max, h_pool, i_pool, window=None):
     rows = pool_rows(n, h_pool, i_pool)
     if window is None:
         return tail_table(n, d_max, rows)
-    return [record for record, _ in components(n, d_max, rows, *window)]
+    return TailTable.of(n, d_max, [record for record, _ in components(n, d_max, rows, *window)])
+
+
+def _records(table):
+    """The tail records of a TailTable, in its order."""
+    return [record for record, _ in table.entries]
 
 
 # a window that admits every component the small pools below allow
@@ -45,7 +52,7 @@ def _shapes(d_avail, h_pool, i_pool, n, window=None):
     d_avail, the hyperplane component keeping the rest of a degree
     d_avail + 1 curve."""
     table = _table(n, d_avail, h_pool, i_pool, window)
-    for parts, ways, aut, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, n, table, n - 1):
+    for parts, ways, aut, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, table, n - 1):
         yield parts, ways, aut
 
 
@@ -311,7 +318,7 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
         for e_lift in range(n):
             d = d_avail + 1
             table = _table(n, d - 1, h_pool, i_pool, *window)
-            for parts, _, _, *kept in type2_partitions(d, h_pool, i_pool, n, table, e_lift):
+            for parts, _, _, *kept in type2_partitions(d, h_pool, i_pool, table, e_lift):
                 assert tuple(kept) == _kept(d, h_pool, i_pool, e_lift, parts)
                 shapes += 1
     assert shapes > 100
@@ -328,11 +335,12 @@ def _listed(shapes):
 
 def _walk_matches_per_level(d, h_pool, i_pool, n, hi, e_lift, d0_min=1):
     # the tails of freedom 0..hi, hi <= n - 1, under the cap of the
-    # whole table (which an elliptic component in H ignores)
-    whole = tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool))
-    table = [tail for tail in whole if tail[4] <= hi]
-    cap = partitions.relief_cap(n, d - d0_min, whole)
-    walked = _listed(type2_partitions(d, h_pool, i_pool, n, table, e_lift, d0_min, 0, cap))
+    # whole table (which an elliptic component in H ignores); the walk
+    # takes its pools with sorted keys, as Problem gives them, and
+    # _listed compares key order
+    h_pool, i_pool = dict(sorted(h_pool.items())), dict(sorted(i_pool.items()))
+    table = tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool)).within(hi)
+    walked = _listed(type2_partitions(d, h_pool, i_pool, table, e_lift, d0_min))
     assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, (0, 0, hi), e_lift, d0_min))
     return len(walked)
 
@@ -379,13 +387,14 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
         (3, 5, {(1, 2): 3, (1, 0): 2}, {1: 11}, 1, (0, -1, 1), 2, 2, iib),
         (2, 6, {(1, 0): 6}, {0: 11}, 1, (0, -1, -1), 2, 0, iib),
     ]:
+        # sorted keys, as the walk takes them; the lists compare key order
+        h_pool, i_pool = dict(sorted(h_pool.items())), dict(sorted(i_pool.items()))
         rows = pool_rows(n, h_pool, i_pool)
-        whole = tail_table(n, d - 3, rows)
-        table = [tail for tail in whole if tail[4] <= hi]
+        table = tail_table(n, d - 3, rows).within(hi)
         walked = [
             (part1, tails, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
             for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
-                n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table, partitions.relief_cap(n, d - 3, whole)
+                n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table
             )
         ]
         slow = []
@@ -421,7 +430,7 @@ def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
     ]:
         rows = pool_rows(n, h_pool, i_pool)
         table = tail_table(n, d - 3, rows)
-        cap = partitions.relief_cap(n, d - 3, table)
+        cap = table.cap
         e_lift = n - 1
         expected, dropped, capped = [], 0, 0
         for part, _ in components(n, d - 1, rows, *part_window, m_min):
@@ -443,7 +452,7 @@ def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
             else:
                 expected += [(h_pool, h1), (i_pool, i1)]
         calls.clear()
-        list(_split_off_part(n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table, cap))
+        list(_split_off_part(n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table))
         assert calls == expected
         assert expected and dropped, (n, d, h_pool, i_pool)
         assert capped or cap is None, (n, d, h_pool, i_pool)
@@ -451,7 +460,7 @@ def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
 
 def test_tail_table_keeps_each_tail_once_in_ascending_degree():
     h_pool, i_pool = {(1, 2): 2, (2, 2): 1}, {0: 3, 1: 6}
-    table = tail_table(3, 4, pool_rows(3, h_pool, i_pool))
+    table = _records(tail_table(3, 4, pool_rows(3, h_pool, i_pool)))
     keys = [entry[:3] for entry in table]
     assert len(set(keys)) == len(keys) > 20
     assert [dk for dk, *_ in table] == sorted(dk for dk, *_ in table)
@@ -517,24 +526,34 @@ def test_tail_table_is_components_within_the_point_cap(monkeypatch, p):
         # pools with a few hundred sub-vectors at most keep this fast
         if math.prod(c + 1 for c in [*h_pool.values(), *i_pool.values()]) > 400:
             continue
-        assert table == _plain_tails(n, d_max, h_pool, i_pool)
+        assert _records(table) == _plain_tails(n, d_max, h_pool, i_pool)
         checked += 1
     assert checked > 10
 
 
-def _plain_cap(n, d_max, table):
-    """The relief cap of ``table`` worked out plainly.  A tail lowers
-    the points of H the walk counts by the lines and slot-0 tangency
-    markers it takes, less 1 when its freedom is 0; tails with the same
-    degree and relief are alike, so every multiset of tails is a
-    multiset of those kinds.  Over each multiset of total degree t <= r,
-    a rational component in H of degree r - t + 1 passes through at
-    most ((n - 1) + 1) * (r - t + 1) + (n - 1) - 3 points of H, each
-    costing n - 2."""
+def _plain_relief(record):
+    """A record's relief worked out plainly: the lines and slot-0
+    tangency markers it takes, less the points of H its attachment puts
+    there, one for a tail or IIa component of freedom 0 and 1 - delta
+    of a IIb component's two contacts, so two at freedom -1."""
+    _, h_items, i_items, _, delta = record
+    on_points = {-1: 2, 0: 1}.get(delta, 0)
+    return dict(i_items).get(1, 0) + sum(c for (_, e), c in h_items if e == 0) - on_points
+
+
+def _plain_cap(n, d_max, records):
+    """The relief cap of the tail records worked out plainly.  A tail
+    lowers the points of H the walk counts by the lines and slot-0
+    tangency markers it takes, less 1 when its freedom is 0; tails with
+    the same degree and relief are alike, so every multiset of tails is
+    a multiset of those kinds.  Over each multiset of total degree
+    t <= r, a rational component in H of degree r - t + 1 passes
+    through at most ((n - 1) + 1) * (r - t + 1) + (n - 1) - 3 points of
+    H, each costing n - 2."""
     kinds = sorted(
         {
             (dk, dict(i_items).get(1, 0) + sum(c for (_, e), c in h_items if e == 0) - (delta == 0))
-            for dk, h_items, i_items, _, delta in table
+            for dk, h_items, i_items, _, delta in records
         }
     )
     most = [0] * (d_max + 1)
@@ -542,11 +561,18 @@ def _plain_cap(n, d_max, table):
         for chosen in itertools.combinations_with_replacement(kinds, size):
             t = sum(dk for dk, _ in chosen)
             if t <= d_max:
-                most[t] = max(most[t], sum(relief for _, relief in chosen))
+                most[t] = max(most[t], sum(lowered for _, lowered in chosen))
     return [
         max((n * (r - t + 1) + n - 4) // (n - 2) + most[t] for t in range(r + 1))
         for r in range(d_max + 1)
     ]
+
+
+def _plain_room(n, d_max):
+    """The points of H a rational component in H of degree r + 1 passes
+    through, for r = 0..d_max: its curves in P^(n-1) move in a family of
+    dimension n * (r + 1) + n - 4 and each point costs n - 2."""
+    return [(n * (r + 1) + n - 4) // (n - 2) for r in range(d_max + 1)]
 
 
 @pytest.mark.parametrize(
@@ -563,25 +589,30 @@ def _plain_cap(n, d_max, table):
          "elliptic P^3 d=5 slot 0", "elliptic P^2 d=6"],
 )
 def test_relief_cap_is_the_plain_bound_of_each_table(monkeypatch, p):
-    # Every cap a count builds, on the table it is built for: None over
-    # P^2 and below degree 3, else what a plain enumeration gives.
+    # Every table a count builds carries each record's relief and the
+    # bounds of a plain enumeration: the points budget of every degree;
+    # over P^2, where points of H are not counted, reliefs of 0, no room
+    # and no cap; else the room, and a cap from degree 3 up.
     built = []
     for module in (genus0, genus1):
-        real = module.relief_cap
+        real = module.tail_table
 
         def spy(*args, real=real):
-            cap = real(*args)
-            built.append((args, cap))
-            return cap
+            table = real(*args)
+            built.append((args, table))
+            return table
 
-        monkeypatch.setattr(module, "relief_cap", spy)
+        monkeypatch.setattr(module, "tail_table", spy)
     Engine().count(p)
     capped = 0
-    for (n, d_max, table), cap in built:
+    for (n, d_max, _), table in built:
+        assert table.entries == [(record, 0 if n < 3 else _plain_relief(record)) for record in _records(table)]
+        assert table.budget == [_most_points(n, r) for r in range(d_max + 1)]
+        assert table.room == (None if n < 3 else _plain_room(n, d_max))
         if n < 3 or d_max < 3:
-            assert cap is None
+            assert table.cap is None
         else:
-            assert cap == _plain_cap(n, d_max, table), (n, d_max)
+            assert table.cap == _plain_cap(n, d_max, _records(table)), (n, d_max)
             capped += 1
     assert built and (capped == 0 if p.n == 2 else capped > 3)
 
@@ -591,34 +622,44 @@ def test_relief_cap_counts_every_term_of_a_relief():
     # the freedom of a line and relieves as much, so tails of lines
     # reach every cap that one relieves; records no pool gives show
     # each term of the relief in the cap on its own.
-    for n, table in [
+    for n, records in [
         (3, [(1, (((1, 0), 5),), (), 1, 1)]),
         (3, [(1, (((1, 2), 1), ((2, 0), 2)), ((1, 3),), 1, 2)]),
         (3, [(1, (), ((1, 5),), 1, 0), (2, (), ((0, 1), (1, 8)), 2, 1)]),
         (4, [(1, (((1, 0), 3),), ((1, 1),), 1, 0), (3, (((1, 3), 2),), ((1, 8), (2, 1)), 1, 1)]),
     ]:
         for d_max in (3, 4, 5):
-            cap = partitions.relief_cap(n, d_max, table)
-            assert cap == _plain_cap(n, d_max, table)
-            assert cap != [points_on_curve(n - 1, r + 1) for r in range(d_max + 1)]
+            table = TailTable.of(n, d_max, records)
+            assert table.entries == [(record, _plain_relief(record)) for record in records]
+            assert table.cap == _plain_cap(n, d_max, records)
+            assert table.cap != _plain_room(n, d_max)
+    # and the points of H a distinguished IIb component puts on the
+    # component in H, by its freedom -1..1
+    for delta, lowered in [(-1, 2), (0, 3), (1, 4)]:
+        record = (2, (((1, 0), 1),), ((1, 3),), 2, delta)
+        assert relief(record) == _plain_relief(record) == lowered
 
 
 def _walks_with_and_without_the_cap(n, d, h_pool, i_pool):
     """Every type II walk on the pools, and every split-off over P^3,
-    as (uncapped, capped) pairs of calls that start it."""
+    as (uncapped, capped) pairs of calls that start it: the same table
+    without and with its cap."""
     rows = pool_rows(n, h_pool, i_pool)
     table = tail_table(n, d - 1, rows)
-    cap = partitions.relief_cap(n, d - 1, table)
-    assert cap is not None
+    assert table.cap is not None
     for e_lift in range(1, n):
         for h_points in (0, 1, 2):
-            walk = functools.partial(type2_partitions, d, h_pool, i_pool, n, table, e_lift, 1, h_points)
-            yield walk, functools.partial(walk, cap)
+            yield tuple(
+                functools.partial(type2_partitions, d, h_pool, i_pool, tails, e_lift, 1, h_points)
+                for tails in (table._replace(cap=None), table)
+            )
         if n == 3:
             rational = tail_table(n, d - 3, rows)
             for window, m_min in [((1, 0, n - 1), 1), ((0, -1, 2 * n - 5), 2)]:
-                split_off = functools.partial(_split_off_part, n, d, h_pool, i_pool, rows, e_lift, window, m_min, rational)
-                yield split_off, functools.partial(split_off, partitions.relief_cap(n, d - 3, rational))
+                yield tuple(
+                    functools.partial(_split_off_part, n, d, h_pool, i_pool, rows, e_lift, window, m_min, tails)
+                    for tails in (rational._replace(cap=None), rational)
+                )
 
 
 def test_relief_cap_cuts_no_shape():
@@ -664,20 +705,20 @@ def _started_branches(run):
     """Call ``run`` and list the branches the type II walks start, each
     as (n, d_rem, points, points of H, cap): its walk's ambient
     dimension, its degree left to the tails, the point markers and the
-    points of H it carries (lines and the walk's count), and its walk's
-    cap.  A branch is one run of the walk's recursive body, seen by a
-    profile hook on its frames; the walk that starts a root branch
-    gives it n, and a branch gives it to the branches it starts."""
+    points of H it carries (the walk's count), and its walk's cap.  A
+    branch is one run of the walk's recursive body, seen by a profile
+    hook on its frames; the expansion or split-off that runs a walk
+    gives its root branch n (None for a walk run from elsewhere), and a
+    branch gives it to the branches it starts."""
     body = next(c for c in type2_partitions.__code__.co_consts if getattr(c, "co_name", None) == "rec")
     started = {}
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code is body and frame not in started:
             caller = frame.f_back
-            n = started[caller][0] if caller.f_code is body else caller.f_locals["n"]
+            n = started[caller][0] if caller.f_code is body else caller.f_back.f_locals.get("n")
             seen = frame.f_locals
-            i_rem = seen["i_rem"]
-            started[frame] = (n, seen["d_rem"], i_rem.get(0, 0), seen["on_h"] + i_rem.get(1, 0), seen["cap"])
+            started[frame] = (n, seen["d_rem"], seen["i_rem"].get(0, 0), seen["on_h"], seen["cap"])
 
     sys.setprofile(hook)
     try:
@@ -701,8 +742,8 @@ def _started_branches(run):
 )
 def test_type2_walks_start_no_branch_past_its_points(p, bodies):
     # Every branch the walk starts can still place its points, and under
-    # a cap (relief_cap, over P^3 and up) its points of H: the walk cuts
-    # the others before it descends.
+    # a cap (the tail table's, over P^3 and up) its points of H: the
+    # walk cuts the others before it descends.
     started = _started_branches(lambda: Engine().count(p))
     assert len(started) == bodies
     assert all(points <= _most_points(n, d_rem) for n, d_rem, points, _, _ in started)
@@ -728,12 +769,12 @@ def test_records_carry_the_multiplicity_and_freedom_of_their_component():
     ]:
         rows = pool_rows(n, h_pool, i_pool)
         rational = tail_table(n, d - 3, rows)
-        doubly = [tail for tail in rational if tail[4] <= 2 * n - 4]
+        doubly = rational.within(2 * n - 4)
         split_off = lambda window, m_min, table: [
             shape[0] for shape in _split_off_part(n, d, h_pool, i_pool, rows, n - 1, window, m_min, table)
         ]
         for genus, lo, hi, records in [
-            (0, 0, n - 1, tail_table(n, d - 1, rows)),
+            (0, 0, n - 1, _records(tail_table(n, d - 1, rows))),
             (0, 0, 2 * n - 4, [record for record, _ in components(n, d - 1, rows, 0, 0, 2 * n - 4)]),
             (1, 0, n - 1, split_off((1, 0, n - 1), 1, rational)),
             (0, -1, 2 * n - 5, split_off((0, -1, 2 * n - 5), 2, doubly)),
@@ -856,32 +897,46 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
         table = tail_table(n, d - 1, rows)
         for e_lift in range(1, n):
             for h_points in (0, 1, 2):
-                walked = list(type2_partitions(d, h_pool, i_pool, n, table, e_lift, 1, h_points))
-                every = list(type2_partitions(d, h_pool, i_pool, n, table, e_lift, 1, _UNCAPPED))
+                every = list(type2_partitions(d, h_pool, i_pool, table, e_lift, 1, _UNCAPPED))
                 excess = [
                     _excess_in_h(n, d0, bump(h0, (1, 0), h_points), i0, [tail[4] for tail in parts])
                     for parts, _, _, d0, h0, i0, _ in every
                 ]
-                assert walked == [shape for shape, over in zip(every, excess) if over <= 0]
+                # with and without the table's relief cap
+                for tails in (table._replace(cap=None), table):
+                    walked = list(type2_partitions(d, h_pool, i_pool, tails, e_lift, 1, h_points))
+                    assert walked == [shape for shape, over in zip(every, excess) if over <= 0]
                 edges.update((n, e_lift, over) for over in excess if over in (0, 1))
         # an elliptic component in H (type IIc) is not capped
         table = tail_table(n, d - 3, rows)
-        assert list(type2_partitions(d, h_pool, i_pool, n, table, 1, 3)) == list(
-            type2_partitions(d, h_pool, i_pool, n, table, 1, 3, _UNCAPPED)
+        assert list(type2_partitions(d, h_pool, i_pool, table, 1, 3)) == list(
+            type2_partitions(d, h_pool, i_pool, table, 1, 3, _UNCAPPED)
         )
     # shapes on both sides of the capacity, for every slot of the marker
     assert set(edges) == {(n, e, over) for n in (3, 4) for e in range(1, n) for over in (0, 1)}, edges
+
+
+def test_type2_walk_yields_no_shape_below_its_least_degree():
+    # an elliptic component in H has degree 3 at least, so a IIc walk
+    # of degree 2 yields nothing: on the empty table expand_w builds at
+    # d = 2, and on a larger one whose bounds a negative degree would
+    # read from the end
+    h_pool, i_pool = {(1, 2): 2}, {1: 8}
+    rows = pool_rows(3, h_pool, i_pool)
+    for d_max in (-1, 2):
+        assert list(type2_partitions(2, h_pool, i_pool, tail_table(3, d_max, rows), 1, 3)) == []
 
 
 def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero(monkeypatch):
     # the distinguished component's own points on H: the IIa attachment
     # when delta1 is 0, and the 1 - delta1 contacts of a IIb component,
     # read off the markers count_ya and count_yb hand to count_y.  The
-    # uncapped walk passes every shape's points of H as _UNCAPPED.
+    # uncapped walk passes every shape's points of H as _UNCAPPED, and
+    # the table has no relief cap.
     real_walk = genus1.type2_partitions
 
     def uncapped(*args):
-        return real_walk(*args[:7], _UNCAPPED)
+        return real_walk(*args[:6], _UNCAPPED)
 
     n = 3
     iia = lambda shape: (shape[5], shape[6], [shape[0][4]] + [tail[4] for tail in shape[1]])
@@ -891,7 +946,7 @@ def test_split_off_part_cuts_exactly_the_shapes_count_ya_and_count_yb_zero(monke
         (6, {(1, 2): 5, (1, 0): 1}, {0: 1, 1: 13}, 2),
     ]:
         rows = pool_rows(n, h_pool, i_pool)
-        rational = tail_table(n, d - 3, rows)
+        rational = tail_table(n, d - 3, rows)._replace(cap=None)
         for window, m_min, markers, deltas in [
             ((1, 0, n - 1), 1, iia, {0, 1, 2}),
             ((0, -1, 2 * n - 5), 2, iib, {-1, 0, 1}),
