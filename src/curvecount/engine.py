@@ -106,7 +106,9 @@ class Engine:
 
     pinned[n] maps a type II factor's key over P^n (a tail's record, or
     a component in H's (d0, markers)), all its problem depends on, to its
-    (problem, count) for the Engine's life.
+    (problem, count) for the Engine's life.  Beside it, middles[n] maps
+    a IIb doubly-attached record and d0 to the signed sum of its middle
+    problems and the (coeff, problem, count) it keeps (genus1.count_yb).
     """
 
     def __init__(
@@ -124,6 +126,7 @@ class Engine:
         self.order = order
         self._tracer = tracer
         self.pinned = defaultdict(dict)
+        self.middles = defaultdict(dict)
 
     @property
     def tracer(self) -> Tracer | None:

@@ -70,7 +70,8 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
                 vx = eng.counted(x)
                 if vx == 0:
                     continue
-                vw = eng.counted(Problem.make(1, n, d1, _uniform(n, d1), i1))
+                # i1, a sub-vector row, is sorted and positive: canonical
+                vw = eng.counted(Problem(1, n, d1, ((1, n - 1, d1),), i1))
                 if vw == 0:
                     continue
                 term = scale * vx * vw * ways * comb(top, d1)
@@ -110,22 +111,28 @@ def _divisor_pair(eng: Engine, z: ZProblem, key: str, markers: tuple, hyps: int)
     return _pairing(eng, z, key, markers, whole, 1, rational)
 
 
-def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int) -> int:
+# Each pairing is memoized under its family and z's base text
+# (base_z_text), which expand_z formats once and hands to each as
+# ``base``; called alone, a pairing formats it itself.
+
+
+def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int, base: str | None = None) -> int:
     """Intersection of the two sections given by markers on slots e1, e2."""
-    return _divisor_pair(eng, z, f"QQ|{base_z_text(z)} e={min(e1, e2)},{max(e1, e2)}", (e1, e2), 0)
+    key = f"QQ|{base or base_z_text(z)} e={min(e1, e2)},{max(e1, e2)}"
+    return _divisor_pair(eng, z, key, (e1, e2), 0)
 
 
-def sec_hyp(eng: Engine, z: ZProblem, e: int) -> int:
+def sec_hyp(eng: Engine, z: ZProblem, e: int, base: str | None = None) -> int:
     """Intersection of the hyperplane divisor with a marker section."""
-    return _divisor_pair(eng, z, f"HQ|{base_z_text(z)} e={e}", (e,), 1)
+    return _divisor_pair(eng, z, f"HQ|{base or base_z_text(z)} e={e}", (e,), 1)
 
 
-def hyp_self(eng: Engine, z: ZProblem) -> int:
+def hyp_self(eng: Engine, z: ZProblem, base: str | None = None) -> int:
     """Self-intersection of the hyperplane divisor on the total space."""
-    return _divisor_pair(eng, z, f"HH|{base_z_text(z)}", (), 2)
+    return _divisor_pair(eng, z, f"HH|{base or base_z_text(z)}", (), 2)
 
 
-def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
+def hyp_minus_sec(eng: Engine, z: ZProblem, e: int, base: str | None = None) -> int:
     """Intersection of (hyperplane - section) with the same section.
 
     Moving the section into the hyperplane divisor turns the marker into
@@ -145,18 +152,19 @@ def hyp_minus_sec(eng: Engine, z: ZProblem, e: int) -> int:
     def rational(d0, i0):
         return Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0), d0 - 1
 
-    return _pairing(eng, z, f"HMQ|{base_z_text(z)} e={e}", (e,), whole, 2, rational)
+    return _pairing(eng, z, f"HMQ|{base or base_z_text(z)} e={e}", (e,), whole, 2, rational)
 
 
-def sec_self(eng: Engine, z: ZProblem) -> int:
+def sec_self(eng: Engine, z: ZProblem, base: str | None = None) -> int:
     """Self-intersection of a section; the same for every section."""
-    key = f"SS|{base_z_text(z)}"
+    base = base or base_z_text(z)
+    key = f"SS|{base}"
 
     def compute():
         slots = [e for e, c in z.i if c > 0 and e <= z.n - 1]
         if not slots:
             raise AssertionError(f"a one-parameter family needs a marker below the top slot: {z}")
-        values = [sec_hyp(eng, z, e) - hyp_minus_sec(eng, z, e) for e in slots]
+        values = [sec_hyp(eng, z, e, base) - hyp_minus_sec(eng, z, e, base) for e in slots]
         if len(set(values)) != 1:
             raise InexactCount(f"section self-intersection differs by slot: {values}")
         return values[0]
@@ -169,13 +177,14 @@ def expand_z(eng: Engine, z: ZProblem, first_slot=None) -> int:
     if dim != 0:
         return eng.leaf(z, dim, 0, "zero-dim")
     markers = [(coeff, e) for coeff, e, _ in z.divisor]
-    s2 = sec_self(eng, z)
-    d2 = hyp_self(eng, z)
+    base = base_z_text(z)
+    s2 = sec_self(eng, z, base)
+    d2 = hyp_self(eng, z, base)
     for coeff, e in markers:
-        d2 -= 2 * coeff * sec_hyp(eng, z, e)
+        d2 -= 2 * coeff * sec_hyp(eng, z, e, base)
         d2 += coeff * coeff * s2
     for (cs, es), (ct, et) in itertools.combinations(markers, 2):
-        d2 += 2 * cs * ct * sec_pair(eng, z, es, et)
+        d2 += 2 * cs * ct * sec_pair(eng, z, es, et, base)
     if d2 % 2:
         raise InexactCount(f"divisor self-intersection {d2} must be even for {z}")
     return eng.leaf(z, 0, s2 - d2 // 2, "z-evaluation")

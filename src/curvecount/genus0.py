@@ -112,11 +112,12 @@ def settle(eng: Engine, p: Problem, first_slot=None) -> int | None:
     dim = dimension(p)
     if dim != 0:
         return eng.leaf(p, dim, 0, "zero-dim")
-    imap = p.i_map()
-    if not (eng.divisor_axiom and imap.get(p.n - 1, 0)):
+    hyps = dict(p.i).get(p.n - 1, 0)
+    if not (eng.divisor_axiom and hyps):
         return None
-    weight = p.d ** imap.pop(p.n - 1)
-    child = Problem.make(p.genus, p.n, p.d, p.h_map(), imap)
+    weight = p.d**hyps
+    # p's canonical vectors less slot n - 1 are the child's
+    child = Problem(p.genus, p.n, p.d, p.h, tuple(item for item in p.i if item[0] != p.n - 1))
     return eng.axiom(p, weight * eng.counted(child, first_slot), weight, child)
 
 

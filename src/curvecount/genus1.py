@@ -96,8 +96,11 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     problem on H = P^1 is zero-dimensional, and counts 1, exactly when
     d0 = 1 and every marker it carries lies on a point of H.
 
-    The tails and the hyperplane component are pinned by count_y; the
-    middle problems are built for this shape alone.
+    The tails and the hyperplane component are pinned by count_y.  The
+    middle problems and their signed sum depend on part1 and d0 alone,
+    so they are built and counted once per Engine and n, at the first
+    shape that reaches them past a nonzero hyperplane side, and kept in
+    eng.middles[n] (see Engine); a shape builds only its groups.
 
     Returns the ordered count and, per middle problem of a split that
     adds something, a group (coeff, [that problem] + count_y's factors).
@@ -111,28 +114,34 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
     if yval == 0:
         return 0, []
     [(_, yfactors)] = ygroups
-    # the merged contact of a collision does not depend on the split
-    merged = Problem.make(0, n, db, [*hb, ((m1, n - delta), 1)], ib) if delta else None
-    vmerged = eng.counted(merged) if delta else 0
-    mids_total = 0
-    groups = []
-    for m11 in range(1, m1):
-        ordered = m11 * (m1 - m11)
-        mids = []
-        for on_plane in itertools.combinations((0, 1), delta):
-            contacts = [((m, n - 2 if k in on_plane else n - 1), 1) for k, m in enumerate((m11, m1 - m11))]
-            mid = Problem.make(0, n, db, [*hb, *contacts], ib)
-            vmid = eng.counted(mid)
-            if vmid:
-                mids.append((ordered * d0**delta, mid, vmid))
-        if vmerged:
-            mids.append((-ordered * d0 ** (delta - 1), merged, vmerged))
-        # a split whose middle components cancel adds nothing to the trace
-        split = sum(coeff * vmid for coeff, _, vmid in mids)
-        if split:
-            mids_total += split
-            groups.extend((coeff, [(mid, vmid)] + yfactors) for coeff, mid, vmid in mids)
-    return mids_total * yval, groups
+    # Looked up here, not in a helper, as count_y looks up its pins.
+    middles = eng.middles[n]
+    entry = middles.get((part1, d0))
+    if entry is None:
+        # the merged contact of a collision does not depend on the split
+        merged = Problem.make(0, n, db, [*hb, ((m1, n - delta), 1)], ib) if delta else None
+        vmerged = eng.counted(merged) if delta else 0
+        mids_total = 0
+        kept = []
+        for m11 in range(1, m1):
+            ordered = m11 * (m1 - m11)
+            mids = []
+            for on_plane in itertools.combinations((0, 1), delta):
+                contacts = [((m, n - 2 if k in on_plane else n - 1), 1) for k, m in enumerate((m11, m1 - m11))]
+                mid = Problem.make(0, n, db, [*hb, *contacts], ib)
+                vmid = eng.counted(mid)
+                if vmid:
+                    mids.append((ordered * d0**delta, mid, vmid))
+            if vmerged:
+                mids.append((-ordered * d0 ** (delta - 1), merged, vmerged))
+            # a split whose middle components cancel adds nothing to the trace
+            split = sum(coeff * vmid for coeff, _, vmid in mids)
+            if split:
+                mids_total += split
+                kept.extend(mids)
+        entry = middles[part1, d0] = (mids_total, kept)
+    mids_total, kept = entry
+    return mids_total * yval, [(coeff, [(mid, vmid)] + yfactors) for coeff, mid, vmid in kept]
 
 
 def count_yc(eng: Engine, n, d0, h0, i0, tails):
@@ -143,7 +152,9 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     of the original curve: tangency markers enter with their contact
     multiplicity, attachments with minus theirs.  Each tail's record
     gives its attachment multiplicity mk and, through its freedom delta,
-    the slot of its attachment marker.  Tails are pinned as in count_y."""
+    the slot of its attachment marker.  Tails are pinned as in count_y;
+    the divisor-class problem is not, as few shapes share one and its
+    pins would hold more memory than they save time."""
     pinned = eng.pinned[n]
     factors = []
     for tail in tails:
@@ -165,7 +176,11 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     degree = sum(c for c, _, _ in divisor)
     if degree != d0:
         raise InexactCount(f"divisor degree {degree} must match the component degree {d0}")
-    z = ZProblem.make(n - 1, d0, hyperplane_markers(h0, i0, [tail[4] for tail in tails]), divisor)
+    markers = hyperplane_markers(h0, i0, [tail[4] for tail in tails])
+    # Built from its canonical fields: the walk leaves no zero count in
+    # h0 and i0, and the divisor is built sorted, with no zero
+    # coefficient.
+    z = ZProblem(n - 1, d0, tuple(sorted(markers.items())), tuple(divisor))
     vz = eng.counted(z)
     if vz == 0:
         return 0, []

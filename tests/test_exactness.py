@@ -131,7 +131,7 @@ def test_check_all_orders_zcount_under_python_O():
         # section self-intersections that depend on the slot
         (
             "real = fibration.hyp_minus_sec\n"
-            "fibration.hyp_minus_sec = lambda eng, z, e: real(eng, z, e) + e",
+            "fibration.hyp_minus_sec = lambda eng, z, e, *base: real(eng, z, e, *base) + e",
             ["zcount", "-n", "2", "-d", "3", "--points", "8", "--lines", "1",
              "--divisor", "p1+p2+l1", "--check-all-orders"],
         ),
@@ -212,14 +212,14 @@ def test_untraced_counts_build_no_fraction(monkeypatch):
 
 def test_odd_divisor_self_intersection_raises(monkeypatch):
     real = fibration.hyp_self
-    monkeypatch.setattr(fibration, "hyp_self", lambda eng, z: real(eng, z) + 1)
+    monkeypatch.setattr(fibration, "hyp_self", lambda eng, z, *base: real(eng, z, *base) + 1)
     with pytest.raises(InexactCount, match="must be even"):
         Engine().count(ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")))
 
 
 def test_slot_dependent_self_intersection_raises_when_checked(monkeypatch):
     real = fibration.hyp_minus_sec
-    monkeypatch.setattr(fibration, "hyp_minus_sec", lambda eng, z, e: real(eng, z, e) + e)
+    monkeypatch.setattr(fibration, "hyp_minus_sec", lambda eng, z, e, *base: real(eng, z, e, *base) + e)
     z = ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("p1+p2+l1"))
     with pytest.raises(InexactCount, match="differs by slot"):
         Engine().count(z)

@@ -313,11 +313,13 @@ def test_an_engine_counts_each_pinned_component_and_component_in_h_once_per_n(mo
     monkeypatch.setattr(genus1, "tail_problem", spy_pin)
     # (problem, value, counted calls, lookups of a problem pinned from
     # two records); the calls were 3,249 and 1,443 while every shape
-    # built and looked up its own, and 1,490 and 1,296 (with 4 and 0
-    # such lookups) while every expansion kept its own pins
+    # built and looked up its own, 1,490 and 1,296 (with 4 and 0 such
+    # lookups) while every expansion kept its own pins, and the elliptic
+    # count's 996 while every IIb shape counted its own middle problems
+    # and every IIc shape its own divisor-class problem
     for p, value, total, shared in [
         (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 351, 15),
-        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 52832040 * 24, 996, 6),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 52832040 * 24, 874, 6),
     ]:
         calls[0] = 0
         lookups.clear()
@@ -381,6 +383,44 @@ def test_iib_builds_its_collision_problem_once_per_shape(monkeypatch):
             assert made.count(merged) == 1
             split += m1 > 2
     assert split > 0
+
+
+def test_an_engine_builds_each_iib_middle_problem_once(monkeypatch):
+    # count_yb's middle problems depend on the doubly-attached record and
+    # d0 alone, so an Engine builds them once per (n, record, d0), at the
+    # first shape past a nonzero hyperplane side, and a second count on
+    # the same Engine builds none that the first one built.  Elliptic
+    # quartics through 16 lines, then through 2 points and 12 lines.
+    real_make, real_yb = Problem.make.__func__, genus1.count_yb
+    built, keys = Counter(), []
+
+    def spy_make(cls, *args):
+        made = real_make(cls, *args)
+        if sys._getframe(1).f_code is real_yb.__code__:
+            built[keys[-1]] += 1
+        return made
+
+    def spy_yb(eng, n, d0, h0, i0, part1, tails):
+        keys.append((n, part1, d0))
+        return real_yb(eng, n, d0, h0, i0, part1, tails)
+
+    monkeypatch.setattr(Problem, "make", classmethod(spy_make))
+    monkeypatch.setattr(genus1, "count_yb", spy_yb)
+    eng = Engine()
+    assert eng.count(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})) == 52832040 * 24
+    first, shapes = dict(built), len(keys)
+    assert shapes > len(first) > 5
+    assert set(first) == {(n, *key) for n, table in eng.middles.items() for key in table}
+    built.clear()
+    assert eng.count(Problem.make(1, 3, 4, {(1, 2): 4}, {0: 2, 1: 12})) == 385656 * 24
+    # the second count reaches some of the first count's middles and
+    # builds none of them
+    assert set(keys[shapes:]) & set(first)
+    assert set(built) & set(first) == set()
+    # each key's problems are built once: every plane choice of every
+    # split, and the merged contact of a collision
+    for (_, (_, _, _, m1, delta), _), made in {**first, **built}.items():
+        assert made == (m1 - 1) * math.comb(2, delta + 1) + (delta >= 0)
 
 
 def test_expand_w_builds_one_tail_table(monkeypatch):
