@@ -72,7 +72,9 @@ def beyond_capacity(problem) -> bool:
     points_on_curve(n, d) general points of P^n.  There are no elliptic
     curves of degree 1 or 2, and an elliptic one moves in a family of
     dimension (n+1)*d, of which each point costs n - 1; a divisor
-    problem counts some of those curves.  Elliptic problems beyond P^3
+    problem counts some of those curves, and the type IIc walk cuts a
+    shape whose divisor problem this flags
+    (partitions.TailTable.in_h_elliptic).  Elliptic problems beyond P^3
     are left to genus1.expand_w, which reports them unsupported.  The
     engine asks this of every problem it counts, so it reads only the
     problem's fields."""

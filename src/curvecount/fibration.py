@@ -12,7 +12,8 @@ distinct sections and (H-Q).Q, whence Q^2 = H.Q - (H-Q).Q, are each
 evaluated by degenerating the family in one body, ``_pairing``: a
 whole-fiber term plus a sum over fibers broken into a rational and an
 elliptic curve, the elliptic side read off the sub-vectors of the
-incidence pool (partitions.pool_rows).  Every term is a product of
+incidence pool whose weight an elliptic curve can take
+(partitions.subvectors with a weight window).  Every term is a product of
 rational and elliptic counts of lower degree, divided by the
 relabelings of free contacts; the terms are summed as integer
 numerators over one factorial and divided once.
@@ -24,7 +25,7 @@ import itertools
 from math import comb, factorial
 
 from .engine import Engine, InexactCount, exact_quotient, memo
-from .partitions import bump, pool_rows, rest
+from .partitions import bump, rest, subvectors
 from .problems import Problem, ZProblem, base_z_text, dim_z
 
 
@@ -48,9 +49,10 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
     the divisor makes on it.  Over P^2 the two components meet in d0*d1
     points, each giving a distinct fiber.  The elliptic side counts
     nothing unless its incidence weight is its whole dimension (n+1)*d1,
-    so it takes just the incidence rows of pool_rows(n, {}, pool) of that
-    weight, in their order, for each d1 >= 3 (there are no elliptic
-    curves of degree 1 or 2).
+    so it takes just the incidence rows of that weight, in their
+    subvectors order, for each d1 >= 3 (there are no elliptic curves of
+    degree 1 or 2); subvectors lists only the rows whose weight lies in
+    the window of those degrees, 3(n+1)..(d-d0_min)(n+1).
     """
 
     def compute():
@@ -60,7 +62,8 @@ def _pairing(eng: Engine, z: ZProblem, key: str, markers: tuple, whole, d0_min: 
             pool = bump(pool, e, -1)
         top = d - d0_min + 1
         total = whole(pool)
-        _, i_rows = pool_rows(n, {}, pool)
+        # incidence weight, as partitions.pool_rows weighs it
+        i_rows = subvectors(pool, lambda e: n - 1 - e, (3 * (n + 1), (d - d0_min) * (n + 1)))
         for d1 in range(3, d - d0_min + 1):
             for i1, ways, weight in i_rows:
                 if weight != (n + 1) * d1:

@@ -52,7 +52,8 @@ def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
     on_h = markers_on_h(h_pool.items(), i_base.items()) + (e_lift == 1)
     for part, ways in components(n, d - 1, rows, *window, m_min):
         d1, h1, i1, _, _ = part
-        if points - dict(i1).get(0, 0) > budget[d - 1 - d1]:
+        # a point count is first in the sorted item tuple
+        if points - (i1[0][1] if i1 and not i1[0][0] else 0) > budget[d - 1 - d1]:
             continue
         lowered = relief(part)
         if cap is not None and on_h - lowered > cap[d - 1 - d1]:
@@ -152,7 +153,9 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     of the original curve: tangency markers enter with their contact
     multiplicity, attachments with minus theirs.  Each tail's record
     gives its attachment multiplicity mk and, through its freedom delta,
-    the slot of its attachment marker.  Tails are pinned as in count_y;
+    the slot of its attachment marker.  The walk (type2_partitions under
+    TailTable.in_h_elliptic) yields no shape whose divisor-class problem
+    engine.beyond_capacity flags.  Tails are pinned as in count_y;
     the divisor-class problem is not, as few shapes share one and its
     pins would hold more memory than they save time."""
     pinned = eng.pinned[n]
@@ -222,7 +225,8 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
             terms.append(("type-IIb", ways * ram, 2 * aut, value, groups))
 
     if n == 3:
-        for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, rational, e_lift, 3):
+        elliptic = rational.in_h_elliptic(n)
+        for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, elliptic, e_lift, 3):
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
                 terms.append(("type-IIc", ways * ram, aut, value, groups))

@@ -20,8 +20,9 @@ walk over them reads.  type2_partitions walks a tail table into type II
 shapes.  genus1._split_off_part takes its distinguished component from
 components and builds the pools it leaves with rest, for the components
 it keeps.  A record's relief, the points of H it takes off the
-component in H, is defined once (relief): the walk, the table's cap and
-genus1._split_off_part read it.
+component in H, is defined by relief, which genus1._split_off_part
+reads; TailTable.of writes it out in its build loop for the table's
+entries, which the walk and the table's cap read.
 
 The shapes and tails that count 0 by their point markers alone are cut
 before anything about them is built, each at one place:
@@ -30,10 +31,15 @@ before anything about them is built, each at one place:
 - type2_partitions drops a branch whose remaining degree cannot take
   the points left, or that carries more points of H than the table's
   cap allows, when it picks the tail that leads to it, before it copies
-  the pools, and a shape whose component in H passes through too many
-  points of H before it builds the shape;
+  the pools, and a shape whose component in H, rational or elliptic
+  (type IIc), passes through too many points of H before it builds the
+  shape;
 - genus1._split_off_part drops a distinguished component by the same
   two tests before it builds the pools it leaves.
+
+Every table over P^3 and up carries its cap, whatever its degree: a
+split-off that leaves no degree to the tails is cut on the table's
+room before its pools are built.
 """
 
 from __future__ import annotations
@@ -67,22 +73,37 @@ def automorphism_order(items) -> int:
     return math.prod(math.factorial(c) for c in counts.values())
 
 
-def subvectors(pool: dict, weight_of=lambda key: 0) -> list:
+def subvectors(pool: dict, weight_of=lambda key: 0, window=None) -> list:
     """Every sub-vector of the marker pool ``pool`` as (items, ways,
     weight): the sorted (key, take) pairs with take > 0, the prod
     C(count, take) marker choices realizing them and the weight
     sum(weight_of(key) * take).  The takes run lexicographically over
     the sorted keys: each key's takes vary fastest within those of the
-    keys before it.  No row carries the pool it leaves; rest builds
-    that for the components a caller keeps."""
+    keys before it.  Given a ``window`` (lo, hi), only the rows of
+    weight lo..hi, in the same order: a partial row is dropped as soon
+    as the keys after it can no longer bring its weight into the window.
+    No row carries the pool it leaves; rest builds that for the
+    components a caller keeps."""
     rows = [((), 1, 0)]
-    for key in sorted(pool):
+    keys = sorted(pool)
+    if window is not None:
+        lo, hi = window
+        # the least and the most weight the keys not taken yet can add
+        least = most = 0
+        for key in keys:
+            add = weight_of(key) * pool[key]
+            least, most = least + min(add, 0), most + max(add, 0)
+        rows = rows if lo - most <= 0 <= hi - least else []
+    for key in keys:
         c, w = pool[key], weight_of(key)
         rows = [
             (items + ((key, take),) if take else items, ways * math.comb(c, take), weight + w * take)
             for items, ways, weight in rows
             for take in range(c + 1)
         ]
+        if window is not None:
+            least, most = least - min(w * c, 0), most - max(w * c, 0)
+            rows = [row for row in rows if lo - most <= row[2] <= hi - least]
     return rows
 
 
@@ -159,7 +180,7 @@ def relief(record) -> int:
     H: what its markers would put there, less the max(0, 1 - delta) its
     attachment puts there, a point for a tail or IIa component of
     freedom 0 (count_y) and 1 - delta of a IIb component's two contacts
-    (count_yb)."""
+    (count_yb).  TailTable.of computes the same per entry, written out."""
     _, h_items, i_items, _, delta = record
     return markers_on_h(h_items, i_items) - max(0, 1 - delta)
 
@@ -172,51 +193,76 @@ class TailTable(NamedTuple):
     - entries: (record, relief) per tail record; over P^2, where a
       point of the line H costs nothing, every relief is 0;
     - budget[r]: the points tails of total degree r take at most;
-    - room[r]: the points of H a rational component in H of degree
-      r + 1 passes through; None over P^2;
+    - room[r]: the points of H the component in H passes through, a
+      rational one of degree r + 1 (tail_table) or an elliptic one of
+      degree r + 3 (in_h_elliptic); None over P^2;
     - cap[r]: the most points of H a branch may carry and still reach a
-      shape whose rational component in H passes through them, the
-      largest room[r - t] + most[t] over t = 0..r, where most[t], an
-      unbounded knapsack of reliefs over tails of total degree at most
-      t, ignores the pools and so bounds any subset of the records.
-      None over P^2 and below degree 3 (walks too short to repay it).
+      shape whose component in H passes through them, the largest
+      room[r - t] + most[t] over t = 0..r; None over P^2;
+    - most[t]: an unbounded knapsack of reliefs over tails of total
+      degree at most t, which ignores the pools and so bounds any
+      subset of the records; None over P^2.
     """
 
     entries: list
     budget: list
     room: list | None
     cap: list | None
+    most: list | None
 
     @classmethod
     def of(cls, n: int, d_max: int, records: list) -> TailTable:
-        """The table of ``records``, tails in P^n of degree at most d_max."""
+        """The table of ``records``, tails in P^n of degree at most d_max,
+        bounded for a rational component in H."""
         budget = [points_budget(n, r) for r in range(d_max + 1)]
         if n < 3:
-            return cls([(record, 0) for record in records], budget, None, None)
-        entries = [(record, relief(record)) for record in records]
-        room = [points_on_curve(n - 1, r + 1) for r in range(d_max + 1)]
-        if d_max < 3:
-            return cls(entries, budget, room, None)
-        # best[dk]: the most one tail of degree dk relieves (plain loops: one build per expansion)
+            return cls([(record, 0) for record in records], budget, None, None, None)
+        # best[dk]: the most one tail of degree dk relieves.  Plain loops,
+        # with relief written out: a call per record cost the small
+        # tables more than their walks save.
+        entries = []
         best = [0] * (d_max + 1)
-        for record, gain in entries:
-            if gain > best[record[0]]:
-                best[record[0]] = gain
+        for record in records:
+            dk, h_items, i_items, _, delta = record
+            gain = 0 if delta > 0 else delta - 1
+            for e, take in i_items:
+                if e == 1:
+                    gain += take
+            for (_, e), take in h_items:
+                if not e:
+                    gain += take
+            entries.append((record, gain))
+            if gain > best[dk]:
+                best[dk] = gain
         most = best[:]
         for t in range(2, d_max + 1):
             for dk in range(1, t):
                 if most[t - dk] + best[dk] > most[t]:
                     most[t] = most[t - dk] + best[dk]
-        cap = room[:]
-        for r in range(1, d_max + 1):
-            for t in range(1, r + 1):
-                if room[r - t] + most[t] > cap[r]:
-                    cap[r] = room[r - t] + most[t]
-        return cls(entries, budget, room, cap)
+        room = [points_on_curve(n - 1, r + 1) for r in range(d_max + 1)]
+        return cls(entries, budget, room, _cap(room, most), most)
+
+    def in_h_elliptic(self, n: int) -> TailTable:
+        """The same tails in P^n, n >= 3, bounded for an elliptic
+        component in H (type IIc) of degree r + 3: its divisor-class
+        problem over P^(n-1) counts 0 through more than n*(r+3)/(n-2)
+        points of H, engine.beyond_capacity's genus 1 rule."""
+        room = [n * (r + 3) // (n - 2) for r in range(len(self.budget))]
+        return self._replace(room=room, cap=_cap(room, self.most))
 
     def within(self, hi: int) -> TailTable:
         """The entries of freedom at most hi; the bounds hold for any subset."""
         return self._replace(entries=[entry for entry in self.entries if entry[0][4] <= hi])
+
+
+def _cap(room: list, most: list) -> list:
+    """cap[r], the largest room[r - t] + most[t] over t = 0..r (TailTable)."""
+    cap = room[:]
+    for r in range(1, len(room)):
+        for t in range(1, r + 1):
+            if room[r - t] + most[t] > cap[r]:
+                cap[r] = room[r - t] + most[t]
+    return cap
 
 
 def tail_table(n: int, d_max: int, rows) -> TailTable:
@@ -264,17 +310,17 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     tail may not take more points than a rational curve of its degree
     passes through (tail_table leaves such tails out), so a branch whose
     remaining degree cannot take the points left (the table's budget)
-    yields nothing.  And for n >= 3 a rational hyperplane component
-    (d0_min = 1) of degree d0 passes through at most the table's
-    room[d0 - 1] points of H, the point markers (e = 0)
-    genus0.hyperplane_markers gives it.  The walk counts them: what the
-    pools' markers and the specialized one (when e_lift is 1) put there,
-    and ``h_points`` more that a component outside the multiset puts
-    there (genus1._split_off_part), less each tail's relief.  It drops a
+    yields nothing.  And for n >= 3 a hyperplane component of degree
+    d0 passes through at most the table's room[d0 - d0_min] points of
+    H, the point markers (e = 0) genus0.hyperplane_markers gives it: a
+    rational one under tail_table's room, an elliptic one under
+    TailTable.in_h_elliptic's.  The walk counts them: what the pools'
+    markers and the specialized one (when e_lift is 1) put there, and
+    ``h_points`` more that a component outside the multiset puts there
+    (genus1._split_off_part), less each tail's relief.  It drops a
     shape past the room before building it, and a branch past the
     budget or the cap on the tail that leads to it, before it copies
-    the pools.  Over P^2 a point of H costs nothing, and an elliptic
-    component in H (d0_min = 3) is not capped here.
+    the pools.  Over P^2 a point of H costs nothing.
 
     The walk is lazy: it yields each shape as it reaches it and holds
     one branch of pools at a time.
@@ -329,11 +375,9 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     # a negative index would read another degree's bound
     if d_tails < 0:
         return
-    entries, budget, room, cap = tails
+    entries, budget, room, cap, _ = tails
     if i_pool.get(0, 0) > budget[d_tails]:
         return
-    if d0_min != 1:
-        room = cap = None
     on_h = h_points + (e_lift == 1) + markers_on_h(h_pool.items(), i_pool.items())
     if cap is not None and on_h > cap[d_tails]:
         return

@@ -146,13 +146,16 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h
     ``partitions.components``, in ``window`` = (genus, lo, hi), again
     on the pool_rows of every pool the
     tails before leave (partitions.rest), and drops a tail through more
-    points than points_on_curve.  For n >= 3 and d0_min = 1 it drops a finished shape whose hyperplane
-    component of degree d0 meets more points of H than a rational curve
-    in H = P^(n-1) passes through, (n-2) * points > n * d0 + n - 4,
-    counting its markers on lines (e = 1, the specialized one included),
-    its tangency markers on points of H, one per tail of freedom 0, and
-    ``h_points``.  It is the slow reference for ``type2_partitions``
-    over a ``tail_table``: same shapes, same order, same weights.
+    points than points_on_curve.  For n >= 3 it drops a finished shape
+    whose hyperplane component of degree d0 meets more points of H than
+    it passes through: for d0_min = 1 a rational curve in H = P^(n-1),
+    (n-2) * points > n * d0 + n - 4, and for d0_min = 3 an elliptic one,
+    whose divisor-class problem counts 0 when (n-2) * points > n * d0
+    (3 * d0 points in H = P^2).  Its points of H are its markers on
+    lines (e = 1, the specialized one included), its tangency markers on
+    points of H, one per tail of freedom 0, and ``h_points``.  It is the
+    slow reference for ``type2_partitions`` over a ``tail_table``: same
+    shapes, same order, same weights.
     Unlike the oracles above it uses the program's own component
     enumerator."""
 
@@ -180,7 +183,7 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h
         i0 = bump({e: c for e, c in i0.items() if c}, e_lift)
         points = h_points + i0.get(1, 0) + sum(c for (_, e), c in h0.items() if e == 0)
         points += sum(1 for part in parts if part[4] == 0)
-        if n >= 3 and d0_min == 1 and (n - 2) * points > n * d0 + n - 4:
+        if n >= 3 and (n - 2) * points > n * d0 + (n - 4 if d0_min == 1 else 0):
             continue
         yield parts, ways, automorphism_order(parts), d0, h0, i0, ram
 

@@ -5,9 +5,10 @@ and the two documented misprints are re-derived here from the printed
 values of their sibling rows alone."""
 
 import math
+import sys
 from fractions import Fraction
 
-from curvecount import Engine, Problem, ZProblem, parse_divisor, table_rows
+from curvecount import Engine, Problem, ZProblem, fibration, parse_divisor, table_rows
 from curvecount.fibration import hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
 from curvecount.partitions import bump, subvectors
 
@@ -251,3 +252,31 @@ def test_pairings_match_plain_enumeration():
             computed[name] = fn(eng, z, *args)
         assert computed == reference, z
         assert len(reference) >= 4
+
+
+def test_pairings_list_only_the_rows_an_elliptic_side_can_take(monkeypatch):
+    # A broken fiber's elliptic side of degree d1 in 3..top - 1 takes an
+    # incidence row of weight (n + 1) * d1, and each pairing lists just
+    # the rows whose weight lies between the least and the most of
+    # those, in subvectors order.
+    listings = []
+
+    def spy(pool, weight_of, window):
+        rows = subvectors(pool, weight_of, window)
+        caller = sys._getframe(1).f_locals
+        listings.append((caller["n"], caller["top"], pool, weight_of, rows))
+        return rows
+
+    monkeypatch.setattr(fibration, "subvectors", spy)
+    for z, value in [
+        (_quartic_base(), 62),
+        (ZProblem.make(2, 5, {0: 14, 1: 1}, parse_divisor("p1+p2+p3+p4+l1")), 259560),
+    ]:
+        assert Engine().count(z) == value
+    listed = every = 0
+    for n, top, pool, weight_of, rows in listings:
+        assert [weight_of(e) for e in range(n + 1)] == [n - 1 - e for e in range(n + 1)]
+        whole = subvectors(pool, weight_of)
+        assert rows == [row for row in whole if 3 * (n + 1) <= row[2] <= (top - 1) * (n + 1)], (n, top, pool)
+        listed, every = listed + len(rows), every + len(whole)
+    assert listed and 3 * listed < every, (listed, every)  # 38 of 200

@@ -4,12 +4,13 @@ import functools
 import itertools
 import math
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
-from curvecount import Engine, Problem, genus0, genus1, partitions
+from curvecount import Engine, Problem, ZProblem, genus0, genus1, partitions
+from curvecount.engine import beyond_capacity
 from curvecount.genus1 import _split_off_part
 from curvecount.partitions import (
     TailTable,
@@ -90,6 +91,24 @@ def test_subvectors_cover_the_power_set_with_binomial_weights():
         (("a", 2), ("b", 1)): 1,
     }
     assert sum(seen.values()) == 2**3
+
+
+def test_subvectors_window_keeps_the_rows_of_its_weights_in_order():
+    # free markers (e = n) weigh -1 as incidence markers, so a partial
+    # row below the window can still come back into it, and one above
+    # it can still fall back in
+    weigh = lambda key: {0: 2, 1: 1, 2: 0, 3: -1, "a": 3, "b": -2}[key]
+    pools = [{0: 3, 1: 2, 3: 2}, {1: 4, 2: 1, 3: 3}, {"a": 2, "b": 3}, {0: 5}, {3: 2}, {}]
+    kept = 0
+    for pool in pools:
+        whole = subvectors(pool, weigh)
+        weights = {weight for _, _, weight in whole}
+        for lo in range(min(weights) - 1, max(weights) + 2):
+            for hi in range(lo - 1, max(weights) + 2):
+                rows = subvectors(pool, weigh, (lo, hi))
+                assert rows == [row for row in whole if lo <= row[2] <= hi], (pool, lo, hi)
+                kept += len(rows)
+    assert kept > 1000
 
 
 def _labeled_subvectors(pool):
@@ -334,12 +353,14 @@ def _listed(shapes):
 
 
 def _walk_matches_per_level(d, h_pool, i_pool, n, hi, e_lift, d0_min=1):
-    # the tails of freedom 0..hi, hi <= n - 1, under the cap of the
-    # whole table (which an elliptic component in H ignores); the walk
-    # takes its pools with sorted keys, as Problem gives them, and
-    # _listed compares key order
+    # the tails of freedom 0..hi, hi <= n - 1, under the bounds of the
+    # whole table, for an elliptic component in H (d0_min = 3) those of
+    # in_h_elliptic; the walk takes its pools with sorted keys, as
+    # Problem gives them, and _listed compares key order
     h_pool, i_pool = dict(sorted(h_pool.items())), dict(sorted(i_pool.items()))
     table = tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool)).within(hi)
+    if d0_min == 3 and n >= 3:
+        table = table.in_h_elliptic(n)
     walked = _listed(type2_partitions(d, h_pool, i_pool, table, e_lift, d0_min))
     assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, (0, 0, hi), e_lift, d0_min))
     return len(walked)
@@ -354,6 +375,13 @@ def test_table_walk_repeats_the_per_level_enumeration():
             for d0_min in (1, 3):
                 shapes += _walk_matches_per_level(d_avail + d0_min, h_pool, i_pool, n, n - 1, e_lift, d0_min)
     assert shapes > 200
+    # pools whose elliptic component in H has shapes on both sides of
+    # its room (see the IIc cut test below)
+    shapes = 0
+    for d, h_pool, i_pool in [(4, {(1, 2): 2, (1, 0): 2}, {0: 1, 1: 8}), (5, {(1, 0): 3, (2, 2): 1}, {1: 11})]:
+        for e_lift in (1, 2):
+            shapes += _walk_matches_per_level(d, h_pool, i_pool, 3, 2, e_lift, 3)
+    assert shapes > 10
 
 
 def test_table_walk_repeats_the_per_level_enumeration_in_the_iib_window():
@@ -541,15 +569,14 @@ def _plain_relief(record):
     return dict(i_items).get(1, 0) + sum(c for (_, e), c in h_items if e == 0) - on_points
 
 
-def _plain_cap(n, d_max, records):
+def _plain_cap(n, d_max, records, room=None):
     """The relief cap of the tail records worked out plainly.  A tail
     lowers the points of H the walk counts by the lines and slot-0
     tangency markers it takes, less 1 when its freedom is 0; tails with
     the same degree and relief are alike, so every multiset of tails is
     a multiset of those kinds.  Over each multiset of total degree
-    t <= r, a rational component in H of degree r - t + 1 passes
-    through at most ((n - 1) + 1) * (r - t + 1) + (n - 1) - 3 points of
-    H, each costing n - 2."""
+    t <= r, the component in H passes through at most room[r - t]
+    points of H, by default _plain_room's."""
     kinds = sorted(
         {
             (dk, dict(i_items).get(1, 0) + sum(c for (_, e), c in h_items if e == 0) - (delta == 0))
@@ -562,10 +589,8 @@ def _plain_cap(n, d_max, records):
             t = sum(dk for dk, _ in chosen)
             if t <= d_max:
                 most[t] = max(most[t], sum(lowered for _, lowered in chosen))
-    return [
-        max((n * (r - t + 1) + n - 4) // (n - 2) + most[t] for t in range(r + 1))
-        for r in range(d_max + 1)
-    ]
+    room = room or _plain_room(n, d_max)
+    return [max(room[r - t] + most[t] for t in range(r + 1)) for r in range(d_max + 1)]
 
 
 def _plain_room(n, d_max):
@@ -573,6 +598,13 @@ def _plain_room(n, d_max):
     through, for r = 0..d_max: its curves in P^(n-1) move in a family of
     dimension n * (r + 1) + n - 4 and each point costs n - 2."""
     return [(n * (r + 1) + n - 4) // (n - 2) for r in range(d_max + 1)]
+
+
+def _plain_elliptic_room(n, d_max):
+    """The points of H an elliptic component in H of degree r + 3 passes
+    through, for r = 0..d_max: its curves in P^(n-1) move in a family of
+    dimension n * (r + 3) and each point costs n - 2."""
+    return [n * (r + 3) // (n - 2) for r in range(d_max + 1)]
 
 
 @pytest.mark.parametrize(
@@ -592,8 +624,9 @@ def test_relief_cap_is_the_plain_bound_of_each_table(monkeypatch, p):
     # Every table a count builds carries each record's relief and the
     # bounds of a plain enumeration: the points budget of every degree;
     # over P^2, where points of H are not counted, reliefs of 0, no room
-    # and no cap; else the room, and a cap from degree 3 up.
-    built = []
+    # and no cap; else the room and the cap, whatever the degree, and
+    # for an elliptic component in H (type IIc) its own room and cap.
+    built, elliptic = [], []
     for module in (genus0, genus1):
         real = module.tail_table
 
@@ -603,18 +636,33 @@ def test_relief_cap_is_the_plain_bound_of_each_table(monkeypatch, p):
             return table
 
         monkeypatch.setattr(module, "tail_table", spy)
+    real_in_h = TailTable.in_h_elliptic
+
+    def spy_in_h(table, n):
+        made = real_in_h(table, n)
+        elliptic.append((n, table, made))
+        return made
+
+    monkeypatch.setattr(TailTable, "in_h_elliptic", spy_in_h)
     Engine().count(p)
     capped = 0
     for (n, d_max, _), table in built:
         assert table.entries == [(record, 0 if n < 3 else _plain_relief(record)) for record in _records(table)]
         assert table.budget == [_most_points(n, r) for r in range(d_max + 1)]
         assert table.room == (None if n < 3 else _plain_room(n, d_max))
-        if n < 3 or d_max < 3:
+        if n < 3:
             assert table.cap is None
         else:
             assert table.cap == _plain_cap(n, d_max, _records(table)), (n, d_max)
             capped += 1
     assert built and (capped == 0 if p.n == 2 else capped > 3)
+    for n, table, made in elliptic:
+        d_max = len(table.budget) - 1
+        room = _plain_elliptic_room(n, d_max)
+        assert made._replace(room=None, cap=None) == table._replace(room=None, cap=None)
+        assert made.room == room
+        assert made.cap == _plain_cap(n, d_max, _records(table), room)
+    assert (len(elliptic) > 3) == (p.n == 3 and p.genus == 1)
 
 
 def test_relief_cap_counts_every_term_of_a_relief():
@@ -733,9 +781,9 @@ def _started_branches(run):
     [
         (Problem.make(0, 2, 7, {(1, 1): 7}, {0: 20}), 1707),
         (Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}), 810),
-        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 1699),
-        (Problem.make(0, 3, 6, {(1, 2): 4, (2, 1): 1}, {0: 3, 1: 16}), 65290),
-        (Problem.make(0, 3, 7, {(1, 2): 7}, {1: 28}), 24905),
+        (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 1427),
+        (Problem.make(0, 3, 6, {(1, 2): 4, (2, 1): 1}, {0: 3, 1: 16}), 64332),
+        (Problem.make(0, 3, 7, {(1, 2): 7}, {1: 28}), 24633),
     ],
     ids=["rational P^2 d=7", "elliptic P^2 d=6", "rational P^3 d=5", "g=0 n=3 d=6 h=1,2:4;2,1:1 i=0:3;1:16",
          "rational P^3 d=7"],
@@ -743,7 +791,9 @@ def _started_branches(run):
 def test_type2_walks_start_no_branch_past_its_points(p, bodies):
     # Every branch the walk starts can still place its points, and under
     # a cap (the tail table's, over P^3 and up) its points of H: the
-    # walk cuts the others before it descends.
+    # walk cuts the others before it descends.  The P^3 bodies were
+    # 1,699, 65,290 and 24,905 while tables of degree below 3 had no
+    # cap; the P^2 walks have none.
     started = _started_branches(lambda: Engine().count(p))
     assert len(started) == bodies
     assert all(points <= _most_points(n, d_rem) for n, d_rem, points, _, _ in started)
@@ -884,10 +934,37 @@ def test_count_y_sees_no_shape_beyond_the_hyperplane_capacity(monkeypatch):
 _UNCAPPED = -(10**9)
 
 
+class _DivisorProblemOf:
+    """An engine for genus1.count_yc that counts every tail 1 and keeps
+    the divisor-class problem the shape builds, counting it 0."""
+
+    def __init__(self):
+        self.pinned = defaultdict(dict)
+        self.z = None
+
+    def counted(self, problem):
+        if isinstance(problem, ZProblem):
+            self.z = problem
+            return 0
+        return 1
+
+
+def _iic_excess(n, shape):
+    """How many more points of H the divisor-class problem that count_yc
+    builds for a IIc shape carries than an elliptic curve of its degree
+    in H = P^(n-1) passes through, and whether beyond_capacity flags it."""
+    parts, _, _, d0, h0, i0, _ = shape
+    eng = _DivisorProblemOf()
+    genus1.count_yc(eng, n, d0, h0, i0, parts)
+    z = eng.z
+    points = z.i[0][1] if z.i and z.i[0][0] == 0 else 0
+    return points - n * d0 // (n - 2), beyond_capacity(z)
+
+
 def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
     # points of H other than lines: the specialized marker on slot 1
     # (e_lift = 1), tangency markers on slot 0, rigid tails and h_points
-    edges = Counter()
+    edges, iic_edges = Counter(), Counter()
     for d, h_pool, i_pool, n in [
         (4, {(1, 2): 2, (1, 0): 2}, {0: 1, 1: 8}, 3),
         (5, {(1, 0): 3, (2, 2): 1}, {1: 11}, 3),
@@ -907,13 +984,21 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
                     walked = list(type2_partitions(d, h_pool, i_pool, tails, e_lift, 1, h_points))
                     assert walked == [shape for shape, over in zip(every, excess) if over <= 0]
                 edges.update((n, e_lift, over) for over in excess if over in (0, 1))
-        # an elliptic component in H (type IIc) is not capped
-        table = tail_table(n, d - 3, rows)
-        assert list(type2_partitions(d, h_pool, i_pool, table, 1, 3)) == list(
-            type2_partitions(d, h_pool, i_pool, table, 1, 3, _UNCAPPED)
-        )
+            if n != 3:
+                continue
+            # an elliptic component in H (type IIc) keeps exactly the
+            # shapes whose divisor-class problem beyond_capacity passes
+            elliptic = tail_table(n, d - 3, rows).in_h_elliptic(n)
+            every = list(type2_partitions(d, h_pool, i_pool, elliptic, e_lift, 3, _UNCAPPED))
+            excess = [_iic_excess(n, shape) for shape in every]
+            assert all((over > 0) == flagged for over, flagged in excess)
+            for tails in (elliptic._replace(cap=None), elliptic):
+                walked = list(type2_partitions(d, h_pool, i_pool, tails, e_lift, 3))
+                assert walked == [shape for shape, (_, flagged) in zip(every, excess) if not flagged]
+            iic_edges.update((e_lift, over) for over, _ in excess if over in (0, 1))
     # shapes on both sides of the capacity, for every slot of the marker
     assert set(edges) == {(n, e, over) for n in (3, 4) for e in range(1, n) for over in (0, 1)}, edges
+    assert set(iic_edges) == {(e, over) for e in (1, 2) for over in (0, 1)}, iic_edges
 
 
 def test_type2_walk_yields_no_shape_below_its_least_degree():

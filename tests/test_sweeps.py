@@ -22,7 +22,7 @@ rule is off.  The engine also cuts degeneration shapes on those facts
 before counting them, and the memo store of a count holds no problem
 the rule flags; test_dead_shapes_are_cut_before_counting reads that
 off the store, and test_memo_store_keeps_its_records_and_their_order
-pins six stores record for record, in the order they were counted.
+pins seven stores record for record, in the order they were counted.
 """
 
 import hashlib
@@ -214,9 +214,22 @@ def test_problems_built_from_canonical_vectors_equal_their_make(monkeypatch):
     assert min(built.values()) > 100
 
 
+# h_points this low leaves every shape of a walk within the room of
+# its component in H
+_UNCAPPED = -(10**9)
+
+
 def test_capacity_rule_flags_only_zero_counts(monkeypatch):
-    # with the rule off, every problem is expanded and stored
+    # with the rule off, every problem is expanded and stored; the IIc
+    # walk, which cuts the shapes whose divisor-class problem the rule
+    # flags, is uncapped, so those problems are counted too
+    real_walk = genus1.type2_partitions
+
+    def walk(d, h_pool, i_pool, tails, e_lift, d0_min=1, h_points=0):
+        return real_walk(d, h_pool, i_pool, tails, e_lift, d0_min, _UNCAPPED if d0_min == 3 else h_points)
+
     monkeypatch.setattr(engine, "beyond_capacity", lambda problem: False)
+    monkeypatch.setattr(genus1, "type2_partitions", walk)
     eng = Engine()
     for p in FRONTIER:
         assert eng.count(p)
@@ -266,6 +279,10 @@ def test_memo_store_keeps_its_records_and_their_order():
         # with the divisor-class problems their pins share
         (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 1066,
          "f6efeb459c8668df240dc64f12e4a635ea0b59560dec12f5dff99fa9fe952a1e"),
+        # the degree after it, where the split-off tables carry caps and
+        # the IIc walk cuts the most
+        (Problem.make(1, 3, 6, {(1, 2): 6}, {1: 24}), 2507,
+         "5df8df6a535903901be1ea7266c3adcde09244c9cddd2ad3eada16d1d70cb66c"),
     ):
         eng = Engine()
         eng.count(p)
@@ -351,6 +368,16 @@ def test_elliptic_space_sextics_through_24_lines_are_pinned():
     eng = Engine()
     assert unmarked(eng.count(p), p) == 228804132309160320
     assert len(list(eng.store.items())) == 2507
+
+
+def test_elliptic_space_septics_through_28_lines_are_pinned():
+    # Seed-only like the sextics, taken before the IIc walk was capped
+    # and the split-off tables of degree below 3 carried a cap; about
+    # 1.5 s.
+    p = Problem.make(1, 3, 7, {(1, 2): 7}, {1: 28})
+    eng = Engine()
+    assert unmarked(eng.count(p), p) == 35972234525219461770240
+    assert len(list(eng.store.items())) == 6097
 
 
 def test_elliptic_space_quintics_do_not_depend_on_the_divisor_axiom():
