@@ -14,15 +14,18 @@ from fractions import Fraction
 
 from curvecount import Engine, ZProblem, parse_divisor
 from curvecount.fibration import hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
+from curvecount.problems import base_z_text
 
 eng = Engine()
 
 base = ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4"))
-qq = sec_pair(eng, base, 0, 0)
-hq = sec_hyp(eng, base, 0)
-hh = hyp_self(eng, base)
-hmq = hyp_minus_sec(eng, base, 0)
-ss = sec_self(eng, base)
+# each intersection number is memoized under the family's text
+family = base_z_text(base)
+qq = sec_pair(eng, base, 0, 0, family)
+hq = sec_hyp(eng, base, 0, family)
+hh = hyp_self(eng, base, family)
+hmq = hyp_minus_sec(eng, base, 0, family)
+ss = sec_self(eng, base, family)
 
 print("Quartics through 11 points, divisor p1+p2+p3+p4:")
 print(f"  two distinct sections meet in   Q.Q'      = {qq}")

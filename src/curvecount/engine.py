@@ -68,13 +68,12 @@ def memo_key(problem) -> str:
 
 def beyond_capacity(problem) -> bool:
     """Whether a problem counts 0 by its degree and point markers (e = 0)
-    alone.  A rational curve of degree d passes through at most
-    points_on_curve(n, d) general points of P^n.  There are no elliptic
-    curves of degree 1 or 2, and an elliptic one moves in a family of
-    dimension (n+1)*d, of which each point costs n - 1; a divisor
-    problem counts some of those curves, and the type IIc walk cuts a
-    shape whose divisor problem this flags
-    (partitions.TailTable.in_h_elliptic).  Elliptic problems beyond P^3
+    alone: a curve of degree d passes through at most
+    points_on_curve(n, d, genus) general points of P^n, n >= 2.  There
+    are no elliptic curves of degree 1 or 2; a divisor problem counts
+    some elliptic curves, and the type IIc walk cuts a shape whose
+    divisor problem this flags (partitions.TailTable.in_h_elliptic,
+    which reads the same points_on_curve).  Elliptic problems beyond P^3
     are left to genus1.expand_w, which reports them unsupported.  The
     engine asks this of every problem it counts, so it reads only the
     problem's fields."""
@@ -82,7 +81,7 @@ def beyond_capacity(problem) -> bool:
     points = i[0][1] if i and i[0][0] == 0 else 0
     n, d = problem.n, problem.d
     if isinstance(problem, ZProblem) or problem.genus == 1:
-        return n <= 3 and (d <= 2 or points * (n - 1) > (n + 1) * d)
+        return n <= 3 and (d <= 2 or n >= 2 and points > points_on_curve(n, d, 1))
     return n >= 2 and points > points_on_curve(n, d)
 
 
@@ -107,10 +106,13 @@ class Engine:
         fixed for the Engine's life (read-only), as its pins are nodes of it.
 
     pinned[n] maps a type II factor's key over P^n (a tail's record, or
-    a component in H's (d0, markers)), all its problem depends on, to its
-    (problem, count) for the Engine's life.  Beside it, middles[n] maps
-    a IIb doubly-attached record and d0 to the signed sum of its middle
-    problems and the (coeff, problem, count) it keeps (genus1.count_yb).
+    a rational component in H's (d0, markers)), all its problem depends
+    on, to its (problem, count) for the Engine's life; genus0.count_y,
+    the one pin loop, fills it, and leaves the divisor-class problem of
+    an elliptic component in H (type IIc) unpinned.  Beside it,
+    middles[n] maps a IIb doubly-attached record and d0 to the signed
+    sum of its middle problems and the (coeff, problem, count) it keeps
+    (genus1.count_yb).
     """
 
     def __init__(

@@ -116,26 +116,26 @@ def _divisor_pair(eng: Engine, z: ZProblem, key: str, markers: tuple, hyps: int)
 
 # Each pairing is memoized under its family and z's base text
 # (base_z_text), which expand_z formats once and hands to each as
-# ``base``; called alone, a pairing formats it itself.
+# ``base``.
 
 
-def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int, base: str | None = None) -> int:
+def sec_pair(eng: Engine, z: ZProblem, e1: int, e2: int, base: str) -> int:
     """Intersection of the two sections given by markers on slots e1, e2."""
-    key = f"QQ|{base or base_z_text(z)} e={min(e1, e2)},{max(e1, e2)}"
+    key = f"QQ|{base} e={min(e1, e2)},{max(e1, e2)}"
     return _divisor_pair(eng, z, key, (e1, e2), 0)
 
 
-def sec_hyp(eng: Engine, z: ZProblem, e: int, base: str | None = None) -> int:
+def sec_hyp(eng: Engine, z: ZProblem, e: int, base: str) -> int:
     """Intersection of the hyperplane divisor with a marker section."""
-    return _divisor_pair(eng, z, f"HQ|{base or base_z_text(z)} e={e}", (e,), 1)
+    return _divisor_pair(eng, z, f"HQ|{base} e={e}", (e,), 1)
 
 
-def hyp_self(eng: Engine, z: ZProblem, base: str | None = None) -> int:
+def hyp_self(eng: Engine, z: ZProblem, base: str) -> int:
     """Self-intersection of the hyperplane divisor on the total space."""
-    return _divisor_pair(eng, z, f"HH|{base or base_z_text(z)}", (), 2)
+    return _divisor_pair(eng, z, f"HH|{base}", (), 2)
 
 
-def hyp_minus_sec(eng: Engine, z: ZProblem, e: int, base: str | None = None) -> int:
+def hyp_minus_sec(eng: Engine, z: ZProblem, e: int, base: str) -> int:
     """Intersection of (hyperplane - section) with the same section.
 
     Moving the section into the hyperplane divisor turns the marker into
@@ -155,12 +155,11 @@ def hyp_minus_sec(eng: Engine, z: ZProblem, e: int, base: str | None = None) -> 
     def rational(d0, i0):
         return Problem.make(0, n, d0, bump(_uniform(n, d0 - 1), (1, e)), i0), d0 - 1
 
-    return _pairing(eng, z, f"HMQ|{base or base_z_text(z)} e={e}", (e,), whole, 2, rational)
+    return _pairing(eng, z, f"HMQ|{base} e={e}", (e,), whole, 2, rational)
 
 
-def sec_self(eng: Engine, z: ZProblem, base: str | None = None) -> int:
+def sec_self(eng: Engine, z: ZProblem, base: str) -> int:
     """Self-intersection of a section; the same for every section."""
-    base = base or base_z_text(z)
     key = f"SS|{base}"
 
     def compute():

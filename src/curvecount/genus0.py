@@ -10,7 +10,8 @@ bottoms out with the identity map of a line (n = 1).
 
 The specialization step and count_y, the one evaluator of a component
 in H with the components pinned to it (every rational tail and the
-type IIa elliptic component), are shared with genus1.
+type IIa elliptic component), are shared with genus1; count_y also
+counts an elliptic component in H (type IIc) given its divisor.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import factorial
 
 from .engine import Engine, exact_quotient, finish_terms
 from .partitions import bump, pool_rows, tail_table, type2_partitions
-from .problems import Problem, dim_x, dimension
+from .problems import Problem, ZProblem, dim_x, dimension
 
 
 def tail_problem(n: int, dk: int, h_items, i_items, mk: int, delta: int, genus: int = 0):
@@ -53,7 +54,7 @@ def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
     return markers
 
 
-def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
+def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, divisor=None):
     """Count the broken-curve configurations of a type II term.
 
     The hyperplane component has degree d0, keeps the tangency markers
@@ -62,21 +63,26 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
     the record (dk, h_items, i_items, mk, delta) that type2_partitions
     yields, or first the IIa elliptic component as its record followed
     by its genus, (dk, h_items, i_items, mk, delta, 1).  Each is rigid
-    once tail_problem pins it, and the hyperplane component becomes a
-    rational curve problem in H with the markers of hyperplane_markers
-    and its d0 intersections with a hyperplane of H as free contacts.
+    once tail_problem pins it.  The hyperplane component carries the
+    markers of hyperplane_markers: a rational one becomes a curve
+    problem in H with its d0 intersections with a hyperplane of H as
+    free contacts; an elliptic one (type IIc, genus1.count_yc) the
+    divisor-class problem in H of the ``divisor`` count_yc builds.
     It checks no capacity of its own: type2_partitions drops every shape
     whose hyperplane component would pass through more points of H than
     a curve of degree d0 can, so none reaches it.
 
-    Each factor is counted once per Engine and n, kept in eng.pinned[n]
-    (see Engine), tails first, so the memo store fills as if every shape
-    counted its own and a zero tail skips the hyperplane component.
+    Each factor but the divisor-class problem is counted once per
+    Engine and n, kept in eng.pinned[n] (see Engine), tails first, so
+    the memo store fills as if every shape counted its own and a zero
+    tail skips the hyperplane component.  Few shapes share a
+    divisor-class problem, and its pins would hold more memory than
+    they save time.
 
-    Returns (value, groups): value is the product of the counts divided
-    by the d0! relabelings of the hyperplane component's free contacts,
-    which must divide it, and groups the one group (1, factors) of
-    engine.terms_node, the component in H first.
+    Returns (value, groups): value is the product of the counts, for a
+    rational component in H divided by the d0! relabelings of its free
+    contacts, which must divide it, and groups the one group
+    (1, factors) of engine.terms_node, the component in H first.
     """
     i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
     # Counted here, not in a helper: a frame more on every level of the
@@ -93,14 +99,23 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts):
             return 0, []
         factors.append(factor)
         prod *= factor[1]
-    key = (d0, frozenset(i0p.items()))
-    factor0 = pinned.get(key)
-    if factor0 is None:
-        child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
-        factor0 = pinned[key] = (child0, eng.counted(child0))
+    if divisor is None:
+        key = (d0, frozenset(i0p.items()))
+        factor0 = pinned.get(key)
+        if factor0 is None:
+            child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
+            factor0 = pinned[key] = (child0, eng.counted(child0))
+    else:
+        # Built from its canonical fields: the walk leaves no zero count
+        # in h0 and i0, and count_yc builds the divisor sorted, with no
+        # zero coefficient.
+        child0 = ZProblem(n - 1, d0, tuple(sorted(i0p.items())), divisor)
+        factor0 = (child0, eng.counted(child0))
     if factor0[1] == 0:
         return 0, []
-    value = exact_quotient(prod * factor0[1], factorial(d0), "hyperplane-component relabelings must divide the count")
+    value = prod * factor0[1]
+    if divisor is None:
+        value = exact_quotient(value, factorial(d0), "hyperplane-component relabelings must divide the count")
     return value, [(1, [factor0] + factors)]
 
 

@@ -8,26 +8,23 @@ component at two points and the resulting cycle carries the genus
 (type IIb, one formula for P^2 and P^3 in count_yb), or the elliptic
 component itself falls into H, where its count becomes a
 divisor-class problem on the smaller space (type IIc, meaningful only
-over P^3).  Ambient spaces beyond P^3 would need
-intersection theory on larger parameter spaces and are reported as
-unsupported rather than guessed at.
+over P^3).  genus0.count_y counts every type II factor, the
+divisor-class problem included, and makes every pin.  Ambient spaces
+beyond P^3 would need intersection theory on larger parameter spaces
+and are reported as unsupported rather than guessed at.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .engine import Engine, InexactCount, finish_terms
-from .genus0 import (
-    count_y,
-    hyperplane_markers,
-    settle,
-    specialize,
-    tail_problem,
-)
-from .partitions import bump, components, markers_on_h, pool_rows, relief, rest, tail_table, type2_partitions
-from .problems import Problem, UnsupportedProblem, ZProblem
+
+# tail_problem is bound here unread: bench/selftest.py checks that the
+# benchmark's span patches reach it under this alias too.
+from .genus0 import count_y, settle, specialize, tail_problem
+from .partitions import bump, components, markers_on_h, pool_rows, rest, tail_table, type2_partitions
+from .problems import Problem, UnsupportedProblem
 
 
 def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
@@ -38,8 +35,9 @@ def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
     = (genus, lo, hi) gives and of attachment multiplicity at least
     m_min; the remaining pools split into rational tails, records of
     ``table`` (partitions.tail_table on the whole pools), and the
-    hyperplane component, on which it puts the points of H its markers
-    would put there less its partitions.relief.
+    hyperplane component, which keeps the markers they leave, and on
+    which the distinguished component's attachments put max(0,
+    1 - delta) points of H.
     Yields (part, tails, ways, aut, d0, h0, i0, ram): the distinguished
     component's record, then ways, the labeled marker routings, and
     tails, aut, d0, h0, i0, ram as type2_partitions yields them.  A
@@ -51,15 +49,18 @@ def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
     budget, cap = table.budget, table.cap
     on_h = markers_on_h(h_pool.items(), i_base.items()) + (e_lift == 1)
     for part, ways in components(n, d - 1, rows, *window, m_min):
-        d1, h1, i1, _, _ = part
+        d1, h1, i1, _, delta = part
         # a point count is first in the sorted item tuple
         if points - (i1[0][1] if i1 and not i1[0][0] else 0) > budget[d - 1 - d1]:
             continue
-        lowered = relief(part)
-        if cap is not None and on_h - lowered > cap[d - 1 - d1]:
+        # the points of H its attachments put on the component in H: one
+        # for a tail or IIa component of freedom 0 (count_y), 1 - delta
+        # of a IIb component's two contacts (count_yb)
+        placed = max(0, 1 - delta)
+        if cap is not None and on_h - markers_on_h(h1, i1) + placed > cap[d - 1 - d1]:
             continue
         for tails, tail_ways, aut, d0, h0, i0, ram in type2_partitions(
-            d - d1, rest(h_pool, h1), rest(i_base, i1), table, e_lift, 1, markers_on_h(h1, i1) - lowered
+            d - d1, rest(h_pool, h1), rest(i_base, i1), table, e_lift, 1, placed
         ):
             yield part, tails, ways * tail_ways, aut, d0, h0, i0, ram
 
@@ -147,27 +148,16 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
 
 def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
-    lies in H, so its count is a divisor-class problem there.  The old
+    lies in H, so its count is a divisor-class problem there, which
+    count_y builds and counts with the tails pinned to it.  The old
     H-markers and the tail attachments become its incidence conditions
-    (hyperplane_markers), and the divisor records the hyperplane class
-    of the original curve: tangency markers enter with their contact
-    multiplicity, attachments with minus theirs.  Each tail's record
-    gives its attachment multiplicity mk and, through its freedom delta,
-    the slot of its attachment marker.  The walk (type2_partitions under
-    TailTable.in_h_elliptic) yields no shape whose divisor-class problem
-    engine.beyond_capacity flags.  Tails are pinned as in count_y;
-    the divisor-class problem is not, as few shapes share one and its
-    pins would hold more memory than they save time."""
-    pinned = eng.pinned[n]
-    factors = []
-    for tail in tails:
-        factor = pinned.get(tail)
-        if factor is None:
-            child = tail_problem(n, *tail)
-            factor = pinned[tail] = (child, eng.counted(child))
-        if factor[1] == 0:
-            return 0, []
-        factors.append(factor)
+    (hyperplane_markers), and the divisor built here records the
+    hyperplane class of the original curve: tangency markers enter with
+    their contact multiplicity, attachments with minus theirs.  Each
+    tail's record gives its attachment multiplicity mk and, through its
+    freedom delta, the slot of its attachment marker.  The walk
+    (type2_partitions under TailTable.in_h_elliptic) yields no shape
+    whose divisor-class problem engine.beyond_capacity flags."""
     divisor = []
     for e in range(n):
         # Slot e numbers its inherited markers first, then the
@@ -179,16 +169,7 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     degree = sum(c for c, _, _ in divisor)
     if degree != d0:
         raise InexactCount(f"divisor degree {degree} must match the component degree {d0}")
-    markers = hyperplane_markers(h0, i0, [tail[4] for tail in tails])
-    # Built from its canonical fields: the walk leaves no zero count in
-    # h0 and i0, and the divisor is built sorted, with no zero
-    # coefficient.
-    z = ZProblem(n - 1, d0, tuple(sorted(markers.items())), tuple(divisor))
-    vz = eng.counted(z)
-    if vz == 0:
-        return 0, []
-    factors = [(z, vz)] + factors
-    return math.prod(v for _, v in factors), [(1, factors)]
+    return count_y(eng, n, d0, h0, i0, tails, tuple(divisor))
 
 
 def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:

@@ -20,9 +20,8 @@ walk over them reads.  type2_partitions walks a tail table into type II
 shapes.  genus1._split_off_part takes its distinguished component from
 components and builds the pools it leaves with rest, for the components
 it keeps.  A record's relief, the points of H it takes off the
-component in H, is defined by relief, which genus1._split_off_part
-reads; TailTable.of writes it out in its build loop for the table's
-entries, which the walk and the table's cap read.
+component in H, is defined once, in TailTable.of's build loop; the walk
+and the table's cap read it from the table's entries.
 
 The shapes and tails that count 0 by their point markers alone are cut
 before anything about them is built, each at one place:
@@ -175,16 +174,6 @@ def markers_on_h(h_items, i_items) -> int:
     return count
 
 
-def relief(record) -> int:
-    """The points of H a split-off component takes off the component in
-    H: what its markers would put there, less the max(0, 1 - delta) its
-    attachment puts there, a point for a tail or IIa component of
-    freedom 0 (count_y) and 1 - delta of a IIb component's two contacts
-    (count_yb).  TailTable.of computes the same per entry, written out."""
-    _, h_items, i_items, _, delta = record
-    return markers_on_h(h_items, i_items) - max(0, 1 - delta)
-
-
 class TailTable(NamedTuple):
     """The tails of one expansion (tail_table) and what every walk over
     them reads; the bounds are lists over r = 0..d_max degrees left to
@@ -217,9 +206,11 @@ class TailTable(NamedTuple):
         budget = [points_budget(n, r) for r in range(d_max + 1)]
         if n < 3:
             return cls([(record, 0) for record in records], budget, None, None, None)
-        # best[dk]: the most one tail of degree dk relieves.  Plain loops,
-        # with relief written out: a call per record cost the small
-        # tables more than their walks save.
+        # A record's relief: the lines and slot-0 tangency markers it
+        # takes, which would put points of H on the component in H, less
+        # the max(0, 1 - delta) its attachment puts there.  best[dk]: the
+        # most one tail of degree dk relieves.  Plain loops: a call per
+        # record cost the small tables more than their walks save.
         entries = []
         best = [0] * (d_max + 1)
         for record in records:
@@ -245,9 +236,10 @@ class TailTable(NamedTuple):
     def in_h_elliptic(self, n: int) -> TailTable:
         """The same tails in P^n, n >= 3, bounded for an elliptic
         component in H (type IIc) of degree r + 3: its divisor-class
-        problem over P^(n-1) counts 0 through more than n*(r+3)/(n-2)
-        points of H, engine.beyond_capacity's genus 1 rule."""
-        room = [n * (r + 3) // (n - 2) for r in range(len(self.budget))]
+        problem over P^(n-1) counts 0 through more than
+        points_on_curve(n - 1, r + 3, 1) points of H, as
+        engine.beyond_capacity flags it."""
+        room = [points_on_curve(n - 1, r + 3, 1) for r in range(len(self.budget))]
         return self._replace(room=room, cap=_cap(room, self.most))
 
     def within(self, hi: int) -> TailTable:
@@ -387,17 +379,18 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
         yield parts, ways, automorphism_order(parts), d_left + d0_min, h0, bump(i0, e_lift), ram
 
 
-def points_on_curve(n: int, d: int) -> int:
-    """Most general points of P^n that a rational curve of degree d
-    passes through: the curves move in a family of dimension
-    (n+1)*d + n - 3 and each point costs n - 1.  Free markers (e = n)
-    do not move the curve, so they never raise the bound.  tail_table
-    caps the points a tail takes with it and, as the table's room, the
-    points of H a rational hyperplane component passes through (with
-    n - 1 >= 2), and engine.beyond_capacity the points of a whole
-    problem.  n must
-    be at least 2: in P^1 a point is a hyperplane and costs nothing."""
-    return ((n + 1) * d + n - 3) // (n - 1)
+def points_on_curve(n: int, d: int, genus: int = 0) -> int:
+    """Most general points of P^n that a curve of degree d and the given
+    genus passes through: the curves move in a family of dimension
+    (n+1)*d, plus n - 3 when rational, and each point costs n - 1.  Free
+    markers (e = n) do not move the curve, so they never raise the
+    bound.  tail_table caps the points a tail takes with it and, as the
+    table's room, the points of H a rational hyperplane component passes
+    through (with n - 1 >= 2), TailTable.in_h_elliptic those of an
+    elliptic one, and engine.beyond_capacity the points of a whole
+    problem.  n must be at least 2: in P^1 a point is a hyperplane and
+    costs nothing."""
+    return ((n + 1) * d + (0 if genus else n - 3)) // (n - 1)
 
 
 def points_budget(n: int, d_rem: int) -> int:

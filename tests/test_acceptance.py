@@ -23,7 +23,7 @@ from curvecount import (
 from curvecount.cache import MemoStore
 from curvecount.fibration import hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
 from curvecount.genus1 import count_yb
-from curvecount.problems import dimension, parse_problem, unmarked_factor
+from curvecount.problems import base_z_text, dimension, parse_problem, unmarked_factor
 from curvecount.tables import ESC_ROWS
 from curvecount.trace import check_invariant
 from oracles import E, H1, H2, blowup_pair_product, kontsevich_numbers
@@ -110,11 +110,12 @@ def test_criterion_6_divisor_class_tables():
     def body():
         eng = Engine(SHARED)
         z = ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4"))
-        assert sec_pair(eng, z, 0, 0) == 3
-        assert sec_hyp(eng, z, 0) == 30
-        assert hyp_self(eng, z) == 390
-        assert hyp_minus_sec(eng, z, 0) == 185
-        assert sec_self(eng, z) == -155
+        base = base_z_text(z)
+        assert sec_pair(eng, z, 0, 0, base) == 3
+        assert sec_hyp(eng, z, 0, base) == 30
+        assert hyp_self(eng, z, base) == 390
+        assert hyp_minus_sec(eng, z, 0, base) == 185
+        assert sec_self(eng, z, base) == -155
         d2 = 390 - 2 * 4 * 30 + 4 * -155 + 2 * 6 * 3
         assert d2 == -434
         assert -155 - d2 // 2 == 62
@@ -277,13 +278,14 @@ def test_criterion_9_property_sweep(tmp_path):
             for lines in (1, 2):
                 z = ZProblem.make(2, d, {0: 3 * d - 1, 1: lines}, ((d, 0, 1),))
                 eng = Engine()
+                base = base_z_text(z)
                 diffs = {
-                    sec_hyp(eng, z, e) - hyp_minus_sec(eng, z, e)
+                    sec_hyp(eng, z, e, base) - hyp_minus_sec(eng, z, e, base)
                     for e, _ in z.i
                     if e <= z.n - 1
                 }
                 assert len(diffs) == 1
-                assert sec_self(eng, z) in diffs
+                assert sec_self(eng, z, base) in diffs
         assert Engine().count(ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("3*l1"))) == 12
 
         # cold and warmed stores serialize byte-identically

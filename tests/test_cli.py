@@ -93,6 +93,13 @@ def test_elliptic_count(capsys):
     assert (code, out) == (0, "1500\n")
 
 
+def test_elliptic_count_over_p1_is_zero(capsys):
+    # a point of P^1 is a hyperplane and costs nothing: no capacity rule
+    # applies, and the count is 0 without an error
+    code, out, _ = run(capsys, "count", "-g", "1", "-n", "1", "-d", "3", "--points", "2")
+    assert (code, out) == (0, "0\n")
+
+
 def test_zcount_quartic(capsys):
     code, out, _ = run(
         capsys, "zcount", "-n", "2", "-d", "4", "--points", "11", "--divisor", "p1+p2+p3+p4"

@@ -11,6 +11,7 @@ from fractions import Fraction
 from curvecount import Engine, Problem, ZProblem, fibration, parse_divisor, table_rows
 from curvecount.fibration import hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
 from curvecount.partitions import bump, subvectors
+from curvecount.problems import base_z_text
 
 
 def _quartic_base():
@@ -20,18 +21,20 @@ def _quartic_base():
 def test_worked_chain_primitives():
     eng = Engine()
     z = _quartic_base()
-    assert sec_pair(eng, z, 0, 0) == 3
-    assert sec_hyp(eng, z, 0) == 30
-    assert hyp_self(eng, z) == 390
-    assert hyp_minus_sec(eng, z, 0) == 185
-    assert sec_self(eng, z) == -155
+    base = base_z_text(z)
+    assert sec_pair(eng, z, 0, 0, base) == 3
+    assert sec_hyp(eng, z, 0, base) == 30
+    assert hyp_self(eng, z, base) == 390
+    assert hyp_minus_sec(eng, z, 0, base) == 185
+    assert sec_self(eng, z, base) == -155
 
 
 def test_worked_chain_final_count():
     eng = Engine()
     z = _quartic_base()
-    s2 = sec_self(eng, z)
-    d2 = hyp_self(eng, z) - 2 * 4 * sec_hyp(eng, z, 0) + 4 * s2 + 2 * 6 * sec_pair(eng, z, 0, 0)
+    base = base_z_text(z)
+    s2 = sec_self(eng, z, base)
+    d2 = hyp_self(eng, z, base) - 2 * 4 * sec_hyp(eng, z, 0, base) + 4 * s2 + 2 * 6 * sec_pair(eng, z, 0, 0, base)
     assert d2 == -434
     assert s2 - d2 // 2 == 62
     assert eng.count(z) == 62
@@ -41,7 +44,8 @@ def test_self_intersection_is_slot_independent():
     # the defining section can be anchored at any marker slot
     eng = Engine()
     z = ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("p1+p2+l1"))
-    assert sec_hyp(eng, z, 0) - hyp_minus_sec(eng, z, 0) == sec_hyp(eng, z, 1) - hyp_minus_sec(eng, z, 1)
+    base = base_z_text(z)
+    assert sec_hyp(eng, z, 0, base) - hyp_minus_sec(eng, z, 0, base) == sec_hyp(eng, z, 1, base) - hyp_minus_sec(eng, z, 1, base)
     assert Engine().count(z) == 1
 
 
@@ -52,12 +56,13 @@ def test_cubic_pencil_primitives():
     covers the plane three times."""
     eng = Engine()
     z = ZProblem.make(2, 3, {0: 8, 1: 1}, parse_divisor("p1+p2+l1"))
-    assert sec_hyp(eng, z, 0) == 0
-    assert sec_pair(eng, z, 0, 0) == 0
-    assert sec_pair(eng, z, 0, 1) == 0
-    assert sec_hyp(eng, z, 1) == 1
-    assert hyp_self(eng, z) == 3
-    assert sec_self(eng, z) == -3
+    base = base_z_text(z)
+    assert sec_hyp(eng, z, 0, base) == 0
+    assert sec_pair(eng, z, 0, 0, base) == 0
+    assert sec_pair(eng, z, 0, 1, base) == 0
+    assert sec_hyp(eng, z, 1, base) == 1
+    assert hyp_self(eng, z, base) == 3
+    assert sec_self(eng, z, base) == -3
 
 
 def test_triple_line_value_is_forced_by_sibling_rows():
@@ -249,7 +254,7 @@ def test_pairings_match_plain_enumeration():
             family, _, slots = name.partition(" ")
             args = [int(e) for e in slots.split(",")] if slots else []
             fn = {"QQ": sec_pair, "HQ": sec_hyp, "HMQ": hyp_minus_sec, "HH": hyp_self}[family]
-            computed[name] = fn(eng, z, *args)
+            computed[name] = fn(eng, z, *args, base_z_text(z))
         assert computed == reference, z
         assert len(reference) >= 4
 

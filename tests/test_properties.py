@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from curvecount import Engine, Problem, ZProblem, trace
 from curvecount.fibration import hyp_minus_sec, sec_hyp, sec_self
 from curvecount.problems import (
+    base_z_text,
     dim_w,
     dim_x,
     dimension,
@@ -159,9 +160,10 @@ def pencils(draw):
 @given(pencils())
 def test_section_self_intersection_is_slot_free(z):
     eng = Engine()
-    values = {sec_hyp(eng, z, e) - hyp_minus_sec(eng, z, e) for e, _ in z.i if e <= z.n - 1}
+    base = base_z_text(z)
+    values = {sec_hyp(eng, z, e, base) - hyp_minus_sec(eng, z, e, base) for e, _ in z.i if e <= z.n - 1}
     assert len(values) == 1
-    assert sec_self(eng, z) in values
+    assert sec_self(eng, z, base) in values
 
 
 @SLOW

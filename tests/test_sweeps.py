@@ -157,6 +157,28 @@ def test_no_rational_curves_through_more_points_than_their_capacity():
     assert [p for p in cells if expand_x(eng, p)] == []
 
 
+def test_capacity_rule_is_the_plain_one_on_a_grid():
+    # beyond_capacity on every degree and point count of a small grid,
+    # against the plain rule: a curve of degree d moves in a family of
+    # dimension (n+1)*d, plus n - 3 when rational, and each point costs
+    # n - 1, so more than the family affords counts 0; there are no
+    # elliptic curves of degree 1 or 2, and elliptic and divisor
+    # problems are judged over P^3 and below only.  Over P^1 a point
+    # costs nothing, so no point count is too many.
+    verdicts = Counter()
+    for n, d in itertools.product(range(1, 5), range(1, 9)):
+        for points in range(3 * d + 4):
+            i = ((0, points),) if points else ()
+            for p in (Problem(0, n, d, (), i), Problem(1, n, d, (), i), ZProblem(n, d, i)):
+                if isinstance(p, Problem) and p.genus == 0:
+                    plain = points * (n - 1) > (n + 1) * d + n - 3
+                else:
+                    plain = n <= 3 and (d <= 2 or points * (n - 1) > (n + 1) * d)
+                assert beyond_capacity(p) == plain, p
+                verdicts[type(p).__name__, getattr(p, "genus", None), plain] += 1
+    assert len(verdicts) == 6 and min(verdicts.values()) > 30, verdicts
+
+
 def _record_problem(key):
     """The problem a memo record counts.  A fibration pairing (QQ, HQ,
     HH, HMQ, SS) gives its family's divisor problem without a divisor,
@@ -182,11 +204,12 @@ FRONTIER = [
 
 def test_problems_built_from_canonical_vectors_equal_their_make(monkeypatch):
     # genus0.settle's child, the elliptic side of fibration._pairing and
-    # genus1.count_yc's divisor-class problem are built from vectors
-    # already canonical (the parent's less slot n - 1, a sub-vector row,
-    # and the sorted markers with a divisor built in order), without
-    # make.  Each must be the problem make builds from the same vectors,
-    # or the memo key and the count would be another problem's.
+    # the divisor-class problem genus0.count_y builds for genus1.count_yc
+    # are built from vectors already canonical (the parent's less slot
+    # n - 1, a sub-vector row, and the sorted markers with a divisor
+    # built in order), without make.  Each must be the problem make
+    # builds from the same vectors, or the memo key and the count would
+    # be another problem's.
     built = Counter()
 
     class Spy:
@@ -207,10 +230,10 @@ def test_problems_built_from_canonical_vectors_equal_their_make(monkeypatch):
 
     monkeypatch.setattr(genus0, "Problem", Spy)
     monkeypatch.setattr(fibration, "Problem", Spy)
-    monkeypatch.setattr(genus1, "ZProblem", ZSpy)
+    monkeypatch.setattr(genus0, "ZProblem", ZSpy)
     for p in FRONTIER:
         assert Engine().count(p)
-    assert set(built) == {"settle", "compute", "count_yc"}  # compute is _pairing's
+    assert set(built) == {"settle", "compute", "count_y"}  # compute is _pairing's
     assert min(built.values()) > 100
 
 
