@@ -1,10 +1,12 @@
 """Count evaluation engine: memoized recursion with optional tracing.
 
 The engine owns the memo store, the evaluation options, the tracer and
-the pin table (see Engine).  Engine.counted is the one memo boundary:
-genus0, genus1 and fibration count every smaller problem through it,
-and it calls the expander of the problem's kind, which returns a count
-as an int and records its trace node through leaf, axiom or terms_node.
+the pin and pairing tables (see Engine).  Engine.counted is the one
+memo boundary: genus0, genus1 and fibration count every smaller problem
+through it, except the divisor-class problem of a type IIc factor,
+which genus0.count_y hands straight to fibration.expand_z.  counted
+calls the expander of the problem's kind, which returns a count as an
+int and records its trace node through leaf, axiom or terms_node.
 All arithmetic is exact and in ints: a term's weight is an integer
 numerator over one integer divisor, known before anything is counted,
 and every division the theory promises to be exact is checked, raising
@@ -75,8 +77,8 @@ def beyond_capacity(problem) -> bool:
     divisor problem this flags (partitions.TailTable.in_h_elliptic,
     which reads the same points_on_curve).  Elliptic problems beyond P^3
     are left to genus1.expand_w, which reports them unsupported.  The
-    engine asks this of every problem it counts, so it reads only the
-    problem's fields."""
+    engine asks this of every problem that goes through counted, so it
+    reads only the problem's fields."""
     i = problem.i
     points = i[0][1] if i and i[0][0] == 0 else 0
     n, d = problem.n, problem.d
@@ -112,7 +114,13 @@ class Engine:
     an elliptic component in H (type IIc) unpinned.  Beside it,
     middles[n] maps a IIb doubly-attached record and d0 to the signed
     sum of its middle problems and the (coeff, problem, count) it keeps
-    (genus1.count_yb).
+    (genus1.count_yb).  pairings maps a divisor-class base (n, d, i) to
+    its (base text, dim_z, SS, HH, {slot: HQ}, {(slot, slot): QQ}), SS
+    and HH None when dim_z is not 0, from which fibration.expand_z
+    evaluates every divisor on that base, and fibers[n] maps a side of
+    a broken fiber of those pairings to its count: an elliptic side by
+    its incidence row i1, and the rational side of a divisor pairing by
+    (d0, i, i1) (see fibration._pairing).
     """
 
     def __init__(
@@ -131,6 +139,8 @@ class Engine:
         self._tracer = tracer
         self.pinned = defaultdict(dict)
         self.middles = defaultdict(dict)
+        self.pairings = {}
+        self.fibers = defaultdict(dict)
 
     @property
     def tracer(self) -> Tracer | None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from math import factorial
 
+from . import fibration
 from .engine import Engine, exact_quotient, finish_terms
 from .partitions import bump, pool_rows, tail_table, type2_partitions
 from .problems import Problem, ZProblem, dim_x, dimension
@@ -75,9 +76,9 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, divisor=Non
     Each factor but the divisor-class problem is counted once per
     Engine and n, kept in eng.pinned[n] (see Engine), tails first, so
     the memo store fills as if every shape counted its own and a zero
-    tail skips the hyperplane component.  Few shapes share a
-    divisor-class problem, and its pins would hold more memory than
-    they save time.
+    tail skips the hyperplane component.  The divisor-class problem goes
+    straight to fibration.expand_z, which evaluates it from its base's
+    pairings, with no key formatted and no memo record.
 
     Returns (value, groups): value is the product of the counts, for a
     rational component in H divided by the d0! relabelings of its free
@@ -110,7 +111,7 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, divisor=Non
         # in h0 and i0, and count_yc builds the divisor sorted, with no
         # zero coefficient.
         child0 = ZProblem(n - 1, d0, tuple(sorted(i0p.items())), divisor)
-        factor0 = (child0, eng.counted(child0))
+        factor0 = (child0, fibration.expand_z(eng, child0))
     if factor0[1] == 0:
         return 0, []
     value = prod * factor0[1]

@@ -149,7 +149,8 @@ def count_yb(eng: Engine, n, d0, h0, i0, part1, tails):
 def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
     lies in H, so its count is a divisor-class problem there, which
-    count_y builds and counts with the tails pinned to it.  The old
+    count_y builds and hands to fibration.expand_z, with the tails
+    pinned to it.  The old
     H-markers and the tail attachments become its incidence conditions
     (hyperplane_markers), and the divisor built here records the
     hyperplane class of the original curve: tangency markers enter with
@@ -158,14 +159,16 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     freedom delta, the slot of its attachment marker.  The walk
     (type2_partitions under TailTable.in_h_elliptic) yields no shape
     whose divisor-class problem engine.beyond_capacity flags."""
+    # Slot e numbers its inherited markers first, then its tangency
+    # markers, then its attachments, each kind by multiplicity.
+    marks = sorted([(e, 0, m) for (m, e), c in h0.items() for _ in range(c)] + [(delta, 1, mk) for *_, mk, delta in tails])
     divisor = []
-    for e in range(n):
-        # Slot e numbers its inherited markers first, then the
-        # tangency markers, then the attachments.
-        h_marks = sorted(m for (m, e0), c in h0.items() if e0 == e for _ in range(c))
-        att_marks = sorted(mk for _, _, _, mk, delta in tails if delta == e)
-        coeffs = h_marks + [-mk for mk in att_marks]
-        divisor.extend((c, e, idx) for idx, c in enumerate(coeffs, i0.get(e + 1, 0) + 1))
+    slot = None
+    for e, attached, m in marks:
+        if e != slot:
+            slot, k = e, i0.get(e + 1, 0)
+        k += 1
+        divisor.append((-m if attached else m, e, k))
     degree = sum(c for c, _, _ in divisor)
     if degree != d0:
         raise InexactCount(f"divisor degree {degree} must match the component degree {d0}")

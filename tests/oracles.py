@@ -2,11 +2,14 @@
 
 Nothing in this module calls the engine.  Each oracle derives its
 numbers from a different piece of mathematics, so agreement with the
-engine is evidence rather than circularity.  The one exception is
-per_level_type2_partitions, a slow reference that reuses the program's
-component enumerator.
+engine is evidence rather than circularity.  There are two
+exceptions: per_level_type2_partitions, a slow reference that reuses
+the program's component enumerator, and divisor_count_per_marker, the
+per-marker form of a divisor-class count, which takes the engine's
+pairings from its caller.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -186,6 +189,26 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h
         if n >= 3 and (n - 2) * points > n * d0 + (n - 4 if d0_min == 1 else 0):
             continue
         yield parts, ways, automorphism_order(parts), d0, h0, i0, ram
+
+def divisor_count_per_marker(divisor, ss, hh, hq, qq):
+    """Q^2 - D'^2/2 of a divisor-class problem, summed term by term over
+    its markers, the way fibration.expand_z summed it before it read the
+    divisor per slot.  With D' = H - sum(c_s Q_s),
+
+      D'^2 = HH - 2 sum c_s HQ(e_s) + sum c_s^2 SS
+             + 2 sum_{s<t} c_s c_t QQ(e_s, e_t).
+
+    ``divisor`` holds (coeff, e, k) terms; ss and hh are the base's SS
+    and HH, and hq(e) and qq(e, e') give its other pairings, so the
+    caller says where they come from.  An odd D'^2 gives a count with a
+    remainder, which no integer count equals."""
+    d2 = hh
+    for coeff, e, _ in divisor:
+        d2 += coeff * coeff * ss - 2 * coeff * hq(e)
+    for (cs, es, _), (ct, et, _) in itertools.combinations(divisor, 2):
+        d2 += 2 * cs * ct * qq(es, et)
+    return ss - Fraction(d2, 2)
+
 
 # Exact intersection ring of the pair space obtained by blowing up
 # H x H along the diagonal, H a projective plane.

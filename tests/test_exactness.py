@@ -135,6 +135,20 @@ def test_check_all_orders_zcount_under_python_O():
             ["zcount", "-n", "2", "-d", "3", "--points", "8", "--lines", "1",
              "--divisor", "p1+p2+l1", "--check-all-orders"],
         ),
+        # the same two checks reached through a type IIc factor, which
+        # count_y hands to fibration.expand_z without Engine.counted
+        pytest.param(
+            "real = fibration.hyp_self\n"
+            "fibration.hyp_self = lambda eng, z, *base: real(eng, z, *base) + 1",
+            ["count", "-g", "1", "-n", "3", "-d", "4", "--lines", "16"],
+            id="odd-divisor-self-intersection-in-type-IIc",
+        ),
+        pytest.param(
+            "real = fibration.hyp_minus_sec\n"
+            "fibration.hyp_minus_sec = lambda eng, z, e, *base: real(eng, z, e, *base) + e",
+            ["count", "-g", "1", "-n", "3", "-d", "4", "--lines", "16"],
+            id="slot-dependent-self-intersection-in-type-IIc",
+        ),
     ],
 )
 def test_exactness_failure_exits_4_under_python_O(patch, argv):
@@ -215,6 +229,21 @@ def test_odd_divisor_self_intersection_raises(monkeypatch):
     monkeypatch.setattr(fibration, "hyp_self", lambda eng, z, *base: real(eng, z, *base) + 1)
     with pytest.raises(InexactCount, match="must be even"):
         Engine().count(ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")))
+
+
+def test_divisor_checks_hold_in_a_type_iic_factor(monkeypatch):
+    # count_y hands a IIc factor to expand_z directly, past
+    # Engine.counted; the parity and slot checks still run there
+    p = Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})
+    real_hh, real_hmq = fibration.hyp_self, fibration.hyp_minus_sec
+    with monkeypatch.context() as patch:
+        patch.setattr(fibration, "hyp_self", lambda eng, z, *base: real_hh(eng, z, *base) + 1)
+        with pytest.raises(InexactCount, match="must be even"):
+            Engine().count(p)
+    with monkeypatch.context() as patch:
+        patch.setattr(fibration, "hyp_minus_sec", lambda eng, z, e, *base: real_hmq(eng, z, e, *base) + e)
+        with pytest.raises(InexactCount, match="differs by slot"):
+            Engine().count(p)
 
 
 def test_slot_dependent_self_intersection_raises_when_checked(monkeypatch):

@@ -4,14 +4,19 @@ The published worked chain pins every intersection-number primitive,
 and the two documented misprints are re-derived here from the printed
 values of their sibling rows alone."""
 
+import itertools
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from curvecount import Engine, Problem, ZProblem, fibration, parse_divisor, table_rows
-from curvecount.fibration import hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
+from curvecount.engine import memo_key
+from curvecount.fibration import expand_z, hyp_minus_sec, hyp_self, sec_hyp, sec_pair, sec_self
 from curvecount.partitions import bump, subvectors
-from curvecount.problems import base_z_text
+from curvecount.problems import base_z_text, dim_z
+from curvecount.tables import EZ3_ROWS, EZ4_ROWS
+from oracles import divisor_count_per_marker
 
 
 def _quartic_base():
@@ -285,3 +290,115 @@ def test_pairings_list_only_the_rows_an_elliptic_side_can_take(monkeypatch):
         assert rows == [row for row in whole if 3 * (n + 1) <= row[2] <= (top - 1) * (n + 1)], (n, top, pool)
         listed, every = listed + len(rows), every + len(whole)
     assert listed and 3 * listed < every, (listed, every)  # 38 of 200
+
+
+def _per_marker(eng, z):
+    """oracles.divisor_count_per_marker on the engine's pairings of z."""
+    base = base_z_text(z)
+    return divisor_count_per_marker(
+        z.divisor,
+        sec_self(eng, z, base),
+        hyp_self(eng, z, base),
+        lambda e: sec_hyp(eng, z, e, base),
+        lambda e1, e2: sec_pair(eng, z, e1, e2, base),
+    )
+
+
+def _elliptic_space(d):
+    return Problem.make(1, 3, d, {(1, 2): d}, {1: 4 * d})
+
+
+def _zero_slot_sum_cells():
+    """Divisors on five markers of two bases, coefficients -2..3, with
+    the markers of some slot summing to 0, as in p1-p2+3*l1."""
+    for d, i, markers in (
+        (3, {0: 8, 1: 2}, [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]),
+        (4, {0: 11, 1: 1}, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 1)]),
+    ):
+        for coeffs in itertools.product(range(-2, 4), repeat=len(markers)):
+            sums = Counter()
+            for c, (e, _) in zip(coeffs, markers):
+                sums[e] += c
+            if sum(coeffs) == d and 0 in sums.values():
+                z = ZProblem.make(2, d, i, [(c, e, k) for c, (e, k) in zip(coeffs, markers)])
+                if {e for _, e, _ in z.divisor} != set(sums):
+                    continue  # a slot with no marker left sums to 0 trivially
+                yield z
+
+
+def test_divisor_form_matches_the_per_marker_evaluation(monkeypatch):
+    # expand_z reads a divisor through its slot sums and skips pairings
+    # whose coefficient is 0; the per-marker sum reads every pairing
+    eng = Engine()
+    handed = {}
+    real = fibration.expand_z
+
+    def spy(eng, z, *args):
+        handed[z] = value = real(eng, z, *args)
+        return value
+
+    # every divisor-class problem count_y hands to expand_z
+    monkeypatch.setattr(fibration, "expand_z", spy)
+    for d, value in ((4, 1267968960), (5, 309998326556160)):
+        assert eng.count(_elliptic_space(d)) == value
+    monkeypatch.undo()
+    assert len(handed) > 200 and all(dim_z(z) == 0 for z in handed)
+    assert {z: _per_marker(eng, z) for z in handed} == handed
+    assert sum(1 for value in handed.values() if value) > 100
+    # every row of the cubic and quartic tables
+    rows = [
+        ZProblem.make(2, d, {0: i0, 1: i1}, parse_divisor(text))
+        for data, i0, d in ((EZ3_ROWS, 8, 3), (EZ4_ROWS, 11, 4))
+        for i1, text, _ in data
+    ]
+    assert len(rows) == 25
+    assert [expand_z(eng, z) for z in rows] == [_per_marker(eng, z) for z in rows]
+    # divisors with a slot whose coefficients sum to 0
+    cells = list(_zero_slot_sum_cells())
+    assert len(cells) > 100
+    values = [expand_z(eng, z) for z in cells]
+    assert values == [_per_marker(eng, z) for z in cells]
+    assert len(set(values)) > 10
+
+
+def test_divisor_class_factors_read_each_pairing_once_per_base(monkeypatch):
+    # A type IIc factor reads its base's pairings from Engine.pairings:
+    # sec_pair runs once per stored QQ record, and no factor leaves a Z
+    # record.  While every factor went through counted and read one
+    # pairing per marker and marker pair, elliptic P^3 d=5 made 1,237
+    # sec_hyp and 2,515 sec_pair calls and d=6 5,639 and 14,495.
+    calls = Counter()
+    for name in ("sec_hyp", "sec_pair"):
+
+        def spy(*args, real=getattr(fibration, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fibration, name, spy)
+    for d, hyp, pair in ((5, 162, 111), (6, 270, 195)):
+        calls.clear()
+        eng = Engine()
+        assert eng.count(_elliptic_space(d))
+        families = Counter(key.partition("|")[0] for key, _ in eng.store.items())
+        assert (calls["sec_hyp"], calls["sec_pair"]) == (hyp, pair), d
+        assert families["QQ"] == pair and "Z" not in families, families
+        assert len(eng.pairings) == families["SS"], d
+    # a divisor-class problem counted for itself keeps its record
+    z = _quartic_base()
+    eng = Engine()
+    assert eng.count(z) == 62
+    assert dict(eng.store.items())[memo_key(z)] == 62
+
+
+def test_pairings_are_kept_per_base_degree_included():
+    # Engine.pairings keys a base by (n, d, i): the pencil of cubics
+    # through 8 points and a line counts, while quartics through the same
+    # markers form no one-parameter family, in either order on one Engine
+    i = {0: 8, 1: 1}
+    cubic = ZProblem.make(2, 3, i, parse_divisor("p1+p2+l1"))
+    quartic = ZProblem.make(2, 4, i, parse_divisor("2*p1+p2+l1"))
+    assert (dim_z(cubic), dim_z(quartic)) == (0, 3)
+    eng = Engine()
+    assert (expand_z(eng, quartic), expand_z(eng, cubic)) == (0, 1)
+    eng = Engine()
+    assert (expand_z(eng, cubic), expand_z(eng, quartic)) == (1, 0)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import Engine, Problem, ZProblem, genus0, genus1, partitions
+from curvecount import Engine, Problem, fibration, genus0, genus1, partitions
 from curvecount.engine import beyond_capacity
 from curvecount.genus1 import _split_off_part
 from curvecount.partitions import (
@@ -937,18 +937,21 @@ _UNCAPPED = -(10**9)
 
 
 class _DivisorProblemOf:
-    """An engine for genus1.count_yc that counts every tail 1 and keeps
-    the divisor-class problem the shape builds, counting it 0."""
+    """An engine for genus1.count_yc that counts every tail 1, and an
+    evaluator to patch in for fibration.expand_z, which count_y hands
+    the divisor-class problem the shape builds: it keeps it, counting
+    it 0."""
 
     def __init__(self):
         self.pinned = defaultdict(dict)
         self.z = None
 
     def counted(self, problem):
-        if isinstance(problem, ZProblem):
-            self.z = problem
-            return 0
         return 1
+
+    def expand_z(self, eng, z):
+        self.z = z
+        return 0
 
 
 def _iic_excess(n, shape):
@@ -957,7 +960,9 @@ def _iic_excess(n, shape):
     in H = P^(n-1) passes through, and whether beyond_capacity flags it."""
     parts, _, _, d0, h0, i0, _ = shape
     eng = _DivisorProblemOf()
-    genus1.count_yc(eng, n, d0, h0, i0, parts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fibration, "expand_z", eng.expand_z)
+        genus1.count_yc(eng, n, d0, h0, i0, parts)
     z = eng.z
     points = z.i[0][1] if z.i and z.i[0][0] == 0 else 0
     return points - n * d0 // (n - 2), beyond_capacity(z)

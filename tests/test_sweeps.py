@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from curvecount import Engine, Problem, ZProblem, engine, fibration, genus0, genus1, parse_problem, table_rows
-from curvecount.engine import beyond_capacity, check_all_orders, unmarked
+from curvecount.engine import beyond_capacity, check_all_orders, memo_key, unmarked
 from curvecount.fibration import expand_z
 from curvecount.genus0 import expand_x
 from curvecount.genus1 import expand_w
@@ -234,7 +234,10 @@ def test_problems_built_from_canonical_vectors_equal_their_make(monkeypatch):
     for p in FRONTIER:
         assert Engine().count(p)
     assert set(built) == {"settle", "compute", "count_y"}  # compute is _pairing's
-    assert min(built.values()) > 100
+    # _pairing builds each elliptic side once per Engine, n and row
+    # (Engine.fibers): 28 rows here, built 756 times while each pairing
+    # built its own
+    assert built["compute"] == 28 and min(built["settle"], built["count_y"]) > 100
 
 
 # h_points this low leaves every shape of a walk within the room of
@@ -245,31 +248,42 @@ _UNCAPPED = -(10**9)
 def test_capacity_rule_flags_only_zero_counts(monkeypatch):
     # with the rule off, every problem is expanded and stored; the IIc
     # walk, which cuts the shapes whose divisor-class problem the rule
-    # flags, is uncapped, so those problems are counted too
-    real_walk = genus1.type2_partitions
+    # flags, is uncapped, so those problems are counted too.  count_y
+    # hands them to expand_z, which stores none, so a spy keeps them.
+    real_walk, real_z = genus1.type2_partitions, fibration.expand_z
+    handed = []
 
     def walk(d, h_pool, i_pool, tails, e_lift, d0_min=1, h_points=0):
         return real_walk(d, h_pool, i_pool, tails, e_lift, d0_min, _UNCAPPED if d0_min == 3 else h_points)
 
+    def spy_z(eng, z, *args):
+        value = real_z(eng, z, *args)
+        handed.append((memo_key(z), value))
+        return value
+
     monkeypatch.setattr(engine, "beyond_capacity", lambda problem: False)
     monkeypatch.setattr(genus1, "type2_partitions", walk)
+    monkeypatch.setattr(fibration, "expand_z", spy_z)
     eng = Engine()
     for p in FRONTIER:
         assert eng.count(p)
     # the problem of every table row is one of the records
     rows = [row for name in TABLES for row in table_rows(name, eng)]
     assert len(rows) == 151 and all(row.status != "FAIL" for row in rows)
-    records = dict(eng.store.items())
-    flagged = [key for key in records if beyond_capacity(_record_problem(key))]
-    assert len(flagged) > 1000  # 1,133, most of them from elliptic P^3 d=5
-    assert [key for key in flagged if records[key]] == []
+    counted = set(eng.store.items()) | set(handed)
+    flagged = [(key, value) for key, value in counted if beyond_capacity(_record_problem(key))]
+    # 1,133, most of them from elliptic P^3 d=5: as many as while each
+    # divisor-class problem was a record
+    assert len(flagged) > 1000, len(flagged)
+    assert [key for key, value in flagged if value] == []
 
 
 def test_dead_shapes_are_cut_before_counting():
     for p, value, size in (
         # 2,327 records while the engine expanded and stored such problems,
-        # 1,064 before P^2 type IIb built its P^1 hyperplane problems
-        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 2583319387968 * 120, 1066),
+        # 1,064 before P^2 type IIb built its P^1 hyperplane problems,
+        # 1,066 while each IIc divisor-class problem left a record
+        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 2583319387968 * 120, 820),
         (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 189),
         (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24, 215),
     ):
@@ -284,28 +298,31 @@ def test_memo_store_keeps_its_records_and_their_order():
     # The sha256 of the store's records in insertion order: the
     # recursion counts the same problems in the same order, so a change
     # that counts a component in H before a zero tail, or reorders the
-    # counts, shows here though every value stays the same.
+    # counts, shows here though every value stays the same.  The
+    # elliptic P^3 stores held 431, 238, 1,066 and 2,507 records while
+    # each IIc divisor-class problem left a Z record and read every
+    # pairing its marker pairs named.
     for p, size, digest in (
         (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 189,
          "c50f03bcf73057395834ac1c2e86cb9bf6c22d30b8c3f8479aa923025ce91a8d"),
-        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 431,
-         "cfe685e8f47d8d77159e98f3c048c76d53d3e2e8f7a23422ed4b2506e410c922"),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 381,
+         "7768319236b22c397665be0b2cd1c8c6be76ded98b9bf056458aeee33acafb34"),
         # point markers, which the split-off point cut and the broken
         # fibers of the pairings (the divisor-class problem) reach
         (Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}), 145,
          "bc7b8b2718c37e8d575439e62e265783c82dcc3d158378773a23fbdd926c05c4"),
-        (parse_problem("g=1 n=3 d=4 h=1,2:4 i=0:2;1:12"), 238,
-         "87bb7a550358a55a442394a4d5c02443b69df9ffdbbd7e7f15bdd5c8f4d4cd4e"),
+        (parse_problem("g=1 n=3 d=4 h=1,2:4 i=0:2;1:12"), 224,
+         "9bab504454054d5c6d60d21b800bb244624cc70ed66cb892a1c08348b18b604a"),
         (ZProblem.make(2, 5, {0: 14, 1: 1}, parse_divisor("p1+p2+p3+p4+l1")), 104,
          "e13f57b52cd3e92a03afe5ae4b7d00234a437ae2aa1f76a864cdf2886ea3af6d"),
         # the benchmark's slowest elliptic count, types IIa, IIb and IIc
-        # with the divisor-class problems their pins share
-        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 1066,
-         "f6efeb459c8668df240dc64f12e4a635ea0b59560dec12f5dff99fa9fe952a1e"),
+        # with the pairings of the divisor-class problems' bases
+        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 820,
+         "b625d27386a39d1f52e5461f4ab7e0be7dce6c23adba434fa586cfc4288de4b8"),
         # the degree after it, where the split-off tables carry caps and
         # the IIc walk cuts the most
-        (Problem.make(1, 3, 6, {(1, 2): 6}, {1: 24}), 2507,
-         "5df8df6a535903901be1ea7266c3adcde09244c9cddd2ad3eada16d1d70cb66c"),
+        (Problem.make(1, 3, 6, {(1, 2): 6}, {1: 24}), 1509,
+         "707563bc7f694639af01bd368dc679788e204f5b59aee7112f477fea6ca2bbb9"),
     ):
         eng = Engine()
         eng.count(p)
@@ -386,28 +403,30 @@ def test_rational_space_frontier_counts_match_wdvv(oracle):
 def test_elliptic_space_sextics_through_24_lines_are_pinned():
     # The degree after the benchmark's elliptic quintics.  The value is
     # seed-only, the engine's own, as no oracle here reaches it; the
-    # store size shows a change in the work before a change in the value.
+    # store size shows a change in the work before a change in the value
+    # (2,507 records while each IIc divisor-class problem left one).
     p = Problem.make(1, 3, 6, {(1, 2): 6}, {1: 24})
     eng = Engine()
     assert unmarked(eng.count(p), p) == 228804132309160320
-    assert len(list(eng.store.items())) == 2507
+    assert len(list(eng.store.items())) == 1509
 
 
 def test_elliptic_space_septics_through_28_lines_are_pinned():
     # Seed-only like the sextics, taken before the IIc walk was capped
     # and the split-off tables of degree below 3 carried a cap; about
-    # 1.5 s.
+    # 1.5 s.  6,097 records while each IIc divisor-class problem left one.
     p = Problem.make(1, 3, 7, {(1, 2): 7}, {1: 28})
     eng = Engine()
     assert unmarked(eng.count(p), p) == 35972234525219461770240
-    assert len(list(eng.store.items())) == 6097
+    assert len(list(eng.store.items())) == 2566
 
 
 def test_elliptic_space_quintics_do_not_depend_on_the_divisor_axiom():
     # With the axiom off, a marker on a general hyperplane stays in the
     # problem and goes through the degenerations with the others instead
     # of trading for a factor of the degree, so the count passes through
-    # 1,805 records instead of 1,066.  Equal counts check the axiom
+    # 1,559 records instead of 820 (1,805 and 1,066 while each IIc
+    # divisor-class problem left a record).  Equal counts check the axiom
     # against the degeneration rules, not the rules themselves, which
     # both runs share.
     p = Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20})
@@ -416,7 +435,7 @@ def test_elliptic_space_quintics_do_not_depend_on_the_divisor_axiom():
         eng = Engine(divisor_axiom=axiom)
         assert unmarked(eng.count(p), p) == 2583319387968
         sizes.append(len(list(eng.store.items())))
-    assert sizes == [1066, 1805]
+    assert sizes == [820, 1559]
 
 
 def test_capacity_rule_flags_no_wdvv_cell_with_curves(oracle):
