@@ -36,25 +36,6 @@ def tail_problem(n: int, dk: int, h_items, i_items, mk: int, delta: int, genus: 
     return Problem.make(genus, n, dk, bump(h_items, (mk, n - 1 - delta)), i_items)
 
 
-def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
-    """Incidence markers, in H, of the component lying in H: its
-    incidence markers one slot down (an (e+1)-plane meets H in an
-    e-plane), its tangency markers on their planes of H, and for each
-    attached component of freedom delta one marker on a general
-    delta-plane of H, dual to the plane tail_problem pins it to.  A
-    point marker (e = 0) cannot stay on it: type2_partitions and
-    genus1._split_off_part route every one into the other components,
-    so one here is a fault of the caller and raises."""
-    if i0.get(0):
-        raise AssertionError(f"point markers left on the component in H: {i0}")
-    markers = {e - 1: c for e, c in i0.items()}
-    for (_, e), c in h0.items():
-        markers[e] = markers.get(e, 0) + c
-    for delta in deltas:
-        markers[delta] = markers.get(delta, 0) + 1
-    return markers
-
-
 def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, divisor=None):
     """Count the broken-curve configurations of a type II term.
 
@@ -64,10 +45,21 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, divisor=Non
     the record (dk, h_items, i_items, mk, delta) that type2_partitions
     yields, or first the IIa elliptic component as its record followed
     by its genus, (dk, h_items, i_items, mk, delta, 1).  Each is rigid
-    once tail_problem pins it.  The hyperplane component carries the
-    markers of hyperplane_markers: a rational one becomes a curve
-    problem in H with its d0 intersections with a hyperplane of H as
-    free contacts; an elliptic one (type IIc, genus1.count_yc) the
+    once tail_problem pins it.
+
+    The hyperplane component's incidence markers are counted once, one
+    count per slot 0..n-1 of H: its incidence markers one slot down (an
+    (e+1)-plane meets H in an e-plane), its tangency markers on their
+    planes of H, and for each attached component of freedom delta one
+    marker on a general delta-plane of H, dual to the plane tail_problem
+    pins it to.  A point marker (e = 0) cannot stay on it:
+    type2_partitions and genus1._split_off_part route every one into
+    the other components, so one in i0 is a fault of the caller and
+    raises.  The nonzero counts, in slot order, are the canonical
+    markers: they key the pin and build the problem directly, without
+    Problem.make.  A rational component in H becomes a curve problem in
+    H with its d0 intersections with a hyperplane of H as free
+    contacts; an elliptic one (type IIc, genus1.count_yc) the
     divisor-class problem in H of the ``divisor`` count_yc builds.
     It checks no capacity of its own: type2_partitions drops every shape
     whose hyperplane component would pass through more points of H than
@@ -85,9 +77,19 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, divisor=Non
     contacts, which must divide it, and groups the one group
     (1, factors) of engine.terms_node, the component in H first.
     """
-    i0p = hyperplane_markers(h0, i0, [part[4] for part in parts])
-    # Counted here, not in a helper: a frame more on every level of the
-    # recursion made rational P^3 d=6 and elliptic P^3 d=5 slower.
+    # The markers built and the pins counted here, not in helpers: a
+    # frame more on every level of the recursion made rational P^3 d=6
+    # and elliptic P^3 d=5 slower.
+    if i0.get(0):
+        raise AssertionError(f"point markers left on the component in H: {i0}")
+    counts = [0] * n
+    for e, c in i0.items():
+        counts[e - 1] += c
+    for (_, e), c in h0.items():
+        counts[e] += c
+    for part in parts:
+        counts[part[4]] += 1
+    markers = tuple((e, c) for e, c in enumerate(counts) if c)
     pinned = eng.pinned[n]
     factors = []
     prod = 1
@@ -100,17 +102,17 @@ def count_y(eng: Engine, n: int, d0: int, h0: dict, i0: dict, parts, divisor=Non
             return 0, []
         factors.append(factor)
         prod *= factor[1]
+    # Both built from their canonical fields: markers lists the nonzero
+    # slots in order, and count_yc builds the divisor sorted, with no
+    # zero coefficient.
     if divisor is None:
-        key = (d0, frozenset(i0p.items()))
+        key = (d0, markers)
         factor0 = pinned.get(key)
         if factor0 is None:
-            child0 = Problem.make(0, n - 1, d0, {(1, n - 2): d0}, i0p)
+            child0 = Problem(0, n - 1, d0, ((1, n - 2, d0),), markers)
             factor0 = pinned[key] = (child0, eng.counted(child0))
     else:
-        # Built from its canonical fields: the walk leaves no zero count
-        # in h0 and i0, and count_yc builds the divisor sorted, with no
-        # zero coefficient.
-        child0 = ZProblem(n - 1, d0, tuple(sorted(i0p.items())), divisor)
+        child0 = ZProblem(n - 1, d0, markers, divisor)
         factor0 = (child0, fibration.expand_z(eng, child0))
     if factor0[1] == 0:
         return 0, []

@@ -150,11 +150,11 @@ def count_yc(eng: Engine, n, d0, h0, i0, tails):
     """Broken-curve count for a type IIc term: the elliptic component
     lies in H, so its count is a divisor-class problem there, which
     count_y builds and hands to fibration.expand_z, with the tails
-    pinned to it.  The old
-    H-markers and the tail attachments become its incidence conditions
-    (hyperplane_markers), and the divisor built here records the
-    hyperplane class of the original curve: tangency markers enter with
-    their contact multiplicity, attachments with minus theirs.  Each
+    pinned to it.  The old H-markers and the tail attachments become its
+    incidence conditions (the markers count_y counts per slot of H), and
+    the divisor built here records the hyperplane class of the original
+    curve: tangency markers enter with their contact multiplicity,
+    attachments with minus theirs.  Each
     tail's record gives its attachment multiplicity mk and, through its
     freedom delta, the slot of its attachment marker.  The walk
     (type2_partitions under TailTable.in_h_elliptic) yields no shape

@@ -17,11 +17,14 @@ reads that listing and yields records without building any pool;
 tail_table keeps its rational records of freedom 0..n-1 within the
 point cap as the tails, with each one's relief and the bounds every
 walk over them reads.  type2_partitions walks a tail table into type II
-shapes.  genus1._split_off_part takes its distinguished component from
-components and builds the pools it leaves with rest, for the components
-it keeps.  A record's relief, the points of H it takes off the
-component in H, is defined once, in TailTable.of's build loop; the walk
-and the table's cap read it from the table's entries.
+shapes, each with its automorphism order counted as it goes, so a shape
+reaches genus0.count_y finished.  genus1._split_off_part takes its
+distinguished component from components and builds the pools it leaves
+with rest, for the components it keeps.  No pool any of them builds
+holds a zero count: a key whose count reaches 0 leaves the pool.  A
+record's relief, the points of H it takes off the component in H, is
+defined once, in TailTable.of's build loop; the walk and the table's
+cap read it from the table's entries.
 
 The shapes and tails that count 0 by their point markers alone are cut
 before anything about them is built, each at one place:
@@ -62,14 +65,6 @@ def bump(vec: dict, key, delta=1) -> dict:
     else:
         out.pop(key, None)
     return out
-
-
-def automorphism_order(items) -> int:
-    """Order of the symmetry group permuting equal entries."""
-    counts: dict = {}
-    for item in items:
-        counts[item] = counts.get(item, 0) + 1
-    return math.prod(math.factorial(c) for c in counts.values())
 
 
 def subvectors(pool: dict, weight_of=lambda key: 0, window=None) -> list:
@@ -119,11 +114,15 @@ def pool_rows(n: int, h_pool: dict, i_pool: dict) -> tuple:
 
 
 def rest(pool: dict, items) -> dict:
-    """The marker pool ``pool`` less the sub-vector ``items``, keeping
-    zero counts."""
+    """The marker pool ``pool`` less the sub-vector ``items``; a count
+    taken to 0 leaves the pool, so a zero-free pool stays zero-free."""
     out = dict(pool)
     for key, take in items:
-        out[key] -= take
+        c = out[key] - take
+        if c:
+            out[key] = c
+        else:
+            del out[key]
     return out
 
 
@@ -304,7 +303,7 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     remaining degree cannot take the points left (the table's budget)
     yields nothing.  And for n >= 3 a hyperplane component of degree
     d0 passes through at most the table's room[d0 - d0_min] points of
-    H, the point markers (e = 0) genus0.hyperplane_markers gives it: a
+    H, the point markers (e = 0) genus0.count_y gives it: a
     rational one under tail_table's room, an elliptic one under
     TailTable.in_h_elliptic's.  The walk counts them: what the pools'
     markers and the specialized one (when e_lift is 1) put there, and
@@ -322,18 +321,26 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     i_items, mk, delta).  The ints ways and aut are the multinomial
     routing of labeled markers into the ordered tails and the
     automorphism order of the multiset, by which a term divides its
-    weight.  d0, h0 and i0 are what the hyperplane component keeps: its
-    degree and the markers left in the pools, i0 with the specialized
-    marker added on slot e_lift.  ram is the product of the tails'
+    weight.  The walk counts aut as it takes the tails: equal tails are
+    taken in a run, and the k-th tail of a run multiplies it by k, so a
+    run of length r gives r!.  A record sits once in the table, so a
+    tail equal to the one before it is that very object.  d0, h0 and i0
+    are what the hyperplane component keeps: its degree and the markers
+    left in the pools, i0 with the specialized marker added on slot
+    e_lift.  Given pools with no zero count, the walk keeps its own so:
+    a key whose count a tail takes to 0 leaves the pool, and h0 and i0
+    hold no zero count.  h0 is the walk's own pool, h_pool itself when
+    no tail is taken, and the walk reads it again after the yield, so a
+    caller must not change it.  ram is the product of the tails'
     attachment multiplicities.
     """
 
-    def rec(d_rem, h_rem, i_rem, min_tail, on_h):
+    def rec(d_rem, h_rem, i_rem, min_tail, on_h, run):
         # the caller has checked that the points left fit d_rem, and
-        # its points of H the cap
+        # its points of H the cap; run is how many tails equal min_tail
         points = i_rem.get(0, 0)
         if not points and (room is None or on_h <= room[d_rem]):
-            yield (), 1, 1, d_rem, h_rem, i_rem
+            yield (), 1, 1, 1, d_rem, h_rem, i_rem
         for tail, lowered in entries:
             dk, h_items, i_items, mk, _ = tail
             if dk > d_rem:
@@ -347,21 +354,30 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
             if cap is not None and on_h - lowered > cap[d_rem - dk]:
                 continue
             # math.comb is 0 when a tail takes more than is left, and
-            # the copies are dropped
+            # the copies are dropped; a count taken to 0 leaves its pool
             ways = 1
             h_left, i_left = dict(h_rem), dict(i_rem)
             for k, take in h_items:
                 c = h_left.get(k, 0)
                 ways *= math.comb(c, take)
-                h_left[k] = c - take
+                if c > take:
+                    h_left[k] = c - take
+                elif c:
+                    del h_left[k]
             for e, take in i_items:
                 c = i_left.get(e, 0)
                 ways *= math.comb(c, take)
-                i_left[e] = c - take
+                if c > take:
+                    i_left[e] = c - take
+                elif c:
+                    del i_left[e]
             if not ways:
                 continue
-            for rest, rest_ways, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h - lowered):
-                yield (tail,) + rest, ways * rest_ways, mk * ram, d_left, h0, i0
+            # k is now the tail's place in its run of equal tails; the
+            # records sit once in the table, so an equal tail is min_tail
+            k = run + 1 if tail is min_tail else 1
+            for rest, rest_ways, aut, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h - lowered, k):
+                yield (tail,) + rest, ways * rest_ways, k * aut, mk * ram, d_left, h0, i0
 
     d_tails = d - d0_min
     # a negative index would read another degree's bound
@@ -373,10 +389,8 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     on_h = h_points + (e_lift == 1) + markers_on_h(h_pool.items(), i_pool.items())
     if cap is not None and on_h > cap[d_tails]:
         return
-    for parts, ways, ram, d_left, h0, i0 in rec(d_tails, h_pool, i_pool, (), on_h):
-        h0 = {k: c for k, c in h0.items() if c}
-        i0 = {e: c for e, c in i0.items() if c}
-        yield parts, ways, automorphism_order(parts), d_left + d0_min, h0, bump(i0, e_lift), ram
+    for parts, ways, aut, ram, d_left, h0, i0 in rec(d_tails, h_pool, i_pool, (), on_h, 0):
+        yield parts, ways, aut, d_left + d0_min, h0, bump(i0, e_lift), ram
 
 
 def points_on_curve(n: int, d: int, genus: int = 0) -> int:

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from curvecount.partitions import automorphism_order, bump, components, points_budget, points_on_curve, pool_rows, rest
+from curvecount.partitions import bump, components, points_budget, points_on_curve, pool_rows, rest
 
 
 def kontsevich_numbers(dmax):
@@ -41,6 +41,31 @@ def kontsevich_numbers(dmax):
             )
         n[d] = total
     return n
+
+
+def getzler_elliptic_numbers(dmax):
+    """Elliptic plane curves of degree d through 3d general points.
+
+    Computed by Getzler's recursion
+
+      N1(d) = C(d, 3) N(d) / 12 + sum over d1 + d2 = d of
+              C(3d-1, 3d1-1) d1 d2 (3d1-2) N(d1) N1(d2) / 9
+
+    over the rational counts N of kontsevich_numbers; it gives N1(d) = 0
+    for d < 3 and N1(3) = 1.  Each N1(d) must come out an integer.
+    Returns {d: N1(d)} for d up to dmax.
+    """
+    n = kontsevich_numbers(dmax)
+    n1 = {}
+    for d in range(1, dmax + 1):
+        total = Fraction(math.comb(d, 3) * n[d], 12)
+        for d1 in range(1, d):
+            d2 = d - d1
+            total += Fraction(math.comb(3 * d - 1, 3 * d1 - 1) * d1 * d2 * (3 * d1 - 2) * n[d1] * n1[d2], 9)
+        if total.denominator != 1:
+            raise ArithmeticError(f"Getzler's recursion gives {total} at d = {d}")
+        n1[d] = total.numerator
+    return n1
 
 
 def lines_meeting(n, space_dims):
@@ -142,6 +167,32 @@ def ordered_type2_aggregate(d_avail, h_pool, i_pool, n, i_bounds, value_of, m_mi
     ):
         total += Fraction(worth, math.factorial(len(parts)))
     return total
+
+
+def automorphism_order(items) -> int:
+    """Order of the symmetry group permuting equal entries, from scratch:
+    the product of the factorials of their multiplicities."""
+    counts: dict = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    return math.prod(math.factorial(c) for c in counts.values())
+
+
+def hyperplane_markers(h0: dict, i0: dict, deltas) -> dict:
+    """Incidence markers, in H, of the component lying in H, as a dict
+    built plainly: its incidence markers one slot down (an (e+1)-plane
+    meets H in an e-plane), its tangency markers on their planes of H,
+    and for each attached component of freedom delta one marker on a
+    general delta-plane of H.  A point marker (e = 0) cannot stay on
+    it, so one raises, as in genus0.count_y."""
+    if i0.get(0):
+        raise AssertionError(f"point markers left on the component in H: {i0}")
+    markers = {e - 1: c for e, c in i0.items()}
+    for (_, e), c in h0.items():
+        markers[e] = markers.get(e, 0) + c
+    for delta in deltas:
+        markers[delta] = markers.get(delta, 0) + 1
+    return markers
 
 
 def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h_points=0):

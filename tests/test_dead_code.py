@@ -88,5 +88,5 @@ def test_the_guard_flags_an_unread_import(tmp_path):
     for path in PACKAGE.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     genus1 = tmp_path / "genus1.py"
-    genus1.write_text(genus1.read_text() + "\nimport math\nfrom .genus0 import hyperplane_markers as markers\n")
+    genus1.write_text(genus1.read_text() + "\nimport math\nfrom .genus0 import expand_x as markers\n")
     assert _unread_imports(tmp_path) == ["genus1.math", "genus1.markers"]

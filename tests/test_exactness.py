@@ -25,7 +25,7 @@ from curvecount import (
     render_text,
     trace,
 )
-from curvecount import fibration, genus0, partitions
+from curvecount import fibration, genus0
 from curvecount.cli import main
 from curvecount.engine import check_all_orders, memo_key, unmarked
 from curvecount.genus0 import tail_problem
@@ -114,7 +114,8 @@ def test_check_all_orders_zcount_under_python_O():
     "patch, argv",
     [
         pytest.param(
-            "partitions.automorphism_order = lambda parts: 1000003",
+            "real = genus0.type2_partitions\n"
+            "genus0.type2_partitions = lambda *args: ((parts, ways, 1000003, *kept) for parts, ways, _, *kept in real(*args))",
             ["count", "-n", "3", "-d", "2", "--lines", "8"],
             id="non-integral-term",
         ),
@@ -153,7 +154,7 @@ def test_check_all_orders_zcount_under_python_O():
 )
 def test_exactness_failure_exits_4_under_python_O(patch, argv):
     code = "import sys\n"
-    code += "from curvecount import fibration, genus0, partitions\n"
+    code += "from curvecount import fibration, genus0\n"
     code += "from curvecount.cli import main\n"
     code += patch + "\n"
     code += f"sys.exit(main({argv!r}))\n"
@@ -164,9 +165,21 @@ def test_exactness_failure_exits_4_under_python_O(patch, argv):
     assert "Traceback" not in res.stderr
 
 
+def _odd_automorphisms(monkeypatch):
+    """Make every rational type II shape divide its weight by 1000003,
+    an automorphism order no term's numerator is a multiple of."""
+    real = genus0.type2_partitions
+
+    def walk(*args):
+        for parts, ways, _, *kept in real(*args):
+            yield parts, ways, 1000003, *kept
+
+    monkeypatch.setattr(genus0, "type2_partitions", walk)
+
+
 def test_non_integral_term_raises(monkeypatch):
     # a term's divisor that does not divide its numerator times its value
-    monkeypatch.setattr(partitions, "automorphism_order", lambda parts: 1000003)
+    _odd_automorphisms(monkeypatch)
     with pytest.raises(InexactCount, match=r"non-integral type-IIplain term for .*: got \d+/1000003$"):
         Engine().count(Problem.make(0, 3, 2, {(1, 2): 2}, {1: 8}))
 
@@ -184,7 +197,7 @@ def test_free_contact_relabelings_must_divide_a_pairing(monkeypatch):
 
 
 def test_cli_maps_inexact_count_to_exit_4(monkeypatch, capsys):
-    monkeypatch.setattr(partitions, "automorphism_order", lambda parts: 1000003)
+    _odd_automorphisms(monkeypatch)
     assert main(["count", "-n", "3", "-d", "2", "--lines", "8"]) == 4
     out, err = capsys.readouterr()
     assert out == ""

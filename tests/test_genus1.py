@@ -16,7 +16,7 @@ from curvecount.genus1 import count_yb
 from curvecount.partitions import bump, components, points_on_curve
 from curvecount.problems import parse_divisor
 from curvecount.tables import table_rows
-from oracles import E, H1, H2, BlowupClass, blowup_pair_product
+from oracles import E, H1, H2, BlowupClass, blowup_pair_product, getzler_elliptic_numbers
 
 
 def _unmarked(eng, p):
@@ -41,6 +41,16 @@ def test_plane_quartics_through_twelve_points():
     p = Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12})
     assert eng.count(p) == 5400
     assert _unmarked(eng, p) == 225
+
+
+def test_plane_counts_match_getzlers_recursion():
+    # the IIa and IIb walks over P^2, whose pools the walk keeps free of
+    # zero counts, against an oracle that runs no degeneration
+    oracle = getzler_elliptic_numbers(8)
+    assert [oracle[d] for d in range(1, 7)] == [0, 0, 1, 225, 87192, 57435240]
+    for d in range(3, 9):
+        p = Problem.make(1, 2, d, {(1, 1): d}, {0: 3 * d})
+        assert _unmarked(Engine(), p) == oracle[d], d
 
 
 def test_space_cubics_through_lines_and_points():

@@ -14,7 +14,6 @@ from curvecount.engine import beyond_capacity
 from curvecount.genus1 import _split_off_part
 from curvecount.partitions import (
     TailTable,
-    automorphism_order,
     bump,
     components,
     points_budget,
@@ -26,7 +25,7 @@ from curvecount.partitions import (
     type2_partitions,
 )
 from curvecount.problems import dim_w, dim_x
-from oracles import ordered_type2_aggregate, per_level_type2_partitions
+from oracles import automorphism_order, hyperplane_markers, ordered_type2_aggregate, per_level_type2_partitions
 
 
 def _table(n, d_max, h_pool, i_pool, window=None):
@@ -162,9 +161,10 @@ def test_components_filter_every_subvector_in_lexicographic_order():
     for n, d_max, h_pool, i_pool, window, m_min in cases:
         fast = []
         for record, ways in components(n, d_max, pool_rows(n, h_pool, i_pool), *window, m_min):
-            # the pools the component leaves, as its callers build them
+            # the pools the component leaves, as its callers build them,
+            # with no zero count
             h_rest, i_rest = rest(h_pool, record[1]), rest(i_pool, record[2])
-            fast.append((*record, ways, {k: c for k, c in h_rest.items() if c}, {e: c for e, c in i_rest.items() if c}))
+            fast.append((*record, ways, h_rest, i_rest))
         d_min = 3 if window[0] else 1
         assert fast == _brute_components(n, d_max, h_pool, i_pool, _window(n, *window), m_min, d_min)
     # the window cases select what they say: everything, nothing, or a
@@ -336,10 +336,19 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
         for e_lift in range(n):
             d = d_avail + 1
             table = _table(n, d - 1, h_pool, i_pool, *window)
-            for parts, _, _, *kept in type2_partitions(d, h_pool, i_pool, table, e_lift):
+            for parts, _, _, *kept in _zero_free(type2_partitions(d, h_pool, i_pool, table, e_lift)):
                 assert tuple(kept) == _kept(d, h_pool, i_pool, e_lift, parts)
                 shapes += 1
     assert shapes > 100
+
+
+def _zero_free(shapes):
+    """The shapes of a walk, checking that what each one's component in
+    H keeps, h0 and i0, holds no zero count."""
+    shapes = list(shapes)
+    for *_, h0, i0, _ in shapes:
+        assert 0 not in h0.values() and 0 not in i0.values(), (h0, i0)
+    return shapes
 
 
 def _listed(shapes):
@@ -360,7 +369,7 @@ def _walk_matches_per_level(d, h_pool, i_pool, n, hi, e_lift, d0_min=1):
     table = tail_table(n, d - d0_min, pool_rows(n, h_pool, i_pool)).within(hi)
     if d0_min == 3 and n >= 3:
         table = table.in_h_elliptic(n)
-    walked = _listed(type2_partitions(d, h_pool, i_pool, table, e_lift, d0_min))
+    walked = _listed(_zero_free(type2_partitions(d, h_pool, i_pool, table, e_lift, d0_min)))
     assert walked == _listed(per_level_type2_partitions(d, h_pool, i_pool, n, (0, 0, hi), e_lift, d0_min))
     return len(walked)
 
@@ -398,9 +407,21 @@ def test_table_walk_repeats_the_per_level_enumeration_in_the_iib_window():
         assert shapes > 10, (d, h_pool, i_pool, n)
 
 
-def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
+def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration(monkeypatch):
     # one table on the whole pools serves every pool the distinguished
-    # component leaves; the slow side enumerates each sub-pool afresh
+    # component leaves; the slow side enumerates each sub-pool afresh.
+    # The pools rest builds for the walks hold no zero count, so neither
+    # do the ones the walks leave.
+    built = Counter()
+
+    def zero_free_rest(pool, items):
+        out = partitions.rest(pool, items)
+        assert 0 not in out.values(), out
+        built["pools"] += 1
+        built["emptied a key"] += len(out) < len(pool)
+        return out
+
+    monkeypatch.setattr(genus1, "rest", zero_free_rest)
     # the distinguished component's points on H, stated plainly: the IIa
     # attachment on a delta1-plane, and the IIb contacts count_yb puts
     # on points, two less the delta1 + 1 it puts on hyperplanes
@@ -424,6 +445,7 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
                 n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table
             )
         ]
+        assert all(c for *_, h0, i0, _ in walked for _, c in h0 + i0)
         slow = []
         for part1, ways in components(n, d - 1, rows, *part_window, m_min):
             h_rest, i_rest = rest(h_pool, part1[1]), rest(i_pool, part1[2])
@@ -433,6 +455,7 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration():
                 slow.append((part1, tails, ways * tail_ways, aut, d0, h0, i0, ram))
         assert len(walked) > 10
         assert walked == slow
+    assert built["pools"] > built["emptied a key"] > 0, built
 
 
 def test_split_off_part_builds_rests_only_for_the_parts_it_keeps(monkeypatch):
@@ -900,7 +923,7 @@ def _excess_in_h(n, d0, h0, i0, deltas):
     passes through; over P^2 nothing is capped."""
     if n < 3:
         return -1
-    return genus0.hyperplane_markers(h0, i0, deltas).get(0, 0) - points_on_curve(n - 1, d0)
+    return hyperplane_markers(h0, i0, deltas).get(0, 0) - points_on_curve(n - 1, d0)
 
 
 def test_count_y_sees_no_shape_beyond_the_hyperplane_capacity(monkeypatch):

@@ -204,12 +204,13 @@ FRONTIER = [
 
 def test_problems_built_from_canonical_vectors_equal_their_make(monkeypatch):
     # genus0.settle's child, the elliptic side of fibration._pairing and
-    # the divisor-class problem genus0.count_y builds for genus1.count_yc
-    # are built from vectors already canonical (the parent's less slot
-    # n - 1, a sub-vector row, and the sorted markers with a divisor
-    # built in order), without make.  Each must be the problem make
-    # builds from the same vectors, or the memo key and the count would
-    # be another problem's.
+    # the component in H genus0.count_y builds, a curve problem or for
+    # genus1.count_yc a divisor-class problem, are built from vectors
+    # already canonical (the parent's less slot n - 1, a sub-vector row,
+    # and the markers' nonzero slots in order with a divisor built in
+    # order), without make.  Each must be the problem make builds from
+    # the same vectors, or the memo key and the count would be another
+    # problem's.
     built = Counter()
 
     class Spy:
@@ -218,14 +219,14 @@ def test_problems_built_from_canonical_vectors_equal_their_make(monkeypatch):
         def __new__(cls, genus, n, d, h, i):
             made = Problem(genus, n, d, h, i)
             assert made == Problem.make(genus, n, d, {(m, e): c for m, e, c in h}, i), made
-            built[sys._getframe(1).f_code.co_name] += 1
+            built[sys._getframe(1).f_code.co_name, "Problem"] += 1
             return made
 
     class ZSpy:
         def __new__(cls, n, d, i, divisor):
             made = ZProblem(n, d, i, divisor)
             assert made == ZProblem.make(n, d, i, divisor), made
-            built[sys._getframe(1).f_code.co_name] += 1
+            built[sys._getframe(1).f_code.co_name, "ZProblem"] += 1
             return made
 
     monkeypatch.setattr(genus0, "Problem", Spy)
@@ -233,11 +234,16 @@ def test_problems_built_from_canonical_vectors_equal_their_make(monkeypatch):
     monkeypatch.setattr(genus0, "ZProblem", ZSpy)
     for p in FRONTIER:
         assert Engine().count(p)
-    assert set(built) == {"settle", "compute", "count_y"}  # compute is _pairing's
+    # compute is _pairing's
+    assert set(built) == {
+        ("settle", "Problem"), ("compute", "Problem"), ("count_y", "Problem"), ("count_y", "ZProblem")
+    }
     # _pairing builds each elliptic side once per Engine, n and row
     # (Engine.fibers): 28 rows here, built 756 times while each pairing
-    # built its own
-    assert built["compute"] == 28 and min(built["settle"], built["count_y"]) > 100
+    # built its own.  count_y builds a rational component in H once per
+    # pin, and a divisor-class one per IIc shape.
+    assert built["compute", "Problem"] == 28
+    assert min(built["settle", "Problem"], built["count_y", "Problem"], built["count_y", "ZProblem"]) > 100, built
 
 
 # h_points this low leaves every shape of a walk within the room of
