@@ -5,7 +5,8 @@ Keys are the canonical problem texts prefixed by the count family
 format is one header line ``EGC-CACHE v1`` followed by one
 ``key<TAB>value`` record per line, UTF-8, LF line endings, keys sorted,
 so saves are byte-identical for equal contents.  Values are decimal
-integers exactly as ``str(int)`` writes them.  A save merges the
+integers exactly as ``str(int)`` writes them; a curve count (an X, W or
+Z key) is never negative, while a pairing can be.  A save merges the
 records already in the file (MemoStore.save), under an advisory lock
 on ``<path>.lock`` that is removed again once the file is replaced.
 """
@@ -19,6 +20,8 @@ import re
 
 MAGIC = "EGC-CACHE v1"
 _VALUE_RE = re.compile(r"0|-?[1-9][0-9]*")
+# The count families whose values are numbers of curves.
+_COUNT_FAMILIES = ("X|", "W|", "Z|")
 
 
 class CacheConflict(RuntimeError):
@@ -53,8 +56,9 @@ class MemoStore:
         return value
 
     def load(self, path) -> int:
-        """Merge records from a cache file; conflicting values are fatal.
-        Returns the number of records read."""
+        """Merge records from a cache file; conflicting values are fatal,
+        and so is a negative curve count, which would poison every count
+        that reads it.  Returns the number of records read."""
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
@@ -72,7 +76,10 @@ class MemoStore:
                 raise InvalidCacheFile(f"{path}:{lineno}: expected key<TAB>value")
             if not _VALUE_RE.fullmatch(value):
                 raise InvalidCacheFile(f"{path}:{lineno}: bad integer {value!r}")
-            self.store(key, int(value))
+            number = int(value)
+            if number < 0 and key.startswith(_COUNT_FAMILIES):
+                raise InvalidCacheFile(f"{path}:{lineno}: negative count {value} for {key!r}")
+            self.store(key, number)
             count += 1
         return count
 

@@ -36,6 +36,10 @@ from .problems import (
 from .trace import TraceNode, Tracer
 
 
+# The weight of every term edge of a trace (Engine.terms_node).
+_ONE = Fraction(1)
+
+
 class InexactCount(ArithmeticError):
     """A quantity the theory promises to be an exact integer (or an
     exact nonnegative count) came out otherwise.  This is a fault of the
@@ -62,7 +66,9 @@ def unmarked(marked: int, p: Problem) -> int:
 
 def memo_key(problem) -> str:
     """Memo and trace key of a problem: its canonical text behind its
-    count family, X (rational), W (elliptic) or Z (divisor class)."""
+    count family, X (rational), W (elliptic) or Z (divisor class).  The
+    text is the one problem.key keeps, so a problem keyed again (by the
+    trace helpers below) is not formatted again."""
     if isinstance(problem, ZProblem):
         return "Z|" + problem.key()
     return ("W|" if problem.genus == 1 else "X|") + problem.key()
@@ -229,10 +235,14 @@ class Engine:
 
         terms: list of (rule, num, div, value, groups) where groups is a
         list of (coeff, factors) and factors a list of (problem, count).
-        A term's checked int total, in term_totals, is split between its
-        groups in proportion to coeff * prod(counts), and a group's share
-        evenly between its r factors: a factor of count c weighs
-        share / (r * c), a Fraction built here from those ints.
+        A term's checked int total T, in term_totals, is split between
+        its groups in proportion to their shares s = coeff * prod(counts),
+        whose sum is W, and a group's share evenly between its r factors:
+        a factor of count c weighs T * s / (W * r * c), summed over the
+        groups it is in.  With L the lcm of the group sizes, that sum is
+        T * sum(s * (L / r)) / (W * L * c), added up in ints, so a term
+        builds one Fraction per factor, its edge weight; every term edge
+        weighs one shared Fraction(1).
         """
         if self._tracer is None:
             return
@@ -243,15 +253,18 @@ class Engine:
                 continue
             shares = [(coeff * math.prod(c for _, c in factors), factors) for coeff, factors in groups]
             whole = sum(share for share, _ in shares)
-            merged: dict[str, Fraction] = {}
+            lcm = math.lcm(*(len(factors) for _, factors in groups))
+            merged: dict[str, tuple[int, int]] = {}  # factor key -> (sum of s * L / r, count)
             for share, factors in shares:
                 if share == 0:
                     continue
+                part = share * (lcm // len(factors))
                 for fproblem, c in factors:
                     fkey = memo_key(fproblem)
-                    merged[fkey] = merged.get(fkey, 0) + Fraction(term_total * share, whole * len(factors) * c)
-            term_children = [(wsum, nodes[fkey]) for fkey, wsum in merged.items()]
-            children.append((Fraction(1), TraceNode(problem, dim, term_total, rule, term_children)))
+                    merged[fkey] = (merged.get(fkey, (0, c))[0] + part, c)
+            den = whole * lcm
+            term_children = [(Fraction(term_total * num, den * c), nodes[fkey]) for fkey, (num, c) in merged.items()]
+            children.append((_ONE, TraceNode(problem, dim, term_total, rule, term_children)))
         rule = children[0][1].rule if children else default_rule
         nodes.setdefault(memo_key(problem), TraceNode(problem, dim, total, rule, children))
 

@@ -85,6 +85,9 @@ class Problem:
     d: int
     h: tuple[tuple[int, int, int], ...] = ()
     i: tuple[tuple[int, int], ...] = ()
+    # The kept canonical text (see key): a class-level default, not a
+    # field, so eq, hash, repr, fields and replace never see it.
+    _text = None
 
     @classmethod
     def make(cls, genus, n, d, h=None, i=None) -> "Problem":
@@ -119,10 +122,16 @@ class Problem:
         return sum(m * c for m, _, c in self.h)
 
     def key(self) -> str:
-        return format_problem(self)
+        """The canonical text (format_problem), formatted by the first
+        call and kept on the instance, so every later key, str, memo
+        key, trace lookup and rendered line reads that one string."""
+        text = self._text
+        if text is None:
+            text = format_problem(self)
+            object.__setattr__(self, "_text", text)
+        return text
 
-    def __str__(self) -> str:
-        return format_problem(self)
+    __str__ = key
 
 
 def canonicalize(problem: Problem) -> Problem:
@@ -185,8 +194,8 @@ def unmarked_factor(p: Problem) -> int:
 
 
 def format_problem(p: Problem) -> str:
-    h_txt = ";".join(f"{m},{e}:{c}" for m, e, c in p.h) or "-"
-    i_txt = ";".join(f"{e}:{c}" for e, c in p.i) or "-"
+    h_txt = ";".join([f"{m},{e}:{c}" for m, e, c in p.h]) or "-"
+    i_txt = ";".join([f"{e}:{c}" for e, c in p.i]) or "-"
     return f"g={p.genus} n={p.n} d={p.d} h={h_txt} i={i_txt}"
 
 
@@ -260,6 +269,7 @@ class ZProblem:
     d: int
     i: tuple[tuple[int, int], ...] = ()
     divisor: tuple[tuple[int, int, int], ...] = ()
+    _text = None  # the kept canonical text, as in Problem
 
     @classmethod
     def make(cls, n, d, i=None, divisor=()) -> "ZProblem":
@@ -285,14 +295,19 @@ class ZProblem:
         return dict(self.i)
 
     def key(self) -> str:
-        return f"{base_z_text(self)} D={format_divisor(self.divisor)}"
+        """The canonical text, its base (base_z_text) and divisor,
+        formatted once and kept as Problem.key keeps its own."""
+        text = self._text
+        if text is None:
+            text = f"{base_z_text(self)} D={format_divisor(self.divisor)}"
+            object.__setattr__(self, "_text", text)
+        return text
 
-    def __str__(self) -> str:
-        return self.key()
+    __str__ = key
 
 
 def base_z_text(z: ZProblem) -> str:
-    i_txt = ";".join(f"{e}:{c}" for e, c in z.i) or "-"
+    i_txt = ";".join([f"{e}:{c}" for e, c in z.i]) or "-"
     return f"n={z.n} d={z.d} i={i_txt}"
 
 

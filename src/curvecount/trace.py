@@ -43,7 +43,11 @@ class TraceNode:
 
 
 class Tracer:
-    """Node registry keyed by canonical problem text."""
+    """Node registry keyed by memo key (engine.memo_key): a problem's
+    canonical text behind its count family.  A problem formats that text
+    once and keeps it (Problem.key), so a traced pass formats each
+    problem once: the engine's lookups and the renderers' lines all
+    read the kept string."""
 
     def __init__(self):
         self.nodes: dict[str, TraceNode] = {}
@@ -84,7 +88,7 @@ def render_json(root: TraceNode) -> str:
     nodes = [
         {
             "id": k,
-            "problem": str(node.problem),
+            "problem": node.problem.key(),
             "dim": node.dim,
             "count": node.count,
             "rule": node.rule,
@@ -105,10 +109,10 @@ def render_text(root: TraceNode) -> str:
         wtxt = "" if weight is None else f"{weight} x "
         k = ids[id(node)]
         if k in printed:
-            lines.append(f"{pad}{wtxt}{node.count}  {node.problem}  = #{k}")
+            lines.append(f"{pad}{wtxt}{node.count}  {node.problem.key()}  = #{k}")
             return
         printed.add(k)
-        lines.append(f"{pad}{wtxt}{node.count}  {node.problem}  [{node.rule}] #{k}")
+        lines.append(f"{pad}{wtxt}{node.count}  {node.problem.key()}  [{node.rule}] #{k}")
         for w, child in node.children:
             rec(child, w, depth + 1)
 
@@ -120,7 +124,7 @@ def render_dot(root: TraceNode) -> str:
     order, ids = _numbered(root)
     lines = ["digraph trace {", "  node [shape=box, fontname=monospace];"]
     for k, node in enumerate(order):
-        label = f"{node.problem}\\ncount={node.count} rule={node.rule}"
+        label = f"{node.problem.key()}\\ncount={node.count} rule={node.rule}"
         label = label.replace('"', '\\"')
         lines.append(f'  n{k} [label="{label}"];')
     for k, node in enumerate(order):

@@ -261,6 +261,28 @@ def divisor_count_per_marker(divisor, ss, hh, hq, qq):
     return ss - Fraction(d2, 2)
 
 
+def term_edge_weights(term_total, groups):
+    """The edge weights of one trace term, the way
+    engine.Engine.terms_node built them before it added them up in
+    integers: one Fraction per group and factor.  The term's count
+    ``term_total`` is split between its ``groups``, (coeff, factors)
+    pairs with factors a list of (problem, count), in proportion to
+    coeff times the product of the counts, and a group's share evenly
+    between its r factors, so a factor of count c weighs
+    share / (r * c), summed over every place it holds in the term.
+    Returns [(problem, weight)], each problem where it first holds a
+    nonzero share."""
+    shares = [(coeff * math.prod(c for _, c in factors), factors) for coeff, factors in groups]
+    whole = sum(share for share, _ in shares)
+    merged = {}
+    for share, factors in shares:
+        if share == 0:
+            continue
+        for problem, c in factors:
+            merged[problem] = merged.get(problem, 0) + Fraction(term_total * share, whole * len(factors) * c)
+    return list(merged.items())
+
+
 # Exact intersection ring of the pair space obtained by blowing up
 # H x H along the diagonal, H a projective plane.
 #

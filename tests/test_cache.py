@@ -77,6 +77,36 @@ def test_rejects_integers_save_does_not_write(tmp_path):
     assert dict(store.items()) == {"a": 0, "b": -120}
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["X|g=0 n=2 d=1 h=1,1:1 i=0:2", "W|g=1 n=2 d=3 h=1,1:3 i=0:9", "Z|n=2 d=4 i=0:11 D=p1+p2+p3+p4"],
+)
+def test_rejects_a_negative_curve_count(tmp_path, key):
+    # a count read back negative would poison every count built on it
+    path = tmp_path / "c.egc"
+    path.write_text(f"{MAGIC}\n{key}\t-7\n", encoding="utf-8")
+    store = MemoStore()
+    with pytest.raises(InvalidCacheFile, match="negative count -7"):
+        store.load(path)
+    path.write_text(f"{MAGIC}\n{key}\t0\n", encoding="utf-8")
+    assert store.load(path) == 1
+
+
+def test_pairings_keep_their_negative_values(tmp_path):
+    # SS is negative on many bases; elliptic P^3 d=3 stores four such
+    for family in ("QQ|", "HQ|", "HH|", "HMQ|", "SS|"):
+        path = tmp_path / "c.egc"
+        path.write_text(f"{MAGIC}\n{family}n=2 d=3 i=0:8;1:1\t-3\n", encoding="utf-8")
+        assert MemoStore().load(path) == 1
+    eng = Engine()
+    eng.count(Problem.make(1, 3, 3, {(1, 2): 3}, {1: 12}))
+    assert any(value < 0 for key, value in eng.store.items() if key.startswith("SS|"))
+    eng.store.save(tmp_path / "real.egc")
+    fresh = MemoStore()
+    assert fresh.load(tmp_path / "real.egc") == len(eng.store)
+    assert dict(fresh.items()) == dict(eng.store.items())
+
+
 def test_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
     path = tmp_path / "c.egc"
     path.write_bytes(MAGIC.encode() + b"\nkey\xff\t1\n")

@@ -414,6 +414,15 @@ def test_cache_rejects_corrupt_file(tmp_path, capsys):
     assert "header" in err
 
 
+def test_cache_with_a_negative_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "neg.egc"
+    path.write_text(f"{MAGIC}\nX|g=0 n=2 d=1 h=1,1:1 i=0:2\t-7\n", encoding="utf-8")
+    code, out, err = run(capsys, "count", "-n", "2", "-d", "1", "--points", "2", "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "negative count -7" in err
+    assert "Traceback" not in err
+
+
 def test_order_and_axiom_flags(capsys):
     for extra in (
         ("--degeneration-order", "min-e"),

@@ -1,5 +1,8 @@
 """Problem grammar, validation and dimension formulas."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from curvecount import (
@@ -181,3 +184,39 @@ def test_unmarked_factor_counts_free_contacts_only():
     assert unmarked_factor(Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12})) == 24
     # markers pinned to proper subspaces of H reference distinct spaces
     assert unmarked_factor(Problem.make(1, 3, 4, {(1, 2): 2, (1, 1): 2}, {1: 10, 0: 2})) == 2
+
+
+# Each problem type with a builder, its fields, and a change of fields
+# that gives another problem of that type.
+KEPT_TEXT_CASES = [
+    (
+        lambda: Problem.make(1, 3, 4, {(1, 2): 2, (1, 1): 2}, {1: 10, 0: 2}),
+        ["genus", "n", "d", "h", "i"],
+        {"d": 5, "i": ((0, 2), (1, 14))},
+    ),
+    (
+        lambda: ZProblem.make(2, 4, {0: 11}, parse_divisor("p1+p2+p3+p4")),
+        ["n", "d", "i", "divisor"],
+        {"divisor": parse_divisor("2*p1+p2+p3")},
+    ),
+]
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["fresh", "keyed"])
+@pytest.mark.parametrize("build, names, change", KEPT_TEXT_CASES, ids=["Problem", "ZProblem"])
+def test_kept_text_is_invisible(build, names, change, keyed):
+    # key() keeps the formatted text on the instance; nothing else may
+    # see it, before or after it is kept
+    p, fresh = build(), build()
+    text = fresh.key()
+    if keyed:
+        assert p.key() is p.key() == text
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(build()) and "_text" not in repr(p)
+    assert [f.name for f in dataclasses.fields(p)] == names
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and copy.key() == str(copy) == text
+    other = dataclasses.replace(p, **change)
+    built = type(p)(**{name: change.get(name, getattr(p, name)) for name in names})
+    assert other.key() == built.key() != text
+    assert str(p) == p.key() == text

@@ -12,9 +12,11 @@ from fractions import Fraction
 
 import pytest
 
+import curvecount.problems as problems
 from curvecount import Engine, Problem, ZProblem, parse_divisor, trace
 from curvecount.engine import memo_key
 from curvecount.trace import (
+    TraceNode,
     Tracer,
     check_invariant,
     iter_nodes,
@@ -22,6 +24,7 @@ from curvecount.trace import (
     render_json,
     render_text,
 )
+from oracles import term_edge_weights
 
 # every rule a node can carry (see curvecount.trace)
 RULES = (
@@ -505,3 +508,90 @@ def test_elliptic_quartic_traces_stay_small():
     root = trace(Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}))
     for render in (render_text, render_json):
         assert len(render(root).encode("utf-8")) < 1_000_000
+
+
+ELLIPTIC_QUARTIC_LINES = Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16})
+
+
+def test_a_traced_count_formats_each_problem_once(monkeypatch):
+    # A problem keeps its text once formatted, so the engine's second
+    # key of an expanded problem, the factor lookups of its terms and
+    # every rendered line read it, and rendering formats nothing.
+    formatted = []  # keeps every argument alive, so ids stay distinct
+    for name in ("format_problem", "format_divisor"):
+        original = getattr(problems, name)
+
+        def spy(arg, original=original):
+            formatted.append(arg)
+            return original(arg)
+
+        monkeypatch.setattr(problems, name, spy)
+    root = trace(ELLIPTIC_QUARTIC_LINES)
+    counted = len(formatted)
+    texts = [render(root) for render in (render_text, render_json, render_dot)]
+    assert len(formatted) == counted
+    # a divisor is formatted only inside its ZProblem's key, and each
+    # divisor-class problem here has its own divisor tuple
+    assert Counter(type(arg) for arg in formatted).keys() == {Problem, tuple}
+    repeats = [ident for ident, k in Counter(map(id, formatted)).items() if k > 1]
+    assert repeats == []
+    nodes = list(iter_nodes(root))
+    assert len(formatted) >= len({memo_key(node.problem) for node in nodes}) > 100
+    assert all(node.problem.key() in texts[0] for node in nodes)
+
+
+EDGE_WEIGHT_CASES = [
+    ("elliptic P^3 d=4 through 16 lines", ELLIPTIC_QUARTIC_LINES),
+    ("elliptic P^2 d=4 through 12 points", Problem.make(1, 2, 4, {(1, 1): 4}, {0: 12})),
+]
+
+
+@pytest.mark.parametrize("label, problem", EDGE_WEIGHT_CASES, ids=[c[0] for c in EDGE_WEIGHT_CASES])
+def test_edge_weights_match_the_per_group_formula(label, problem, monkeypatch):
+    # terms_node adds each factor's weight up in integers; every edge
+    # must equal the per-group Fraction sum it replaced, in value, type
+    # and child order, on terms that split between several groups and
+    # repeat a factor
+    tracer = Tracer()
+    original = Engine.terms_node
+    seen = Counter()
+
+    def spy(self, p, dim, total, terms, term_totals, default_rule):
+        original(self, p, dim, total, terms, term_totals, default_rule)
+        kept = [(term, t) for term, t in zip(terms, term_totals) if t]
+        node = tracer.nodes[memo_key(p)]
+        assert len(node.children) == len(kept)
+        for (edge, term_node), ((rule, _, _, _, groups), t) in zip(node.children, kept):
+            assert type(edge) is Fraction and edge == 1
+            expected = term_edge_weights(t, groups)
+            assert [(child.problem, w) for w, child in term_node.children] == expected
+            assert all(type(w) is Fraction for w, _ in term_node.children)
+            places = sum(len(factors) for _, factors in groups)
+            seen[rule, "groups"] += len(groups) > 1
+            seen["repeated"] += places > len(expected)
+            seen["edges"] += len(expected)
+
+    monkeypatch.setattr(Engine, "terms_node", spy)
+    Engine(tracer=tracer).count(problem)
+    assert seen["type-IIb", "groups"] > 0 and seen["repeated"] > 0
+    assert seen["edges"] > 50
+
+
+def test_edge_weights_of_groups_of_different_sizes():
+    # Every term an expansion makes today has groups of one size (a IIb
+    # term's groups each hold a middle problem and count_y's factors),
+    # so this hand-built term checks the lcm of unequal sizes, with a
+    # negative share and a factor repeated within a group.
+    top, a, b, c = (Problem.make(0, 2, d, {(1, 1): d}, {0: 3 * d - 1}) for d in (4, 1, 2, 3))
+    tracer = Tracer()
+    for p, count in ((a, 2), (b, 3), (c, 5)):
+        tracer.nodes[memo_key(p)] = TraceNode(p, 0, count, "seed")
+    groups = [(1, [(a, 2)]), (-1, [(a, 2), (b, 3)]), (2, [(b, 3), (c, 5), (c, 5)])]
+    terms = [("type-IIb", 1, 1, 146, groups), ("type-I", 1, 1, 2, [(1, [(a, 2)])])]
+    Engine(tracer=tracer).terms_node(top, 0, 77, terms, [73, 4], "type-I")
+    root = tracer.nodes[memo_key(top)]
+    check_invariant(root)
+    for (_, term), (t, (_, _, _, _, g)) in zip(root.children, [(73, terms[0]), (4, terms[1])]):
+        assert [(child.problem, w) for w, child in term.children] == term_edge_weights(t, g)
+    # a: 73/146 * (2/2 - 6/4), b: 73/146 * (-6/6 + 150/9), c: 73/146 * 2 * 150/15
+    assert [w for w, _ in root.children[0][1].children] == [Fraction(-1, 4), Fraction(47, 6), Fraction(10)]
