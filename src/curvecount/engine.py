@@ -75,22 +75,29 @@ def memo_key(problem) -> str:
 
 
 def beyond_capacity(problem) -> bool:
-    """Whether a problem counts 0 by its degree and point markers (e = 0)
-    alone: a curve of degree d passes through at most
-    points_on_curve(n, d, genus) general points of P^n, n >= 2.  There
-    are no elliptic curves of degree 1 or 2; a divisor problem counts
-    some elliptic curves, and the type IIc walk cuts a shape whose
-    divisor problem this flags (partitions.TailTable.in_h_elliptic,
-    which reads the same points_on_curve).  Elliptic problems beyond P^3
-    are left to genus1.expand_w, which reports them unsupported.  The
-    engine asks this of every problem that goes through counted, so it
-    reads only the problem's fields."""
+    """Whether a problem counts 0 by its degree, its point markers
+    (e = 0) and its free markers (e = n) alone.  A curve of degree d
+    passes through at most points_on_curve(n, d, genus) general points
+    of P^n, n >= 2, and there are no elliptic curves of degree 1 or 2.
+    A rational or elliptic problem with a free marker counts 0 whatever
+    its dimension: if that is not 0, genus0.settle counts it 0, and if
+    it is, the problem without its f free markers has dimension -f.  A
+    divisor problem is not flagged for its free markers, which its
+    divisor may name; the type IIc walk cuts a shape whose divisor
+    problem this flags (partitions.TailTable.in_h_elliptic, which reads
+    the same points_on_curve).  Elliptic problems beyond P^3 are left to
+    genus1.expand_w, which reports them unsupported.  The engine asks
+    this of every problem that goes through counted, so it reads only
+    the problem's fields; free markers sort last in i."""
     i = problem.i
     points = i[0][1] if i and i[0][0] == 0 else 0
     n, d = problem.n, problem.d
-    if isinstance(problem, ZProblem) or problem.genus == 1:
+    if isinstance(problem, ZProblem):
         return n <= 3 and (d <= 2 or n >= 2 and points > points_on_curve(n, d, 1))
-    return n >= 2 and points > points_on_curve(n, d)
+    free = bool(i) and i[-1][0] == n
+    if problem.genus == 1:
+        return n <= 3 and (d <= 2 or free or n >= 2 and points > points_on_curve(n, d, 1))
+    return free or n >= 2 and points > points_on_curve(n, d)
 
 
 def memo(store: MemoStore, key: str, compute) -> int:

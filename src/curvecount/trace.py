@@ -6,8 +6,9 @@ nodes carry the rule that resolved them (``seed``, ``base-n1``,
 ``zero-dim``, ``capacity``, ``divisor-axiom``, ``z-evaluation``) or,
 when the problem was expanded by degeneration, the rule of its first
 term.  A ``capacity`` leaf counts 0 without expansion: no curve of its
-genus and degree passes through that many general points
-(engine.beyond_capacity).  Expanded
+genus and degree passes through that many general points, or it is a
+curve problem with a free marker, which counts 0 whatever its
+dimension (engine.beyond_capacity).  Expanded
 problems get one child per contributing term (rules ``type-I``,
 ``type-IIplain``, ``type-IIa``, ``type-IIb``, ``type-IIc``); a term node
 repeats the parent problem and its children are the factor problems of

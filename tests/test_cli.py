@@ -16,7 +16,7 @@ import curvecount
 from curvecount import Engine, Problem, UnsupportedProblem, ZProblem
 from curvecount.cache import MAGIC, MemoStore
 from curvecount.cli import main
-from curvecount.engine import memo_key
+from curvecount.engine import beyond_capacity, memo_key
 from curvecount.problems import parse_divisor
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -51,7 +51,7 @@ def run(capsys, *argv):
 
 
 def test_readme_examples_are_listed():
-    assert len(readme_examples()) == 9
+    assert len(readme_examples()) == 10
 
 
 @pytest.mark.parametrize("command, printed", readme_examples())
@@ -248,6 +248,23 @@ def test_unsupported_ambient_space(capsys):
     code, _, err = run(capsys, "count", "-g", "1", "-n", "5", "-d", "3", "--points", "9")
     assert code == 3
     assert "P^5" in err
+
+
+def test_a_free_marker_flags_curve_problems_only(capsys):
+    # The nine flexes of the cubic through 9 points: the free marker
+    # q2.1 (e = n) is named in the divisor, so the divisor problem is
+    # counted, while the curve problem with the same markers has no
+    # curves and is flagged.
+    code, out, _ = run(capsys, "zcount", "-n", "2", "-d", "3", "--points", "9", "--incidence", "2:1", "--divisor", "3*q2.1")
+    assert (code, out) == (0, "9\n")
+    assert not beyond_capacity(ZProblem.make(2, 3, {0: 9, 2: 1}, parse_divisor("3*q2.1")))
+    assert beyond_capacity(Problem.make(1, 2, 3, {(1, 1): 3}, {0: 9, 2: 1}))
+    # an elliptic problem beyond P^3 is reported unsupported, free
+    # marker or not
+    code, out, err = run(capsys, "count", "-g", "1", "-n", "4", "-d", "3", "--points", "1", "--incidence", "4:1")
+    assert (code, out) == (3, "")
+    assert "P^4" in err
+    assert not beyond_capacity(Problem.make(1, 4, 3, {(1, 3): 3}, {0: 1, 4: 1}))
 
 
 def test_degeneration_beyond_the_recursion_limit_is_unsupported(capsys):

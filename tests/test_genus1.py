@@ -330,11 +330,13 @@ def test_an_engine_counts_each_pinned_component_and_component_in_h_once_per_n(mo
     # and every IIc shape its own divisor-class problem, 874 while the
     # IIc walk yielded shapes whose divisor-class problem counts 0 by
     # its points alone, 842 while every IIc shape's divisor-class
-    # problem went through counted, and 792 while every fibration pairing
-    # counted the sides of its broken fibers itself (Engine.fibers)
+    # problem went through counted, 792 while every fibration pairing
+    # counted the sides of its broken fibers itself (Engine.fibers), and
+    # 496 (with 6 such lookups) while problems with a free marker were
+    # expanded
     for p, value, total, shared in [
         (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 351, 15),
-        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 52832040 * 24, 496, 6),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 52832040 * 24, 443, 5),
     ]:
         calls[0] = 0
         lookups.clear()

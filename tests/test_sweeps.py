@@ -1,21 +1,24 @@
 """Exhaustive sweeps over small problem spaces.
 
-Four facts checked cell by cell: there are no elliptic curves of
+Five facts checked cell by cell: there are no elliptic curves of
 degree 1 or 2, so every zero-dimensional elliptic problem (W) and
 divisor problem (Z) of those degrees counts 0; a rational curve of
 degree d passes through at most points_on_curve(n, d) general points,
-so every problem asking for more counts 0; every incidence-only
+so every problem asking for more counts 0; a zero-dimensional curve
+problem with a free marker (e = n) counts 0, as its curves without
+that marker would form a family of dimension -1; every incidence-only
 rational count agrees with the WDVV recursion of bench/oracle.py, which
 never calls the engine (up to rational P^3 d=6 through 24 lines); and
 where no oracle reaches, the elliptic P^3 counts of degree 3, and of
 degree 4 with four free contacts, do not depend on which incidence
 plane is specialized first, nor on the degeneration order.
 
-The engine answers the first two facts without expanding a problem
+The engine answers the first three facts without expanding a problem
 (engine.beyond_capacity), so the zero sweeps hand their cells to the
 expanders, genus0.expand_x, genus1.expand_w and fibration.expand_z:
 the recursion's own 0 is checked, and the rule only answers the
-smaller problems a cell reduces to.  The rule flags no problem with a
+smaller problems a cell reduces to; the free-marker sweep turns the
+rule off, so it answers none of them.  The rule flags no problem with a
 nonzero count, checked against the WDVV cells, the reference tables
 and every record the frontier problems of the benchmark store when the
 rule is off.  The engine also cuts degeneration shapes on those facts
@@ -40,7 +43,7 @@ from curvecount.fibration import expand_z
 from curvecount.genus0 import expand_x
 from curvecount.genus1 import expand_w
 from curvecount.partitions import points_on_curve
-from curvecount.problems import dim_w, dim_x, dim_z, parse_divisor, validate, validate_z
+from curvecount.problems import dim_w, dim_x, dim_z, dimension, free_dim, parse_divisor, validate, validate_z
 from curvecount.tables import TABLES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -127,6 +130,32 @@ def test_no_divisor_class_counts_of_degree_below_three():
     assert len(cells) == 478
     assert all(beyond_capacity(z) for z in cells)
     assert [z for z in cells if expand_z(eng, z)] == []
+
+
+def _free_marker_cells():
+    """Zero-dimensional curve problems with one free marker (e = n):
+    every tangency vector, the other markers on slots 0..n-2, over
+    rational P^2 d <= 4, P^3 d <= 3 and P^4 d <= 2, and elliptic P^2
+    d <= 4 and P^3 d = 3.  Without the free marker each problem has
+    dimension -1."""
+    for genus, n, degrees in ((0, 2, range(1, 5)), (0, 3, range(1, 4)), (0, 4, (1, 2)), (1, 2, range(1, 5)), (1, 3, (3,))):
+        for d in degrees:
+            for h in _tangency_vectors(n, d):
+                for i in _incidence_vectors(n, free_dim(n, genus, d, h.items()) + 1):
+                    p = validate(Problem.make(genus, n, d, h, {**i, n: 1}))
+                    assert dimension(p) == 0
+                    yield p
+
+
+def test_no_curves_with_a_free_marker(monkeypatch):
+    # with the rule off, every cell and every problem it reduces to is
+    # expanded, so the 0 is the recursion's own
+    monkeypatch.setattr(engine, "beyond_capacity", lambda problem: False)
+    eng = Engine()
+    cells = list(_free_marker_cells())
+    assert len(cells) == 570
+    assert all(beyond_capacity(p) for p in cells)
+    assert [p for p in cells if eng.count(p)] == []
 
 
 def _over_capacity_cells():
@@ -278,8 +307,9 @@ def test_capacity_rule_flags_only_zero_counts(monkeypatch):
     assert len(rows) == 151 and all(row.status != "FAIL" for row in rows)
     counted = set(eng.store.items()) | set(handed)
     flagged = [(key, value) for key, value in counted if beyond_capacity(_record_problem(key))]
-    # 1,133, most of them from elliptic P^3 d=5: as many as while each
-    # divisor-class problem was a record
+    # 1,461, most of them from elliptic P^3 d=5: 1,133 (as many as while
+    # each divisor-class problem was a record) before problems with a
+    # free marker were flagged
     assert len(flagged) > 1000, len(flagged)
     assert [key for key, value in flagged if value] == []
 
@@ -288,10 +318,12 @@ def test_dead_shapes_are_cut_before_counting():
     for p, value, size in (
         # 2,327 records while the engine expanded and stored such problems,
         # 1,064 before P^2 type IIb built its P^1 hyperplane problems,
-        # 1,066 while each IIc divisor-class problem left a record
-        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 2583319387968 * 120, 820),
+        # 1,066 while each IIc divisor-class problem left a record, 820
+        # (and the P^4 count 215) while problems with a free marker were
+        # expanded and stored
+        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 2583319387968 * 120, 716),
         (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 6089786376960 * 120, 189),
-        (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24, 215),
+        (Problem.make(0, 4, 4, {(1, 3): 4}, {1: 10, 2: 1}), 63740 * 24, 121),
     ):
         eng = Engine()
         assert eng.count(p) == value
@@ -307,28 +339,29 @@ def test_memo_store_keeps_its_records_and_their_order():
     # counts, shows here though every value stays the same.  The
     # elliptic P^3 stores held 431, 238, 1,066 and 2,507 records while
     # each IIc divisor-class problem left a Z record and read every
-    # pairing its marker pairs named.
+    # pairing its marker pairs named, and 381, 224, 820 and 1,509 while
+    # problems with a free marker were expanded and stored.
     for p, size, digest in (
         (Problem.make(0, 3, 5, {(1, 2): 5}, {1: 20}), 189,
          "c50f03bcf73057395834ac1c2e86cb9bf6c22d30b8c3f8479aa923025ce91a8d"),
-        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 381,
-         "7768319236b22c397665be0b2cd1c8c6be76ded98b9bf056458aeee33acafb34"),
+        (Problem.make(1, 3, 4, {(1, 2): 4}, {1: 16}), 339,
+         "693437e4947377aafd91c6e1d84cd683706d2c1a5eb5f71368c1786dea742c0c"),
         # point markers, which the split-off point cut and the broken
         # fibers of the pairings (the divisor-class problem) reach
         (Problem.make(1, 2, 6, {(1, 1): 6}, {0: 18}), 145,
          "bc7b8b2718c37e8d575439e62e265783c82dcc3d158378773a23fbdd926c05c4"),
-        (parse_problem("g=1 n=3 d=4 h=1,2:4 i=0:2;1:12"), 224,
-         "9bab504454054d5c6d60d21b800bb244624cc70ed66cb892a1c08348b18b604a"),
+        (parse_problem("g=1 n=3 d=4 h=1,2:4 i=0:2;1:12"), 213,
+         "c47b22754fa9ab9386dc0a11feee8b26139b216c04ed5dbe5f76e81cc0c5c3c6"),
         (ZProblem.make(2, 5, {0: 14, 1: 1}, parse_divisor("p1+p2+p3+p4+l1")), 104,
          "e13f57b52cd3e92a03afe5ae4b7d00234a437ae2aa1f76a864cdf2886ea3af6d"),
         # the benchmark's slowest elliptic count, types IIa, IIb and IIc
         # with the pairings of the divisor-class problems' bases
-        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 820,
-         "b625d27386a39d1f52e5461f4ab7e0be7dce6c23adba434fa586cfc4288de4b8"),
+        (Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20}), 716,
+         "693a273f7adf05a60014310697b4a52d462592716bd32277e446881892147378"),
         # the degree after it, where the split-off tables carry caps and
         # the IIc walk cuts the most
-        (Problem.make(1, 3, 6, {(1, 2): 6}, {1: 24}), 1509,
-         "707563bc7f694639af01bd368dc679788e204f5b59aee7112f477fea6ca2bbb9"),
+        (Problem.make(1, 3, 6, {(1, 2): 6}, {1: 24}), 1302,
+         "64a3cae97dfc6082f32a81d2aee69fcb64342f5c6ddf7ea1d5dd96a24d289637"),
     ):
         eng = Engine()
         eng.count(p)
@@ -410,29 +443,32 @@ def test_elliptic_space_sextics_through_24_lines_are_pinned():
     # The degree after the benchmark's elliptic quintics.  The value is
     # seed-only, the engine's own, as no oracle here reaches it; the
     # store size shows a change in the work before a change in the value
-    # (2,507 records while each IIc divisor-class problem left one).
+    # (2,507 records while each IIc divisor-class problem left one,
+    # 1,509 while problems with a free marker were stored).
     p = Problem.make(1, 3, 6, {(1, 2): 6}, {1: 24})
     eng = Engine()
     assert unmarked(eng.count(p), p) == 228804132309160320
-    assert len(list(eng.store.items())) == 1509
+    assert len(list(eng.store.items())) == 1302
 
 
 def test_elliptic_space_septics_through_28_lines_are_pinned():
     # Seed-only like the sextics, taken before the IIc walk was capped
     # and the split-off tables of degree below 3 carried a cap; about
-    # 1.5 s.  6,097 records while each IIc divisor-class problem left one.
+    # 1.5 s.  6,097 records while each IIc divisor-class problem left one,
+    # 2,566 while problems with a free marker were stored.
     p = Problem.make(1, 3, 7, {(1, 2): 7}, {1: 28})
     eng = Engine()
     assert unmarked(eng.count(p), p) == 35972234525219461770240
-    assert len(list(eng.store.items())) == 2566
+    assert len(list(eng.store.items())) == 2196
 
 
 def test_elliptic_space_quintics_do_not_depend_on_the_divisor_axiom():
     # With the axiom off, a marker on a general hyperplane stays in the
     # problem and goes through the degenerations with the others instead
     # of trading for a factor of the degree, so the count passes through
-    # 1,559 records instead of 820 (1,805 and 1,066 while each IIc
-    # divisor-class problem left a record).  Equal counts check the axiom
+    # 1,143 records instead of 716 (1,805 and 1,066 while each IIc
+    # divisor-class problem left a record, 1,559 and 820 while problems
+    # with a free marker were stored).  Equal counts check the axiom
     # against the degeneration rules, not the rules themselves, which
     # both runs share.
     p = Problem.make(1, 3, 5, {(1, 2): 5}, {1: 20})
@@ -441,7 +477,7 @@ def test_elliptic_space_quintics_do_not_depend_on_the_divisor_axiom():
         eng = Engine(divisor_axiom=axiom)
         assert unmarked(eng.count(p), p) == 2583319387968
         sizes.append(len(list(eng.store.items())))
-    assert sizes == [820, 1559]
+    assert sizes == [716, 1143]
 
 
 def test_capacity_rule_flags_no_wdvv_cell_with_curves(oracle):
