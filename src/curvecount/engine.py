@@ -7,11 +7,12 @@ through it, except the divisor-class problem of a type IIc factor,
 which genus0.count_y hands straight to fibration.expand_z.  counted
 calls the expander of the problem's kind, which returns a count as an
 int and records its trace node through leaf, axiom or terms_node.
-All arithmetic is exact and in ints: a term's weight is an integer
-numerator over one integer divisor, known before anything is counted,
-and every division the theory promises to be exact is checked, raising
-InexactCount when it is not.  Fractions are built only for a trace,
-whose edge weights they are.
+All arithmetic is exact and in ints: a degeneration term is one record
+(rule, numerator, divisor, groups), an integer numerator (the shape's
+weight times its factors' counts) over one integer divisor, with the
+factor groups a trace splits it between, and every division the theory
+promises to be exact is checked, raising InexactCount when it is not.
+Fractions are built only for a trace, whose edge weights they are.
 """
 
 from __future__ import annotations
@@ -237,25 +238,28 @@ class Engine:
             nodes.setdefault(memo_key(problem), TraceNode(problem, 0, count, "divisor-axiom", [edge]))
         return count
 
-    def terms_node(self, problem, dim: int, total: int, terms, term_totals, default_rule: str) -> None:
+    def terms_node(self, problem, dim: int, total: int, terms) -> None:
         """Record the node of an expanded problem, one child per term.
 
-        terms: list of (rule, num, div, value, groups) where groups is a
-        list of (coeff, factors) and factors a list of (problem, count).
-        A term's checked int total T, in term_totals, is split between
-        its groups in proportion to their shares s = coeff * prod(counts),
-        whose sum is W, and a group's share evenly between its r factors:
-        a factor of count c weighs T * s / (W * r * c), summed over the
-        groups it is in.  With L the lcm of the group sizes, that sum is
-        T * sum(s * (L / r)) / (W * L * c), added up in ints, so a term
-        builds one Fraction per factor, its edge weight; every term edge
-        weighs one shared Fraction(1).
+        terms: the list finish_terms summed, of (rule, numerator,
+        divisor, groups) where groups is a list of (coeff, factors) and
+        factors a list of (problem, count).  A term's total T, numerator
+        // divisor (finish_terms checked it exact), is split between
+        its groups in proportion to their shares s = coeff *
+        prod(counts), whose sum is W, and a group's share evenly
+        between its r factors: a factor of count c weighs T * s / (W *
+        r * c), summed over the groups it is in.  With L the lcm of the
+        group sizes, that sum is T * sum(s * (L / r)) / (W * L * c),
+        added up in ints, so a term builds one Fraction per factor, its
+        edge weight; every term edge weighs one shared Fraction(1).  A
+        node with no nonzero term takes the rule type-I.
         """
         if self._tracer is None:
             return
         nodes = self._tracer.nodes
         children = []
-        for (rule, _, _, _, groups), term_total in zip(terms, term_totals):
+        for rule, numerator, divisor, groups in terms:
+            term_total = numerator // divisor
             if term_total == 0:
                 continue
             shares = [(coeff * math.prod(c for _, c in factors), factors) for coeff, factors in groups]
@@ -272,24 +276,24 @@ class Engine:
             den = whole * lcm
             term_children = [(Fraction(term_total * num, den * c), nodes[fkey]) for fkey, (num, c) in merged.items()]
             children.append((_ONE, TraceNode(problem, dim, term_total, rule, term_children)))
-        rule = children[0][1].rule if children else default_rule
+        rule = children[0][1].rule if children else "type-I"
         nodes.setdefault(memo_key(problem), TraceNode(problem, dim, total, rule, children))
 
 
-def finish_terms(eng: Engine, p, dim: int, terms, default_rule: str) -> int:
-    """The count of p, summed exactly with one division per term, of its
-    numerator times its value by its divisor; eng.terms_node traces it."""
-    term_totals = []
-    for rule, num, div, value, _ in terms:
-        term, rest = divmod(num * value, div)
+def finish_terms(eng: Engine, p, dim: int, terms) -> int:
+    """The count of p: the sum over its terms (rule, numerator, divisor,
+    groups) of numerator // divisor, each division checked exact;
+    eng.terms_node traces it."""
+    total = 0
+    for rule, numerator, divisor, _ in terms:
+        term, rest = divmod(numerator, divisor)
         if rest:
             # the message formats the whole problem, so only on failure
-            raise InexactCount(f"non-integral {rule} term for {p}: got {Fraction(num * value, div)}")
-        term_totals.append(term)
-    total = sum(term_totals)
+            raise InexactCount(f"non-integral {rule} term for {p}: got {Fraction(numerator, divisor)}")
+        total += term
     if total < 0:
         raise InexactCount(f"negative count {total} for {p}")
-    eng.terms_node(p, dim, total, terms, term_totals, default_rule)
+    eng.terms_node(p, dim, total, terms)
     return total
 
 

@@ -157,7 +157,7 @@ def specialize(eng: Engine, p: Problem, first_slot=None):
             continue
         child = Problem.make(p.genus, p.n, p.d, bump(bump(h_pool, (m, e0), -1), (m, e_new)), i_base)
         v = eng.counted(child)
-        terms.append(("type-I", m * c, 1, v, [(1, [(child, v)])]))
+        terms.append(("type-I", m * c * v, 1, [(1, [(child, v)])]))
     return e_lift, h_pool, i_base, terms
 
 
@@ -173,8 +173,8 @@ def expand_x(eng: Engine, p: Problem, first_slot=None) -> int:
         return done
     e_lift, h_pool, i_base, terms = specialize(eng, p, first_slot)
     table = tail_table(n, d - 1, pool_rows(n, h_pool, i_base))
-    for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, table, e_lift):
+    for parts, weight, aut, d0, h0, i0 in type2_partitions(d, h_pool, i_base, table, e_lift):
         value, groups = count_y(eng, n, d0, h0, i0, parts)
         if value:
-            terms.append(("type-IIplain", ways * ram, aut, value, groups))
-    return finish_terms(eng, p, 0, terms, "type-I")
+            terms.append(("type-IIplain", weight * value, aut, groups))
+    return finish_terms(eng, p, 0, terms)

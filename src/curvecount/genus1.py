@@ -38,12 +38,12 @@ def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
     hyperplane component, which keeps the markers they leave, and on
     which the distinguished component's attachments put max(0,
     1 - delta) points of H.
-    Yields (part, tails, ways, aut, d0, h0, i0, ram): the distinguished
-    component's record, then ways, the labeled marker routings, and
-    tails, aut, d0, h0, i0, ram as type2_partitions yields them.  A
-    component that leaves more points than the table's budget, or more
-    points of H than its cap allows the walk's root, is dropped before
-    the pools it leaves (partitions.rest) are built.
+    Yields (part, tails, weight, aut, d0, h0, i0): the distinguished
+    component's record, then weight, its labeled marker routings times
+    the tails' weight, and tails, aut, d0, h0, i0 as type2_partitions
+    yields them.  A component that leaves more points than the table's
+    budget, or more points of H than its cap allows the walk's root, is
+    dropped before the pools it leaves (partitions.rest) are built.
     """
     points = i_base.get(0, 0)
     budget, cap = table.budget, table.cap
@@ -59,10 +59,10 @@ def _split_off_part(n, d, h_pool, i_base, rows, e_lift, window, m_min, table):
         placed = max(0, 1 - delta)
         if cap is not None and on_h - markers_on_h(h1, i1) + placed > cap[d - 1 - d1]:
             continue
-        for tails, tail_ways, aut, d0, h0, i0, ram in type2_partitions(
+        for tails, weight, aut, d0, h0, i0 in type2_partitions(
             d - d1, rest(h_pool, h1), rest(i_base, i1), table, e_lift, 1, placed
         ):
-            yield part, tails, ways * tail_ways, aut, d0, h0, i0, ram
+            yield part, tails, ways * weight, aut, d0, h0, i0
 
 
 def count_ya(eng: Engine, n, d0, h0, i0, part1, tails):
@@ -188,12 +188,12 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     # the tail table and both split-offs share one listing of sub-vectors
     rows = pool_rows(n, h_pool, i_base)
     rational = tail_table(n, d - 3, rows)
-    for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
+    for part1, tails, weight, aut, d0, h0, i0 in _split_off_part(
         n, d, h_pool, i_base, rows, e_lift, (1, 0, n - 1), 1, rational
     ):
         value, groups = count_ya(eng, n, d0, h0, i0, part1, tails)
         if value:
-            terms.append(("type-IIa", ways * part1[3] * ram, aut, value, groups))
+            terms.append(("type-IIa", weight * part1[3] * value, aut, groups))
 
     # With its two contacts taken as one free on H, the doubly-attached
     # component has freedom -1..2n-5 (see count_yb).  Over P^2 the
@@ -201,18 +201,18 @@ def expand_w(eng: Engine, p: Problem, first_slot=None) -> int:
     # marker free on it and counts 0: tails take 0..2n-4, which over
     # P^3 is the whole rational window and over P^2 its delta 0.
     doubly = rational.within(2 * n - 4)
-    for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
+    for part1, tails, weight, aut, d0, h0, i0 in _split_off_part(
         n, d, h_pool, i_base, rows, e_lift, (0, -1, 2 * n - 5), 2, doubly
     ):
         value, groups = count_yb(eng, n, d0, h0, i0, part1, tails)
         if value:
-            terms.append(("type-IIb", ways * ram, 2 * aut, value, groups))
+            terms.append(("type-IIb", weight * value, 2 * aut, groups))
 
     if n == 3:
         elliptic = rational.in_h_elliptic(n)
-        for parts, ways, aut, d0, h0, i0, ram in type2_partitions(d, h_pool, i_base, elliptic, e_lift, 3):
+        for parts, weight, aut, d0, h0, i0 in type2_partitions(d, h_pool, i_base, elliptic, e_lift, 3):
             value, groups = count_yc(eng, n, d0, h0, i0, parts)
             if value:
-                terms.append(("type-IIc", ways * ram, aut, value, groups))
+                terms.append(("type-IIc", weight * value, aut, groups))
 
-    return finish_terms(eng, p, 0, terms, "type-I")
+    return finish_terms(eng, p, 0, terms)

@@ -17,10 +17,10 @@ reads that listing and yields records without building any pool;
 tail_table keeps its rational records of freedom 0..n-1 within the
 point cap as the tails, with each one's relief and the bounds every
 walk over them reads.  type2_partitions walks a tail table into type II
-shapes, each with its automorphism order counted as it goes, so a shape
-reaches genus0.count_y finished.  genus1._split_off_part takes its
-distinguished component from components and builds the pools it leaves
-with rest, for the components it keeps.  No pool any of them builds
+shapes, each with its weight and automorphism order counted as it goes,
+so a shape reaches genus0.count_y finished.  genus1._split_off_part
+takes its distinguished component from components and builds the pools
+it leaves with rest, for the components it keeps.  No pool any of them builds
 holds a zero count: a key whose count reaches 0 leaves the pool.  A
 record's relief, the points of H it takes off the component in H, is
 defined once, in TailTable.of's build loop; the walk and the table's
@@ -316,10 +316,11 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     The walk is lazy: it yields each shape as it reaches it and holds
     one branch of pools at a time.
 
-    Yields (parts, ways, aut, d0, h0, i0, ram).  parts is a
+    Yields (parts, weight, aut, d0, h0, i0).  parts is a
     nondecreasing tuple of the tails' table records (dk, h_items,
-    i_items, mk, delta).  The ints ways and aut are the multinomial
-    routing of labeled markers into the ordered tails and the
+    i_items, mk, delta).  The int weight is the shape's numerator: the
+    multinomial routings of labeled markers into the ordered tails
+    times the tails' attachment multiplicities mk.  The int aut is the
     automorphism order of the multiset, by which a term divides its
     weight.  The walk counts aut as it takes the tails: equal tails are
     taken in a run, and the k-th tail of a run multiplies it by k, so a
@@ -331,8 +332,7 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     a key whose count a tail takes to 0 leaves the pool, and h0 and i0
     hold no zero count.  h0 is the walk's own pool, h_pool itself when
     no tail is taken, and the walk reads it again after the yield, so a
-    caller must not change it.  ram is the product of the tails'
-    attachment multiplicities.
+    caller must not change it.
     """
 
     def rec(d_rem, h_rem, i_rem, min_tail, on_h, run):
@@ -340,7 +340,7 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
         # its points of H the cap; run is how many tails equal min_tail
         points = i_rem.get(0, 0)
         if not points and (room is None or on_h <= room[d_rem]):
-            yield (), 1, 1, 1, d_rem, h_rem, i_rem
+            yield (), 1, 1, d_rem, h_rem, i_rem
         for tail, lowered in entries:
             dk, h_items, i_items, mk, _ = tail
             if dk > d_rem:
@@ -353,31 +353,33 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
                 continue
             if cap is not None and on_h - lowered > cap[d_rem - dk]:
                 continue
-            # math.comb is 0 when a tail takes more than is left, and
-            # the copies are dropped; a count taken to 0 leaves its pool
-            ways = 1
+            # the tail's weight: its attachment multiplicity (mk >= 1)
+            # times its marker routings; math.comb is 0 when a tail takes
+            # more than is left, and the copies are dropped; a count
+            # taken to 0 leaves its pool
+            weight = mk
             h_left, i_left = dict(h_rem), dict(i_rem)
             for k, take in h_items:
                 c = h_left.get(k, 0)
-                ways *= math.comb(c, take)
+                weight *= math.comb(c, take)
                 if c > take:
                     h_left[k] = c - take
                 elif c:
                     del h_left[k]
             for e, take in i_items:
                 c = i_left.get(e, 0)
-                ways *= math.comb(c, take)
+                weight *= math.comb(c, take)
                 if c > take:
                     i_left[e] = c - take
                 elif c:
                     del i_left[e]
-            if not ways:
+            if not weight:
                 continue
             # k is now the tail's place in its run of equal tails; the
             # records sit once in the table, so an equal tail is min_tail
             k = run + 1 if tail is min_tail else 1
-            for rest, rest_ways, aut, ram, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h - lowered, k):
-                yield (tail,) + rest, ways * rest_ways, k * aut, mk * ram, d_left, h0, i0
+            for rest, rest_weight, aut, d_left, h0, i0 in rec(d_rem - dk, h_left, i_left, tail, on_h - lowered, k):
+                yield (tail,) + rest, weight * rest_weight, k * aut, d_left, h0, i0
 
     d_tails = d - d0_min
     # a negative index would read another degree's bound
@@ -389,8 +391,8 @@ def type2_partitions(d, h_pool: dict, i_pool: dict, tails: TailTable, e_lift: in
     on_h = h_points + (e_lift == 1) + markers_on_h(h_pool.items(), i_pool.items())
     if cap is not None and on_h > cap[d_tails]:
         return
-    for parts, ways, aut, ram, d_left, h0, i0 in rec(d_tails, h_pool, i_pool, (), on_h, 0):
-        yield parts, ways, aut, d_left + d0_min, h0, bump(i0, e_lift), ram
+    for parts, weight, aut, d_left, h0, i0 in rec(d_tails, h_pool, i_pool, (), on_h, 0):
+        yield parts, weight, aut, d_left + d0_min, h0, bump(i0, e_lift)
 
 
 def points_on_curve(n: int, d: int, genus: int = 0) -> int:

@@ -273,7 +273,6 @@ class ZProblem:
 
     @classmethod
     def make(cls, n, d, i=None, divisor=()) -> "ZProblem":
-        merged: dict[tuple[int, int], int] = {}
         try:
             n, d = index(n), index(d)
             if n < 2:
@@ -281,14 +280,9 @@ class ZProblem:
             if d < 1:
                 raise InvalidProblem(f"degree must be at least 1, got {d}")
             it = _norm_i(i, n)
-            for coeff, e, k in divisor:
-                key = (index(e), index(k))
-                merged[key] = merged.get(key, 0) + index(coeff)
+            terms = merge_divisor(divisor)
         except TypeError as exc:
             raise InvalidProblem(f"problem numbers must be integers: {exc}") from None
-        terms = tuple(
-            (c, e, k) for (e, k), c in sorted(merged.items()) if c
-        )
         return cls(n, d, it, terms)
 
     def i_map(self) -> dict[int, int]:
@@ -304,6 +298,17 @@ class ZProblem:
         return text
 
     __str__ = key
+
+
+def merge_divisor(terms) -> tuple[tuple[int, int, int], ...]:
+    """A divisor's (coeff, e, k) terms as its canonical tuple: the
+    coefficients summed per marker (e, k), zero sums dropped, sorted by
+    marker.  A number that is not an integer raises TypeError."""
+    merged: dict[tuple[int, int], int] = {}
+    for coeff, e, k in terms:
+        key = (index(e), index(k))
+        merged[key] = merged.get(key, 0) + index(coeff)
+    return tuple((c, e, k) for (e, k), c in sorted(merged.items()) if c)
 
 
 def base_z_text(z: ZProblem) -> str:
@@ -388,7 +393,4 @@ def parse_divisor(text: str) -> tuple[tuple[int, int, int], ...]:
         terms.append((coeff, e, k))
         pos = mt.end()
         first = False
-    merged: dict[tuple[int, int], int] = {}
-    for coeff, e, k in terms:
-        merged[(e, k)] = merged.get((e, k), 0) + coeff
-    return tuple((c, e, k) for (e, k), c in sorted(merged.items()) if c)
+    return merge_divisor(terms)

@@ -9,6 +9,7 @@ per-marker form of a divisor-class count, which takes the engine's
 pairings from its caller.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -67,6 +68,143 @@ def getzler_elliptic_numbers(dmax):
         n1[d] = total.numerator
     return n1
 
+
+
+def contact_vectors(total):
+    """Every contact vector v with sum k * v_k = total, as a tuple
+    (v_1, ..., v_total): v_k contacts of order k with a line."""
+    out = []
+
+    def rec(k, left, taken):
+        if k > total:
+            if not left:
+                out.append(tuple(taken))
+            return
+        for c in range(left // k + 1):
+            rec(k + 1, left - k * c, taken + [c])
+
+    rec(1, total, [])
+    return out
+
+
+def _contacts(v):
+    """The contact vector v without its trailing zeros, so that equal
+    vectors of different lengths key one cache entry."""
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return tuple(v)
+
+
+def _order(v):
+    """I v = sum k * v_k, the intersections with the line that v takes."""
+    return sum(k * c for k, c in enumerate(v, 1))
+
+
+def _below(v):
+    """Every vector w <= v entrywise, with its prod C(v_k, w_k)."""
+    for w in itertools.product(*(range(c + 1) for c in v)):
+        yield w, math.prod(math.comb(c, t) for c, t in zip(v, w))
+
+
+def _plus(v, w, sign=1):
+    """v + sign * w entrywise, the shorter padded with zeros."""
+    size = max(len(v), len(w))
+    v, w = tuple(v) + (0,) * (size - len(v)), tuple(w) + (0,) * (size - len(w))
+    return _contacts(a + sign * b for a, b in zip(v, w))
+
+
+@functools.lru_cache(maxsize=None)
+def severi_degree(d, delta, alpha=(), beta=()):
+    """N^{d,delta}(alpha, beta) of Caporaso and Harris (Counting plane
+    curves of any genus, 1998): plane curves of degree d with delta
+    nodes, possibly reducible, containing no copy of a fixed line L,
+    with alpha_k contacts of order k with L at fixed general points of L
+    and beta_k at further points, through d(d+3)/2 - delta - d + |beta|
+    general points.  alpha and beta are tuples indexed by k - 1.
+
+    Computed by their recursion, which moves one point onto L: the curve
+    either gains a contact there, one of the beta contacts becoming
+    fixed,
+
+      sum over k with beta_k > 0 of k * N^{d,delta}(alpha + e_k, beta - e_k),
+
+    or breaks off L, leaving a curve of degree d - 1:
+
+      sum of I^{beta' - beta} C(alpha, alpha') C(beta', beta)
+             N^{d-1,delta'}(alpha', beta')
+
+    over alpha' <= alpha and beta' >= beta with I alpha' + I beta' =
+    d - 1 and delta' = delta - (d - 1) + |beta' - beta|, where I^gamma =
+    prod k^{gamma_k} and C(v, w) = prod C(v_k, w_k).  N^{0,0}(0, 0) is 1;
+    N is 0 when delta < 0, when I alpha + I beta != d, or when d >= 1
+    and no point is left.
+    """
+    alpha, beta = _contacts(alpha), _contacts(beta)
+    if delta < 0 or _order(alpha) + _order(beta) != d:
+        return 0
+    if d == 0:
+        return int(delta == 0)
+    if d * (d + 3) // 2 - delta - d + sum(beta) < 1:
+        return 0
+    total = 0
+    for k, c in enumerate(beta, 1):
+        if c:
+            e_k = (0,) * (k - 1) + (1,)
+            total += k * severi_degree(d, delta, _plus(alpha, e_k), _plus(beta, e_k, -1))
+    for alpha1, fixed in _below(alpha):
+        left = d - 1 - _order(alpha1) - _order(beta)
+        if left < 0:
+            continue
+        for gamma in contact_vectors(left):
+            beta1 = _plus(beta, gamma)
+            coeff = fixed * math.prod(k**c for k, c in enumerate(gamma, 1))
+            coeff *= math.prod(math.comb(b1, b) for b1, b in zip(beta1, beta))
+            total += coeff * severi_degree(d - 1, delta - (d - 1) + sum(gamma), _contacts(alpha1), beta1)
+    return total
+
+
+def _severi_of_genus(d, g, alpha, beta):
+    """T(d, g, alpha, beta): N^{d,delta}(alpha, beta) with delta =
+    (d-1)(d-2)/2 - g, the curves of arithmetic genus g; T(0, 1) is 1."""
+    return severi_degree(d, (d - 1) * (d - 2) // 2 - g, alpha, beta)
+
+
+@functools.lru_cache(maxsize=None)
+def irreducible_plane_count(d, g, alpha=(), beta=()):
+    """Irreducible plane curves of degree d and geometric genus g with
+    the contacts alpha, beta of severi_degree, through P = 2d + g - 1 +
+    |beta| general points.  Every component of a curve T counts passes
+    through at least one of the points, so the curves through point 1
+    whose component there, C = (d1, g1, alpha1, beta1), is not all of
+    it are taken off:
+
+      N_irr(d, g, alpha, beta) = T(d, g, alpha, beta)
+        - sum over proper C of C(P - 1, P1 - 1) C(alpha, alpha1)
+          N_irr(d1, g1, alpha1, beta1) T(d - d1, g - g1 + 1, alpha - alpha1, beta - beta1)
+
+    with P1 = 2 d1 + g1 - 1 + |beta1| >= 1 and 0 <= g1 <= (d1-1)(d1-2)/2;
+    the rest of the curve has arithmetic genus g - g1 + 1 and the other
+    P - P1 points.  The beta contacts are unlabeled, so they get no
+    binomial.
+    """
+    alpha, beta = _contacts(alpha), _contacts(beta)
+    points = 2 * d + g - 1 + sum(beta)
+    total = _severi_of_genus(d, g, alpha, beta)
+    for alpha1, fixed in _below(alpha):
+        for beta1, _ in _below(beta):
+            d1 = _order(alpha1) + _order(beta1)
+            if d1 == 0:
+                continue
+            for g1 in range((d1 - 1) * (d1 - 2) // 2 + 1):
+                component = (d1, g1, _contacts(alpha1), _contacts(beta1))
+                points1 = 2 * d1 + g1 - 1 + sum(beta1)
+                if component == (d, g, alpha, beta) or not 1 <= points1 <= points:
+                    continue
+                rest = _severi_of_genus(d - d1, g - g1 + 1, _plus(alpha, alpha1, -1), _plus(beta, beta1, -1))
+                if rest:
+                    total -= math.comb(points - 1, points1 - 1) * fixed * irreducible_plane_count(*component) * rest
+    return total
 
 def lines_meeting(n, space_dims):
     """Lines in P^n meeting general linear subspaces of the given
@@ -218,7 +356,7 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h
         if points > points_budget(n, d_rem):
             return
         if not points:
-            yield (), 1, 1, d_rem, h_rem, i_rem
+            yield (), 1, d_rem, h_rem, i_rem
         for tail, ways in components(n, d_rem, pool_rows(n, h_rem, i_rem), *window):
             dk, h_sub, i_sub, mk, _ = tail
             if dict(i_sub).get(0, 0) > points_on_curve(n, dk):
@@ -226,12 +364,12 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h
             if tail < min_tail:
                 continue
             h_rest, i_rest = rest(h_rem, h_sub), rest(i_rem, i_sub)
-            for tails, rest_ways, ram, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, tail):
-                yield (tail,) + tails, ways * rest_ways, mk * ram, d_left, h_left, i_left
+            for tails, weight, d_left, h_left, i_left in rec(d_rem - dk, h_rest, i_rest, tail):
+                yield (tail,) + tails, ways * mk * weight, d_left, h_left, i_left
 
     h_pool = dict(sorted(h_pool.items()))
     i_pool = dict(sorted(i_pool.items()))
-    for parts, ways, ram, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, ()):
+    for parts, weight, d_left, h0, i0 in rec(d - d0_min, h_pool, i_pool, ()):
         d0 = d_left + d0_min
         h0 = {k: c for k, c in h0.items() if c}
         i0 = bump({e: c for e, c in i0.items() if c}, e_lift)
@@ -239,7 +377,7 @@ def per_level_type2_partitions(d, h_pool, i_pool, n, window, e_lift, d0_min=1, h
         points += sum(1 for part in parts if part[4] == 0)
         if n >= 3 and (n - 2) * points > n * d0 + (n - 4 if d0_min == 1 else 0):
             continue
-        yield parts, ways, automorphism_order(parts), d0, h0, i0, ram
+        yield parts, weight, automorphism_order(parts), d0, h0, i0
 
 def divisor_count_per_marker(divisor, ss, hh, hq, qq):
     """Q^2 - D'^2/2 of a divisor-class problem, summed term by term over

@@ -1,7 +1,8 @@
 """The per-layer harness in bench/ patches public functions of the
 package by name and reads their results by position.  This guards the
 names and the result shapes it relies on: a traced run counts the same,
-restores every patch, and sees every type II rule contribute.  The
+restores every patch, sees every type II rule contribute, and counts the
+terms and shapes pinned below.  The
 workloads also read the root count out of every trace format, so a
 renderer change that breaks that parsing fails here too."""
 
@@ -64,3 +65,22 @@ def test_trace_workload_reads_the_root_count(workloads, fmt):
     for pin, flags in targets:
         op = workloads._trace_op(pin, flags, fmt)
         assert op.check(op.call()) is None
+
+
+@pytest.mark.parametrize(
+    "problem, terms, shapes",
+    [(PROBLEMS[0], 47, 24), (PROBLEMS[1], 64, 33)],
+    ids=["elliptic P^2 d=4 through 12 points", "elliptic P^3 d=3 through 12 lines"],
+)
+def test_what_the_hooks_count_is_pinned(spans, problem, terms, shapes):
+    # the terms the benchmark counts as len(args[3]) of finish_terms and
+    # the shapes it counts as yields of type2_partitions: a reshaped
+    # term list or walk that moves either fails here
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        Engine().count(problem)
+    finally:
+        tracer.restore()
+    counted = tracer.counters
+    assert (counted["engine.finish_terms.terms"], counted["partitions.type2.shapes"]) == (terms, shapes)

@@ -127,9 +127,9 @@ def test_part_zero_rejects_ambient_points():
     h, i = {(1, 2): 4}, {0: 3, 1: 4}
     rows = pool_rows(3, h, i)
     table = tail_table(3, 3, rows)
-    shapes = [i0 for *_, i0, _ in type2_partitions(4, h, i, table, 2)]
+    shapes = [i0 for *_, i0 in type2_partitions(4, h, i, table, 2)]
     table = tail_table(3, 1, rows)
-    shapes += [i0 for *_, i0, _ in _split_off_part(3, 4, h, i, rows, 2, (1, 0, 2), 1, table)]
+    shapes += [i0 for *_, i0 in _split_off_part(3, 4, h, i, rows, 2, (1, 0, 2), 1, table)]
     assert len(shapes) > 10
     assert [i0 for i0 in shapes if i0.get(0, 0)] == []
     with pytest.raises(AssertionError, match="point markers left"):

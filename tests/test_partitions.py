@@ -47,12 +47,12 @@ _EVERY = (0, -99, 99)
 
 
 def _shapes(d_avail, h_pool, i_pool, n, window=None):
-    """(parts, ways, aut) of every shape whose tails take at most
+    """(parts, weight, aut) of every shape whose tails take at most
     d_avail, the hyperplane component keeping the rest of a degree
     d_avail + 1 curve."""
     table = _table(n, d_avail, h_pool, i_pool, window)
-    for parts, ways, aut, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, table, n - 1):
-        yield parts, ways, aut
+    for parts, weight, aut, *_ in type2_partitions(d_avail + 1, h_pool, i_pool, table, n - 1):
+        yield parts, weight, aut
 
 
 def _value_of(dk, h_items, i_items):
@@ -64,6 +64,12 @@ def _value_of(dk, h_items, i_items):
     for e, c in i_items:
         x = x * 37 + e * 5 + c
     return x % 101 + 1
+
+
+def _attached_value_of(dk, h_items, i_items):
+    """_value_of times the part's attachment multiplicity, which a
+    shape's weight carries: the worth the oracle gives a part."""
+    return _value_of(dk, h_items, i_items) * (dk - sum(m * c for (m, _), c in h_items))
 
 
 def test_automorphism_order():
@@ -206,30 +212,30 @@ _ORDERED_CASES = [
 def test_type2_partitions_match_ordered_enumeration():
     for d_avail, h_pool, i_pool, n in _ORDERED_CASES:
         total = Fraction(0)
-        for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n):
-            worth = Fraction(ways, aut)
+        for parts, weight, aut in _shapes(d_avail, h_pool, i_pool, n):
+            worth = Fraction(weight, aut)
             for part in parts:
                 worth *= _value_of(*part[:3])
             total += worth
-        oracle = ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of)
+        oracle = ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _attached_value_of)
         assert total == oracle
 
 
 def test_type2_partitions_yield_canonical_multisets():
     seen = set()
-    for parts, ways, aut in _shapes(4, {(1, 2): 1}, {1: 5}, 3):
+    for parts, weight, aut in _shapes(4, {(1, 2): 1}, {1: 5}, 3):
         assert list(parts) == sorted(parts)
         assert parts not in seen
         seen.add(parts)
         assert sum(p[0] for p in parts) <= 4
-        assert ways > 0 and aut > 0
+        assert weight > 0 and aut > 0
     assert () in seen
 
 
 def test_weights_scale_with_automorphisms():
     # two interchangeable parts carry a half weight
     entries = {
-        tuple(part[:3] for part in parts): (ways, aut) for parts, ways, aut in _shapes(2, {}, {}, 2, _EVERY)
+        tuple(part[:3] for part in parts): (weight, aut) for parts, weight, aut in _shapes(2, {}, {}, 2, _EVERY)
     }
     twin = ((1, (), ()), (1, (), ()))
     assert entries[twin] == (1, 2)
@@ -237,8 +243,8 @@ def test_weights_scale_with_automorphisms():
 
 def _aggregate(d_avail, h_pool, i_pool, n):
     total = Fraction(0)
-    for parts, ways, aut in _shapes(d_avail, h_pool, i_pool, n):
-        worth = Fraction(ways, aut)
+    for parts, weight, aut in _shapes(d_avail, h_pool, i_pool, n):
+        worth = Fraction(weight, aut)
         for part in parts:
             worth *= _value_of(*part[:3])
         total += worth
@@ -272,13 +278,13 @@ def test_type2_partitions_yield_nothing_past_the_point_capacity():
     ]:
         h_pool = {(1, n - 1): 1}
         assert list(_shapes(d_avail, h_pool, i_pool, n)) == []
-        assert ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of) == 0
+        assert ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _attached_value_of) == 0
     # at the capacity itself shapes remain, and agree with the oracle
     for d_avail, i_pool, n in [(2, {0: 4, 1: 1}, 3), (1, {0: 2, 1: 2}, 2), (2, {0: 5}, 2)]:
         h_pool = {(1, n - 1): 1}
         total = _aggregate(d_avail, h_pool, i_pool, n)
         assert total != 0
-        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of)
+        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _attached_value_of)
 
 
 def test_free_markers_do_not_raise_the_point_capacity():
@@ -295,23 +301,26 @@ def test_free_markers_do_not_raise_the_point_capacity():
     ]:
         total = _aggregate(d_avail, h_pool, i_pool, n)
         assert (total != 0) == some
-        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _value_of)
+        assert total == ordered_type2_aggregate(d_avail, h_pool, i_pool, n, _window(n), _attached_value_of)
 
 
 def _kept(d, h_pool, i_pool, e_lift, parts):
-    """What the hyperplane component of a degree d curve keeps once
-    ``parts`` split off, worked out plainly: the pools less the parts,
-    the specialized marker on slot e_lift, and the product of the
-    parts' attachment multiplicities."""
-    h0, i0, ram = Counter(h_pool), Counter(i_pool), 1
+    """The weight of ``parts`` splitting off a degree d curve and what
+    its hyperplane component keeps, worked out plainly: the labeled
+    marker routings into the parts in order times the product of their
+    attachment multiplicities, then the degree left and the pools less
+    the parts, with the specialized marker on slot e_lift."""
+    h0, i0, weight = Counter(h_pool), Counter(i_pool), 1
     for dk, h_items, i_items, *_ in parts:
-        h0.subtract(dict(h_items))
-        i0.subtract(dict(i_items))
-        ram *= dk - sum(m * c for (m, _), c in h_items)
+        for pool, items in ((h0, h_items), (i0, i_items)):
+            for key, take in items:
+                weight *= math.comb(pool[key], take)
+            pool.subtract(dict(items))
+        weight *= dk - sum(m * c for (m, _), c in h_items)
         d -= dk
     i0[e_lift] += 1
     assert min([0, *h0.values(), *i0.values()]) == 0
-    return d, {k: c for k, c in h0.items() if c}, {k: c for k, c in i0.items() if c}, ram
+    return weight, d, {k: c for k, c in h0.items() if c}, {k: c for k, c in i0.items() if c}
 
 
 def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
@@ -336,8 +345,8 @@ def test_type2_partitions_yield_what_the_hyperplane_component_keeps():
         for e_lift in range(n):
             d = d_avail + 1
             table = _table(n, d - 1, h_pool, i_pool, *window)
-            for parts, _, _, *kept in _zero_free(type2_partitions(d, h_pool, i_pool, table, e_lift)):
-                assert tuple(kept) == _kept(d, h_pool, i_pool, e_lift, parts)
+            for parts, weight, _, *kept in _zero_free(type2_partitions(d, h_pool, i_pool, table, e_lift)):
+                assert (weight, *kept) == _kept(d, h_pool, i_pool, e_lift, parts)
                 shapes += 1
     assert shapes > 100
 
@@ -346,7 +355,7 @@ def _zero_free(shapes):
     """The shapes of a walk, checking that what each one's component in
     H keeps, h0 and i0, holds no zero count."""
     shapes = list(shapes)
-    for *_, h0, i0, _ in shapes:
+    for *_, h0, i0 in shapes:
         assert 0 not in h0.values() and 0 not in i0.values(), (h0, i0)
     return shapes
 
@@ -355,8 +364,8 @@ def _listed(shapes):
     """Shapes with the kept pools as item tuples, so that the order of
     their keys is compared too."""
     return [
-        (parts, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
-        for parts, ways, aut, d0, h0, i0, ram in shapes
+        (parts, weight, aut, d0, tuple(h0.items()), tuple(i0.items()))
+        for parts, weight, aut, d0, h0, i0 in shapes
     ]
 
 
@@ -440,19 +449,19 @@ def test_split_off_part_walks_its_sub_pools_like_the_per_level_enumeration(monke
         rows = pool_rows(n, h_pool, i_pool)
         table = tail_table(n, d - 3, rows).within(hi)
         walked = [
-            (part1, tails, ways, aut, d0, tuple(h0.items()), tuple(i0.items()), ram)
-            for part1, tails, ways, aut, d0, h0, i0, ram in _split_off_part(
+            (part1, tails, weight, aut, d0, tuple(h0.items()), tuple(i0.items()))
+            for part1, tails, weight, aut, d0, h0, i0 in _split_off_part(
                 n, d, h_pool, i_pool, rows, e_lift, part_window, m_min, table
             )
         ]
-        assert all(c for *_, h0, i0, _ in walked for _, c in h0 + i0)
+        assert all(c for *_, h0, i0 in walked for _, c in h0 + i0)
         slow = []
         for part1, ways in components(n, d - 1, rows, *part_window, m_min):
             h_rest, i_rest = rest(h_pool, part1[1]), rest(i_pool, part1[2])
-            for tails, tail_ways, aut, d0, h0, i0, ram in _listed(
+            for tails, weight, aut, d0, h0, i0 in _listed(
                 per_level_type2_partitions(d - part1[0], h_rest, i_rest, n, (0, 0, hi), e_lift, 1, plain(part1[4]))
             ):
-                slow.append((part1, tails, ways * tail_ways, aut, d0, h0, i0, ram))
+                slow.append((part1, tails, ways * weight, aut, d0, h0, i0))
         assert len(walked) > 10
         assert walked == slow
     assert built["pools"] > built["emptied a key"] > 0, built
@@ -981,7 +990,7 @@ def _iic_excess(n, shape):
     """How many more points of H the divisor-class problem that count_yc
     builds for a IIc shape carries than an elliptic curve of its degree
     in H = P^(n-1) passes through, and whether beyond_capacity flags it."""
-    parts, _, _, d0, h0, i0, _ = shape
+    parts, _, _, d0, h0, i0 = shape
     eng = _DivisorProblemOf()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fibration, "expand_z", eng.expand_z)
@@ -1007,7 +1016,7 @@ def test_type2_walk_cuts_exactly_the_shapes_beyond_the_hyperplane_capacity():
                 every = list(type2_partitions(d, h_pool, i_pool, table, e_lift, 1, _UNCAPPED))
                 excess = [
                     _excess_in_h(n, d0, bump(h0, (1, 0), h_points), i0, [tail[4] for tail in parts])
-                    for parts, _, _, d0, h0, i0, _ in every
+                    for parts, _, _, d0, h0, i0 in every
                 ]
                 # with and without the table's relief cap
                 for tails in (table._replace(cap=None), table):

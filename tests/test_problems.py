@@ -155,6 +155,19 @@ def test_divisor_merges_repeated_markers():
     assert parse_divisor("p1-p1") == ()
 
 
+def test_make_and_parse_merge_a_divisor_alike():
+    # one merge: coefficients summed per marker, zero sums dropped,
+    # sorted by (e, k)
+    assert parse_divisor("p1+p2-p1") == ((1, 0, 2),)
+    for text, terms in [
+        ("p1+p2-p1", [(1, 0, 1), (1, 0, 2), (-1, 0, 1)]),
+        ("2*l1+q2.1-l1+p3-p3", [(2, 1, 1), (1, 2, 1), (-1, 1, 1), (1, 0, 3), (-1, 0, 3)]),
+        ("l2+p4+l2", [(1, 1, 2), (1, 0, 4), (1, 1, 2)]),
+    ]:
+        assert ZProblem.make(2, 3, {0: 8}, terms).divisor == parse_divisor(text)
+    assert parse_divisor("2*l1+q2.1-l1+p3-p3") == ((1, 1, 1), (1, 2, 1))
+
+
 def test_validate_z_checks_marker_indices_and_degree():
     i = {0: 8, 1: 1}
     validate_z(ZProblem.make(2, 3, i, parse_divisor("p1+p2+l1")))

@@ -556,12 +556,12 @@ def test_edge_weights_match_the_per_group_formula(label, problem, monkeypatch):
     original = Engine.terms_node
     seen = Counter()
 
-    def spy(self, p, dim, total, terms, term_totals, default_rule):
-        original(self, p, dim, total, terms, term_totals, default_rule)
-        kept = [(term, t) for term, t in zip(terms, term_totals) if t]
+    def spy(self, p, dim, total, terms):
+        original(self, p, dim, total, terms)
+        kept = [(term, term[1] // term[2]) for term in terms if term[1] // term[2]]
         node = tracer.nodes[memo_key(p)]
         assert len(node.children) == len(kept)
-        for (edge, term_node), ((rule, _, _, _, groups), t) in zip(node.children, kept):
+        for (edge, term_node), ((rule, _, _, groups), t) in zip(node.children, kept):
             assert type(edge) is Fraction and edge == 1
             expected = term_edge_weights(t, groups)
             assert [(child.problem, w) for w, child in term_node.children] == expected
@@ -587,11 +587,12 @@ def test_edge_weights_of_groups_of_different_sizes():
     for p, count in ((a, 2), (b, 3), (c, 5)):
         tracer.nodes[memo_key(p)] = TraceNode(p, 0, count, "seed")
     groups = [(1, [(a, 2)]), (-1, [(a, 2), (b, 3)]), (2, [(b, 3), (c, 5), (c, 5)])]
-    terms = [("type-IIb", 1, 1, 146, groups), ("type-I", 1, 1, 2, [(1, [(a, 2)])])]
-    Engine(tracer=tracer).terms_node(top, 0, 77, terms, [73, 4], "type-I")
+    # term totals 146 // 2 = 73 and 4 // 1 = 4
+    terms = [("type-IIb", 146, 2, groups), ("type-I", 4, 1, [(1, [(a, 2)])])]
+    Engine(tracer=tracer).terms_node(top, 0, 77, terms)
     root = tracer.nodes[memo_key(top)]
     check_invariant(root)
-    for (_, term), (t, (_, _, _, _, g)) in zip(root.children, [(73, terms[0]), (4, terms[1])]):
+    for (_, term), (t, (_, _, _, g)) in zip(root.children, [(73, terms[0]), (4, terms[1])]):
         assert [(child.problem, w) for w, child in term.children] == term_edge_weights(t, g)
     # a: 73/146 * (2/2 - 6/4), b: 73/146 * (-6/6 + 150/9), c: 73/146 * 2 * 150/15
     assert [w for w, _ in root.children[0][1].children] == [Fraction(-1, 4), Fraction(47, 6), Fraction(10)]
